@@ -34,9 +34,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..core.etag_config import ETAG_CONFIG_DIGEST_HEADER
-from ..html.parser import (ResourceKind, ResourceRef, extract_resources,
-                           extract_resources_cached, parse_html)
-from ..html.css import extract_css_refs, extract_css_refs_cached
+from ..html.parser import ResourceKind, ResourceRef, extract_resources_cached
+from ..html.css import extract_css_refs_cached
 from ..html.rewrite import has_sw_registration
 from ..http.messages import Request, Response
 from ..netsim.link import Link
@@ -94,11 +93,6 @@ class BrowserConfig:
     #: capped exponential backoff between attempts (deterministic jitter)
     retry_backoff_s: float = 0.25
     retry_backoff_cap_s: float = 4.0
-    #: reuse the content-digest-keyed HTML/CSS dependency graphs across
-    #: visits (the simulated parse *time* is still charged either way;
-    #: this only skips redundant wall-clock parsing work, so results are
-    #: byte-identical with it off)
-    parse_cache: bool = True
 
     def parse_time(self, nbytes: int) -> float:
         return max(self.min_parse_s, nbytes * self.parse_s_per_byte)
@@ -229,10 +223,9 @@ class PageLoader:
         parse_done = self.sim.now
         self._blocking_done_s = parse_done
 
-        if self.config.parse_cache:
-            refs = extract_resources_cached(markup, base_url="")
-        else:
-            refs = extract_resources(parse_html(markup), base_url="")
+        # Memoized by content digest across visits; the simulated parse
+        # time above is still charged on every load.
+        refs = extract_resources_cached(markup, base_url="")
         subtree_events = [
             self.sim.process(self._fetch_tree(ref), name=f"fetch:{ref.url}")
             for ref in refs]
@@ -287,10 +280,8 @@ class PageLoader:
     def _css_children(self, ref: ResourceRef,
                       response: Response) -> list[ResourceRef]:
         body = response.body.decode(errors="replace")
-        css_refs = (extract_css_refs_cached(body) if self.config.parse_cache
-                    else extract_css_refs(body))
         children = []
-        for css_ref in css_refs:
+        for css_ref in extract_css_refs_cached(body):
             kind = (ResourceKind.STYLESHEET if css_ref.kind == "import"
                     else ResourceKind.FONT if css_ref.kind == "font"
                     else ResourceKind.IMAGE)

@@ -33,7 +33,7 @@ from ..http.messages import Request
 from ..netsim.clock import DAY, HOUR, MINUTE
 from ..netsim.link import NetworkConditions
 from ..obs.manifest import build_manifest, stamp
-from ..perf import percentile
+from ..obs.metrics import percentile
 from ..server.catalyst import CatalystConfig, CatalystServer
 from ..server.site import OriginSite
 from ..workload.corpus import Corpus, make_corpus
@@ -94,8 +94,8 @@ def run_server_load(corpus: Optional[Corpus] = None,
             origin_requests += (inner.full_response_count
                                 + inner.not_modified_count)
             not_modified += inner.not_modified_count
-            if hasattr(server, "config_entry_counts"):
-                maps_stapled += len(server.config_entry_counts)
+            if isinstance(server, CatalystServer):
+                maps_stapled += server.maps_stapled
                 config_bytes += server.config_bytes_emitted
         results.append(ServerLoadResult(
             mode=mode.value, origin_requests=origin_requests,
@@ -173,21 +173,22 @@ class HotPathResult:
 
 def _profile_servers(pairs: list[tuple[CatalystServer, str]], label: str,
                      repeats: int) -> HotPathSide:
-    """Drive repeated document requests and fold the perf counters."""
+    """Time repeated document requests and fold the servers' counters."""
+    clock = time.perf_counter_ns
     cold_ns: list[int] = []
     warm_ns: list[int] = []
     requests = 0
     for server, doc_url in pairs:
         request = Request(url=doc_url)
-        before = server.perf.handle_count
+        start = clock()
         server.handle(request, 0.0)
+        cold_ns.append(clock() - start)
         requests += 1
-        samples = server.perf.handle_samples_ns
-        cold_ns.append(samples[before])
         for _ in range(repeats):
+            start = clock()
             server.handle(request, 0.0)
+            warm_ns.append(clock() - start)
         requests += repeats
-        warm_ns.extend(server.perf.handle_samples_ns[before + 1:])
     warm_total_s = sum(warm_ns) / 1e9
     return HotPathSide(
         label=label,
@@ -199,10 +200,10 @@ def _profile_servers(pairs: list[tuple[CatalystServer, str]], label: str,
         warm_p50_us=percentile(warm_ns, 50) / 1e3,
         warm_p90_us=percentile(warm_ns, 90) / 1e3,
         warm_p99_us=percentile(warm_ns, 99) / 1e3,
-        html_parses=sum(s.perf.html_parses for s, _ in pairs),
-        map_builds=sum(s.perf.map_builds for s, _ in pairs),
-        render_hits=sum(s.perf.render_hits for s, _ in pairs),
-        map_hits=sum(s.perf.map_hits for s, _ in pairs),
+        html_parses=sum(s.html_parses for s, _ in pairs),
+        map_builds=sum(s.map_builds for s, _ in pairs),
+        render_hits=sum(s.render_hits for s, _ in pairs),
+        map_hits=sum(s.map_hits for s, _ in pairs),
     )
 
 

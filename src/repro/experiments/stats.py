@@ -13,6 +13,8 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
+from ..obs.metrics import percentile
+
 __all__ = ["Summary", "summarize", "mean", "median", "percentile",
            "stdev", "bootstrap_ci", "spearman", "weighted_percentiles"]
 
@@ -75,28 +77,6 @@ def median(values: Sequence[float]) -> float:
     if len(ordered) % 2:
         return ordered[mid]
     return (ordered[mid - 1] + ordered[mid]) / 2.0
-
-
-def percentile(values: Sequence[float], q: float) -> float:
-    """Linear-interpolated percentile, ``q`` in [0, 100].
-
-    >>> percentile([1.0, 2.0, 3.0, 4.0], 50)
-    2.5
-    >>> percentile([1.0, 2.0, 3.0, 4.0], 100)
-    4.0
-    """
-    if not values:
-        raise ValueError("percentile of empty sequence")
-    if not 0 <= q <= 100:
-        raise ValueError(f"percentile out of range: {q}")
-    ordered = sorted(values)
-    if len(ordered) == 1:
-        return ordered[0]
-    position = (len(ordered) - 1) * q / 100.0
-    low = int(math.floor(position))
-    high = min(low + 1, len(ordered) - 1)
-    fraction = position - low
-    return ordered[low] * (1 - fraction) + ordered[high] * fraction
 
 
 def weighted_percentiles(values: Sequence[float],

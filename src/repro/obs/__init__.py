@@ -8,9 +8,9 @@ One subsystem, three capabilities, zero dependencies:
   :data:`NULL_TRACER`'s no-op fast path, so the hot paths this package
   benchmarks are unaffected until a trace is explicitly requested.
 - **Metrics** (:mod:`repro.obs.metrics`): a named-series registry
-  (counters / gauges / histograms) generalizing
-  :class:`repro.perf.PerfCounters` so any layer can register series
-  without new plumbing.
+  (counters / gauges / histograms) so any layer can register series
+  without new plumbing, plus the repo's one interpolating
+  ``percentile()``.
 - **Exporters** (:mod:`repro.obs.export`): Chrome trace-event JSON
   (Perfetto / ``chrome://tracing``), JSONL structured event logs, and
   HAR enrichment (``_traceId`` per entry).

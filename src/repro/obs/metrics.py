@@ -1,18 +1,19 @@
 """The metrics registry: named counters, gauges, and histograms.
 
-Generalizes what :class:`repro.perf.PerfCounters` does for the Catalyst
-hot path so *any* layer can register series without new plumbing: get or
-create an instrument by name, bump it inline, read everything back in
-one :meth:`MetricsRegistry.snapshot`.  Analysis (percentiles, means)
-happens off the hot path, exactly like ``PerfCounters``.
+Any layer can register series without new plumbing: get or create an
+instrument by name, bump it inline, read everything back in one
+:meth:`MetricsRegistry.snapshot`.  Analysis (percentiles, means)
+happens off the hot path.  :func:`percentile` here is the repo's one
+linear-interpolation percentile; :mod:`repro.experiments.stats`
+re-exports it.
 
-Histograms are two-tier.  A bounded ring of raw samples (same
-discipline as the perf latency ring) gives *exact* percentiles while it
-still covers every observation; once the cap is exceeded a
-:class:`~repro.obs.sketch.LogHistogram` — fed on every observe, fixed
-memory, bounded relative error — takes over, so a long-lived server or
-a million-visit sweep reports all-time percentiles instead of either
-growing without bound or silently narrowing to a recent window.
+Histograms are two-tier.  A bounded ring of raw samples gives *exact*
+percentiles while it still covers every observation; once the cap is
+exceeded a :class:`~repro.obs.sketch.LogHistogram` — fed on every
+observe, fixed memory, bounded relative error — takes over, so a
+long-lived server or a million-visit sweep reports all-time percentiles
+instead of either growing without bound or silently narrowing to a
+recent window.
 
 Every instrument **merges**: :meth:`MetricsRegistry.dump` produces a
 portable (pickle- and JSON-safe) state and
@@ -28,16 +29,37 @@ isolation construct their own.
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping, Optional, Union
+import math
+from typing import Iterator, Mapping, Optional, Sequence, Union
 
-from ..perf.counters import percentile
 from .sketch import DEFAULT_RELATIVE_ERROR, LogHistogram
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry",
-           "registry", "DEFAULT_HISTOGRAM_SAMPLES"]
+           "registry", "percentile", "DEFAULT_HISTOGRAM_SAMPLES"]
 
 #: default histogram raw-sample cap (exact percentiles below this)
 DEFAULT_HISTOGRAM_SAMPLES = 8_192
+
+
+def percentile(values: Sequence[float], q: float) -> float:
+    """The q-th percentile (0..100), interpolated between closest ranks.
+
+    >>> percentile([1, 2, 3, 4], 50)
+    2.5
+    >>> percentile([1.0, 2.0, 3.0, 4.0], 100)
+    4.0
+    """
+    if not values:
+        raise ValueError("percentile of empty sequence")
+    if not 0.0 <= q <= 100.0:
+        raise ValueError(f"percentile out of range: {q}")
+    ordered = sorted(values)
+    rank = (len(ordered) - 1) * q / 100.0
+    low = math.floor(rank)
+    frac = rank - low
+    if frac == 0.0:
+        return float(ordered[low])
+    return float(ordered[low] * (1.0 - frac) + ordered[low + 1] * frac)
 
 
 class Counter:
@@ -249,20 +271,6 @@ class MetricsRegistry:
         return existing
 
     # -- bulk ---------------------------------------------------------------
-    def absorb(self, prefix: str,
-               values: Mapping[str, Union[int, float]]) -> None:
-        """Fold a plain numeric dump into gauges under ``prefix``.
-
-        Built for legacy snapshot dicts — ``PerfCounters.snapshot()``,
-        ``CatalystServer.stats()``, ``ServiceWorkerHost.stats()`` — so
-        existing per-layer accounting surfaces through one registry
-        without rewriting the layers.
-        """
-        for key, value in values.items():
-            if isinstance(value, (int, float)) \
-                    and not isinstance(value, bool):
-                self.gauge(f"{prefix}.{key}").set(value)
-
     def snapshot(self) -> dict:
         """All instruments, by name, machine-readable."""
         return {name: instrument.snapshot()

@@ -44,7 +44,6 @@ from ..http.etag import ETag, etag_for_content
 from ..http.headers import Headers
 from ..http.messages import Request, Response
 from ..obs.trace import NULL_TRACER
-from ..perf import PerfCounters
 from .site import OriginSite, WALL_EPOCH
 from .static import StaticServer
 from .sessions import SessionRecorder
@@ -170,8 +169,9 @@ class CatalystServer:
         self.map_build_failures = 0
         #: times SW injection raised and the server served unmodified HTML
         self.injection_failures = 0
-        #: entries stapled per HTML response (overhead accounting)
-        self.config_entry_counts: list[int] = []
+        #: HTML responses given a map: stapled, answered by its digest,
+        #: or dropped over ``max_header_bytes``
+        self.maps_stapled = 0
         #: (css_url, version) -> child URLs; stylesheets are parsed once
         #: per content version, not once per HTML request.  Negative
         #: results (failed peek, non-200) memoize as [] under the same key.
@@ -182,8 +182,17 @@ class CatalystServer:
         self._ref_cache: dict[tuple[str, int], list[ResourceRef]] = {}
         #: (scope, version-vector) -> session-independent EtagConfig
         self._map_cache: dict[tuple, EtagConfig] = {}
-        #: hot-path counters + wall-clock handle latency (repro.perf)
-        self.perf = PerfCounters()
+        #: hot-path cache verdicts (render, parse/ref and ETag-map
+        #: caches) and the DOM / stylesheet parses actually performed;
+        #: ``ref_hits`` is the document parses the ref cache avoided
+        self.render_hits = 0
+        self.render_misses = 0
+        self.ref_hits = 0
+        self.ref_misses = 0
+        self.map_hits = 0
+        self.map_builds = 0
+        self.html_parses = 0
+        self.css_parses = 0
         #: rebound by a traced run; NULL_TRACER keeps the hot path clean
         self.tracer = NULL_TRACER
 
@@ -191,41 +200,34 @@ class CatalystServer:
     def handle(self, request: Request, at_time: float) -> Response:
         if self.tracer.enabled:
             return self._handle_traced(request, at_time)
-        start_ns = time.perf_counter_ns()
-        try:
-            return self._dispatch(request, at_time)
-        finally:
-            self.perf.record_handle_ns(time.perf_counter_ns() - start_ns)
+        return self._dispatch(request, at_time)
 
     def _handle_traced(self, request: Request, at_time: float) -> Response:
         """The traced twin of :meth:`handle`.
 
         Emits one ``server.handle`` span per request, annotated with the
-        hot-path cache verdicts derived from :class:`PerfCounters`
-        deltas — the counters stay the single source of truth, the span
-        just reads them.  Separated out so the untraced path stays
-        byte-for-byte what the bench gate measures.
+        hot-path cache verdicts derived from counter deltas (the
+        counters stay the single source of truth, the span just reads
+        them) and the handle's wall time.  Separated out so the untraced
+        path stays byte-for-byte what the bench gate measures.
         """
         tracer = self.tracer
         span = tracer.begin("server.handle", "server",
                             parent=tracer.current_parent,
                             args={"path": request.path}, at=at_time)
-        perf = self.perf
-        before = (perf.render_hits, perf.render_misses,
-                  perf.map_hits, perf.map_builds)
+        before = (self.render_hits, self.render_misses,
+                  self.map_hits, self.map_builds)
         start_ns = time.perf_counter_ns()
         try:
             response = self._dispatch(request, at_time)
         except BaseException as exc:
             span.set("error", type(exc).__name__).end(at=at_time)
             raise
-        finally:
-            wall_ns = time.perf_counter_ns() - start_ns
-            perf.record_handle_ns(wall_ns)
-        render = ("hit" if perf.render_hits > before[0]
-                  else "miss" if perf.render_misses > before[1] else "n/a")
-        etag_map = ("hit" if perf.map_hits > before[2]
-                    else "build" if perf.map_builds > before[3] else "n/a")
+        wall_ns = time.perf_counter_ns() - start_ns
+        render = ("hit" if self.render_hits > before[0]
+                  else "miss" if self.render_misses > before[1] else "n/a")
+        etag_map = ("hit" if self.map_hits > before[2]
+                    else "build" if self.map_builds > before[3] else "n/a")
         span.annotate(status=response.status, render=render,
                       etag_map=etag_map, wall_ns=wall_ns).end(at=at_time)
         return response
@@ -254,13 +256,13 @@ class CatalystServer:
         if caching and doc_version is not None:
             entry = self._render_cache.get((path, doc_version))
             if entry is not None:
-                self.perf.render_hits += 1
+                self.render_hits += 1
                 render_verdict = "hit"
                 full = entry.response_at(at_time)
                 self.site.note_request(path)
         if full is None:
             if caching:
-                self.perf.render_misses += 1
+                self.render_misses += 1
             full = self.site.respond(path, at_time)
             if full.status != 200:
                 return full
@@ -269,7 +271,7 @@ class CatalystServer:
                 self._render_cache[(path, doc_version)] = _RenderEntry(
                     body=full.body, headers=full.headers.copy())
                 self._trim(self._render_cache)
-        map_hits_before = self.perf.map_hits
+        map_hits_before = self.map_hits
         try:
             body = full.body
             config = self._build_config_for_html(
@@ -293,26 +295,26 @@ class CatalystServer:
             self.map_build_failures += 1
             logger.warning("X-Etag-Config construction failed for %s; "
                            "serving page without map", path, exc_info=True)
-            response = self.static.finalize(request, full, at_time)
+            response = self.static.finalize(request, full)
             self._stamp_cache_status(response, render_verdict, "error")
             return response
-        map_verdict = "hit" if self.perf.map_hits > map_hits_before \
+        map_verdict = "hit" if self.map_hits > map_hits_before \
             else "miss"
-        response = self.static.finalize(request, full, at_time)
+        response = self.static.finalize(request, full)
         self._stamp_cache_status(response, render_verdict, map_verdict)
         if self.config.use_map_digest:
             client_digest = request.headers.get(ETAG_CONFIG_DIGEST_HEADER)
             digest = config.digest()
             if client_digest == digest:
                 response.headers.set(ETAG_CONFIG_SAME_HEADER, digest)
-                self.config_entry_counts.append(len(config))
+                self.maps_stapled += 1
                 self.config_bytes_emitted += len(
                     ETAG_CONFIG_SAME_HEADER) + len(digest) + 4
                 return response
         if config.apply_to(response.headers,
                            max_header_bytes=self.config.max_header_bytes):
             self.config_bytes_emitted += config.header_size()
-        self.config_entry_counts.append(len(config))
+        self.maps_stapled += 1
         return response
 
     def _stamp_cache_status(self, response: Response, render: str,
@@ -388,11 +390,11 @@ class CatalystServer:
         if cacheable:
             cached = self._ref_cache.get((path, doc_version))
             if cached is not None:
-                self.perf.ref_hits += 1
+                self.ref_hits += 1
                 return cached
-            self.perf.ref_misses += 1
+            self.ref_misses += 1
         text = markup() if callable(markup) else markup
-        self.perf.html_parses += 1
+        self.html_parses += 1
         refs = extract_resources(parse_html(text), base_url="")
         if cacheable:
             self._ref_cache[(path, doc_version)] = refs
@@ -416,9 +418,9 @@ class CatalystServer:
             key = scope + (self._version_signature(urls, at_time),)
             cached = self._map_cache.get(key)
             if cached is not None:
-                self.perf.map_hits += 1
+                self.map_hits += 1
                 return cached
-        self.perf.map_builds += 1
+        self.map_builds += 1
         config = self._config_for_urls(urls, at_time)
         if cacheable:
             self._map_cache[key] = config
@@ -458,7 +460,7 @@ class CatalystServer:
             # re-ran the render + decode on every later document request.
             self._css_children_memo[memo_key] = []
             return []
-        self.perf.css_parses += 1
+        self.css_parses += 1
         children = [ref.url
                     for ref in extract_css_refs(response.body.decode())]
         self._css_children_memo[memo_key] = children
@@ -550,19 +552,26 @@ class CatalystServer:
             cache.pop(next(iter(cache)))  # FIFO: oldest version first
 
     def stats(self) -> dict:
-        """Server-side counters, including the hot-path perf snapshot."""
-        stats = self.perf.snapshot()
-        stats.update({
+        """Server-side counters: cache verdicts, overhead, cache sizes."""
+        return {
+            "render_hits": self.render_hits,
+            "render_misses": self.render_misses,
+            "ref_hits": self.ref_hits,
+            "ref_misses": self.ref_misses,
+            "map_hits": self.map_hits,
+            "map_builds": self.map_builds,
+            "html_parses": self.html_parses,
+            "css_parses": self.css_parses,
+            "parses_avoided": self.ref_hits,
             "config_bytes_emitted": self.config_bytes_emitted,
-            "maps_stapled": len(self.config_entry_counts),
+            "maps_stapled": self.maps_stapled,
             "map_build_failures": self.map_build_failures,
             "injection_failures": self.injection_failures,
             "render_cache_size": len(self._render_cache),
             "ref_cache_size": len(self._ref_cache),
             "map_cache_size": len(self._map_cache),
             "css_memo_size": len(self._css_children_memo),
-        })
-        return stats
+        }
 
 
 @dataclass

@@ -8,7 +8,7 @@ but still costing the round trip that CacheCatalyst exists to eliminate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..http.dates import parse_http_date
 from ..http.etag import if_none_match_matches, parse_etag
@@ -36,40 +36,33 @@ class StaticServer:
     not_modified_count: int = 0
     #: count of full 200 responses
     full_response_count: int = 0
-    _history: list[tuple[float, str, int]] = field(default_factory=list)
 
     def handle(self, request: Request, at_time: float) -> Response:
         if request.method not in ("GET", "HEAD"):
             return Response(status=405,
                             headers=Headers({"Allow": "GET, HEAD"}))
         full = self.site.respond(request.path, at_time)
-        return self.finalize(request, full, at_time)
+        return self.finalize(request, full)
 
-    def finalize(self, request: Request, full: Response,
-                 at_time: float) -> Response:
+    def finalize(self, request: Request, full: Response) -> Response:
         """Apply conditional-request handling to a prebuilt full response.
 
         Split out so :class:`~repro.server.catalyst.CatalystServer` can
         transform the representation (SW injection) before the ETag
         comparison happens — the comparison must see the *final* bytes.
         """
-        path = request.path
         if full.status != 200:
-            self._record(at_time, path, full.status)
             return full
         conditional = self._try_not_modified(request, full)
         if conditional is not None:
             self.not_modified_count += 1
-            self._record(at_time, path, 304)
             return conditional
         if request.method == "HEAD":
             head = full.copy()
             head.body = b""
             head.declared_size = 0
-            self._record(at_time, path, 200)
             return head
         self.full_response_count += 1
-        self._record(at_time, path, 200)
         return full
 
     # -- conditionals -----------------------------------------------------------
@@ -105,17 +98,3 @@ class StaticServer:
                 headers.set(name, value)
         return Response(status=304, headers=headers, body=b"",
                         declared_size=0)
-
-    # -- diagnostics -------------------------------------------------------------
-    def _record(self, at_time: float, path: str, status: int) -> None:
-        self._history.append((at_time, path, status))
-
-    @property
-    def history(self) -> list[tuple[float, str, int]]:
-        """(time, path, status) per request, in arrival order."""
-        return list(self._history)
-
-    def reset_stats(self) -> None:
-        self.not_modified_count = 0
-        self.full_response_count = 0
-        self._history.clear()

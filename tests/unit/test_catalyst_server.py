@@ -8,6 +8,7 @@ from repro.html.rewrite import CACHE_SW_PATH, has_sw_registration
 from repro.http.messages import Request
 from repro.server.catalyst import CatalystConfig, CatalystServer
 from repro.server.site import OriginSite
+from repro.server.static import StaticServer
 from repro.workload.sitegen import generate_site
 
 
@@ -199,8 +200,40 @@ class TestOverheadAccounting:
     def test_config_bytes_accumulate(self, server):
         server.handle(Request(url="/index.html"), at_time=0.0)
         assert server.config_bytes_emitted > 0
-        assert server.config_entry_counts and \
-            server.config_entry_counts[0] > 0
+        assert server.maps_stapled == 1
+
+
+def _container_sizes(server) -> dict:
+    """Length of every list/dict/set attribute of the server, its
+    ``static`` delegate and its site."""
+    owners = {"server": server, "static": getattr(server, "static", None),
+              "site": server.site}
+    return {(owner, name): len(value)
+            for owner, obj in owners.items() if obj is not None
+            for name, value in vars(obj).items()
+            if isinstance(value, (list, dict, set))}
+
+
+class TestBookkeepingBounded:
+    """Origin bookkeeping must not grow with requests served: repeat
+    traffic for known URLs at a fixed time adds no entries anywhere."""
+
+    @pytest.mark.parametrize("server_cls", [StaticServer, CatalystServer])
+    def test_repeat_passes_add_no_entries(self, server_cls):
+        site = OriginSite(generate_site("https://bounded.example", seed=3))
+        server = server_cls(site)
+        urls = site.all_urls()
+
+        def serve_all():
+            for url in urls:
+                assert server.handle(Request(url=url), 0.0).status == 200
+
+        serve_all()
+        sizes = _container_sizes(server)
+        for _ in range(3):
+            serve_all()
+        assert _container_sizes(server) == sizes
+        assert site.request_counts[urls[0]] == 4
 
 
 class TestCacheStatus:

@@ -114,10 +114,10 @@ class TestRenderCache:
         server = CatalystServer(scenario_site)
         first = server.handle(Request(url="/index.html"), 0.0)
         second = server.handle(Request(url="/index.html"), 1.0)
-        assert server.perf.render_misses == 1
-        assert server.perf.render_hits == 1
-        assert server.perf.html_parses == 1
-        assert server.perf.parses_avoided == 1
+        assert server.render_misses == 1
+        assert server.render_hits == 1
+        assert server.html_parses == 1
+        assert server.ref_hits == 1
         assert first.body == second.body
         assert has_sw_registration(second.body.decode())
 
@@ -125,7 +125,7 @@ class TestRenderCache:
         server = CatalystServer(scenario_site)
         before = server.handle(Request(url="/index.html"), 0.0)
         after = server.handle(Request(url="/index.html"), 250.0)
-        assert server.perf.render_misses == 2  # new document version
+        assert server.render_misses == 2  # new document version
         assert before.body != after.body
         assert before.headers["ETag"] != after.headers["ETag"]
 
@@ -140,9 +140,9 @@ class TestRenderCache:
                                 config=CatalystConfig(hot_path_cache=False))
         server.handle(Request(url="/index.html"), 0.0)
         server.handle(Request(url="/index.html"), 1.0)
-        assert server.perf.render_hits == 0
+        assert server.render_hits == 0
         assert not server._render_cache
-        assert server.perf.html_parses == 2
+        assert server.html_parses == 2
 
 
 class TestChurnInvalidation:
@@ -155,19 +155,19 @@ class TestChurnInvalidation:
         before = config_of(server.handle(Request(url="/index.html"), 0.0))
         after = config_of(server.handle(Request(url="/index.html"), 60.0))
         # Document version unchanged: the render cache answered ...
-        assert server.perf.render_hits == 1
+        assert server.render_hits == 1
         # ... but /app.js changed at t=50, so the map was rebuilt fresh.
         assert before.etag_for("/app.js") != after.etag_for("/app.js")
         assert after.etag_for("/app.js").opaque == \
             scenario_site.etag_of("/app.js", 60.0)
-        assert server.perf.map_builds == 2
+        assert server.map_builds == 2
 
     def test_unchanged_versions_reuse_map(self, scenario_site):
         server = CatalystServer(scenario_site)
         a = config_of(server.handle(Request(url="/index.html"), 0.0))
         b = config_of(server.handle(Request(url="/index.html"), 10.0))
-        assert server.perf.map_builds == 1
-        assert server.perf.map_hits == 1
+        assert server.map_builds == 1
+        assert server.map_hits == 1
         assert a.entries == b.entries
 
     def test_css_child_set_tracks_stylesheet_version(self, scenario_site):
@@ -183,7 +183,7 @@ class TestChurnInvalidation:
         before = config_of(server.handle(Request(url="/style.css"), 0.0))
         assert "/bg.png" in before
         server.handle(Request(url="/style.css"), 10.0)  # warm map-cache hit
-        assert server.perf.map_hits >= 1
+        assert server.map_hits >= 1
 
 
 class TestSessionIsolation:
@@ -304,8 +304,8 @@ class TestInjectionFailOpen:
         assert first.body == second.body
         assert first.body.decode().count("cache-catalyst-register") == 1
         # injection + hash ran once (render cache), not once per failure
-        assert server.perf.render_misses == 1
-        assert server.perf.render_hits == 1
+        assert server.render_misses == 1
+        assert server.render_hits == 1
 
 
 def _raises(*args, **kwargs):
@@ -313,18 +313,35 @@ def _raises(*args, **kwargs):
 
 
 class TestStatsSurface:
+    #: the ``stats()`` contract: the serving tier reports it as the
+    #: ``app`` section of ``/__repro/stats``, and benches read it by key
+    STATS_KEYS = {
+        "render_hits", "render_misses", "ref_hits", "ref_misses",
+        "map_hits", "map_builds", "html_parses", "css_parses",
+        "parses_avoided", "config_bytes_emitted", "maps_stapled",
+        "map_build_failures", "injection_failures", "render_cache_size",
+        "ref_cache_size", "map_cache_size", "css_memo_size"}
+
+    def test_stats_key_set(self, scenario_site):
+        server = CatalystServer(scenario_site)
+        assert set(server.stats()) == self.STATS_KEYS
+        assert not any(server.stats().values())  # a fresh server is zero
+        server.handle(Request(url="/index.html"), 0.0)
+        assert set(server.stats()) == self.STATS_KEYS
+
     def test_stats_exposes_perf_and_cache_sizes(self, scenario_site):
         server = CatalystServer(scenario_site)
-        server.handle(Request(url="/index.html"), 0.0)
-        server.handle(Request(url="/index.html"), 1.0)
+        server.handle(Request(url="/index.html"), 0.0)  # every cache misses
+        server.handle(Request(url="/index.html"), 1.0)  # every cache hits
         stats = server.stats()
-        assert stats["render_hits"] == 1
+        assert (stats["render_misses"], stats["render_hits"]) == (1, 1)
+        assert (stats["map_builds"], stats["map_hits"]) == (1, 1)
+        assert stats["maps_stapled"] == 2
+        assert stats["parses_avoided"] == stats["ref_hits"] == 1
+        assert stats["html_parses"] == 1
         assert stats["render_cache_size"] == 1
         assert stats["ref_cache_size"] == 1
         assert stats["map_cache_size"] >= 1
-        assert stats["maps_stapled"] == 2
-        assert stats["handle_count"] == 2
-        assert stats["handle_ns_p50"] > 0
 
     def test_cache_cap_trims_fifo(self, scenario_site):
         server = CatalystServer(scenario_site,

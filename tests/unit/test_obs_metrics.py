@@ -121,26 +121,6 @@ class TestRegistry:
         with pytest.raises(TypeError):
             reg.histogram("a")
 
-    def test_absorb_legacy_snapshot(self):
-        reg = MetricsRegistry()
-        reg.absorb("server", {"render_hits": 7, "mean_ns": 1.5,
-                              "label": "ignored", "flag": True})
-        snap = reg.snapshot()
-        assert snap["server.render_hits"] == 7
-        assert snap["server.mean_ns"] == 1.5
-        assert "server.label" not in snap
-        assert "server.flag" not in snap  # bools are not metrics
-
-    def test_absorb_perf_counters_snapshot(self):
-        from repro.perf import PerfCounters
-        perf = PerfCounters()
-        perf.record_handle_ns(100)
-        perf.render_hits = 3
-        reg = MetricsRegistry()
-        reg.absorb("catalyst", perf.snapshot())
-        assert reg.snapshot()["catalyst.render_hits"] == 3
-        assert "catalyst" not in reg  # only prefixed keys exist
-
     def test_snapshot_sorted_and_reset(self):
         reg = MetricsRegistry()
         reg.counter("b").inc()

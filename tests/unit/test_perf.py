@@ -1,8 +1,12 @@
-"""Unit tests for the repro.perf micro-profiling layer."""
+"""Unit tests for the percentile helper and the origin's cache counters."""
 
 import pytest
 
-from repro.perf import PerfCounters, percentile
+from repro.http.messages import Request
+from repro.obs.metrics import percentile
+from repro.server.catalyst import CatalystServer
+from repro.server.site import OriginSite
+from repro.workload.sitegen import generate_site
 
 
 class TestPercentile:
@@ -30,60 +34,11 @@ class TestPercentile:
 
 
 class TestPerfCounters:
-    def test_record_and_snapshot(self):
-        perf = PerfCounters()
-        for ns in (100, 200, 300):
-            perf.record_handle_ns(ns)
-        perf.render_hits = 2
-        perf.html_parses = 1
-        snap = perf.snapshot()
-        assert snap["handle_count"] == 3
-        assert snap["handle_ns_total"] == 600
-        assert snap["handle_ns_mean"] == 200
-        assert snap["handle_ns_p50"] == 200
-        assert snap["render_hits"] == 2
-        assert snap["parses_avoided"] == 0
-
-    def test_timed_handle_context(self):
-        perf = PerfCounters()
-        with perf.timed_handle():
-            pass
-        assert perf.handle_count == 1
-        assert perf.handle_samples_ns[0] >= 0
-
-    def test_ring_bounds_memory(self):
-        perf = PerfCounters(max_samples=4)
-        for ns in range(10):
-            perf.record_handle_ns(ns)
-        assert len(perf.handle_samples_ns) == 4
-        assert perf.handle_count == 10  # total keeps counting
-        assert perf.handle_ns_total == sum(range(10))
-        # ring holds the most recent window
-        assert set(perf.handle_samples_ns) == {6, 7, 8, 9}
-
-    def test_reset(self):
-        perf = PerfCounters()
-        perf.record_handle_ns(5)
-        perf.map_builds = 3
-        perf.reset()
-        assert perf.handle_count == 0
-        assert perf.map_builds == 0
-        assert perf.handle_samples_ns == []
-        assert perf.snapshot()["handle_ns_mean"] == 0.0
-
     def test_parses_avoided_is_ref_hits(self):
-        perf = PerfCounters()
-        perf.ref_hits = 7
-        assert perf.parses_avoided == 7
-
-    def test_empty_percentile_is_zero(self):
-        # Regression: used to raise ValueError (percentile([]) on an
-        # empty ring) when a snapshot was taken before any request —
-        # e.g. the stats endpoint of a freshly started server.
-        perf = PerfCounters()
-        assert perf.handle_percentile_ns(50) == 0.0
-        assert perf.handle_percentile_ns(99) == 0.0
-        assert perf.mean_handle_ns() == 0.0  # the behaviour it mirrors
-        snap = perf.snapshot()  # must not raise mid-stats
-        assert snap["handle_ns_mean"] == 0.0
-        assert "handle_ns_p50" not in snap  # empty ring emits no p-keys
+        server = CatalystServer(
+            OriginSite(generate_site("https://perf.example", seed=41)))
+        server.handle(Request(url="/index.html"), 0.0)
+        server.handle(Request(url="/index.html"), 1.0)
+        stats = server.stats()
+        assert server.ref_hits >= 1
+        assert stats["parses_avoided"] == stats["ref_hits"] == server.ref_hits

@@ -69,6 +69,7 @@ class TestDocstringExamples:
         import repro.netsim.link
         import repro.netsim.sim
         import repro.netsim.tcp
+        import repro.obs.metrics
 
         failures = 0
         for module in (repro.netsim.sim, repro.netsim.clock,
@@ -78,7 +79,7 @@ class TestDocstringExamples:
                        repro.html.parser, repro.html.css,
                        repro.html.rewrite, repro.browser.js,
                        repro.browser.trace, repro.experiments.stats,
-                       repro.experiments.report):
+                       repro.experiments.report, repro.obs.metrics):
             result = doctest.testmod(module, verbose=False)
             failures += result.failed
         assert failures == 0

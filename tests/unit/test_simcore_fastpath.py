@@ -3,7 +3,7 @@
 Every optimization here was required to be *unobservable*: same
 simulated timestamps, same measurements, same pickles.  These tests pin
 that contract — against a verbatim copy of the seed pipe algorithm,
-against the parse-cache off switch, and across the process-pool
+against the uncached HTML/CSS extractors, and across the process-pool
 serialization boundary.
 """
 
@@ -11,12 +11,15 @@ import math
 import pickle
 import random
 
-from repro.browser.engine import BrowserConfig
 from repro.core.modes import CachingMode
 from repro.experiments.harness import (GridResult, PairMeasurement,
                                        measure_pair)
+from repro.html.css import extract_css_refs, extract_css_refs_cached
+from repro.html.parser import (extract_resources, extract_resources_cached,
+                               parse_html)
 from repro.netsim.link import NetworkConditions, ProcessorSharingPipe
 from repro.netsim.sim import Event, Simulator, Timeout
+from repro.server.site import OriginSite
 from repro.workload.sitegen import generate_site
 
 
@@ -207,26 +210,35 @@ class TestTimeoutFreeList:
         assert len({id(t) for t in held}) == len(held)
 
 
-class TestParseCacheSwitch:
-    def test_measurements_byte_identical_with_cache_off(self):
-        site = generate_site("https://fastpath.example", seed=7)
-        conditions = NetworkConditions.of(8, 100)
-        for mode in (CachingMode.STANDARD, CachingMode.CATALYST):
-            cached = measure_pair(site, mode, conditions, 3600.0,
-                                  base_config=BrowserConfig(parse_cache=True))
-            uncached = measure_pair(
-                site, mode, conditions, 3600.0,
-                base_config=BrowserConfig(parse_cache=False))
-            assert cached == uncached
+class TestParseCache:
+    """The browser always parses through the digest-keyed memo; the
+    uncached extractors stay as the reference it must equal."""
+
+    def test_cached_extractors_match_reference(self):
+        checked = {"html": 0, "css": 0}
+        for seed in (3, 7, 11):
+            site = OriginSite(generate_site("https://fastpath.example",
+                                            seed=seed))
+            for url in site.all_urls():
+                response = site.respond(url, 0.0)
+                content_type = response.headers["Content-Type"]
+                body = response.body.decode(errors="replace")
+                if content_type.startswith("text/html"):
+                    assert list(extract_resources_cached(body)) == \
+                        extract_resources(parse_html(body))
+                    checked["html"] += 1
+                elif content_type.startswith("text/css"):
+                    assert list(extract_css_refs_cached(body)) == \
+                        extract_css_refs(body)
+                    checked["css"] += 1
+        assert checked["html"] >= 3 and checked["css"] >= 3
 
     def test_repeat_runs_share_cached_parses(self):
         site = generate_site("https://fastpath.example", seed=7)
         conditions = NetworkConditions.of(8, 100)
-        config = BrowserConfig(parse_cache=True)
-        first = measure_pair(site, CachingMode.CATALYST, conditions,
-                             3600.0, base_config=config)
+        first = measure_pair(site, CachingMode.CATALYST, conditions, 3600.0)
         second = measure_pair(site, CachingMode.CATALYST, conditions,
-                              3600.0, base_config=config)
+                              3600.0)
         assert first == second
 
 

@@ -97,16 +97,3 @@ class TestConditionals:
                 "If-Modified-Since": first.headers["Last-Modified"]}),
             at_time=1.0)
         assert resp.status == 200
-
-
-class TestHistory:
-    def test_history_records_status(self, server):
-        server.handle(Request(url="/index.html"), at_time=0.5)
-        history = server.history
-        assert history == [(0.5, "/index.html", 200)]
-
-    def test_reset(self, server):
-        server.handle(Request(url="/index.html"), at_time=0.0)
-        server.reset_stats()
-        assert server.history == []
-        assert server.full_response_count == 0

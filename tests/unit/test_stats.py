@@ -46,6 +46,10 @@ class TestPercentile:
         with pytest.raises(ValueError):
             percentile([1.0], 101)
 
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError):
+            percentile([], 50)
+
     def test_unsorted_input_ok(self):
         assert percentile([9.0, 1.0, 5.0], 50) == 5.0
 
