@@ -28,9 +28,8 @@ from repro.workload.corpus import make_corpus
 CONDITIONS = [NetworkConditions.of(mbps, rtt)
               for mbps in (8.0, 60.0) for rtt in (10.0, 40.0, 100.0)]
 
-#: conservative wall-clock floors (estimates/s) for the shared-CI-box
-#: versions of the BENCH_PR8 floors; the committed artifact records the
-#: real 10^6 / 10^4 numbers and compare_bench gates the trajectory
+#: conservative wall-clock floors (estimates/s), derated for shared CI
+#: runners
 SCALAR_FLOOR_PER_S = 2_000.0
 VECTORIZED_CI_FLOOR_PER_S = 100_000.0
 FALLBACK_CI_FLOOR_PER_S = 1_000.0
@@ -160,25 +159,25 @@ def test_sweep_validation_tracks_des(save_result):
         f"below {validation.min_rho}")
 
 
+#: the delay-dense Figure-3 grid the floors are measured on: 20
+#: conditions x 2 modes x 25 delays per site
+FLOOR_DELAYS_S = tuple(30.0 + 60.0 * i for i in range(25))
+
+
 @pytest.mark.analytic
-def test_analytic_bench_payload_and_floors():
-    """Bench lane produces a valid manifest-stamped payload, and both
-    backends clear (CI-derated) throughput floors."""
+def test_sweep_clears_estimate_floors():
+    """Both backends price 10 sites of the delay-dense grid above their
+    (CI-derated) visit-estimates/s floors."""
     from repro.core.analysis_vec import numpy_available
-    from repro.experiments.sweep import (analytic_bench_payload,
-                                         run_analytic_bench)
-    from repro.obs.manifest import validate_manifest
-    result = run_analytic_bench(sites=10, rounds=2)
-    payload = analytic_bench_payload(result)
-    assert payload["bench"] == "analytic_sweep"
-    assert validate_manifest(payload["manifest"]) == []
-    assert payload["manifest"]["config"]["sites"] == 10
-    assert result.fallback_per_s >= FALLBACK_CI_FLOOR_PER_S
+    from repro.experiments.sweep import run_sweep
+    floors = {"python": FALLBACK_CI_FLOOR_PER_S}
     if numpy_available():
-        assert result.vectorized_per_s >= VECTORIZED_CI_FLOOR_PER_S
-        assert ("estimates_per_s_vectorized"
-                in payload["analytic_sweep"])
-    else:
-        assert result.vectorized_per_s is None
-        assert ("estimates_per_s_vectorized"
-                not in payload["analytic_sweep"])
+        floors["numpy"] = VECTORIZED_CI_FLOOR_PER_S
+    for backend, floor in floors.items():
+        result = run_sweep(sites=10, delays_s=FLOOR_DELAYS_S,
+                           backend=backend)
+        assert result.backend == backend
+        assert result.estimates == 10 * 20 * 2 * 25
+        assert result.estimates_per_s >= floor, (
+            f"{backend} backend priced {result.estimates_per_s:,.0f} "
+            f"estimates/s, floor {floor:,.0f}")

@@ -1,29 +1,30 @@
-"""Population-fleet bench lane (``pytest -m fleet benchmarks/``).
+"""Population-fleet floor lane (``pytest -m fleet benchmarks/``).
 
 Like the analytic and loadtest lanes this deliberately avoids the
 ``benchmark`` fixture: the fleet CI job installs plain pytest (+
-hypothesis) and runs once with and once without numpy.  Floors here are
-CI-derated versions of the committed ``BENCH_PR10.json`` numbers;
-``compare_bench`` gates the real trajectory.
+hypothesis) and runs once with and once without numpy.  The floors are
+absolute; same-machine throughput comparisons are the ``fleet`` workload
+of ``perfbench/``.
 """
 
 import pytest
 
 from repro.core.analysis_vec import numpy_available
-from repro.experiments.fleet import (FLEET_POPULATION_FLOOR,
-                                     default_population,
-                                     fleet_bench_payload,
-                                     run_fleet_analytic, run_fleet_bench,
-                                     run_fleet_des)
-from repro.obs.manifest import validate_manifest
+from repro.experiments.fleet import (default_population,
+                                     run_fleet_analytic, run_fleet_des)
 from repro.workload.corpus import make_corpus
 
 pytestmark = pytest.mark.fleet
 
-#: shared-CI-box derated floors (the artifact records the real rates)
+#: analytic visits one run must price
+FLEET_POPULATION_FLOOR = 1_000_000
+#: analytic visits/s floors per backend
 VECTORIZED_CI_FLOOR_PER_S = 1_000_000.0
 FALLBACK_CI_FLOOR_PER_S = 100_000.0
+#: sampled-DES visits/s floors: the small smoke population, and a
+#: serial sample of the million-user one
 DES_CI_FLOOR_PER_S = 0.5
+FLEET_DES_FLOOR_PER_S = 2.0
 
 
 @pytest.fixture(scope="module")
@@ -56,21 +57,20 @@ def test_des_sampled_replay_clears_floor(corpus):
     assert result.visits_per_s >= DES_CI_FLOOR_PER_S
 
 
-def test_fleet_bench_payload_and_floors(save_result):
-    """``repro fleet --bench`` semantics end to end on the bench
-    population: floors met, manifest valid, backend-conditional key."""
-    result = run_fleet_bench(rounds=1, des_sample=3)
-    payload = fleet_bench_payload(result)
-    save_result("population_fleet_bench", result.format())
-    assert payload["bench"] == "population_fleet"
-    assert validate_manifest(payload["manifest"]) == []
-    assert payload["manifest"]["config"]["users"] == 1_000_000
-    assert result.population_visits >= FLEET_POPULATION_FLOOR
-    assert result.meets_floors, result.format()
-    metrics = payload["population_fleet"]
+def test_million_user_population_clears_floors(corpus):
+    """A 10⁶-user, 5·10⁷-visit population prices above each backend's
+    floor, and a small serial DES sample of it replays fast enough."""
+    spec = default_population(users=1_000_000, measured=50_000_000)
+    assert spec.n_measured >= FLEET_POPULATION_FLOOR
+    floors = {"python": FALLBACK_CI_FLOOR_PER_S}
     if numpy_available():
-        assert "analytic_visits_per_s_vectorized" in metrics
-    else:
-        assert "analytic_visits_per_s_vectorized" not in metrics
-    assert metrics["analytic_visits_per_s_fallback"] \
-        >= FALLBACK_CI_FLOOR_PER_S
+        floors["numpy"] = VECTORIZED_CI_FLOOR_PER_S
+    for backend, floor in floors.items():
+        result = run_fleet_analytic(spec, corpus, backend=backend)
+        assert result.backend == backend
+        assert result.visits_per_s >= floor, (
+            f"{backend} backend priced {result.visits_per_s:,.0f} "
+            f"visits/s, floor {floor:,.0f}")
+    des = run_fleet_des(spec, corpus, sample=3, max_workers=0)
+    assert des.visits == 3
+    assert des.visits_per_s >= FLEET_DES_FLOOR_PER_S

@@ -3,25 +3,21 @@
 Seconds-scale by design (CI runs it on every push): one single-shard
 in-process run under overload plus a fault-preset run, writing
 ``benchmarks/results/load_test.txt`` (with its ``RUN_MANIFEST.json``
-sidecar entry), and a validation pass over the committed
-``BENCH_PR7.json`` scaling artifact.
+sidecar entry).
 
 Deliberately does NOT use the ``benchmark`` fixture: the CI lane that
-runs ``-m loadtest`` has no pytest-benchmark installed.  The real
-1-vs-4-shard sweep is regenerated with ``python -m repro loadtest
---scaling`` and gated by ``compare_bench.py --bench serving_tier``.
+runs ``-m loadtest`` has no pytest-benchmark installed.  The workload
+here is admission-bound (8 in flight x 20 ms of injected latency), so
+it checks shedding and drain, not speed; the CPU-bound serving
+throughput is the ``serve`` workload of ``perfbench/``.
 """
 
-import json
 import os
-import pathlib
 
 import pytest
 
 from repro.experiments.load_test import (format_load_test, run_load_test)
-from repro.obs.manifest import validate_manifest
 
-RESULTS = pathlib.Path(__file__).parent / "results"
 CLIENTS = int(os.environ.get("REPRO_LOADTEST_CLIENTS", "16"))
 DURATION_S = float(os.environ.get("REPRO_LOADTEST_DURATION_S", "1.5"))
 
@@ -58,17 +54,3 @@ def test_chaos_preset_smoke():
     assert result.faults_injected > 0
     assert result.ok > 0  # the tier keeps serving through the chaos
     assert result.hard_cancelled == 0
-
-
-@pytest.mark.loadtest
-def test_committed_scaling_artifact_is_valid():
-    """BENCH_PR7.json: present, provenance-stamped, and showing real
-    SO_REUSEPORT scaling (>1.5x at 4 shards, the ISSUE criterion)."""
-    path = RESULTS / "BENCH_PR7.json"
-    payload = json.loads(path.read_text())
-    assert payload["bench"] == "serving_tier"
-    assert validate_manifest(payload["manifest"]) == []
-    sustained = payload["sustained_rps"]
-    assert sustained["shards_1"] > 0
-    assert sustained["shards_4"] > 0
-    assert sustained["scaling_x"] > 1.5

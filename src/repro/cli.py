@@ -6,10 +6,9 @@ writing Python::
     python -m repro figure1
     python -m repro figure3 --sites 6 --throughputs 8,60 --latencies 10,40
     python -m repro sweep --validate
-    python -m repro sweep --bench --out benchmarks/results/analytic_sweep.txt
+    python -m repro fleet --users 2000 --visits 100000 --validate
     python -m repro motivation
     python -m repro crosspage
-    python -m repro bench --repeats 300
     python -m repro faultsweep --sites 4 --rates 0,0.05,0.1
     python -m repro visit --seed 7 --delay 1d --mbps 60 --rtt 40
     python -m repro trace /index.html --trace-out trace.json
@@ -71,8 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser(
         "sweep",
         help="full-grid analytic PLT sweep (vectorized closed form); "
-             "--validate replays a seeded subgrid through the DES, "
-             "--bench writes the analytic_sweep BENCH artifact")
+             "--validate replays a seeded subgrid through the DES")
     sweep.add_argument("--sites", type=int, default=None,
                        help="corpus subsample size (default: full corpus)")
     sweep.add_argument("--throughputs", type=_float_list,
@@ -96,27 +94,12 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--min-rho", type=float, default=0.85,
                        help="rank-correlation floor for --validate "
                             "(default 0.85)")
-    sweep.add_argument("--seed", type=int, default=2024,
-                       help="workload seed for --bench/--validate")
-    sweep.add_argument("--bench", action="store_true",
-                       help="measure visit-estimates/s on both backends "
-                            "and write the BENCH artifact instead of "
-                            "sweeping")
-    sweep.add_argument("--bench-out", default=None,
-                       help="with --bench: artifact path (default "
-                            "benchmarks/results/BENCH_PR8.json)")
-    sweep.add_argument("--rounds", type=int, default=5,
-                       help="with --bench: best-of rounds (default 5)")
-    sweep.add_argument("--min-estimates", type=float, default=None,
-                       help="with --bench: exit non-zero when the "
-                            "measured estimates/s falls below this")
 
     fleet = sub.add_parser(
         "fleet",
         help="population-scale fleet pricing: Zipf popularity, cohort "
              "conditions, revisit mixtures; --validate gates the "
-             "analytic backend against a sampled DES replay, --bench "
-             "writes the population_fleet BENCH artifact")
+             "analytic backend against a sampled DES replay")
     fleet.add_argument("--users", type=int, default=20_000,
                        help="population size (default 20000)")
     fleet.add_argument("--visits", type=int, default=1_000_000,
@@ -151,15 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument("--min-rho", type=float, default=0.85,
                        help="rank-correlation floor for --validate "
                             "(default 0.85)")
-    fleet.add_argument("--bench", action="store_true",
-                       help="measure both backends on the million-user "
-                            "bench population and write the BENCH "
-                            "artifact instead of running")
-    fleet.add_argument("--bench-out", default=None,
-                       help="with --bench: artifact path (default "
-                            "benchmarks/results/BENCH_PR10.json)")
-    fleet.add_argument("--rounds", type=int, default=3,
-                       help="with --bench: best-of rounds (default 3)")
 
     sub.add_parser("motivation", help="the §2.2 workload statistics")
     sub.add_parser("crosspage", help="first visits to inner pages")
@@ -167,31 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="origin request volume per mode (§6)")
     sub.add_parser("userweighted",
                    help="population-weighted revisit benefit")
-
-    bench = sub.add_parser(
-        "bench",
-        help="wall-clock benchmarks (writes BENCH_*.json): server "
-             "hot path by default, simulation core with --simcore")
-    bench.add_argument("--simcore", action="store_true",
-                       help="benchmark the simulation core (DES kernel, "
-                            "PS pipe, measure_pair) instead of the "
-                            "server hot path")
-    bench.add_argument("--sites", type=int, default=3,
-                       help="corpus subsample size (default 3)")
-    bench.add_argument("--repeats", type=int, default=300,
-                       help="warm repeats per site (default 300); with "
-                            "--simcore, measure_pair iterations "
-                            "(default then 30)")
-    bench.add_argument("--seed", type=int, default=21)
-    bench.add_argument("--out", default=None,
-                       help="machine-readable output path (default "
-                            "benchmarks/results/BENCH_PR3.json, or "
-                            "BENCH_PR5.json with --simcore)")
-    bench.add_argument("--min-speedup", type=float, default=None,
-                       help="exit non-zero when the warm-path speedup "
-                            "(or, with --simcore, the visits/s speedup "
-                            "vs the pre-PR5 baseline) falls below this "
-                            "factor")
 
     faults = sub.add_parser(
         "faultsweep",
@@ -306,15 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
     load.add_argument("--seed", type=int, default=0)
     load.add_argument("--out", default=None,
                       help="write the manifest-stamped run JSON here")
-    load.add_argument("--scaling", action="store_true",
-                      help="run the 1-vs-4-shard sustained-rps bench "
-                           "lane instead of a single run")
-    load.add_argument("--bench-out", default=None,
-                      help="with --scaling: artifact path (default "
-                           "benchmarks/results/BENCH_PR7.json)")
-    load.add_argument("--min-scaling", type=float, default=None,
-                      help="with --scaling: exit non-zero when the "
-                           "N-shard speedup falls below this factor")
     load.add_argument("--trace-out", default=None,
                       help="trace the run (W3C context through every "
                            "worker) and write one merged Perfetto "
@@ -385,8 +325,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     from .experiments.sweep import run_sweep, validate_sweep
     from .netsim.clock import parse_duration
 
-    if args.bench:
-        return _cmd_sweep_bench(args)
     try:
         delays = tuple(parse_duration(part)
                        for part in args.delays.split(","))
@@ -422,35 +360,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_sweep_bench(args: argparse.Namespace) -> int:
-    import json
-    import pathlib
-
-    from .experiments.sweep import (analytic_bench_payload,
-                                    format_analytic_bench,
-                                    run_analytic_bench)
-    sites = args.sites if args.sites is not None else 40
-    result = run_analytic_bench(sites=sites, seed=args.seed,
-                                rounds=args.rounds)
-    print(format_analytic_bench(result))
-    path = pathlib.Path(args.bench_out
-                        or "benchmarks/results/BENCH_PR8.json")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(analytic_bench_payload(result), indent=2)
-                    + "\n")
-    log.info("wrote-artifact", path=path)
-    if args.min_estimates is not None:
-        measured = (result.vectorized_per_s
-                    if result.vectorized_per_s is not None
-                    else result.fallback_per_s)
-        if measured < args.min_estimates:
-            log.error("bench-throughput-below-threshold",
-                      rate=f"{measured:,.0f}/s",
-                      required=f"{args.min_estimates:,.0f}/s")
-            return 1
-    return 0
-
-
 def _cmd_fleet(args: argparse.Namespace) -> int:
     import json
     import pathlib
@@ -460,8 +369,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
                                     validate_fleet)
     from .workload.corpus import make_corpus
 
-    if args.bench:
-        return _cmd_fleet_bench(args)
     try:
         spec = default_population(users=args.users, measured=args.visits,
                                   warmup=args.warmup, alpha=args.alpha,
@@ -504,27 +411,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_fleet_bench(args: argparse.Namespace) -> int:
-    import json
-    import pathlib
-
-    from .experiments.fleet import fleet_bench_payload, run_fleet_bench
-
-    result = run_fleet_bench(bins=args.bins, rounds=args.rounds,
-                             des_sample=args.sample, seed=args.seed)
-    print(result.format())
-    path = pathlib.Path(args.bench_out
-                        or "benchmarks/results/BENCH_PR10.json")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(fleet_bench_payload(result), indent=2)
-                    + "\n")
-    log.info("wrote-artifact", path=path)
-    if not result.meets_floors:
-        log.error("fleet-bench-below-floors")
-        return 1
-    return 0
-
-
 def _cmd_motivation() -> int:
     from .experiments.motivation import measure_motivation
     print(measure_motivation().format())
@@ -541,63 +427,6 @@ def _cmd_serverload() -> int:
     from .experiments.server_load import (format_server_load,
                                           run_server_load)
     print(format_server_load(run_server_load()))
-    return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    if args.simcore:
-        return _cmd_bench_simcore(args)
-    import json
-    import pathlib
-
-    from .experiments.server_load import (format_hot_path,
-                                          hot_path_bench_payload,
-                                          run_hot_path)
-    result = run_hot_path(sites=args.sites, repeats=args.repeats,
-                          seed=args.seed)
-    print(format_hot_path(result))
-    path = pathlib.Path(args.out or "benchmarks/results/BENCH_PR3.json")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(hot_path_bench_payload(result), indent=2)
-                    + "\n")
-    log.info("wrote-artifact", path=path)
-    if not result.byte_identical:
-        log.error("bench-divergence",
-                  detail="cached and uncached responses diverged")
-        return 1
-    if args.min_speedup is not None \
-            and result.warm_speedup < args.min_speedup:
-        log.error("bench-speedup-below-threshold",
-                  speedup=f"{result.warm_speedup:.1f}x",
-                  required=f"{args.min_speedup:g}x")
-        return 1
-    return 0
-
-
-def _cmd_bench_simcore(args: argparse.Namespace) -> int:
-    import json
-    import pathlib
-
-    from .experiments.simcore import (format_simcore, run_simcore,
-                                      simcore_bench_payload)
-    # --repeats keeps its CLI meaning of "iterations of the unit of
-    # work": here that's measure_pair pairs (300 would take minutes, so
-    # the hot-path default is scaled down when the user didn't override).
-    pairs = args.repeats if args.repeats != 300 else 30
-    result = run_simcore(pairs=pairs, seed=args.seed)
-    print(format_simcore(result))
-    path = pathlib.Path(args.out or "benchmarks/results/BENCH_PR5.json")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(simcore_bench_payload(result), indent=2)
-                    + "\n")
-    log.info("wrote-artifact", path=path)
-    if args.min_speedup is not None:
-        speedup = result.speedup_vs_pre_pr5("visits_per_s")
-        if speedup < args.min_speedup:
-            log.error("bench-speedup-below-threshold",
-                      speedup=f"{speedup:.1f}x",
-                      required=f"{args.min_speedup:g}x")
-            return 1
     return 0
 
 
@@ -818,30 +647,8 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
     import json
     import pathlib
 
-    from .experiments.load_test import (format_load_test, format_scaling,
-                                        load_test_payload, run_load_test,
-                                        run_scaling_bench,
-                                        scaling_bench_payload)
-    if args.scaling:
-        result = run_scaling_bench(
-            (1, max(2, args.shards)) if args.shards > 1 else (1, 4),
-            clients=args.clients, duration_s=args.duration,
-            warmup_s=args.warmup, seed=args.seed, app=args.app,
-            latency_s=args.latency, max_inflight=args.inflight_cap)
-        print(format_scaling(result))
-        path = pathlib.Path(args.bench_out
-                            or "benchmarks/results/BENCH_PR7.json")
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(scaling_bench_payload(result),
-                                   indent=2) + "\n")
-        log.info("wrote-artifact", path=path)
-        if args.min_scaling is not None \
-                and result.scaling_x < args.min_scaling:
-            log.error("scaling-below-threshold",
-                      scaling=f"{result.scaling_x:.2f}x",
-                      required=f"{args.min_scaling:g}x")
-            return 1
-        return 0
+    from .experiments.load_test import (format_load_test,
+                                        load_test_payload, run_load_test)
     objectives = None
     if args.slo:
         from .obs.slo import default_loadtest_policy
@@ -902,8 +709,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _cmd_serverload()
     if args.command == "userweighted":
         return _cmd_userweighted()
-    if args.command == "bench":
-        return _cmd_bench(args)
     if args.command == "faultsweep":
         return _cmd_faultsweep(args)
     if args.command == "visit":

@@ -10,8 +10,7 @@ from .first_render import (FirstRenderResult, format_first_render,
                            run_first_render)
 from .fleet import (DEFAULT_FLEET_COHORTS, CohortFleet, FleetDesResult,
                     FleetResult, FleetValidation, default_population,
-                    run_fleet_analytic, run_fleet_bench, run_fleet_des,
-                    validate_fleet)
+                    run_fleet_analytic, run_fleet_des, validate_fleet)
 from .harness import GridResult, PairMeasurement, measure_pair, run_grid
 from .motivation import MotivationStats, measure_motivation
 from .parallel import run_grid_parallel
@@ -37,8 +36,8 @@ __all__ = [
     "format_table", "format_grid", "format_pct",
     "Summary", "summarize", "mean", "median", "percentile", "stdev",
     "bootstrap_ci",
-    "run_fleet_analytic", "run_fleet_des", "run_fleet_bench",
-    "validate_fleet", "default_population", "DEFAULT_FLEET_COHORTS",
+    "run_fleet_analytic", "run_fleet_des", "validate_fleet",
+    "default_population", "DEFAULT_FLEET_COHORTS",
     "FleetResult", "FleetDesResult", "FleetValidation", "CohortFleet",
     "run_user_weighted", "UserWeightedResult",
     "run_server_load", "ServerLoadResult", "format_server_load",

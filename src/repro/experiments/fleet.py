@@ -27,8 +27,8 @@ Two interchangeable backends answer it:
   with the serial one.
 
 :func:`validate_fleet` ties the two together with the same Spearman-ρ
-gate the sweep validation uses; :func:`run_fleet_bench` stamps the
-throughput floors into ``BENCH_PR10.json``.
+gate the sweep validation uses.  Wall-clock throughput is measured by
+the ``fleet`` workload of the repository benchmark (``perfbench/``).
 """
 
 from __future__ import annotations
@@ -40,13 +40,11 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from ..browser.engine import BrowserConfig
-from ..core.analysis_vec import (VectorAnalyticModel, compile_site,
-                                 numpy_available)
+from ..core.analysis_vec import VectorAnalyticModel, compile_site
 from ..core.catalyst import run_visit_sequence
 from ..core.modes import CachingMode, build_mode
 from ..netsim.link import NetworkConditions
 from ..obs.log import get_logger
-from ..obs.manifest import build_manifest, stamp
 from ..obs.metrics import DEFAULT_HISTOGRAM_SAMPLES, MetricsRegistry
 from ..workload.corpus import CORPUS_SIZE, Corpus, make_corpus
 from ..workload.population import (CohortSpec, PopulationSpec, Visit,
@@ -59,11 +57,7 @@ from .stats import spearman, weighted_percentiles
 __all__ = ["FLEET_MODES", "DEFAULT_FLEET_COHORTS", "default_population",
            "ModeStats", "CohortFleet", "FleetResult", "run_fleet_analytic",
            "FleetDesResult", "run_fleet_des",
-           "FleetValidation", "validate_fleet",
-           "FleetBenchResult", "run_fleet_bench",
-           "fleet_payload", "fleet_bench_payload",
-           "FLEET_POPULATION_FLOOR", "FLEET_VECTORIZED_FLOOR_PER_S",
-           "FLEET_FALLBACK_FLOOR_PER_S", "FLEET_DES_FLOOR_PER_S"]
+           "FleetValidation", "validate_fleet", "fleet_payload"]
 
 log = get_logger("experiments.fleet")
 
@@ -80,12 +74,6 @@ DEFAULT_FLEET_COHORTS = (
     CohortSpec("constrained", 0.20,
                NetworkConditions.of(8, 100, label="8Mbps/100ms")),
 )
-
-#: Bench floors, recorded in the artifact and gated in CI.
-FLEET_POPULATION_FLOOR = 1_000_000          # analytic visits priced per run
-FLEET_VECTORIZED_FLOOR_PER_S = 1_000_000.0  # numpy backend
-FLEET_FALLBACK_FLOOR_PER_S = 100_000.0      # pure-Python backend
-FLEET_DES_FLOOR_PER_S = 2.0                 # sampled simulator visits
 
 
 def default_population(users: int = 20_000,
@@ -547,103 +535,6 @@ def validate_fleet(spec: PopulationSpec,
                            elapsed_s=time.perf_counter() - start)
 
 
-# -- bench ------------------------------------------------------------------
-@dataclass(frozen=True)
-class FleetBenchResult:
-    """Throughput of both backends on the bench population."""
-
-    users: int
-    population_visits: int
-    sites: int
-    cohorts: int
-    bins: int
-    seed: int
-    rounds: int
-    des_sample: int
-    #: absent when numpy is not importable (fallback-only leg)
-    vectorized_visits_per_s: Optional[float]
-    fallback_visits_per_s: float
-    des_visits: int
-    des_visits_per_s: float
-    elapsed_s: float
-
-    @property
-    def meets_floors(self) -> bool:
-        if self.population_visits < FLEET_POPULATION_FLOOR:
-            return False
-        if self.vectorized_visits_per_s is not None \
-                and self.vectorized_visits_per_s \
-                < FLEET_VECTORIZED_FLOOR_PER_S:
-            return False
-        return (self.fallback_visits_per_s >= FLEET_FALLBACK_FLOOR_PER_S
-                and self.des_visits_per_s >= FLEET_DES_FLOOR_PER_S)
-
-    def format(self) -> str:
-        vec = (f"{self.vectorized_visits_per_s:,.0f}/s "
-               f"(floor {FLEET_VECTORIZED_FLOOR_PER_S:,.0f})"
-               if self.vectorized_visits_per_s is not None
-               else "n/a (numpy not installed)")
-        lines = [
-            f"population fleet bench: {self.users:,} users, "
-            f"{self.population_visits:,} measured visits "
-            f"(floor {FLEET_POPULATION_FLOOR:,}), {self.sites} sites, "
-            f"{self.cohorts} cohorts, {self.bins} delay bins",
-            f"  analytic vectorized : {vec}",
-            f"  analytic fallback   : {self.fallback_visits_per_s:,.0f}/s "
-            f"(floor {FLEET_FALLBACK_FLOOR_PER_S:,.0f})",
-            f"  sampled DES         : {self.des_visits_per_s:,.1f} "
-            f"visits/s over {self.des_visits} visits "
-            f"(floor {FLEET_DES_FLOOR_PER_S:g})",
-            f"  floors {'met' if self.meets_floors else 'MISSED'}; "
-            f"total wall {self.elapsed_s:.1f}s",
-        ]
-        return "\n".join(lines)
-
-
-def run_fleet_bench(users: int = 1_000_000,
-                    measured: int = 50_000_000,
-                    warmup: Optional[int] = None,
-                    bins: int = 24,
-                    rounds: int = 3,
-                    des_sample: int = 24,
-                    seed: int = 2024,
-                    corpus: Optional[Corpus] = None,
-                    config: Optional[BrowserConfig] = None
-                    ) -> FleetBenchResult:
-    """Throughput floors for the population engine, best-of-``rounds``.
-
-    The analytic backends price the *same* million-user spec (cost is
-    per grid cell, not per visit — that asymmetry is the whole point);
-    the fallback leg runs one round because it is ~50× slower, and the
-    DES leg times a small serial schedule sample.
-    """
-    spec = default_population(users=users, measured=measured,
-                              warmup=warmup, seed=seed)
-    if corpus is None:
-        corpus = make_corpus()
-    start = time.perf_counter()
-    vectorized = None
-    if numpy_available():
-        best = min(
-            run_fleet_analytic(spec, corpus, bins=bins,
-                               backend="numpy").elapsed_s
-            for _ in range(max(1, rounds)))
-        vectorized = spec.n_measured / best
-    fallback_result = run_fleet_analytic(spec, corpus, bins=bins,
-                                         backend="python")
-    fallback = spec.n_measured / fallback_result.elapsed_s
-    des = run_fleet_des(spec, corpus, sample=des_sample, max_workers=0,
-                        config=config)
-    return FleetBenchResult(
-        users=users, population_visits=spec.n_measured,
-        sites=spec.n_sites, cohorts=len(spec.cohorts), bins=bins,
-        seed=seed, rounds=rounds, des_sample=des_sample,
-        vectorized_visits_per_s=vectorized,
-        fallback_visits_per_s=fallback,
-        des_visits=des.visits, des_visits_per_s=des.visits_per_s,
-        elapsed_s=time.perf_counter() - start)
-
-
 # -- artifact payloads ------------------------------------------------------
 def fleet_payload(result: FleetResult,
                   des: Optional[FleetDesResult] = None,
@@ -693,53 +584,3 @@ def fleet_payload(result: FleetResult,
                                  "rows": validation.rows,
                                  "passed": validation.passed}
     return payload
-
-
-def fleet_bench_payload(result: FleetBenchResult) -> dict:
-    """Manifest-stamped ``population_fleet`` record for the trajectory.
-
-    Population shape and seed are the config identity; rounds are
-    sampling effort.  The backend is *not* identity (PR-8 precedent):
-    a no-numpy artifact is the same experiment with the vectorized key
-    absent.
-    """
-    metrics = {
-        "population_visits": result.population_visits,
-        "analytic_visits_per_s_fallback": round(
-            result.fallback_visits_per_s, 1),
-        "des_visits_per_s": round(result.des_visits_per_s, 2),
-    }
-    if result.vectorized_visits_per_s is not None:
-        metrics["analytic_visits_per_s_vectorized"] = round(
-            result.vectorized_visits_per_s, 1)
-    payload = {
-        "bench": "population_fleet",
-        "schema_version": 1,
-        "params": {
-            "users": result.users,
-            "population_visits": result.population_visits,
-            "sites": result.sites,
-            "cohorts": result.cohorts,
-            "bins": result.bins,
-            "des_sample": result.des_sample,
-        },
-        "population_fleet": metrics,
-        "floors": {
-            "population_visits": FLEET_POPULATION_FLOOR,
-            "analytic_visits_per_s_vectorized":
-                FLEET_VECTORIZED_FLOOR_PER_S,
-            "analytic_visits_per_s_fallback": FLEET_FALLBACK_FLOOR_PER_S,
-            "des_visits_per_s": FLEET_DES_FLOOR_PER_S,
-        },
-        "meets_floors": result.meets_floors,
-    }
-    return stamp(payload, build_manifest(
-        config={"bench": "population_fleet", "users": result.users,
-                "population_visits": result.population_visits,
-                "sites": result.sites, "cohorts": result.cohorts,
-                "bins": result.bins, "seed": result.seed,
-                "des_sample": result.des_sample},
-        sampling={"rounds": result.rounds},
-        seeds=[result.seed],
-        wall_time_s=result.elapsed_s or None,
-    ))

@@ -52,7 +52,6 @@ from ..http.messages import Request
 from ..netsim.faults import (FaultKind, FaultPlan, captive_portal,
                              flaky_5g, lossy_wifi)
 from ..obs.export import span_to_dict
-from ..obs.log import get_logger
 from ..obs.manifest import build_manifest, stamp
 from ..obs.metrics import MetricsRegistry
 from ..obs.slo import Objective, SloReport
@@ -61,11 +60,8 @@ from ..obs.timeseries import TimeSeriesRecorder, diff_dumps
 from ..obs.trace import Tracer
 from .report import format_table
 
-__all__ = ["LoadTestResult", "ScalingResult", "run_load_test",
-           "run_scaling_bench", "format_load_test", "format_scaling",
-           "load_test_payload", "scaling_bench_payload", "FAULT_PRESETS"]
-
-logger = get_logger("experiments.load_test")
+__all__ = ["LoadTestResult", "run_load_test", "format_load_test",
+           "load_test_payload", "FAULT_PRESETS"]
 
 #: name -> FaultPlan factory (seeded) for the chaos presets
 FAULT_PRESETS = {"flaky_5g": flaky_5g, "lossy_wifi": lossy_wifi,
@@ -662,109 +658,4 @@ def load_test_payload(result: LoadTestResult) -> dict:
         sampling={"duration_s": result.duration_s,
                   "warmup_s": result.warmup_s},
         seeds=[result.seed], workers=result.shards,
-        wall_time_s=result.elapsed_s or None))
-
-
-# -- the sharding bench (BENCH_PR7 lane) ---------------------------------
-
-
-@dataclass
-class ScalingResult:
-    """Single-shard ceiling vs N-shard SO_REUSEPORT scaling."""
-
-    runs: dict  # shard count -> LoadTestResult
-    seed: int
-    elapsed_s: float = 0.0
-
-    @property
-    def shard_counts(self) -> list[int]:
-        return sorted(self.runs)
-
-    @property
-    def scaling_x(self) -> float:
-        counts = self.shard_counts
-        base = self.runs[counts[0]].sustained_rps
-        top = self.runs[counts[-1]].sustained_rps
-        return top / base if base > 0 else 0.0
-
-
-def run_scaling_bench(shard_counts: Sequence[int] = (1, 4), *,
-                      clients: int = 64, duration_s: float = 2.0,
-                      warmup_s: float = 0.4, seed: int = 0,
-                      app: str = "static", latency_s: float = 0.02,
-                      max_inflight: int = 8,
-                      retry_after_s: float = 0.5) -> ScalingResult:
-    """The sustained-rps lane: one config per shard count.
-
-    The workload is deliberately admission-bound (per-request service
-    time dominated by ``latency_s``, an I/O wait), so the ceiling is
-    ``shards * max_inflight / latency_s`` and the scaling factor
-    reflects the sharded front — not the host's core count.
-    """
-    started = time.perf_counter()
-    runs: dict[int, LoadTestResult] = {}
-    for shards in shard_counts:
-        logger.info("scaling-bench-run", shards=shards, clients=clients)
-        runs[shards] = run_load_test(
-            shards=shards, clients=clients, duration_s=duration_s,
-            warmup_s=warmup_s, seed=seed, app=app, latency_s=latency_s,
-            max_inflight=max_inflight, retry_after_s=retry_after_s)
-    return ScalingResult(runs=runs, seed=seed,
-                         elapsed_s=time.perf_counter() - started)
-
-
-def format_scaling(result: ScalingResult) -> str:
-    rows = []
-    for shards in result.shard_counts:
-        run = result.runs[shards]
-        ceiling = (shards * (run.max_inflight or 0) / run.latency_s
-                   if run.latency_s > 0 and run.max_inflight else 0.0)
-        rows.append([
-            str(shards), f"{run.sustained_rps:,.0f}",
-            f"{ceiling:,.0f}", f"{run.shed_rate:.1%}",
-            f"{run.latency_ms_p99:.1f}",
-            f"{run.drain_s * 1e3:.0f}"])
-    table = format_table(
-        ["shards", "sustained rps", "admission ceiling", "shed rate",
-         "p99 ms", "drain ms"], rows)
-    return (table + f"\n\nSO_REUSEPORT scaling: {result.scaling_x:.2f}x "
-            f"({result.shard_counts[0]} -> {result.shard_counts[-1]} "
-            f"shards)")
-
-
-def scaling_bench_payload(result: ScalingResult) -> dict:
-    """The ``BENCH_PR7.json`` serving-tier payload (manifest-stamped)."""
-    first = result.runs[result.shard_counts[0]]
-    sustained = {f"shards_{shards}":
-                 round(result.runs[shards].sustained_rps, 1)
-                 for shards in result.shard_counts}
-    sustained["scaling_x"] = round(result.scaling_x, 3)
-    payload = {
-        "bench": "serving_tier",
-        "schema_version": 1,
-        "params": {"shard_counts": result.shard_counts,
-                   "clients": first.clients, "app": first.app,
-                   "latency_s": first.latency_s,
-                   "max_inflight": first.max_inflight},
-        "sustained_rps": sustained,
-        "per_shard_count": {
-            str(shards): {
-                "sustained_rps": round(run.sustained_rps, 1),
-                "offered_rps": round(run.offered_rps, 1),
-                "shed_rate": round(run.shed_rate, 4),
-                "latency_ms_p99": round(run.latency_ms_p99, 2),
-                "drain_s": round(run.drain_s, 4),
-                "hard_cancelled": run.hard_cancelled,
-            } for shards, run in sorted(result.runs.items())},
-    }
-    return stamp(payload, build_manifest(
-        config={"bench": "serving_tier",
-                "shard_counts": list(result.shard_counts),
-                "clients": first.clients, "app": first.app,
-                "seed": result.seed, "latency_s": first.latency_s,
-                "max_inflight": first.max_inflight},
-        sampling={"duration_s": first.duration_s,
-                  "warmup_s": first.warmup_s},
-        seeds=[result.seed],
-        workers=max(result.shard_counts),
         wall_time_s=result.elapsed_s or None))

@@ -14,7 +14,7 @@ import json
 import pathlib
 from typing import Optional
 
-__all__ = ["build_report", "write_report", "bench_trajectory_rows"]
+__all__ = ["build_report", "write_report"]
 
 #: presentation order and human titles; artifacts not listed are appended
 #: alphabetically at the end
@@ -50,7 +50,6 @@ _SECTIONS: tuple[tuple[str, str], ...] = (
     ("analytic_sweep", "Analytic sweep — full grid (vectorized)"),
     ("sweep_validation", "Analytic sweep — DES validation"),
     ("population_fleet", "Population fleet — analytic pricing"),
-    ("population_fleet_bench", "Population fleet — bench floors"),
 )
 
 _STYLE = """
@@ -65,83 +64,6 @@ pre { background: #161c24; border: 1px solid #2c3440; border-radius: 6px;
       line-height: 1.35; }
 p.meta { color: #7b8494; font-size: .85rem; }
 """
-
-
-#: gated metric paths per bench family (mirrors compare_bench.BENCH_KEYS —
-#: that script must stay standalone, so the mapping is duplicated here)
-_BENCH_KEYS: dict[str, tuple[str, ...]] = {
-    "server_hot_path": ("throughput_rps.cached_warm",),
-    "simcore": ("simcore.events_per_s", "simcore.transfers_per_s",
-                "simcore.visits_per_s"),
-    "analytic_sweep": ("analytic_sweep.estimates_per_s_vectorized",
-                       "analytic_sweep.estimates_per_s_fallback"),
-    "population_fleet": (
-        "population_fleet.analytic_visits_per_s_vectorized",
-        "population_fleet.analytic_visits_per_s_fallback",
-        "population_fleet.des_visits_per_s"),
-}
-
-
-def _lookup(payload: dict, dotted: str) -> Optional[float]:
-    node = payload
-    for part in dotted.split("."):
-        if not isinstance(node, dict) or part not in node:
-            return None
-        node = node[part]
-    return float(node) if isinstance(node, (int, float)) else None
-
-
-def bench_trajectory_rows(results_dir: pathlib.Path) -> list[dict]:
-    """One row per ``BENCH_*.json`` artifact, oldest first per family.
-
-    Each row carries the artifact name, bench family, the gated metric
-    values, and a manifest summary (short git rev, created time, worker
-    count, wall seconds) — the report's perf-trajectory table.
-    """
-    rows = []
-    for path in sorted(results_dir.glob("BENCH_*.json")):
-        try:
-            payload = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
-            continue
-        if not isinstance(payload, dict):
-            continue
-        family = payload.get("bench", "server_hot_path")
-        metrics = {key: _lookup(payload, key)
-                   for key in _BENCH_KEYS.get(family, ())}
-        manifest = payload.get("manifest") or {}
-        rows.append({
-            "artifact": path.name,
-            "bench": family,
-            "metrics": {k: v for k, v in metrics.items() if v is not None},
-            "git_rev": str(manifest.get("git_rev", "unknown"))[:10],
-            "created_utc": manifest.get("created_utc", "unknown"),
-            "workers": manifest.get("workers"),
-            "wall_time_s": manifest.get("wall_time_s"),
-        })
-    rows.sort(key=lambda row: (row["bench"], row["artifact"]))
-    return rows
-
-
-def _bench_trajectory_text(results_dir: pathlib.Path) -> Optional[str]:
-    """Plain-text trajectory table, or None when no artifacts exist."""
-    rows = bench_trajectory_rows(results_dir)
-    if not rows:
-        return None
-    from .report import format_table
-    table_rows = []
-    for row in rows:
-        metrics = "  ".join(f"{key.split('.')[-1]}={value:,.1f}"
-                            for key, value in row["metrics"].items())
-        wall = (f"{row['wall_time_s']:.1f}s"
-                if isinstance(row["wall_time_s"], (int, float)) else "—")
-        table_rows.append([row["artifact"], row["bench"],
-                           metrics or "—", row["git_rev"],
-                           row["created_utc"],
-                           row["workers"] if row["workers"] else "—", wall])
-    return format_table(
-        ["artifact", "bench", "gated metrics", "git rev", "created",
-         "workers", "wall"], table_rows)
 
 
 _SPARK_BLOCKS = " ▁▂▃▄▅▆▇█"
@@ -270,13 +192,6 @@ def build_report(results_dir: pathlib.Path,
         "<code>pytest benchmarks/ --benchmark-only</code>; "
         f"{len(artifacts)} artifacts</p>",
     ]
-    trajectory = _bench_trajectory_text(results_dir)
-    if trajectory is not None:
-        parts.append("<h2>Perf trajectory (BENCH_*.json)</h2>")
-        parts.append("<p class='meta'>gated by "
-                     "<code>benchmarks/compare_bench.py</code>; provenance "
-                     "from each artifact's run manifest</p>")
-        parts.append(f"<pre>{html.escape(trajectory.rstrip())}</pre>")
     slo_timeline = _slo_timeline_text(results_dir)
     if slo_timeline is not None:
         parts.append("<h2>Load-test SLOs &amp; timelines</h2>")

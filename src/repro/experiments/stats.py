@@ -8,6 +8,7 @@ intervals over per-site measurements.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -22,11 +23,12 @@ __all__ = ["Summary", "summarize", "mean", "median", "percentile",
 def spearman(a: Sequence[float], b: Sequence[float]) -> float:
     """Spearman rank correlation of two paired sequences.
 
-    Ranks are assigned by sort order (ties broken by position — the
-    sequences here are continuous measurements, so exact ties are rare
-    and the simplification is harmless).  Degenerate inputs (constant
-    sequences, n < 2) return 1.0 so callers gating on a floor do not
-    crash on trivial grids.
+    Tied values share the average of the ranks they span, and rho is the
+    Pearson correlation of the two rank vectors, so the result does not
+    depend on the order of tied entries (fleet validation samples many
+    cold loads that price the same in every mode).  Degenerate inputs
+    (a constant sequence, n < 2) return 1.0 so callers gating on a floor
+    do not crash on trivial grids.
 
     >>> spearman([1.0, 2.0, 3.0], [10.0, 20.0, 30.0])
     1.0
@@ -39,8 +41,12 @@ def spearman(a: Sequence[float], b: Sequence[float]) -> float:
     def ranks(values: Sequence[float]) -> list[float]:
         order = sorted(range(len(values)), key=values.__getitem__)
         rank = [0.0] * len(values)
-        for position, index in enumerate(order):
-            rank[index] = float(position)
+        start = 0
+        for _, group in itertools.groupby(order, key=values.__getitem__):
+            tied = list(group)
+            for index in tied:
+                rank[index] = start + (len(tied) - 1) / 2.0
+            start += len(tied)
         return rank
 
     n = len(a)
@@ -49,8 +55,9 @@ def spearman(a: Sequence[float], b: Sequence[float]) -> float:
     ra, rb = ranks(a), ranks(b)
     centre = (n - 1) / 2.0
     cov = sum((x - centre) * (y - centre) for x, y in zip(ra, rb))
-    var = sum((x - centre) ** 2 for x in ra)
-    return cov / var if var else 1.0
+    var_a = sum((x - centre) ** 2 for x in ra)
+    var_b = sum((y - centre) ** 2 for y in rb)
+    return cov / math.sqrt(var_a * var_b) if var_a and var_b else 1.0
 
 
 def mean(values: Sequence[float]) -> float:

@@ -1,4 +1,4 @@
-"""Full-grid analytic sweep (the ``repro sweep`` command, BENCH_PR8).
+"""Full-grid analytic sweep (the ``repro sweep`` command).
 
 Everything Figure 3 does, minus the simulator: price the whole
 ``(throughput x latency x delay x site)`` space with the vectorized
@@ -16,15 +16,12 @@ Spearman rank correlation between analytic and simulated warm PLTs —
 the same ablation the bench suite runs, but automated per sweep
 (``repro sweep --validate``).
 
-Three artifacts come out:
+Two artifacts come out:
 
 - a Figure-3-style reduction grid (catalyst vs standard, mean over
   sites and delays) plus a revisit-delay series at the headline
-  condition,
-- an optional validation report (rank correlation on the subgrid),
-- a manifest-stamped ``analytic_sweep`` bench payload for the
-  ``BENCH_*.json`` trajectory, with visit-estimates/s floors
-  (>= 10^6/s vectorized, >= 10^4/s pure-Python fallback).
+  condition, with the run's visit-estimates/s,
+- an optional validation report (rank correlation on the subgrid).
 """
 
 from __future__ import annotations
@@ -33,27 +30,19 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from ..core.analysis_vec import (VectorAnalyticModel, compile_site,
-                                 numpy_available)
+from ..core.analysis_vec import VectorAnalyticModel, compile_site
 from ..core.modes import CachingMode
 from ..netsim.clock import format_duration
 from ..netsim.conditions import (FIGURE3_LATENCIES_MS,
                                  FIGURE3_THROUGHPUTS_MBPS)
 from ..netsim.link import NetworkConditions
-from ..obs.manifest import build_manifest, stamp
 from ..workload.corpus import Corpus, make_corpus
 from .figure3 import HEADLINE_CONDITION, PAPER_REVISIT_DELAYS_S
 from .report import format_grid, format_pct, format_table
 from .stats import spearman
 
 __all__ = ["SweepResult", "run_sweep", "ValidationResult",
-           "validate_sweep", "AnalyticBenchResult", "run_analytic_bench",
-           "analytic_bench_payload", "VECTORIZED_FLOOR_PER_S",
-           "FALLBACK_FLOOR_PER_S"]
-
-#: visit-estimates/s floors the BENCH_PR8 lane asserts (issue 8)
-VECTORIZED_FLOOR_PER_S = 1_000_000.0
-FALLBACK_FLOOR_PER_S = 10_000.0
+           "validate_sweep"]
 
 _MODES = (CachingMode.STANDARD, CachingMode.CATALYST)
 
@@ -267,140 +256,3 @@ def validate_sweep(corpus: Optional[Corpus] = None,
     rho = spearman([row[4] for row in rows], [row[5] for row in rows])
     return ValidationResult(rho=rho, min_rho=min_rho, rows=rows,
                             elapsed_s=elapsed)
-
-
-# ---------------------------------------------------------------------------
-# Bench lane: visit-estimates/s (the BENCH_PR8 artifact)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class AnalyticBenchResult:
-    """Throughput of both backends over the same compiled workload."""
-
-    sites: int
-    seed: int
-    conditions: int
-    modes: int
-    delays: int
-    #: estimates/s, best of N rounds; None when numpy is unavailable
-    vectorized_per_s: Optional[float]
-    fallback_per_s: float
-    #: sites actually priced per fallback round (subsampled for time)
-    fallback_sites: int
-    rounds: int
-    elapsed_s: float
-
-    @property
-    def estimates_per_site(self) -> int:
-        return self.conditions * self.modes * self.delays
-
-    @property
-    def meets_floors(self) -> bool:
-        vec_ok = (self.vectorized_per_s is None
-                  or self.vectorized_per_s >= VECTORIZED_FLOOR_PER_S)
-        return vec_ok and self.fallback_per_s >= FALLBACK_FLOOR_PER_S
-
-
-def run_analytic_bench(sites: int = 40, seed: int = 2024,
-                       rounds: int = 5) -> AnalyticBenchResult:
-    """Measure both backends on a Figure-3-scale batched grid.
-
-    Workload: ``sites`` corpus sites x 20 conditions x 2 modes x 25
-    delays (a delay-dense Figure 3).  Best-of-``rounds`` wall clock, so
-    the number measures the engine rather than scheduler noise — same
-    convention as the simcore lane.  The pure-Python fallback prices a
-    deterministic site subset (it is ~30x slower; the rate is per
-    estimate, so the subset does not bias it).
-    """
-    corpus = make_corpus(size=sites, seed=seed)
-    compiled = [compile_site(site) for site in corpus]
-    delays = [30.0 + 60.0 * i for i in range(25)]
-    conditions_list = [NetworkConditions.of(mbps, rtt)
-                       for mbps in FIGURE3_THROUGHPUTS_MBPS
-                       for rtt in FIGURE3_LATENCIES_MS]
-    per_site = len(conditions_list) * len(_MODES) * len(delays)
-    started = time.perf_counter()
-
-    def best_rate(model: VectorAnalyticModel, batch) -> float:
-        model.batch_plt(batch[0], _MODES, delays, conditions_list)  # warm-up
-        best = float("inf")
-        for _ in range(rounds):
-            t0 = time.perf_counter()
-            for comp in batch:
-                model.batch_plt(comp, _MODES, delays, conditions_list)
-            best = min(best, time.perf_counter() - t0)
-        return per_site * len(batch) / best
-
-    vectorized = None
-    if numpy_available():
-        vectorized = best_rate(VectorAnalyticModel(backend="numpy"),
-                               compiled)
-    fallback_batch = compiled[:max(1, len(compiled) // 10)]
-    fallback = best_rate(VectorAnalyticModel(backend="python"),
-                         fallback_batch)
-    return AnalyticBenchResult(
-        sites=len(compiled), seed=seed, conditions=len(conditions_list),
-        modes=len(_MODES), delays=len(delays),
-        vectorized_per_s=vectorized, fallback_per_s=fallback,
-        fallback_sites=len(fallback_batch), rounds=rounds,
-        elapsed_s=time.perf_counter() - started)
-
-
-def format_analytic_bench(result: AnalyticBenchResult) -> str:
-    rows = []
-    if result.vectorized_per_s is not None:
-        rows.append(["vectorized (numpy)",
-                     f"{result.vectorized_per_s:,.0f}",
-                     f"{VECTORIZED_FLOOR_PER_S:,.0f}",
-                     f"{result.sites}"])
-    rows.append(["fallback (pure python)",
-                 f"{result.fallback_per_s:,.0f}",
-                 f"{FALLBACK_FLOOR_PER_S:,.0f}",
-                 f"{result.fallback_sites}"])
-    table = format_table(
-        ["backend", "visit-estimates/s", "floor", "sites"], rows)
-    verdict = "floors met" if result.meets_floors else "BELOW FLOOR"
-    return (table + f"\n{result.estimates_per_site:,} estimates/site "
-            f"(cond x mode x delay), best of {result.rounds} rounds "
-            f"-> {verdict}")
-
-
-def analytic_bench_payload(result: AnalyticBenchResult) -> dict:
-    """Machine-readable ``analytic_sweep`` record for the trajectory.
-
-    The grid shape and workload seed are the config identity; rounds
-    are sampling effort.  The backend is *not* identity: a no-numpy
-    artifact is still the same experiment (its vectorized key is simply
-    absent, which the gate reports as "not comparable" without failing).
-    """
-    sweep_metrics = {
-        "estimates_per_s_fallback": round(result.fallback_per_s, 1),
-    }
-    if result.vectorized_per_s is not None:
-        sweep_metrics["estimates_per_s_vectorized"] = round(
-            result.vectorized_per_s, 1)
-    payload = {
-        "bench": "analytic_sweep",
-        "schema_version": 1,
-        "params": {
-            "sites": result.sites,
-            "conditions": result.conditions,
-            "modes": result.modes,
-            "delays": result.delays,
-            "fallback_sites": result.fallback_sites,
-        },
-        "analytic_sweep": sweep_metrics,
-        "floors": {
-            "estimates_per_s_vectorized": VECTORIZED_FLOOR_PER_S,
-            "estimates_per_s_fallback": FALLBACK_FLOOR_PER_S,
-        },
-        "meets_floors": result.meets_floors,
-    }
-    return stamp(payload, build_manifest(
-        config={"bench": "analytic_sweep", "sites": result.sites,
-                "seed": result.seed, "conditions": result.conditions,
-                "modes": result.modes, "delays": result.delays},
-        sampling={"rounds": result.rounds},
-        seeds=[result.seed],
-        wall_time_s=result.elapsed_s or None,
-    ))

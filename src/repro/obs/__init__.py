@@ -25,9 +25,8 @@ Fleet-scale additions:
   (exclusive of children) computed from the tracer ring, exported as
   collapsed-stack flamegraphs (``repro trace --flame-out``).
 - **Manifests** (:mod:`repro.obs.manifest`): provenance stamps
-  (config, seeds, git rev, interpreter, workers, wall time) for every
-  ``BENCH_*.json`` artifact; the bench-compare gate validates them and
-  refuses cross-config comparisons.
+  (config, seeds, git rev, interpreter, workers, wall time) for result
+  artifacts such as the ``repro loadtest --out`` payload.
 
 Cross-process telemetry (the distributed-tracing PR):
 
@@ -52,8 +51,7 @@ Plus :mod:`repro.obs.log`, the structured stderr logger behind the CLI's
 from .export import (enrich_har, namespaced_span_id, span_to_dict,
                      to_chrome_trace, to_chrome_trace_json, to_jsonl)
 from .log import Logger, get_logger, set_level
-from .manifest import (build_manifest, comparable, stamp,
-                       validate_manifest)
+from .manifest import build_manifest, stamp, validate_manifest
 from .metrics import (Counter, Gauge, Histogram, MetricsRegistry,
                       registry)
 from .profile import (collapsed_stacks, format_self_times, self_times,
@@ -74,7 +72,7 @@ __all__ = [
     "MetricsRegistry", "Counter", "Gauge", "Histogram", "registry",
     "LogHistogram",
     "self_times", "collapsed_stacks", "to_collapsed", "format_self_times",
-    "build_manifest", "stamp", "validate_manifest", "comparable",
+    "build_manifest", "stamp", "validate_manifest",
     "to_chrome_trace", "to_chrome_trace_json", "to_jsonl", "enrich_har",
     "span_to_dict", "namespaced_span_id",
     "TraceContext", "parse_traceparent", "inject_context",

@@ -3,7 +3,7 @@
 Replaces ad-hoc ``print(..., file=sys.stderr)`` status lines with one
 consistent, parseable shape::
 
-    repro cli info wrote-artifact path=benchmarks/results/BENCH_PR3.json
+    repro cli info wrote-artifact path=benchmarks/results/loadtest_ci.json
 
 Rules of the road:
 

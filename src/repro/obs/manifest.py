@@ -1,11 +1,11 @@
-"""Run manifests: provenance stamps for benchmark artifacts.
+"""Run manifests: provenance stamps for result artifacts.
 
-A ``BENCH_*.json`` number is only evidence if we know *exactly what
+A number in a JSON artifact is only evidence if we know *exactly what
 produced it* — which configuration, which seeds, which code revision,
-on which interpreter, with how many workers, for how long.  The
-trajectory gate (``benchmarks/compare_bench.py``) diffs artifacts
-across PRs; without provenance it can silently compare a 3-site run
-against an 8-site run and call the difference a regression.
+on which interpreter, with how many workers, for how long.
+``repro loadtest --out`` stamps its run payload with one, and the
+figure benches record one per text artifact in
+``benchmarks/results/RUN_MANIFEST.json``.
 
 A manifest is a plain dict::
 
@@ -15,20 +15,16 @@ A manifest is a plain dict::
       "git_rev": "fcc24ff...",            # or "unknown" outside a repo
       "python": "3.12.3",
       "platform": "Linux-6.8...-x86_64",
-      "config": {"bench": "...", ...},    # the *identity*: runs with
-                                          # different config are not
-                                          # comparable
-      "sampling": {"repeats": 300},       # how long/hard we measured —
-                                          # may differ across runs
+      "config": {"bench": "...", ...},    # the run's *identity*
+      "sampling": {"duration_s": 5.0},    # how long/hard we measured
       "seeds": [21],
       "workers": 1,
       "wall_time_s": 12.3,                # null when not measured
     }
 
-``config`` vs ``sampling`` is the load-bearing split: the gate refuses
-to compare two artifacts whose ``config`` differs (different workload,
-meaningless diff) but tolerates different ``sampling`` (measuring the
-same workload for longer is still the same experiment).
+``config`` is what was run (workload shape, seeds, mode); ``sampling``
+is measurement effort (durations, repeat counts) that may differ
+between two runs of the same experiment.
 """
 
 from __future__ import annotations
@@ -41,7 +37,7 @@ import time
 from typing import Mapping, Optional, Sequence
 
 __all__ = ["MANIFEST_SCHEMA_VERSION", "build_manifest", "stamp",
-           "validate_manifest", "comparable", "git_rev", "manifest_json"]
+           "validate_manifest", "git_rev", "manifest_json"]
 
 MANIFEST_SCHEMA_VERSION = 1
 
@@ -81,8 +77,8 @@ def build_manifest(config: Mapping,
 
     ``config`` is the run's *identity* (workload shape, seed-determined
     corpus, mode); ``sampling`` holds measurement-effort knobs (repeat
-    counts, rounds) that may legitimately differ between two otherwise
-    comparable runs.
+    counts, durations) that may differ between two runs of the same
+    experiment.
     """
     if not config:
         raise ValueError("manifest config must not be empty")
@@ -131,23 +127,6 @@ def validate_manifest(manifest: object) -> list[str]:
             errors.append(f"workers must be >= 1, "
                           f"got {manifest['workers']}")
     return errors
-
-
-def comparable(a: Mapping, b: Mapping) -> tuple[bool, str]:
-    """Whether two manifests describe comparable runs.
-
-    Comparable means the identity ``config`` dicts are equal; the
-    reason string names the first differing key otherwise.
-    """
-    config_a, config_b = a.get("config", {}), b.get("config", {})
-    if config_a == config_b:
-        return True, ""
-    for key in sorted(set(config_a) | set(config_b)):
-        if config_a.get(key) != config_b.get(key):
-            return False, (f"config[{key!r}] differs: "
-                           f"{config_a.get(key)!r} vs "
-                           f"{config_b.get(key)!r}")
-    return False, "configs differ"
 
 
 def _json_default(value):  # pragma: no cover - defensive

@@ -9,8 +9,7 @@ payloads.  The real multi-process runs live in the ``loadtest`` lane
 import pytest
 
 from repro.experiments.load_test import (FAULT_PRESETS, format_load_test,
-                                         load_test_payload, run_load_test,
-                                         scaling_bench_payload)
+                                         load_test_payload, run_load_test)
 from repro.obs.manifest import validate_manifest
 from repro.obs.metrics import MetricsRegistry
 
@@ -95,18 +94,6 @@ class TestArtifacts:
         assert validate_manifest(payload["manifest"]) == []
         assert payload["client"]["ok"] == result.ok
         assert payload["shed"]["shed_503"] == result.shed_503
-
-    def test_scaling_payload_shape(self):
-        # two cheap in-process "shard counts" fake the sweep shape; the
-        # real 1-vs-4 run is the loadtest lane's job
-        from repro.experiments.load_test import ScalingResult
-        runs = {1: quick_run(), 4: quick_run(clients=16)}
-        scaling = ScalingResult(runs=runs, seed=1, elapsed_s=1.0)
-        payload = scaling_bench_payload(scaling)
-        assert payload["bench"] == "serving_tier"
-        assert set(payload["sustained_rps"]) == {"shards_1", "shards_4",
-                                                 "scaling_x"}
-        assert validate_manifest(payload["manifest"]) == []
 
     def test_format_is_human_readable(self):
         text = format_load_test(quick_run())

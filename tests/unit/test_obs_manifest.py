@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.obs import build_manifest, comparable, stamp, validate_manifest
+from repro.obs import build_manifest, stamp, validate_manifest
 from repro.obs.manifest import MANIFEST_SCHEMA_VERSION, git_rev, manifest_json
 
 pytestmark = pytest.mark.obs
@@ -77,28 +77,3 @@ class TestValidate:
 
     def test_empty_config_rejected(self):
         assert validate_manifest(_manifest(config={}))
-
-
-class TestComparable:
-    def test_same_config_comparable(self):
-        same, reason = comparable(_manifest(), _manifest())
-        assert same and reason == ""
-
-    def test_different_sampling_still_comparable(self):
-        a = _manifest()
-        b = _manifest()
-        b["sampling"] = {"repeats": 999}
-        b["workers"] = 16
-        assert comparable(a, b)[0]
-
-    def test_config_difference_named(self):
-        b = _manifest(config={"bench": "x", "sites": 8})
-        same, reason = comparable(_manifest(), b)
-        assert not same
-        assert "sites" in reason and "3" in reason and "8" in reason
-
-    def test_missing_key_counts_as_difference(self):
-        b = _manifest(config={"bench": "x"})
-        same, reason = comparable(_manifest(), b)
-        assert not same
-        assert "sites" in reason

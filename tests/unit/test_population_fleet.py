@@ -3,18 +3,15 @@
 Covers the contracts the fleet CLI and CI gates depend on: analytic
 backends agree to float tolerance, parallel DES merges *exactly* with
 serial (the O(cohorts) streaming claim), the sketch cap bounds memory
-without losing counts, and the payloads carry what ``compare_bench`` /
-``report_html`` read.
+without losing counts, and the run payload carries what ``report_html``
+reads.
 """
 
 import pytest
 
 from repro.core.analysis_vec import numpy_available
 from repro.experiments.fleet import (DEFAULT_FLEET_COHORTS,
-                                     FLEET_DES_FLOOR_PER_S,
-                                     FLEET_POPULATION_FLOOR,
-                                     FleetBenchResult, default_population,
-                                     fleet_bench_payload, fleet_payload,
+                                     default_population, fleet_payload,
                                      run_fleet_analytic, run_fleet_des,
                                      validate_fleet)
 from repro.workload.corpus import make_corpus
@@ -148,44 +145,3 @@ def test_fleet_payload_shape(analytic, spec, corpus):
                 assert key in mode
     assert payload["des"]["visits"] == des.visits
     assert payload["validation"]["passed"] is True
-
-
-def test_fleet_bench_payload_floors_and_manifest():
-    result = FleetBenchResult(
-        users=1_000_000, population_visits=50_000_000, sites=100,
-        cohorts=3, bins=24, seed=2024, rounds=3, des_sample=24,
-        vectorized_visits_per_s=2e8, fallback_visits_per_s=4e7,
-        des_visits=24, des_visits_per_s=7.0, elapsed_s=5.0)
-    assert result.meets_floors
-    payload = fleet_bench_payload(result)
-    assert payload["bench"] == "population_fleet"
-    assert payload["meets_floors"] is True
-    assert payload["population_fleet"]["population_visits"] \
-        >= FLEET_POPULATION_FLOOR
-    assert "manifest" in payload
-    assert payload["manifest"]["config"]["seed"] == 2024
-    # the fallback-only leg simply omits the vectorized key
-    no_numpy = FleetBenchResult(
-        users=1_000_000, population_visits=50_000_000, sites=100,
-        cohorts=3, bins=24, seed=2024, rounds=3, des_sample=24,
-        vectorized_visits_per_s=None, fallback_visits_per_s=4e7,
-        des_visits=24, des_visits_per_s=7.0, elapsed_s=5.0)
-    assert no_numpy.meets_floors
-    assert "analytic_visits_per_s_vectorized" \
-        not in fleet_bench_payload(no_numpy)["population_fleet"]
-
-
-def test_fleet_bench_floors_reject_slow_runs():
-    slow = FleetBenchResult(
-        users=1_000_000, population_visits=50_000_000, sites=100,
-        cohorts=3, bins=24, seed=2024, rounds=3, des_sample=24,
-        vectorized_visits_per_s=2e8, fallback_visits_per_s=4e7,
-        des_visits=24, des_visits_per_s=FLEET_DES_FLOOR_PER_S / 2,
-        elapsed_s=5.0)
-    assert not slow.meets_floors
-    tiny = FleetBenchResult(
-        users=1_000, population_visits=50_000, sites=100,
-        cohorts=3, bins=24, seed=2024, rounds=3, des_sample=24,
-        vectorized_visits_per_s=2e8, fallback_visits_per_s=4e7,
-        des_visits=24, des_visits_per_s=7.0, elapsed_s=5.0)
-    assert not tiny.meets_floors

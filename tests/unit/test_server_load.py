@@ -54,49 +54,3 @@ class TestServerLoad:
         b = run_server_load(corpus=corpus, sites=2,
                             visit_times_s=(0.0, 3600.0))
         assert a == b
-
-
-class TestHotPath:
-    """Structure checks for the wall-clock hot-path profile (the >=3x
-    speedup assertion lives in the `bench` lane, not tier-1)."""
-
-    @pytest.fixture(scope="class")
-    def hot(self):
-        from repro.experiments.server_load import run_hot_path
-        return run_hot_path(corpus=make_corpus(size=4, seed=5), sites=1,
-                            repeats=3, seed=2)
-
-    def test_request_accounting(self, hot):
-        assert hot.sites == 1
-        assert hot.cached.requests == 4 == hot.uncached.requests
-
-    def test_byte_identical(self, hot):
-        assert hot.byte_identical
-
-    def test_cached_side_amortizes_work(self, hot):
-        # one parse per document version vs one per request
-        assert hot.cached.html_parses == 1
-        assert hot.uncached.html_parses == 4
-        assert hot.cached.render_hits == 3
-        assert hot.uncached.render_hits == 0
-        assert hot.cached.map_builds < hot.uncached.map_builds
-
-    def test_latency_and_throughput_populated(self, hot):
-        for side in (hot.cached, hot.uncached):
-            assert side.warm_rps > 0
-            assert side.warm_p50_us > 0
-            assert side.warm_p99_us >= side.warm_p50_us
-            assert side.cold_p50_us > 0
-        assert hot.warm_speedup > 0
-
-    def test_formatting_and_payload(self, hot):
-        from repro.experiments.server_load import (format_hot_path,
-                                                   hot_path_bench_payload)
-        text = format_hot_path(hot)
-        assert "warm req/s" in text and "speedup" in text
-        payload = hot_path_bench_payload(hot)
-        assert payload["bench"] == "server_hot_path"
-        assert payload["byte_identical"] is True
-        assert payload["throughput_rps"]["warm_speedup"] == round(
-            hot.warm_speedup, 2)
-        assert payload["cached"]["counters"]["html_parses"] == 1

@@ -1,9 +1,12 @@
 """Unit tests for the statistics helpers."""
 
+import math
+
 import pytest
 
 from repro.experiments.stats import (Summary, bootstrap_ci, mean, median,
-                                     percentile, stdev, summarize)
+                                     percentile, spearman, stdev,
+                                     summarize)
 
 
 class TestBasics:
@@ -94,3 +97,23 @@ class TestSummarize:
     def test_format_readable(self):
         text = summarize([1.0, 2.0, 3.0]).format(unit="ms")
         assert "mean" in text and "ms" in text and "n=3" in text
+
+
+class TestSpearman:
+    def test_ties_share_average_rank(self):
+        assert spearman([1, 1, 2], [1, 2, 3]) == pytest.approx(
+            math.sqrt(3) / 2)
+
+    def test_tie_order_does_not_matter(self):
+        # swapping the members of each tied pair (as reordering the
+        # modes of a cold fleet visit does) must not move rho
+        a = [5.0, 5.0, 1.0, 3.0, 3.0, 9.0, 2.0]
+        b = [4.0, 7.0, 1.0, 6.0, 2.0, 8.0, 3.0]
+        swapped_b = [7.0, 4.0, 1.0, 2.0, 6.0, 8.0, 3.0]
+        assert spearman(a, b) == pytest.approx(spearman(a, swapped_b))
+        assert spearman(b, a) == pytest.approx(spearman(swapped_b, a))
+
+    def test_constant_input_is_degenerate(self):
+        assert spearman([2.0, 2.0, 2.0], [1.0, 2.0, 3.0]) == 1.0
+        assert spearman([1.0, 2.0, 3.0], [2.0, 2.0, 2.0]) == 1.0
+        assert spearman([1.0], [5.0]) == 1.0

@@ -1,19 +1,13 @@
 """Unit tests for the full-grid analytic sweep experiment."""
 
-import json
-
 import pytest
 
 from repro.core.analysis import estimate_plt
 from repro.core.modes import CachingMode
 from repro.netsim.clock import DAY, HOUR
 from repro.netsim.link import NetworkConditions
-from repro.obs.manifest import comparable, validate_manifest
 from repro.workload.corpus import make_corpus
-from repro.experiments.sweep import (analytic_bench_payload,
-                                     format_analytic_bench,
-                                     run_analytic_bench, run_sweep,
-                                     validate_sweep)
+from repro.experiments.sweep import run_sweep, validate_sweep
 
 pytestmark = pytest.mark.analytic
 
@@ -92,37 +86,3 @@ class TestValidateSweep:
                                 min_rho=1.0)
         assert not strict.passed
         assert "FAIL" in strict.format()
-
-
-class TestAnalyticBench:
-    @pytest.fixture(scope="class")
-    def bench(self):
-        return run_analytic_bench(sites=6, rounds=2)
-
-    def test_rates_positive(self, bench):
-        assert bench.fallback_per_s > 0
-        assert bench.estimates_per_site == 20 * 2 * 25
-
-    def test_payload_has_valid_manifest(self, bench):
-        payload = analytic_bench_payload(bench)
-        assert payload["bench"] == "analytic_sweep"
-        assert validate_manifest(payload["manifest"]) == []
-        assert json.dumps(payload)  # serializable as committed artifact
-
-    def test_payloads_with_same_workload_are_comparable(self, bench):
-        a = analytic_bench_payload(bench)
-        b = analytic_bench_payload(run_analytic_bench(sites=6, rounds=1))
-        same, _ = comparable(a["manifest"], b["manifest"])
-        assert same
-
-    def test_different_workloads_refused(self, bench):
-        a = analytic_bench_payload(bench)
-        b = analytic_bench_payload(run_analytic_bench(sites=4, rounds=1))
-        same, reason = comparable(a["manifest"], b["manifest"])
-        assert not same
-        assert "config" in reason
-
-    def test_format_lists_floors(self, bench):
-        text = format_analytic_bench(bench)
-        assert "visit-estimates/s" in text
-        assert "fallback (pure python)" in text
