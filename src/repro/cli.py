@@ -559,7 +559,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     results = pathlib.Path(args.results)
     if not results.is_dir():
         log.error("missing-artifact-dir", path=results,
-                  hint="run `pytest benchmarks/ --benchmark-only` first")
+                  hint="run `pytest benchmarks/` first")
         return 1
     out = write_report(results, pathlib.Path(args.out))
     print(f"wrote {out}")

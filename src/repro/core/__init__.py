@@ -12,7 +12,7 @@ __all__ = [
     "EtagConfig", "ETAG_CONFIG_HEADER", "DEFAULT_MAX_ENTRIES",
     "CachingMode", "ModeSetup", "build_mode",
     "Catalyst", "VisitOutcome", "run_visit_sequence",
-    "AnalyticModel", "estimate_plt", "estimate_reduction",
+    "estimate_plt", "estimate_reduction",
     "VectorAnalyticModel", "CompiledSite", "compile_site",
     "batch_estimate_plt", "numpy_available",
 ]
@@ -24,9 +24,8 @@ _LAZY = {
     "Catalyst": "catalyst",
     "VisitOutcome": "catalyst",
     "run_visit_sequence": "catalyst",
-    "AnalyticModel": "analysis",
-    "estimate_plt": "analysis",
-    "estimate_reduction": "analysis",
+    "estimate_plt": "analysis_vec",
+    "estimate_reduction": "analysis_vec",
     "VectorAnalyticModel": "analysis_vec",
     "CompiledSite": "analysis_vec",
     "compile_site": "analysis_vec",

@@ -1,10 +1,17 @@
-"""Batched closed-form PLT: the analytic model, vectorized over full grids.
+"""Closed-form (analytic) PLT model, batched over whole grids.
 
-:mod:`repro.core.analysis` prices one ``(site, mode, delay, condition)``
-cell at a time — fine for spot checks, hopeless for the
+A back-of-the-envelope companion to the discrete-event simulator:
+expected page-load time as a sum over fetch "levels" (HTML -> statically
+visible resources -> CSS/JS children), with per-resource expected costs
+driven by the same churn and header models the simulator uses.  The
+model makes the paper's story legible: at high bandwidth the ``size/bw``
+terms vanish and PLT collapses to a count of RTTs, which is exactly the
+count CacheCatalyst shrinks.  One function checks it against the
+simulator: :func:`repro.experiments.sweep.validate_cells`.
+
+The model is laid out for throughput over the
 ``(throughput x latency x delay x corpus x population)`` spaces the
-population-scale traffic engine sweeps over.  This module is the same
-model restructured for throughput:
+population-scale traffic engine sweeps over:
 
 1. **Compile once.**  :func:`compile_site` flattens a :class:`SiteSpec`
    into per-resource tensors — size, churn period, policy class and TTL,
@@ -18,26 +25,26 @@ model restructured for throughput:
        cost = A + B * rtt + G * (8 / downlink_bps)
 
    with coefficients ``(A, B, G)`` that depend only on ``(mode, delay)``
-   — every churn/policy/coverage branch of the scalar model folds into a
-   masked coefficient build of shape ``[modes, delays, resources]``,
-   after which the full ``[conditions, modes, delays, resources]`` cost
-   tensor is two fused multiply-adds.  The wave model (``ceil(n/k)``
-   waves, each paying its max) becomes a descending sort plus a strided
-   sum: with costs sorted descending, wave ``w``'s maximum is element
-   ``w*k``, so the level time is ``sorted[::k].sum()``.  Zero-cost slots
-   sort to the bottom and contribute nothing, which reproduces the
-   scalar model's ``c > 0`` filter exactly.
+   — every churn/policy/coverage branch folds into a masked coefficient
+   build of shape ``[modes, delays, resources]``, after which the full
+   ``[conditions, modes, delays, resources]`` cost tensor is two fused
+   multiply-adds.  The wave model (``ceil(n/k)`` waves, each paying its
+   max) becomes a descending sort plus a strided sum: with costs sorted
+   descending, wave ``w``'s maximum is element ``w*k``, so the level
+   time is ``sorted[::k].sum()``.  Zero-cost slots sort to the bottom
+   and contribute nothing.
 
 Backends: NumPy when importable (``pip install repro[fast]``), else a
-pure-Python fallback that walks the same compiled tensors with the same
-coefficient algebra — equivalent to float tolerance (property-tested
-against the scalar model; ``numpy`` stays an optional extra).  Pass
-``backend="python"`` to force the fallback.
+pure-Python path that walks the same compiled tensors with the same
+coefficient algebra.  The Python path is the reference: the NumPy path
+is tested equal to it to float tolerance, and both are tested against
+hand-priced pages (``numpy`` stays an optional extra).  Pass
+``backend="python"`` to force it.
 
 All costs are nonnegative by construction; :func:`compile_site` and the
 engine validate the inputs (sizes, config costs) that guarantee it,
 because the sorted-stride wave trick silently miscounts waves for
-negative costs where the scalar model would drop them.
+negative costs.
 """
 
 from __future__ import annotations
@@ -50,24 +57,27 @@ from ..browser.engine import BrowserConfig
 from ..html.parser import ResourceKind
 from ..netsim.link import NetworkConditions
 from ..workload.sitegen import PageSpec, SiteSpec
-from .analysis import _HEADER_BYTES
 from .modes import CachingMode
 
 __all__ = ["CompiledSite", "compile_site", "VectorAnalyticModel",
-           "VisitEstimates", "batch_estimate_plt", "numpy_available"]
+           "VisitEstimates", "batch_estimate_plt", "estimate_plt",
+           "estimate_reduction", "numpy_available"]
 
 try:  # numpy is an optional extra (repro[fast]); everything must run without
     import numpy as _np
 except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
     _np = None
 
-#: policy classes after folding the scalar model's branch order:
+#: response header bytes on the wire, added to every transfer
+_HEADER_BYTES = 350.0
+
+#: policy classes under standard HTTP caching:
 #: ``no-store`` -> always a full fetch; ``no-cache``/``none`` -> always a
 #: conditional revalidation; ``max-age`` -> fresh until ``ttl <= delay``.
 _POL_NOSTORE, _POL_REVAL, _POL_MAXAGE = 0, 1, 2
 
-#: mode classes the scalar model distinguishes (push/hints modes price
-#: like standard HTTP caching in the closed form)
+#: mode classes the model distinguishes (push/hints modes price like
+#: standard HTTP caching in the closed form)
 _MC_NO_CACHE, _MC_STANDARD, _MC_CATALYST, _MC_SESSIONS = 0, 1, 2, 3
 
 _CACHE_ATTR = "_analysis_vec_compiled"
@@ -102,7 +112,7 @@ class CompiledSite:
 
     Slots are level-contiguous: ``[0:level1)`` are the HTML-referenced
     resources, ``[level1:level2)`` their CSS/JS children, ``[level2:n)``
-    the grandchildren — exactly the enumeration the scalar model prices.
+    the grandchildren, in ``html_refs`` -> ``children`` walk order.
     Tensors are plain tuples (backend-neutral); the NumPy engine packs
     them into arrays lazily and caches the pack on the instance.
     """
@@ -381,7 +391,7 @@ class VectorAnalyticModel:
 
         size_h = pack["size"] + _HEADER_BYTES                      # [n]
         # P(changed within delay): 1 - exp(-delay/tau); dynamic -> 1,
-        # immutable (tau = inf) -> exp(-0) -> 0, matching the scalar.
+        # immutable (tau = inf) -> exp(-0) -> 0.
         p = 1.0 - np.exp(-delay[:, None] / pack["period"][None, :])  # [D,n]
         p = np.where(pack["dynamic"][None, :], 1.0, p)
 
@@ -408,7 +418,8 @@ class VectorAnalyticModel:
                 b_rows.append(full_b)
                 g_rows.append(full_g)
             elif mc in (_MC_CATALYST, _MC_SESSIONS):
-                covered = ~pack["dynamic"]
+                # the SW never stores dynamic or no-store responses
+                covered = ~(pack["dynamic"] | pack["nostore"])
                 if mc == _MC_CATALYST:
                     # static stapling cannot see JS-discovered resources
                     covered = covered & ~pack["via_js"]
@@ -463,7 +474,7 @@ class VectorAnalyticModel:
             if width <= k:
                 # single wave: the max IS the wave sum (costs are >= 0,
                 # so all-fresh levels contribute max(...) == 0 exactly
-                # like the scalar's positive-cost filter)
+                # like the Python path's positive-cost filter)
                 total += slab.max(axis=-1)
             else:
                 slab.sort(axis=-1)
@@ -486,7 +497,7 @@ class VectorAnalyticModel:
         total += self._exec_s(comp)
         return total
 
-    # -- pure-python fallback ----------------------------------------------
+    # -- pure-python reference path ---------------------------------------
     def _coeffs_python(self, comp: CompiledSite, mode_class: int,
                        delay: float, cold: bool):
         """Per-slot ``(A, B, G)`` coefficient lists for one (mode, delay)."""
@@ -507,12 +518,13 @@ class VectorAnalyticModel:
             p = (1.0 if dynamic
                  else 0.0 if math.isinf(period)
                  else 1.0 - exp(-delay / period))
+            policy = comp.policy[i]
+            # the SW never stores dynamic or no-store responses
             if mode_class in (_MC_CATALYST, _MC_SESSIONS) \
-                    and not dynamic \
+                    and not dynamic and policy != _POL_NOSTORE \
                     and (mode_class == _MC_SESSIONS or not comp.via_js[i]):
                 coeffs.append((sw + p * (think - sw), p, p * size_h))
                 continue
-            policy = comp.policy[i]
             if policy == _POL_NOSTORE:
                 coeffs.append((think, 1.0, size_h))
             elif policy == _POL_REVAL or comp.ttl[i] <= delay:
@@ -577,3 +589,31 @@ def batch_estimate_plt(site: SiteSpec,
     model = VectorAnalyticModel(config=config, backend=backend)
     return model.batch_plt(compile_site(site), modes, delays_s,
                            conditions_list, cold=cold)
+
+
+def estimate_plt(site: SiteSpec, mode: CachingMode, delay_s: float,
+                 conditions: NetworkConditions,
+                 config: Optional[BrowserConfig] = None,
+                 cold: bool = False) -> float:
+    """Expected PLT in seconds of one ``(site, mode, delay, condition)``.
+
+    ``config=None`` means "a fresh default per call" — a shared
+    module-level default instance would leak mutations (the config holds
+    mutable sub-models) between unrelated callers.
+    """
+    plt = batch_estimate_plt(site, (mode,), (delay_s,), [conditions],
+                             config=config, cold=cold)
+    return float(plt[0][0][0])
+
+
+def estimate_reduction(site: SiteSpec, delay_s: float,
+                       conditions: NetworkConditions,
+                       config: Optional[BrowserConfig] = None) -> float:
+    """Expected fractional PLT reduction of catalyst vs standard."""
+    plt = batch_estimate_plt(site, (CachingMode.STANDARD,
+                                    CachingMode.CATALYST),
+                             (delay_s,), [conditions], config=config)
+    standard, catalyst = float(plt[0][0][0]), float(plt[0][1][0])
+    if standard <= 0:
+        return 0.0
+    return (standard - catalyst) / standard

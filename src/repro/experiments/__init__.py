@@ -9,8 +9,8 @@ from .figure3 import (HEADLINE_CONDITION, PAPER_REVISIT_DELAYS_S,
 from .first_render import (FirstRenderResult, format_first_render,
                            run_first_render)
 from .fleet import (DEFAULT_FLEET_COHORTS, CohortFleet, FleetDesResult,
-                    FleetResult, FleetValidation, default_population,
-                    run_fleet_analytic, run_fleet_des, validate_fleet)
+                    FleetResult, default_population, run_fleet_analytic,
+                    run_fleet_des, validate_fleet)
 from .harness import GridResult, PairMeasurement, measure_pair, run_grid
 from .motivation import MotivationStats, measure_motivation
 from .parallel import run_grid_parallel
@@ -38,7 +38,7 @@ __all__ = [
     "bootstrap_ci",
     "run_fleet_analytic", "run_fleet_des", "validate_fleet",
     "default_population", "DEFAULT_FLEET_COHORTS",
-    "FleetResult", "FleetDesResult", "FleetValidation", "CohortFleet",
+    "FleetResult", "FleetDesResult", "CohortFleet",
     "run_user_weighted", "UserWeightedResult",
     "run_server_load", "ServerLoadResult", "format_server_load",
     "build_report", "write_report",

@@ -26,9 +26,10 @@ Two interchangeable backends answer it:
   O(visits), and a parallel run merges exactly (below the sketch cap)
   with the serial one.
 
-:func:`validate_fleet` ties the two together with the same Spearman-ρ
-gate the sweep validation uses.  Wall-clock throughput is measured by
-the ``fleet`` workload of the repository benchmark (``perfbench/``).
+:func:`validate_fleet` ties the two together through the one
+analytic-vs-DES check, :func:`~repro.experiments.sweep.validate_cells`.
+Wall-clock throughput is measured by the ``fleet`` workload of the
+repository benchmark (``perfbench/``).
 """
 
 from __future__ import annotations
@@ -52,12 +53,13 @@ from ..workload.population import (CohortSpec, PopulationSpec, Visit,
                                    sample_visits, zipf_weights)
 from .parallel import _chunksize, _warm_worker
 from .report import format_pct, format_table
-from .stats import spearman, weighted_percentiles
+from .stats import weighted_percentiles
+from .sweep import ValidationResult, validate_cells
 
 __all__ = ["FLEET_MODES", "DEFAULT_FLEET_COHORTS", "default_population",
            "ModeStats", "CohortFleet", "FleetResult", "run_fleet_analytic",
            "FleetDesResult", "run_fleet_des",
-           "FleetValidation", "validate_fleet", "fleet_payload"]
+           "validate_fleet", "fleet_payload"]
 
 log = get_logger("experiments.fleet")
 
@@ -98,6 +100,16 @@ def default_population(users: int = 20_000,
                           cohorts=tuple(cohorts), n_warmup=warmup,
                           n_measured=measured, alpha=alpha,
                           rate_per_user_day=rate_per_user_day, seed=seed)
+
+
+def _ranked_sites(spec: PopulationSpec,
+                  corpus: Optional[Corpus]) -> list:
+    """The corpus as a list indexed by the spec's popularity ranks."""
+    sites = list(corpus if corpus is not None else make_corpus())
+    if len(sites) != spec.n_sites:
+        raise ValueError(f"spec prices {spec.n_sites} popularity ranks "
+                         f"but the corpus has {len(sites)} sites")
+    return sites
 
 
 # -- analytic backend -------------------------------------------------------
@@ -227,12 +239,7 @@ def run_fleet_analytic(spec: PopulationSpec,
     call per site, and every fleet aggregate is a weighted reduction
     over those cells.
     """
-    if corpus is None:
-        corpus = make_corpus()
-    sites = list(corpus)
-    if len(sites) != spec.n_sites:
-        raise ValueError(f"spec prices {spec.n_sites} popularity ranks "
-                         f"but the corpus has {len(sites)} sites")
+    sites = _ranked_sites(spec, corpus)
     start = time.perf_counter()
     model = VectorAnalyticModel(config=config, backend=backend)
     compiled = [compile_site(site) for site in sites]
@@ -400,12 +407,7 @@ def run_fleet_des(spec: PopulationSpec,
     merge order, so the serial and parallel registries agree exactly
     while the pooled sample count stays under ``histogram_samples``.
     """
-    if corpus is None:
-        corpus = make_corpus()
-    sites = list(corpus)
-    if len(sites) != spec.n_sites:
-        raise ValueError(f"spec prices {spec.n_sites} popularity ranks "
-                         f"but the corpus has {len(sites)} sites")
+    sites = _ranked_sites(spec, corpus)
     start = time.perf_counter()
     visits = sample_visits(spec, sample, per_cohort=True)
     groups: dict[tuple[int, int], list[Visit]] = {}
@@ -466,27 +468,6 @@ def run_fleet_des(spec: PopulationSpec,
 
 
 # -- DES-vs-analytic validation --------------------------------------------
-@dataclass(frozen=True)
-class FleetValidation:
-    """Rank agreement between the two backends on a schedule sample."""
-
-    rho: float
-    min_rho: float
-    rows: int
-    elapsed_s: float
-
-    @property
-    def passed(self) -> bool:
-        return self.rho >= self.min_rho
-
-    def format(self) -> str:
-        verdict = "PASS" if self.passed else "FAIL"
-        return (f"fleet validation: Spearman rho={self.rho:.3f} over "
-                f"{self.rows} sampled (visit, mode) cells "
-                f"(gate >= {self.min_rho:.2f}) -> {verdict} "
-                f"[{self.elapsed_s:.1f}s]")
-
-
 def validate_fleet(spec: PopulationSpec,
                    corpus: Optional[Corpus] = None,
                    sample: int = 24,
@@ -494,51 +475,25 @@ def validate_fleet(spec: PopulationSpec,
                    backend: str = "auto",
                    modes: Sequence[CachingMode] = FLEET_MODES,
                    config: Optional[BrowserConfig] = None
-                   ) -> FleetValidation:
+                   ) -> ValidationResult:
     """Price a seeded cohort sample both ways; gate on Spearman ρ.
 
-    Same contract as ``sweep --validate``: the analytic backend must
-    *rank* sampled fleet visits like the simulator does, cold loads
-    included.
+    The same check as ``sweep --validate``
+    (:func:`~repro.experiments.sweep.validate_cells`), over sampled
+    fleet visits, cold loads included.
     """
-    if corpus is None:
-        corpus = make_corpus()
-    sites = list(corpus)
-    if len(sites) != spec.n_sites:
-        raise ValueError(f"spec prices {spec.n_sites} popularity ranks "
-                         f"but the corpus has {len(sites)} sites")
-    start = time.perf_counter()
-    model = VectorAnalyticModel(config=config, backend=backend)
-    visits = sample_visits(spec, sample, per_cohort=True)
-    analytic_ms: list[float] = []
-    des_ms: list[float] = []
-    for visit in visits:
-        cohort = spec.cohorts[visit.cohort]
-        site = sites[visit.site]
-        comp = compile_site(site)
-        cold = visit.delay_s is None
-        delay_s = 0.0 if cold else visit.delay_s
-        plt = model.batch_plt(comp, modes, (delay_s,),
-                              [cohort.conditions], cold=cold)
-        for mi, mode in enumerate(modes):
-            analytic_ms.append(float(plt[0][mi][0]) * 1000.0)
-            setup = build_mode(mode, site,
-                               config if config is not None
-                               else BrowserConfig())
-            times = [0.0] if cold else [0.0, delay_s]
-            outcome = run_visit_sequence(setup, cohort.conditions,
-                                         times)[-1]
-            des_ms.append(outcome.result.plt_ms)
-    rho = spearman(analytic_ms, des_ms)
-    return FleetValidation(rho=rho, min_rho=min_rho,
-                           rows=len(analytic_ms),
-                           elapsed_s=time.perf_counter() - start)
+    sites = _ranked_sites(spec, corpus)
+    cells = [(sites[visit.site], spec.cohorts[visit.cohort].conditions,
+              visit.delay_s)
+             for visit in sample_visits(spec, sample, per_cohort=True)]
+    return validate_cells(cells, modes=modes, min_rho=min_rho,
+                          backend=backend, config=config)
 
 
 # -- artifact payloads ------------------------------------------------------
 def fleet_payload(result: FleetResult,
                   des: Optional[FleetDesResult] = None,
-                  validation: Optional[FleetValidation] = None) -> dict:
+                  validation: Optional[ValidationResult] = None) -> dict:
     """Machine-readable fleet-run record (``repro fleet --out``).
 
     ``report_html`` renders the per-cohort PLT-percentile section from
@@ -581,6 +536,6 @@ def fleet_payload(result: FleetResult,
     if validation is not None:
         payload["validation"] = {"rho": round(validation.rho, 4),
                                  "min_rho": validation.min_rho,
-                                 "rows": validation.rows,
+                                 "rows": len(validation.rows),
                                  "passed": validation.passed}
     return payload

@@ -1,8 +1,8 @@
 """Bundling the regenerated figures into one self-contained HTML report.
 
-``pytest benchmarks/ --benchmark-only`` drops each figure/table as a text
-artifact under ``benchmarks/results/``; this module folds them into a
-single static HTML page (no scripts, no external assets) for sharing.
+``pytest benchmarks/`` drops each figure/table as a text artifact under
+``benchmarks/results/``; this module folds them into a single static
+HTML page (no scripts, no external assets) for sharing.
 
     python -m repro report --out report.html
 """
@@ -46,7 +46,6 @@ _SECTIONS: tuple[tuple[str, str], ...] = (
     ("ablation_slow_start", "Ablation: TCP slow start"),
     ("ablation_http2", "Ablation: HTTP/2 transport"),
     ("ablation_push_cancel", "Ablation: push cancellation"),
-    ("analytic_vs_des", "Analytic model vs simulator"),
     ("analytic_sweep", "Analytic sweep — full grid (vectorized)"),
     ("sweep_validation", "Analytic sweep — DES validation"),
     ("population_fleet", "Population fleet — analytic pricing"),
@@ -189,7 +188,7 @@ def build_report(results_dir: pathlib.Path,
         f"<style>{_STYLE}</style></head><body>",
         f"<h1>{html.escape(title)}</h1>",
         "<p class='meta'>regenerated by "
-        "<code>pytest benchmarks/ --benchmark-only</code>; "
+        "<code>pytest benchmarks/</code>; "
         f"{len(artifacts)} artifacts</p>",
     ]
     slo_timeline = _slo_timeline_text(results_dir)

@@ -10,11 +10,12 @@ latency — the substrate the population-scale traffic engine sweeps
 over.
 
 The analytic model is only trustworthy *because* it is continuously
-validated against the simulator: :func:`validate_sweep` re-runs a
-seeded sampled subgrid through ``measure_pair`` and gates on the
-Spearman rank correlation between analytic and simulated warm PLTs —
-the same ablation the bench suite runs, but automated per sweep
-(``repro sweep --validate``).
+validated against the simulator: :func:`validate_cells` prices a list
+of ``(site, condition, delay)`` cells both ways and gates on the
+Spearman rank correlation between analytic and simulated PLTs.  It is
+the one analytic-vs-DES check: :func:`validate_sweep` feeds it a seeded
+subgrid (``repro sweep --validate``), and
+:func:`~repro.experiments.fleet.validate_fleet` a fleet visit sample.
 
 Two artifacts come out:
 
@@ -30,18 +31,21 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
+from ..browser.engine import BrowserConfig
 from ..core.analysis_vec import VectorAnalyticModel, compile_site
-from ..core.modes import CachingMode
+from ..core.catalyst import run_visit_sequence
+from ..core.modes import CachingMode, build_mode
 from ..netsim.clock import format_duration
 from ..netsim.conditions import (FIGURE3_LATENCIES_MS,
                                  FIGURE3_THROUGHPUTS_MBPS)
 from ..netsim.link import NetworkConditions
 from ..workload.corpus import Corpus, make_corpus
+from ..workload.sitegen import SiteSpec
 from .figure3 import HEADLINE_CONDITION, PAPER_REVISIT_DELAYS_S
 from .report import format_grid, format_pct, format_table
 from .stats import spearman
 
-__all__ = ["SweepResult", "run_sweep", "ValidationResult",
+__all__ = ["SweepResult", "run_sweep", "ValidationResult", "validate_cells",
            "validate_sweep"]
 
 _MODES = (CachingMode.STANDARD, CachingMode.CATALYST)
@@ -179,28 +183,32 @@ def run_sweep(corpus: Optional[Corpus] = None,
 
 
 # ---------------------------------------------------------------------------
-# Validation: analytic vs DES on a seeded subgrid
+# Validation: analytic vs DES, cell by cell
 # ---------------------------------------------------------------------------
 
 @dataclass
 class ValidationResult:
-    """Analytic-vs-simulated agreement on a sampled subgrid."""
+    """Analytic-vs-simulated agreement over a list of cells."""
 
     rho: float
     min_rho: float
-    rows: list[tuple[str, str, str, float, float, float]] = \
+    #: (origin, condition, mode, delay_s or None for cold, analytic s,
+    #: simulated s), one row per (cell, mode)
+    rows: list[tuple[str, str, str, Optional[float], float, float]] = \
         field(default_factory=list)
     elapsed_s: float = 0.0
 
     @property
     def passed(self) -> bool:
-        return self.rho > self.min_rho
+        """``min_rho`` is a floor: a rho equal to it passes."""
+        return self.rho >= self.min_rho
 
     def format(self) -> str:
         table = format_table(
             ["site", "condition", "mode", "delay", "analytic ms",
              "simulated ms"],
-            [[origin, cond, mode, format_duration(delay),
+            [[origin, cond, mode,
+              "cold" if delay is None else format_duration(delay),
               f"{analytic * 1000:.0f}", f"{simulated * 1000:.0f}"]
              for origin, cond, mode, delay, analytic, simulated
              in self.rows[:24]])
@@ -211,6 +219,43 @@ class ValidationResult:
                 + f"[{verdict}]  ({self.elapsed_s:.1f}s of DES)")
 
 
+def validate_cells(cells: Sequence[tuple[SiteSpec, NetworkConditions,
+                                         Optional[float]]],
+                   modes: Sequence[CachingMode] = _MODES,
+                   min_rho: float = 0.85,
+                   backend: str = "auto",
+                   config: Optional[BrowserConfig] = None
+                   ) -> ValidationResult:
+    """Price every cell in every mode both ways and rank-correlate.
+
+    Each ``(site, conditions, delay_s)`` cell (``delay_s=None``: a cold
+    first visit) is priced once by the closed form
+    (:meth:`~repro.core.analysis_vec.VectorAnalyticModel.batch_plt`)
+    and replayed once through the simulator (``build_mode`` +
+    ``run_visit_sequence``: a cold visit, then the revisit after
+    ``delay_s`` unless the cell is cold).  Gate: the Spearman rho of
+    (analytic, simulated) PLT over all rows must reach ``min_rho``.
+    """
+    model = VectorAnalyticModel(config=config, backend=backend)
+    started = time.perf_counter()
+    rows = []
+    for site, conditions, delay_s in cells:
+        cold = delay_s is None
+        analytic = model.batch_plt(compile_site(site), modes,
+                                   (0.0 if cold else delay_s,),
+                                   [conditions], cold=cold)
+        times = [0.0] if cold else [0.0, delay_s]
+        for mi, mode in enumerate(modes):
+            setup = build_mode(mode, site, config)
+            outcome = run_visit_sequence(setup, conditions, times)[-1]
+            rows.append((site.origin, conditions.describe(), mode.value,
+                         delay_s, float(analytic[0][mi][0]),
+                         outcome.result.plt_s))
+    rho = spearman([row[4] for row in rows], [row[5] for row in rows])
+    return ValidationResult(rho=rho, min_rho=min_rho, rows=rows,
+                            elapsed_s=time.perf_counter() - started)
+
+
 def validate_sweep(corpus: Optional[Corpus] = None,
                    sites: int = 4,
                    seed: int = 41,
@@ -219,40 +264,19 @@ def validate_sweep(corpus: Optional[Corpus] = None,
                        Sequence[NetworkConditions]] = None,
                    min_rho: float = 0.85,
                    backend: str = "auto") -> ValidationResult:
-    """Re-run a seeded subgrid through the DES and rank-correlate.
+    """Validate a seeded ``(site, condition, delay)`` subgrid.
 
     The subgrid is sampled deterministically (``corpus.sample(sites,
     seed)``), so a validation failure is reproducible by rerunning the
-    same command.  Gate: Spearman rho of (analytic, simulated) warm PLT
-    across all (site, condition, mode, delay) rows must exceed
-    ``min_rho`` — the same 0.85 floor the ablation bench uses.
+    same command.
     """
-    from .harness import measure_pair  # deferred: pulls in the DES stack
-
     if corpus is None:
         corpus = make_corpus()
     site_list = list(corpus.sample(min(sites, len(corpus)), seed=seed))
     if conditions_list is None:
         conditions_list = [NetworkConditions.of(mbps, rtt)
                            for mbps in (8.0, 60.0) for rtt in (10.0, 100.0)]
-    delays = tuple(float(d) for d in delays_s)
-    model = VectorAnalyticModel(backend=backend)
-
-    started = time.perf_counter()
-    rows = []
-    for site in site_list:
-        analytic = model.batch_plt(compile_site(site), _MODES, delays,
-                                   conditions_list)
-        for ci, conditions in enumerate(conditions_list):
-            for mi, mode in enumerate(_MODES):
-                for di, delay in enumerate(delays):
-                    simulated_ms = measure_pair(
-                        site, mode, conditions, delay).warm_plt_ms
-                    rows.append((site.origin, conditions.describe(),
-                                 mode.value, delay,
-                                 float(analytic[ci][mi][di]),
-                                 simulated_ms / 1000.0))
-    elapsed = time.perf_counter() - started
-    rho = spearman([row[4] for row in rows], [row[5] for row in rows])
-    return ValidationResult(rho=rho, min_rho=min_rho, rows=rows,
-                            elapsed_s=elapsed)
+    cells = [(site, conditions, float(delay))
+             for site in site_list for conditions in conditions_list
+             for delay in delays_s]
+    return validate_cells(cells, min_rho=min_rho, backend=backend)

@@ -1,11 +1,16 @@
-"""Unit tests for the closed-form PLT model."""
+"""Unit tests for the closed-form PLT model's public helpers.
+
+``repro.estimate_plt`` and ``repro.estimate_reduction`` price single
+cells through the batched engine; page-level expectations are written
+out here rather than taken from the engine's own helpers.
+"""
 
 import math
 
 import pytest
 
+from repro import estimate_plt, estimate_reduction
 from repro.browser.engine import BrowserConfig
-from repro.core.analysis import AnalyticModel, estimate_plt, estimate_reduction
 from repro.core.modes import CachingMode
 from repro.experiments.figure1 import build_figure1_site
 from repro.html.parser import ResourceKind
@@ -16,6 +21,13 @@ from repro.workload.sitegen import (PageSpec, ResourceSpec, SiteSpec,
                                     generate_site)
 
 COND = NetworkConditions.of(60, 40)
+CONFIG = BrowserConfig()
+
+
+def full_fetch_s(size: float) -> float:
+    """One request carrying the whole body plus 350 header bytes."""
+    return (COND.rtt_s + CONFIG.server_think_s
+            + (size + 350) * 8 / COND.downlink_bps)
 
 
 @pytest.fixture(scope="module")
@@ -95,61 +107,56 @@ class TestEdgeCases:
         """With fully-cacheable resources, cold == NO_CACHE warm up to
         the HTML churn weighting."""
         page_site = make_page_site(4)
-        model = AnalyticModel(COND)
-        cold = model.estimate_plt(page_site, CachingMode.STANDARD, HOUR,
-                                  cold=True)
-        no_cache = model.estimate_plt(page_site, CachingMode.NO_CACHE,
-                                      HOUR)
+        cold = estimate_plt(page_site, CachingMode.STANDARD, HOUR, COND,
+                            cold=True)
+        no_cache = estimate_plt(page_site, CachingMode.NO_CACHE, HOUR,
+                                COND)
         assert cold == pytest.approx(no_cache)
 
     def test_empty_page_is_navigation_only(self):
         """html_refs == (): PLT is setup + HTML + parse, no levels."""
         empty = make_page_site(0)
-        model = AnalyticModel(COND)
-        plt = model.estimate_plt(empty, CachingMode.STANDARD, HOUR)
+        plt = estimate_plt(empty, CachingMode.STANDARD, HOUR, COND)
         page = empty.index
         p_html = 1.0 - math.exp(-HOUR / page.html_change_period_s)
-        expected = (model.config.connection_policy.setup_rtts * COND.rtt_s
-                    + COND.rtt_s + model.config.html_server_think_s
-                    + p_html * model._transfer_s(page.html_size_bytes)
-                    + model.config.parse_time(page.html_size_bytes))
+        expected = (CONFIG.connection_policy.setup_rtts * COND.rtt_s
+                    + COND.rtt_s + CONFIG.html_server_think_s
+                    + p_html * (page.html_size_bytes + 350) * 8
+                    / COND.downlink_bps
+                    + CONFIG.parse_time(page.html_size_bytes))
         assert plt == pytest.approx(expected)
 
     def test_no_store_page_prices_full_fetches(self):
+        """Three no-store images fit one wave: the level costs the
+        largest one's full fetch."""
         no_store = make_page_site(3, policy_mode="no-store")
-        model = AnalyticModel(COND)
-        for url in no_store.index.html_refs:
-            spec = no_store.index.resources[url]
-            cost = model.expected_resource_s(spec, CachingMode.STANDARD,
-                                             HOUR)
-            assert cost == pytest.approx(
-                model._full_fetch_s(spec.size_bytes))
+        empty = make_page_site(0)
+        added = (estimate_plt(no_store, CachingMode.STANDARD, HOUR, COND)
+                 - estimate_plt(empty, CachingMode.STANDARD, HOUR, COND))
+        assert added == pytest.approx(full_fetch_s(10_002))
 
     def test_no_cache_policy_page_prices_revalidations(self):
+        """Immutable content: pure revalidations, never a body."""
         no_cache = make_page_site(3, policy_mode="no-cache")
-        model = AnalyticModel(COND)
-        for url in no_cache.index.html_refs:
-            spec = no_cache.index.resources[url]
-            cost = model.expected_resource_s(spec, CachingMode.STANDARD,
-                                             HOUR)
-            # immutable content: pure revalidation, never a body
-            assert cost == pytest.approx(model._revalidation_s())
+        empty = make_page_site(0)
+        added = (estimate_plt(no_cache, CachingMode.STANDARD, HOUR, COND)
+                 - estimate_plt(empty, CachingMode.STANDARD, HOUR, COND))
+        assert added == pytest.approx(full_fetch_s(0))
 
     def test_wave_boundary_at_exactly_k(self):
-        """n == connections_per_origin: one wave, level time = max cost."""
-        model = AnalyticModel(COND)
-        k = model.config.connections_per_origin
+        """n == connections_per_origin: one wave, level time = max cost;
+        one more resource adds a second wave paying the smallest."""
+        k = CONFIG.connections_per_origin
+        empty = estimate_plt(make_page_site(0), CachingMode.STANDARD,
+                             HOUR, COND)
         boundary = make_page_site(k, policy_mode="no-store")
-        costs = [model._full_fetch_s(boundary.index.resources[url].size_bytes)
-                 for url in boundary.index.html_refs]
-        assert model._level_s(costs) == pytest.approx(max(costs))
-        # one more resource tips it into a second wave
+        assert estimate_plt(boundary, CachingMode.STANDARD, HOUR,
+                            COND) - empty == pytest.approx(
+            full_fetch_s(10_000 + k - 1))
         extra = make_page_site(k + 1, policy_mode="no-store")
-        costs_extra = [
-            model._full_fetch_s(extra.index.resources[url].size_bytes)
-            for url in extra.index.html_refs]
-        assert model._level_s(costs_extra) == pytest.approx(
-            max(costs_extra) + min(costs_extra))
+        assert estimate_plt(extra, CachingMode.STANDARD, HOUR,
+                            COND) - empty == pytest.approx(
+            full_fetch_s(10_000 + k) + full_fetch_s(10_000))
 
 
 class TestConfigDefaultIsolation:
@@ -182,23 +189,10 @@ class TestConfigDefaultIsolation:
 class TestAgainstSimulator:
     def test_rank_correlation_with_des(self):
         """Analytic and simulated PLT must order conditions the same way."""
-        from repro.core.modes import build_mode
-        from repro.core.catalyst import run_visit_sequence
+        from repro.experiments.sweep import validate_cells
         site = build_figure1_site()
-        conditions = [NetworkConditions.of(mbps, rtt)
-                      for mbps in (8, 60) for rtt in (10, 100)]
-        analytic, simulated = [], []
-        for cond in conditions:
-            analytic.append(estimate_plt(site, CachingMode.STANDARD,
-                                         2 * HOUR, cond))
-            setup = build_mode(CachingMode.STANDARD, site)
-            outcomes = run_visit_sequence(setup, cond, [0.0, 2 * HOUR])
-            simulated.append(outcomes[1].result.plt_s)
-
-        def ranks(values):
-            order = sorted(range(len(values)), key=values.__getitem__)
-            rank = [0] * len(values)
-            for position, index in enumerate(order):
-                rank[index] = position
-            return rank
-        assert ranks(analytic) == ranks(simulated)
+        cells = [(site, NetworkConditions.of(mbps, rtt), 2 * HOUR)
+                 for mbps in (8, 60) for rtt in (10, 100)]
+        result = validate_cells(cells, modes=(CachingMode.STANDARD,))
+        assert len(result.rows) == 4
+        assert result.rho == pytest.approx(1.0)

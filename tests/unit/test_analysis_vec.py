@@ -1,11 +1,16 @@
-"""Unit tests for the vectorized analytic sweep engine."""
+"""Unit tests for the vectorized analytic sweep engine.
+
+The Python backend is the reference.  ``TestEquivalence`` holds each
+backend's batched output to it priced one cell per call, and
+``TestHandPriced`` holds both backends to PLTs derived by hand.
+"""
 
 import math
 
 import pytest
 
+from repro import estimate_plt
 from repro.browser.engine import BrowserConfig
-from repro.core.analysis import AnalyticModel
 from repro.core.analysis_vec import (VectorAnalyticModel, batch_estimate_plt,
                                      compile_site, numpy_available)
 from repro.core.modes import CachingMode
@@ -55,17 +60,19 @@ def resource(url: str, *, size: int = 8_000, mode: str = "max-age",
         fixed_change_times=() if math.isinf(period) else None)
 
 
-def assert_matches_scalar(site, backend, modes=MODES, delays=DELAYS,
-                          conditions=CONDITIONS, cold=False, rel=1e-9):
-    model = VectorAnalyticModel(backend=backend)
-    batch = model.batch_plt(compile_site(site), modes, delays, conditions,
-                            cold=cold)
+def assert_matches_reference(site, backend, modes=MODES, delays=DELAYS,
+                             conditions=CONDITIONS, cold=False, rel=1e-9):
+    """``backend``'s whole-grid batch equals the Python path priced one
+    ``(condition, mode, delay)`` cell per call: NumPy must agree with
+    the reference, and no batch axis may leak into another."""
+    batch = VectorAnalyticModel(backend=backend).batch_plt(
+        compile_site(site), modes, delays, conditions, cold=cold)
+    reference = VectorAnalyticModel(backend="python")
     for ci, cond in enumerate(conditions):
-        scalar_model = AnalyticModel(cond)
         for mi, mode in enumerate(modes):
             for di, delay in enumerate(delays):
-                expected = scalar_model.estimate_plt(site, mode, delay,
-                                                     cold=cold)
+                expected = reference.batch_plt(site, (mode,), (delay,),
+                                               [cond], cold=cold)[0][0][0]
                 assert float(batch[ci][mi][di]) == pytest.approx(
                     expected, rel=rel), (backend, cond, mode, delay)
 
@@ -101,27 +108,27 @@ class TestCompileSite:
 @pytest.mark.parametrize("backend", BACKENDS)
 class TestEquivalence:
     def test_generated_site_full_grid(self, site, backend):
-        assert_matches_scalar(site, backend)
+        assert_matches_reference(site, backend)
 
     def test_cold_visits(self, site, backend):
-        assert_matches_scalar(site, backend, cold=True,
+        assert_matches_reference(site, backend, cold=True,
                               delays=(HOUR, DAY))
 
     def test_empty_page(self, backend):
         empty = single_page_site({}, ())
-        assert_matches_scalar(empty, backend)
+        assert_matches_reference(empty, backend)
 
     def test_wave_boundary_at_exactly_k(self, backend):
         k = BrowserConfig().connections_per_origin
         specs = {f"/r{i}.png": resource(f"/r{i}.png", mode="no-store",
                                         size=5_000 + 997 * i)
                  for i in range(k)}
-        assert_matches_scalar(single_page_site(specs, tuple(specs)),
+        assert_matches_reference(single_page_site(specs, tuple(specs)),
                               backend)
         specs_over = {f"/r{i}.png": resource(f"/r{i}.png", mode="no-store",
                                              size=5_000 + 997 * i)
                       for i in range(k + 1)}
-        assert_matches_scalar(single_page_site(specs_over,
+        assert_matches_reference(single_page_site(specs_over,
                                                tuple(specs_over)),
                               backend)
 
@@ -139,7 +146,7 @@ class TestEquivalence:
             "/js.bin": resource("/js.bin", mode="no-cache", via="js",
                                 period=DAY),
         }
-        assert_matches_scalar(single_page_site(specs, tuple(specs)),
+        assert_matches_reference(single_page_site(specs, tuple(specs)),
                               backend)
 
     def test_three_levels_with_scripts(self, backend):
@@ -156,16 +163,87 @@ class TestEquivalence:
                                    children=("/bg.png",)),
             "/bg.png": resource("/bg.png", via="css"),
         }
-        assert_matches_scalar(single_page_site(specs,
+        assert_matches_reference(single_page_site(specs,
                                                ("/app.js", "/style.css")),
                               backend)
 
     def test_module_level_helper(self, site, backend):
         batch = batch_estimate_plt(site, (CachingMode.STANDARD,), (DAY,),
                                    [COND], backend=backend)
-        expected = AnalyticModel(COND).estimate_plt(
-            site, CachingMode.STANDARD, DAY)
+        expected = estimate_plt(site, CachingMode.STANDARD, DAY, COND)
         assert float(batch[0][0][0]) == pytest.approx(expected, rel=1e-9)
+
+
+def micro_site() -> SiteSpec:
+    """One page, three resources over two levels, immutable content.
+
+    - HTML: 20 kB, never changes
+    - /a.css: ``no-cache``, 5 kB, with child /c.png
+    - /c.png: ``max-age`` ten days (fresh at one day), 4 kB
+    - /b.png: ``no-store``, 10 kB
+    """
+    page = PageSpec(
+        url="/index.html", html_size_bytes=20_000,
+        html_change_period_s=math.inf, html_content_seed=3,
+        html_refs=("/a.css", "/b.png"),
+        resources={
+            "/a.css": resource("/a.css", kind=ResourceKind.STYLESHEET,
+                               size=5_000, mode="no-cache",
+                               children=("/c.png",)),
+            "/c.png": resource("/c.png", size=4_000, ttl=10 * DAY,
+                               via="css"),
+            "/b.png": resource("/b.png", size=10_000, mode="no-store"),
+        })
+    return SiteSpec(origin="https://micro.example", seed=0,
+                    pages={"/index.html": page})
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+class TestHandPriced:
+    def test_micro_site(self, backend):
+        """At 60 Mbps / 40 ms, one day after the first visit:
+
+        setup    2 RTTs (TCP + TLS)                        = 0.080
+        HTML     rtt + 20 ms render, unchanged: no body    = 0.060
+        parse    max(2 ms, 20 kB * 0.1 us/B)               = 0.002
+        level 1  max(/a.css revalidation, /b.png fetch):
+                 /a.css  0.045 + 350 * 8 / 60e6            = 0.04505
+                 /b.png  0.045 + 10_350 * 8 / 60e6         = 0.04638
+        level 2  /c.png: HTTP-cache hit (standard)         = 0.0003
+                         SW hit (both Catalyst modes)      = 0.0008
+
+        Catalyst turns /a.css into an SW hit, but the no-store /b.png
+        still bounds level 1, so the two modes differ only in level 2.
+        """
+        level1 = 0.045 + 10_350 * 8 / 60e6
+        standard = 0.080 + 0.060 + 0.002 + level1 + 0.0003
+        catalyst = 0.080 + 0.060 + 0.002 + level1 + 0.0008
+        modes = (CachingMode.STANDARD, CachingMode.CATALYST,
+                 CachingMode.CATALYST_SESSIONS)
+        plt = VectorAnalyticModel(backend=backend).batch_plt(
+            micro_site(), modes, (DAY,), [COND])
+        assert [float(plt[0][mi][0]) for mi in range(3)] == pytest.approx(
+            [standard, catalyst, catalyst], rel=1e-12)
+
+    @pytest.mark.parametrize("mode", [CachingMode.STANDARD,
+                                      CachingMode.CATALYST,
+                                      CachingMode.CATALYST_SESSIONS],
+                             ids=lambda mode: mode.value)
+    def test_no_store_prices_full_fetch(self, backend, mode):
+        """The SW never stores a no-store response, so every caching
+        mode fetches it in full on every visit:
+        rtt + think + (size + 350) * 8 / bw."""
+        empty = single_page_site({}, ())
+        one = single_page_site(
+            {"/s.bin": resource("/s.bin", size=30_000, mode="no-store")},
+            ("/s.bin",))
+        model = VectorAnalyticModel(backend=backend)
+        added = (float(model.batch_plt(one, (mode,), (DAY,), [COND])[0][0][0])
+                 - float(model.batch_plt(empty, (mode,), (DAY,),
+                                         [COND])[0][0][0]))
+        full = (COND.rtt_s + BrowserConfig().server_think_s
+                + 30_350 * 8 / COND.downlink_bps)
+        assert added == pytest.approx(full, rel=1e-9)
 
 
 @pytest.mark.skipif(not numpy_available(), reason="numpy not installed")

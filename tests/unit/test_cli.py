@@ -153,3 +153,18 @@ class TestCommands:
 
     def test_sweep_bad_delay_is_handled(self, capsys):
         assert main(["--quiet", "sweep", "--delays", "notaduration"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--sites", "2", "--throughputs", "60",
+         "--latencies", "10,100", "--delays", "1d", "--validate",
+         "--validate-sites", "1"],
+        ["fleet", "--users", "2000", "--visits", "100000", "--validate",
+         "--sample", "3"],
+    ], ids=["sweep", "fleet"])
+    def test_validate_exit_codes(self, capsys, argv):
+        """Both ``--validate`` paths share one check: exit 0 when rho
+        reaches the floor, 1 when it cannot."""
+        assert main(["--quiet", *argv, "--min-rho", "-1"]) == 0
+        assert "Spearman rank correlation" in capsys.readouterr().out
+        assert main(["--quiet", *argv, "--min-rho", "1.01"]) == 1
+        assert "Spearman rank correlation" in capsys.readouterr().out

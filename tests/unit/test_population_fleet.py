@@ -123,8 +123,11 @@ def test_des_covers_every_cohort(spec, corpus):
 # -- validation gate --------------------------------------------------------
 def test_validate_fleet_passes_default_gate(spec, corpus):
     validation = validate_fleet(spec, corpus, sample=9)
-    assert validation.rows == len(sample_visits(spec, 9,
-                                                per_cohort=True)) * 2
+    visits = sample_visits(spec, 9, per_cohort=True)
+    assert len(validation.rows) == len(visits) * 2
+    # cold visits replay and price as first loads, shown as ``cold``
+    assert [row[3] for row in validation.rows[::2]] \
+        == [visit.delay_s for visit in visits]
     assert validation.passed, validation.format()
     assert "PASS" in validation.format()
 
@@ -145,3 +148,4 @@ def test_fleet_payload_shape(analytic, spec, corpus):
                 assert key in mode
     assert payload["des"]["visits"] == des.visits
     assert payload["validation"]["passed"] is True
+    assert payload["validation"]["rows"] == len(validation.rows)

@@ -2,12 +2,13 @@
 
 import pytest
 
-from repro.core.analysis import estimate_plt
+from repro.core.analysis_vec import batch_estimate_plt, numpy_available
 from repro.core.modes import CachingMode
 from repro.netsim.clock import DAY, HOUR
 from repro.netsim.link import NetworkConditions
 from repro.workload.corpus import make_corpus
-from repro.experiments.sweep import run_sweep, validate_sweep
+from repro.experiments.sweep import (ValidationResult, run_sweep,
+                                     validate_sweep)
 
 pytestmark = pytest.mark.analytic
 
@@ -36,18 +37,23 @@ class TestRunSweep:
         top_row = small_sweep.reduction_grid[-1]
         assert top_row == sorted(top_row)
 
-    def test_matches_scalar_reduction_for_one_cell(self, small_sweep):
-        """Spot-check the aggregation against the scalar helpers."""
+    @pytest.mark.skipif(not numpy_available(),
+                        reason="numpy not installed")
+    def test_numpy_reduction_matches_python_for_one_cell(self,
+                                                         small_sweep):
+        """Spot-check the NumPy sweep's aggregation against per-site
+        Python pricing."""
+        assert small_sweep.backend == "numpy"
         corpus = make_corpus().sample(6, seed=7)
         cond = NetworkConditions.of(60.0, 40.0)
         total = 0.0
         count = 0
         for site in corpus:
-            for delay in (HOUR, DAY):
-                standard = estimate_plt(site, CachingMode.STANDARD,
-                                        delay, cond)
-                catalyst = estimate_plt(site, CachingMode.CATALYST,
-                                        delay, cond)
+            plt = batch_estimate_plt(
+                site, (CachingMode.STANDARD, CachingMode.CATALYST),
+                (HOUR, DAY), [cond], backend="python")
+            for di in range(2):
+                standard, catalyst = plt[0][0][di], plt[0][1][di]
                 total += (standard - catalyst) / standard
                 count += 1
         assert small_sweep.cell(60.0, 40.0) == pytest.approx(
@@ -84,5 +90,21 @@ class TestValidateSweep:
         strict = validate_sweep(sites=2, delays_s=(DAY,),
                                 conditions_list=conditions,
                                 min_rho=1.0)
+        assert strict.rho < 1.0
         assert not strict.passed
         assert "FAIL" in strict.format()
+
+    def test_rho_equal_to_floor_passes(self):
+        """``--min-rho`` is a floor: reaching it is enough."""
+        assert ValidationResult(rho=0.85, min_rho=0.85).passed
+        assert not ValidationResult(rho=0.849, min_rho=0.85).passed
+
+    def test_cold_rows_format_as_cold(self):
+        result = ValidationResult(
+            rho=1.0, min_rho=0.85,
+            rows=[("https://a.example", "60Mbps/40ms", "standard", None,
+                   0.5, 0.6),
+                  ("https://a.example", "60Mbps/40ms", "standard", DAY,
+                   0.3, 0.4)])
+        lines = result.format().splitlines()
+        assert " cold " in lines[2] and " 1d " in lines[3]
