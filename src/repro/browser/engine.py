@@ -378,10 +378,9 @@ class PageLoader:
 
         # Layer 3: the network.
         request_time = self.sim.now
-        conn_count_before = self.client.connections_opened
         retries_before = self.client.retries
         try:
-            response = yield from self.client.exchange(
+            response, new_connection = yield from self.client.exchange(
                 outgoing,
                 think_s=self.config.think_for(ref.url, is_document),
                 span=fspan)
@@ -431,7 +430,6 @@ class PageLoader:
                          retries=retries, span=fspan)
             return failed
         response_time = self.sim.now
-        new_connection = self.client.connections_opened > conn_count_before
         retries = self.client.retries - retries_before
 
         usable = response

@@ -141,11 +141,13 @@ class NetworkClient:
     # -- the fetch process -----------------------------------------------------
     def exchange(self, request: Request,
                  think_s: Optional[float] = None, span=None):
-        """DES process: perform one HTTP exchange, return the Response.
+        """DES process: perform one HTTP exchange.
 
-        Usage inside another process::
+        Returns the Response and whether the attempt that delivered it
+        set up a new connection (and so paid its handshake).  Usage
+        inside another process::
 
-            response = yield from client.exchange(request)
+            response, new_connection = yield from client.exchange(request)
 
         Resilience: each wire attempt is raced against the per-request
         watchdog and subject to the link's :class:`FaultPlan` (if any).
@@ -223,7 +225,7 @@ class NetworkClient:
                 xspan.annotate(status=response.status,
                                attempts=attempt + 1,
                                new_connection=is_new).end()
-            return response
+            return response, is_new
         except BaseException as exc:
             if xspan is not None:
                 xspan.set("error", type(exc).__name__).end()

@@ -49,8 +49,13 @@ HTML_CONTENT_TYPE = "text/html; charset=utf-8"
 class OriginSite:
     """Serves one synthetic site's content as HTTP responses.
 
-    ``materialize_fully`` pads stand-in bodies to their declared size —
-    required on the real-socket path, wasteful in the DES.
+    ``materialize_fully`` sends full bodies (CSS/JS with their filler,
+    binaries padded to their size) — required on the real-socket path,
+    wasteful in the DES, which sends stand-ins and bills the declared
+    size.  An ETag names a content version: for every non-document
+    resource it hashes the stand-in body in both tiers, so the DES, the
+    serving tier and :meth:`etag_of` give a version one tag.  HTML is
+    always rendered in full and its ETag hashes those bytes.
     """
 
     spec: SiteSpec
@@ -162,23 +167,26 @@ class OriginSite:
     def _respond_resource(self, spec: ResourceSpec,
                           at_time: float) -> Response:
         version = self.version_of(spec.url, at_time)
-        body, wire_size = render_resource_body(
-            spec, version, materialize_fully=self.materialize_fully)
+        standin, wire_size = render_resource_body(spec, version)
         headers = self._common_headers(spec.url, at_time,
-                                       CONTENT_TYPES[spec.kind], body)
+                                       CONTENT_TYPES[spec.kind], standin)
         spec.policy.apply(headers)
         self._count(spec.url)
-        declared = None if self.materialize_fully or wire_size == len(body) \
-            else wire_size
-        return Response(status=200, headers=headers, body=body,
+        if self.materialize_fully:
+            body, _ = render_resource_body(spec, version,
+                                           materialize_fully=True)
+            return Response(status=200, headers=headers, body=body)
+        declared = None if wire_size == len(standin) else wire_size
+        return Response(status=200, headers=headers, body=standin,
                         declared_size=declared)
 
     def _common_headers(self, url: str, at_time: float, content_type: str,
-                        body: bytes) -> Headers:
+                        tagged: bytes) -> Headers:
+        """Headers every 200 carries; the ETag hashes ``tagged``."""
         headers = Headers()
         headers.set("Date", format_http_date(WALL_EPOCH + at_time))
         headers.set("Content-Type", content_type)
-        headers.set("ETag", str(etag_for_content(body)))
+        headers.set("ETag", str(etag_for_content(tagged)))
         last_modified = self.last_modified_of(url, at_time)
         headers.set("Last-Modified", format_http_date(last_modified))
         headers.set("Server", "repro-origin")

@@ -13,9 +13,12 @@ traversal misses ("We leave the consideration of resources within
 JavaScript code for future work"), so modelling it keeps the reproduction
 honest about CacheCatalyst's coverage.
 
-Rendering functions materialize actual bytes for HTML/CSS/JS (small, and
-they must be parseable), while images/fonts/media get small stand-in
-bodies with a ``declared_size`` for the network model.
+In the simulator only HTML is fully rendered: every other resource is
+served as a short stand-in body that keeps what the browser reads (a
+stylesheet's ``url()`` rules, a script's fetch directives) and declares
+the size the full body would bill.  The real-socket serving tier renders
+CSS/JS in full and pads binaries to their size
+(:func:`render_resource_body` with ``materialize_fully``).
 """
 
 from __future__ import annotations
@@ -420,14 +423,15 @@ def freeze_site(site: SiteSpec) -> SiteSpec:
 
 @lru_cache(maxsize=1024)
 def _filler(seed: int, nbytes: int) -> str:
-    """Deterministic pseudo-text of roughly ``nbytes`` characters.
+    """Deterministic pseudo-text of ``nbytes`` or ``nbytes - 1`` characters.
 
-    This is the single hottest function of an unmemoized grid run: every
-    CSS/JS response regenerates its filler word-by-word.  Content is a
-    pure function of ``(seed, nbytes)``, so the cache is byte-exact; the
-    loop body inlines ``random.Random.choice`` (same underlying
-    ``_randbelow`` draws, so the text is unchanged) to halve the cost of
-    the cold generation that remains.
+    Pads every HTML document, and the full CSS/JS bodies of the serving
+    tier; the simulator's CSS/JS stand-ins carry none.  The word walk
+    stops once the words reach ``nbytes``, so the joined text can land
+    one character short.  Content is a pure function of ``(seed,
+    nbytes)``, so the cache is byte-exact; the loop body inlines
+    ``random.Random.choice`` (same underlying ``_randbelow`` draws, so
+    the text is unchanged) to halve the cost of a cold generation.
     """
     randbelow = random.Random(seed)._randbelow
     words = _FILLER_WORDS
@@ -477,61 +481,84 @@ def render_html(page: PageSpec, version: int) -> str:
     return skeleton + f"<p>{filler}</p></body></html>"
 
 
-@lru_cache(maxsize=1024)
-def render_css(spec: ResourceSpec, version: int) -> str:
-    """Materialize a stylesheet; its children appear as url() tokens.
-
-    Memoized: a spec is frozen and content is deterministic per version,
-    so re-rendering for every request of every visit is pure waste.
-    """
+def _css_skeleton(spec: ResourceSpec, version: int) -> str:
+    """A stylesheet's version line and its ``url()`` rules."""
     rules = [f"/* v{version} */"]
     for index, child in enumerate(spec.children):
         rules.append(f".bg{index} {{ background: url({child}); }}")
-    skeleton = "\n".join(rules)
-    pad = max(0, spec.size_bytes - len(skeleton) - 30)
-    return skeleton + f"\n/* {_filler(spec.content_seed ^ version, pad)} */"
+    return "\n".join(rules)
 
 
-@lru_cache(maxsize=1024)
-def render_js(spec: ResourceSpec, version: int) -> str:
-    """Materialize a script; dynamic fetches hide in directive comments.
-
-    Memoized for the same reason as :func:`render_css`.
-    """
+def _js_skeleton(spec: ResourceSpec, version: int) -> str:
+    """A script's build line and its fetch directives."""
     lines = [f"// build {version}"]
     for child in spec.children:
         lines.append(f"{JS_FETCH_DIRECTIVE}{child}*/")
-    skeleton = "\n".join(lines)
+    return "\n".join(lines)
+
+
+def _padded(skeleton: str, spec: ResourceSpec, version: int) -> str:
+    """``skeleton`` plus a filler comment ending 23-24 bytes short of
+    ``size_bytes`` (the filler is empty when the skeleton leaves no
+    room)."""
     pad = max(0, spec.size_bytes - len(skeleton) - 30)
     return skeleton + f"\n/* {_filler(spec.content_seed ^ version, pad)} */"
 
 
+def render_css(spec: ResourceSpec, version: int) -> str:
+    """Materialize a stylesheet; its children appear as url() tokens."""
+    return _padded(_css_skeleton(spec, version), spec, version)
+
+
+def render_js(spec: ResourceSpec, version: int) -> str:
+    """Materialize a script; dynamic fetches hide in directive comments."""
+    return _padded(_js_skeleton(spec, version), spec, version)
+
+
 @lru_cache(maxsize=1024)
-def _encoded_asset(spec: ResourceSpec, version: int) -> tuple[bytes, int]:
-    """Encoded CSS/JS body plus wire size, cached alongside the text."""
+def _encoded_asset(spec: ResourceSpec, version: int) -> bytes:
+    """Full encoded CSS/JS body for the serving tier."""
     text = (render_css(spec, version)
             if spec.kind is ResourceKind.STYLESHEET
             else render_js(spec, version))
-    body = text.encode()
-    return body, max(len(body), spec.size_bytes)
+    return text.encode()
 
 
 def render_resource_body(spec: ResourceSpec, version: int,
                          materialize_fully: bool = False) -> tuple[bytes, int]:
-    """Bytes plus declared wire size for any resource.
+    """Bytes plus declared wire size for any non-document resource.
 
-    HTML-free resources return a small stand-in body whose content encodes
-    (url, version) so ETag hashing behaves exactly as if the full bytes
-    existed.  ``materialize_fully`` pads to the real size (used by the
-    real-socket integration path, where actual bytes must flow).
+    By default (the simulator) every resource gets a short stand-in body
+    that names ``(url, version)`` with a ``url|vN|seedS`` marker.  A
+    binary's stand-in is the marker and declares ``size_bytes``.  A
+    stylesheet's or script's stand-in is its skeleton — the version line
+    plus every ``url()`` rule or fetch directive, all the browser reads
+    — with the marker in a trailing comment.  It declares what the full
+    body bills, ``max(size_bytes, len(skeleton) + 7)``: the full body is
+    the skeleton plus ``"\\n/* "``, a filler and ``" */"``, and
+    :func:`_padded` keeps it below ``size_bytes`` or leaves the filler
+    empty.
+
+    ``materialize_fully`` returns the full bytes instead, with
+    ``len(body)`` as the wire size: binaries padded to their size,
+    CSS/JS with their filler.  The real-socket serving tier uses it,
+    where actual bytes must flow.  In both tiers the stand-in is what
+    names a content version: :class:`~repro.server.site.OriginSite`
+    hashes it for the ETag.
     """
-    if spec.kind is ResourceKind.STYLESHEET:
-        return _encoded_asset(spec, version)
-    if spec.kind is ResourceKind.SCRIPT:
-        return _encoded_asset(spec, version)
-    marker = f"{spec.url}|v{version}|seed{spec.content_seed}".encode()
+    marker = f"{spec.url}|v{version}|seed{spec.content_seed}"
+    if spec.kind in (ResourceKind.STYLESHEET, ResourceKind.SCRIPT):
+        if materialize_fully:
+            body = _encoded_asset(spec, version)
+            return body, len(body)
+        skeleton = (_css_skeleton(spec, version)
+                    if spec.kind is ResourceKind.STYLESHEET
+                    else _js_skeleton(spec, version))
+        return (f"{skeleton}\n/* {marker} */".encode(),
+                max(spec.size_bytes, len(skeleton) + 7))
+    body = marker.encode()
     if materialize_fully:
-        body = (marker * (spec.size_bytes // len(marker) + 1))[
-            :max(spec.size_bytes, len(marker))]
+        body = (body * (spec.size_bytes // len(body) + 1))[
+            :max(spec.size_bytes, len(body))]
         return body, len(body)
-    return marker, spec.size_bytes
+    return body, spec.size_bytes

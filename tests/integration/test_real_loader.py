@@ -118,6 +118,21 @@ class TestRealCatalyst:
         assert catalyst[1].request_count <= 2   # HTML (+ nothing else)
         assert catalyst[1].plt_s < standard[1].plt_s
 
+    def test_warm_visit_serves_every_mapped_resource_from_sw(self,
+                                                             site_spec):
+        """The stapled map names the tags the serving tier sends, so the
+        SW answers every resource it covers: all that the HTML or a
+        stylesheet reveals, except no-store (JS fetches stay unmapped)."""
+        results = run(_visits(site_spec, CatalystServer,
+                              RealLoaderConfig(use_service_worker=True)))
+        sources = {event.url: event.source for event in results[1].events}
+        covered = [url for url, spec in site_spec.index.resources.items()
+                   if spec.discovered_via in ("html", "css")
+                   and spec.policy.mode != "no-store"]
+        assert covered
+        for url in covered:
+            assert sources[url] is FetchSource.SW_CACHE, url
+
     def test_warm_visit_wall_clock_speedup(self, site_spec):
         results = run(_visits(site_spec, CatalystServer,
                               RealLoaderConfig(use_service_worker=True)))

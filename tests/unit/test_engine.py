@@ -2,16 +2,18 @@
 
 import pytest
 
+from repro.browser import engine
 from repro.browser.engine import BrowserConfig, BrowserSession
 from repro.browser.metrics import FetchSource
 from repro.core.modes import CachingMode, build_mode
 from repro.experiments.figure1 import build_figure1_site
-from repro.netsim.clock import HOUR
+from repro.netsim.clock import DAY, HOUR
 from repro.netsim.link import Link, NetworkConditions
 from repro.netsim.sim import Simulator
 from repro.server.push import PushPlanner, PushPolicy
 from repro.server.site import OriginSite
 from repro.server.static import StaticServer
+from repro.workload.corpus import make_corpus
 
 CONDITIONS = NetworkConditions.of(60, 40)
 
@@ -137,6 +139,30 @@ class TestCatalystRevisit:
             if event.source is FetchSource.SW_CACHE:
                 assert event.rtts_paid == 0.0
                 assert event.bytes_down == 0
+
+
+class TestRttAttribution:
+    def test_setup_charged_once_per_opened_connection(self, monkeypatch):
+        """Only the fetch that opened a connection pays its handshake,
+        not every fetch in flight while another one opened its own."""
+        clients = []
+
+        class RecordingClient(engine.NetworkClient):
+            def __post_init__(self):
+                super().__post_init__()
+                clients.append(self)
+
+        monkeypatch.setattr(engine, "NetworkClient", RecordingClient)
+        setup = build_mode(CachingMode.STANDARD, make_corpus().sites[48])
+        visits = load_sequence(setup, [0.0, DAY],
+                               conditions=NetworkConditions.of(60, 10))
+        setup_rtts = setup.session.config.connection_policy.setup_rtts
+        assert len(clients) == len(visits) == 2
+        for client, visit in zip(clients, visits):
+            charged = [event for event in visit.events
+                       if event.rtts_paid == 1.0 + setup_rtts]
+            assert client.connections_opened > 0
+            assert len(charged) == client.connections_opened
 
 
 class TestNoCacheMode:

@@ -123,7 +123,7 @@ class TestClientResilience:
         client.link.fault_plan = _ScriptedPlan(decisions)
 
         def proc():
-            response = yield from client.exchange(Request(url="/a"))
+            response, _ = yield from client.exchange(Request(url="/a"))
             return response
         response = sim.run_process(proc())
         assert response.body == b"k" * 1000
@@ -156,7 +156,8 @@ class TestClientResilience:
             request_timeout_s=5.0, max_retries=2)
 
         def proc():
-            return (yield from client.exchange(Request(url="/a")))
+            response, _ = yield from client.exchange(Request(url="/a"))
+            return response
         response = sim.run_process(proc())
         assert response.body == b"k" * 1000
         assert client.retries == 1
@@ -171,7 +172,8 @@ class TestClientResilience:
         assert math.isinf(client.request_timeout_s)
 
         def proc():
-            return (yield from client.exchange(Request(url="/a")))
+            response, _ = yield from client.exchange(Request(url="/a"))
+            return response
         response = sim.run_process(proc())
         assert response.status == 200
         assert sim.now >= DEFAULT_FAULT_GUARD_TIMEOUT_S

@@ -24,7 +24,7 @@ class TestExchange:
         client = make_client(sim, simple_handler)
 
         def proc():
-            response = yield from client.exchange(Request(url="/a"))
+            response, _ = yield from client.exchange(Request(url="/a"))
             return response
         response = sim.run_process(proc())
         assert response.body == b"k" * 1000
@@ -53,6 +53,23 @@ class TestExchange:
         first, second = sim.run_process(proc())
         assert client.connections_opened == 1
         assert (second - first) < first  # no handshakes the second time
+
+    def test_reports_whether_its_connection_was_new(self):
+        sim = Simulator()
+        client = make_client(sim, simple_handler,
+                             connections_per_origin=2)
+        flags = []
+
+        def proc(url):
+            _, new_connection = yield from client.exchange(Request(url=url))
+            flags.append(new_connection)
+
+        for i in range(6):
+            sim.process(proc(f"/{i}"))
+        sim.run()
+        assert flags == [record.new_connection
+                         for record in client.exchanges]
+        assert sum(flags) == client.connections_opened == 2
 
     def test_connection_cap_queues_excess(self):
         sim = Simulator()

@@ -61,6 +61,13 @@ class TestPanels:
         assert panels.cold.plt_s > panels.standard_revisit.plt_s
         assert panels.standard_revisit.plt_s > panels.catalyst_revisit.plt_s
 
+    def test_rtts_paid_per_panel(self, panels):
+        """Cold: five requests, two of them on new connections (2 setup
+        RTTs each); revisits reuse the connection the document opened."""
+        assert panels.cold.rtts_paid == 9
+        assert panels.standard_revisit.rtts_paid == 5
+        assert panels.catalyst_revisit.rtts_paid == 4
+
     def test_panel_c_network_requests_minimal(self, panels):
         """Figure 1c: only the base document and d.jpg touch the network."""
         network = {e.url for e in panels.catalyst_revisit.events

@@ -64,15 +64,29 @@ class TestVersioning:
         second = site.respond("/index.html", at_time=0.001).headers["ETag"]
         assert first == second
 
-    def test_etag_oracle_matches_serving(self, site):
-        page = site.spec.index
-        for url in list(page.resources)[:10]:
-            spec = page.resources[url]
+    @pytest.mark.parametrize("materialize_fully", [False, True],
+                             ids=["des", "serving"])
+    def test_etag_oracle_matches_serving(self, materialize_fully):
+        site = OriginSite(generate_site("https://o.example", seed=21),
+                          materialize_fully=materialize_fully)
+        for url, spec in site.spec.index.resources.items():
             if spec.dynamic:
                 assert site.etag_of(url, 0.0) is None
                 continue
-            served = site.respond(url, at_time=0.0).etag.opaque
-            assert site.etag_of(url, 0.0) == served
+            for at_time in (0.0, WEEK):
+                served = site.respond(url, at_time=at_time).etag.opaque
+                assert site.etag_of(url, at_time) == served, url
+
+    def test_both_tiers_serve_one_etag_per_version(self):
+        """The simulator's stand-in and the serving tier's full bytes
+        carry the same tag, so a stapled map names either one."""
+        spec = generate_site("https://o.example", seed=21)
+        des = OriginSite(spec)
+        serving = OriginSite(spec, materialize_fully=True)
+        for url in spec.index.resources:
+            for at_time in (0.0, WEEK):
+                assert des.respond(url, at_time).etag \
+                    == serving.respond(url, at_time).etag, url
 
     def test_dynamic_resource_changes_every_request(self, site):
         page = site.spec.index

@@ -1,13 +1,24 @@
 """Unit tests for synthetic site generation."""
 
+from collections import Counter
+from dataclasses import replace
+
 import pytest
 
 from repro.html import extract_css_urls, extract_resources, parse_html
 from repro.html.parser import ResourceKind
-from repro.workload.sitegen import (SiteShape, freeze_site, generate_site,
-                                    render_css, render_html, render_js,
-                                    render_resource_body)
+from repro.http.etag import etag_for_content
+from repro.workload.corpus import make_corpus
+from repro.workload.headers_model import HeaderPolicy
+from repro.workload.sitegen import (ResourceSpec, SiteShape, freeze_site,
+                                    generate_site, render_css, render_html,
+                                    render_js, render_resource_body)
 from repro.browser.js import extract_js_fetches
+from repro.core.modes import CachingMode
+from repro.experiments.harness import measure_pair
+from repro.netsim.clock import DAY
+from repro.netsim.conditions import NetworkConditions
+from repro.workload import sitegen
 
 
 @pytest.fixture(scope="module")
@@ -110,12 +121,37 @@ class TestRendering:
         assert b0 != b1
 
     def test_standin_body_declares_wire_size(self, site):
+        """A stand-in bills what the full body bills and keeps what the
+        browser reads from it; each version gets its own ETag."""
         for spec in site.index.iter_resources():
             if spec.kind is ResourceKind.IMAGE:
                 body, size = render_resource_body(spec, 0)
                 assert size == spec.size_bytes
-                assert len(body) < size or size <= len(body)
+                assert len(body) < size
                 break
+        tiny = ResourceSpec(
+            url="/tiny.css", kind=ResourceKind.STYLESHEET, size_bytes=10,
+            policy=HeaderPolicy(mode="no-cache"), change_period_s=1.0,
+            content_seed=5, discovered_via="html",
+            children=tuple(f"/img/{i}.png" for i in range(6)))
+        specs = [tiny, replace(tiny, url="/tiny.js",
+                               kind=ResourceKind.SCRIPT)]
+        specs += [spec for site_spec in make_corpus()
+                  for page in site_spec.pages.values()
+                  for spec in page.iter_resources()
+                  if spec.kind in (ResourceKind.STYLESHEET,
+                                   ResourceKind.SCRIPT)]
+        for spec in specs:
+            css = spec.kind is ResourceKind.STYLESHEET
+            links = extract_css_urls if css else extract_js_fetches
+            tags = set()
+            for version in range(3):
+                full = (render_css if css else render_js)(spec, version)
+                body, size = render_resource_body(spec, version)
+                assert size == max(len(full), spec.size_bytes), spec.url
+                assert links(body.decode()) == links(full), spec.url
+                tags.add(etag_for_content(body).opaque)
+            assert len(tags) == 3, spec.url
 
     def test_materialize_fully_pads(self, site):
         for spec in site.index.iter_resources():
@@ -124,6 +160,36 @@ class TestRendering:
                                                   materialize_fully=True)
                 assert len(body) == size >= spec.size_bytes
                 break
+
+
+class TestFillerOnlyForDocuments:
+    """In the simulator only HTML is fully rendered: stylesheets and
+    scripts are stand-ins, so no filler is generated for them."""
+
+    @pytest.mark.parametrize("mode", [CachingMode.STANDARD,
+                                      CachingMode.CATALYST])
+    def test_pair_fills_each_document_version_once(self, site, mode,
+                                                   monkeypatch):
+        for value in vars(sitegen).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+        seeds = []
+        filler = sitegen._filler
+
+        def counting(seed, nbytes):
+            seeds.append(seed)
+            return filler(seed, nbytes)
+
+        monkeypatch.setattr(sitegen, "_filler", counting)
+        measure_pair(site, mode, NetworkConditions.of(60, 40), DAY)
+        rendered = Counter()
+        for seed in seeds:
+            documents = [(page.url, seed ^ page.html_content_seed)
+                         for page in site.pages.values()
+                         if seed ^ page.html_content_seed < 10_000]
+            assert len(documents) == 1, f"filler for a non-document {seed}"
+            rendered[documents[0]] += 1
+        assert rendered and max(rendered.values()) == 1, rendered
 
 
 class TestFreeze:
