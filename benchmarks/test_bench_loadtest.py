@@ -24,10 +24,9 @@ DURATION_S = float(os.environ.get("REPRO_LOADTEST_DURATION_S", "1.5"))
 
 @pytest.fixture(scope="module")
 def overload_run():
-    return run_load_test(inprocess=True, clients=CLIENTS,
-                         duration_s=DURATION_S, warmup_s=0.3,
-                         latency_s=0.02, max_inflight=8, seed=7,
-                         retry_after_s=0.5, drain_s=2.0)
+    return run_load_test(clients=CLIENTS, duration_s=DURATION_S,
+                         warmup_s=0.3, latency_s=0.02, max_inflight=8,
+                         seed=7, retry_after_s=0.5, drain_s=2.0)
 
 
 @pytest.mark.loadtest
@@ -48,9 +47,9 @@ def test_sustained_overload_smoke(overload_run, save_result):
 
 @pytest.mark.loadtest
 def test_chaos_preset_smoke():
-    result = run_load_test(inprocess=True, clients=8, duration_s=1.0,
-                           warmup_s=0.2, latency_s=0.01, max_inflight=8,
-                           seed=7, preset="flaky_5g", drain_s=2.0)
+    result = run_load_test(clients=8, duration_s=1.0, warmup_s=0.2,
+                           latency_s=0.01, max_inflight=8, seed=7,
+                           preset="flaky_5g", drain_s=2.0)
     assert result.faults_injected > 0
     assert result.ok > 0  # the tier keeps serving through the chaos
     assert result.hard_cancelled == 0

@@ -64,8 +64,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="revisit delays, e.g. 1min,6h,1w")
     fig3.add_argument("--churn", action="store_true",
                       help="realistic content churn instead of clones")
-    fig3.add_argument("--parallel", action="store_true",
-                      help="fan out over a process pool")
+    fig3.add_argument("--workers", type=int, default=0,
+                      help="DES worker processes (default 0 = in-process)")
 
     sweep = sub.add_parser(
         "sweep",
@@ -127,7 +127,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="schedule sample size for --des/--validate "
                             "(default 24)")
     fleet.add_argument("--workers", type=int, default=None,
-                       help="DES worker processes (0 = serial)")
+                       help="DES worker processes (default one per CPU; "
+                            "0 = in-process)")
     fleet.add_argument("--validate", action="store_true",
                        help="gate the analytic backend on Spearman rank "
                             "agreement with a sampled DES replay")
@@ -292,30 +293,29 @@ def _cmd_figure1() -> int:
 
 def _cmd_figure3(args: argparse.Namespace) -> int:
     from .experiments.figure3 import run_figure3
-    from .experiments.harness import fleet_summary
     from .netsim.clock import parse_duration
-    from .obs import MetricsRegistry
-    delays = tuple(parse_duration(part)
-                   for part in args.delays.split(","))
-    metrics = MetricsRegistry()
-    result = run_figure3(sites=args.sites,
-                         throughputs_mbps=args.throughputs,
-                         latencies_ms=args.latencies,
-                         delays_s=delays,
-                         content_churn=args.churn,
-                         parallel=args.parallel,
-                         progress=lambda msg: log.info("progress",
-                                                       step=msg),
-                         metrics=metrics)
+    try:
+        delays = tuple(parse_duration(part)
+                       for part in args.delays.split(","))
+        result = run_figure3(sites=args.sites,
+                             throughputs_mbps=args.throughputs,
+                             latencies_ms=args.latencies,
+                             delays_s=delays,
+                             content_churn=args.churn,
+                             max_workers=args.workers,
+                             progress=lambda msg: log.info("progress",
+                                                           step=msg))
+    except (ValueError, RuntimeError) as exc:
+        log.error("figure3-invalid", detail=str(exc))
+        return 2
     print(result.format())
-    fleet = fleet_summary(metrics)
-    warm = fleet["plt_ms"].get("warm_ms", {})
-    log.info("fleet-summary", pairs=fleet["pairs"],
-             warm_p50_ms=round(warm.get("p50", 0.0), 1),
-             warm_p90_ms=round(warm.get("p90", 0.0), 1),
-             warm_p99_ms=round(warm.get("p99", 0.0), 1),
-             cache_hit_ratio=round(fleet["cache_hit_ratio"], 3),
-             warm_retries=fleet["warm_retries"])
+    summary = result.grid.summary()
+    log.info("fleet-summary", pairs=summary["pairs"],
+             warm_p50_ms=round(summary["warm_p50_ms"], 1),
+             warm_p90_ms=round(summary["warm_p90_ms"], 1),
+             warm_p99_ms=round(summary["warm_p99_ms"], 1),
+             cache_hit_ratio=round(summary["cache_hit_ratio"], 3),
+             warm_retries=summary["warm_retries"])
     return 0
 
 
@@ -377,26 +377,26 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         corpus = make_corpus()
         result = run_fleet_analytic(spec, corpus, bins=args.bins,
                                     backend=args.backend)
+        print(result.format())
+        log.info("fleet-done", visits=result.population_visits,
+                 backend=result.backend,
+                 rate=f"{result.visits_per_s:,.0f}/s")
+        des = None
+        if args.des:
+            des = run_fleet_des(spec, corpus, sample=args.sample,
+                                max_workers=args.workers)
+            print()
+            print(des.format())
+        validation = None
+        if args.validate:
+            validation = validate_fleet(spec, corpus, sample=args.sample,
+                                        min_rho=args.min_rho,
+                                        backend=args.backend)
+            print()
+            print(validation.format())
     except (ValueError, RuntimeError) as exc:
         log.error("fleet-invalid", detail=str(exc))
         return 2
-    print(result.format())
-    log.info("fleet-done", visits=result.population_visits,
-             backend=result.backend,
-             rate=f"{result.visits_per_s:,.0f}/s")
-    des = None
-    if args.des:
-        des = run_fleet_des(spec, corpus, sample=args.sample,
-                            max_workers=args.workers)
-        print()
-        print(des.format())
-    validation = None
-    if args.validate:
-        validation = validate_fleet(spec, corpus, sample=args.sample,
-                                    min_rho=args.min_rho,
-                                    backend=args.backend)
-        print()
-        print(validation.format())
     if args.out:
         path = pathlib.Path(args.out)
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -662,7 +662,6 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
         max_inflight=args.inflight_cap,
         max_connections=args.max_connections,
         preset=None if args.preset == "none" else args.preset,
-        inprocess=args.shards == 1,
         trace=args.trace_out is not None,
         telemetry_interval_s=args.telemetry_interval,
         timeseries_path=args.timeseries_out,

@@ -11,9 +11,9 @@ from .first_render import (FirstRenderResult, format_first_render,
 from .fleet import (DEFAULT_FLEET_COHORTS, CohortFleet, FleetDesResult,
                     FleetResult, default_population, run_fleet_analytic,
                     run_fleet_des, validate_fleet)
-from .harness import GridResult, PairMeasurement, measure_pair, run_grid
+from .harness import (GridResult, PairMeasurement, measure_pair, replay,
+                      run_grid)
 from .motivation import MotivationStats, measure_motivation
-from .parallel import run_grid_parallel
 from .stats import (Summary, bootstrap_ci, mean, median, percentile,
                     stdev, summarize)
 from .server_load import (ServerLoadResult, format_server_load,
@@ -23,8 +23,7 @@ from .report_html import build_report, write_report
 from .report import format_grid, format_pct, format_table
 
 __all__ = [
-    "measure_pair", "run_grid", "run_grid_parallel", "PairMeasurement",
-    "GridResult",
+    "measure_pair", "replay", "run_grid", "PairMeasurement", "GridResult",
     "run_figure1", "build_figure1_site", "Figure1Panels",
     "FIGURE1_REVISIT_DELAY_S",
     "run_figure3", "Figure3Result", "Figure3Cell",

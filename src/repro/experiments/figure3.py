@@ -109,12 +109,14 @@ def run_figure3(corpus: Optional[Corpus] = None,
                 sites: Optional[int] = None,
                 base_config: Optional[BrowserConfig] = None,
                 content_churn: bool = False,
-                parallel: bool = False,
-                progress=None, metrics=None) -> Figure3Result:
+                max_workers: Optional[int] = 0,
+                progress=None) -> Figure3Result:
     """Regenerate Figure 3.
 
     ``sites`` subsamples the corpus for quicker runs; the full corpus is
-    the default (and what EXPERIMENTS.md records).
+    the default (and what EXPERIMENTS.md records).  ``max_workers`` and
+    ``progress`` go to :func:`~repro.experiments.harness.run_grid`; the
+    default runs in-process.
 
     ``content_churn=False`` is the paper's methodology: homepages were
     *cloned*, so content never changed between visits — only headers and
@@ -123,8 +125,6 @@ def run_figure3(corpus: Optional[Corpus] = None,
     (changed resources must be fetched in every mode, shrinking — but not
     erasing — the advantage).
     """
-    if base_config is None:
-        base_config = BrowserConfig()
     if corpus is None:
         corpus = make_corpus()
     if sites is not None and sites < len(corpus):
@@ -135,24 +135,14 @@ def run_figure3(corpus: Optional[Corpus] = None,
         NetworkConditions.of(mbps, rtt_ms,
                              label=f"{mbps:g}Mbps/{rtt_ms:g}ms")
         for mbps in throughputs_mbps for rtt_ms in latencies_ms]
-    if parallel:
-        from .parallel import run_grid_parallel
-        grid = run_grid_parallel(
-            sites=corpus,
-            modes=(CachingMode.STANDARD, CachingMode.CATALYST),
-            conditions_list=conditions_list,
-            delays_s=delays_s,
-            base_config=base_config,
-            metrics=metrics)
-    else:
-        grid = run_grid(
-            sites=corpus,
-            modes=(CachingMode.STANDARD, CachingMode.CATALYST),
-            conditions_list=conditions_list,
-            delays_s=delays_s,
-            base_config=base_config,
-            progress=progress,
-            metrics=metrics)
+    grid = run_grid(
+        sites=corpus,
+        modes=(CachingMode.STANDARD, CachingMode.CATALYST),
+        conditions_list=conditions_list,
+        delays_s=delays_s,
+        base_config=base_config,
+        progress=progress,
+        max_workers=max_workers)
     cells = []
     for conditions in conditions_list:
         label = conditions.describe()

@@ -19,12 +19,11 @@ Two interchangeable backends answer it:
   standing in for millions of visits — a 10⁶-visit population prices
   in well under a second on numpy, seconds on the pure-Python leg.
 * **Sampled DES** (:func:`run_fleet_des`): a deterministic sample of
-  real schedule entries replays through the simulator, sharded by
-  user cohort across the warm-worker pool.  Workers stream per-cohort
-  histogram *sketches* back through ``MetricsRegistry.merge()`` —
-  never per-visit rows — so parent memory is O(cohorts · modes), not
-  O(visits), and a parallel run merges exactly (below the sketch cap)
-  with the serial one.
+  real schedule entries replays through the simulator
+  (:func:`~repro.experiments.harness.replay`, in-process or pooled).
+  The rows come back to the parent, which folds them in sample order
+  into per-cohort PLT histograms and demand counters, so a pooled run's
+  registry equals the in-process one for any sample size.
 
 :func:`validate_fleet` ties the two together through the one
 analytic-vs-DES check, :func:`~repro.experiments.sweep.validate_cells`.
@@ -34,24 +33,20 @@ repository benchmark (``perfbench/``).
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from ..browser.engine import BrowserConfig
 from ..core.analysis_vec import VectorAnalyticModel, compile_site
-from ..core.catalyst import run_visit_sequence
-from ..core.modes import CachingMode, build_mode
+from ..core.modes import CachingMode
 from ..netsim.link import NetworkConditions
-from ..obs.log import get_logger
-from ..obs.metrics import DEFAULT_HISTOGRAM_SAMPLES, MetricsRegistry
+from ..obs.metrics import MetricsRegistry
 from ..workload.corpus import CORPUS_SIZE, Corpus, make_corpus
 from ..workload.population import (CohortSpec, PopulationSpec, Visit,
                                    cold_fraction, delay_mixture,
                                    sample_visits, zipf_weights)
-from .parallel import _chunksize, _warm_worker
+from .harness import pool_size, replay
 from .report import format_pct, format_table
 from .stats import weighted_percentiles
 from .sweep import ValidationResult, validate_cells
@@ -60,8 +55,6 @@ __all__ = ["FLEET_MODES", "DEFAULT_FLEET_COHORTS", "default_population",
            "ModeStats", "CohortFleet", "FleetResult", "run_fleet_analytic",
            "FleetDesResult", "run_fleet_des",
            "validate_fleet", "fleet_payload"]
-
-log = get_logger("experiments.fleet")
 
 FLEET_MODES = (CachingMode.STANDARD, CachingMode.CATALYST)
 
@@ -318,44 +311,9 @@ def run_fleet_analytic(spec: PopulationSpec,
 
 
 # -- sampled DES backend ----------------------------------------------------
-def _fleet_chunk(task: tuple) -> tuple:
-    """One cohort-sharded batch of sampled visits, run in a worker.
-
-    Returns ``(metrics_dump, visits, pid, wall_s)`` — the dump carries
-    per-cohort PLT sketches and demand counters, never per-visit rows,
-    which is what keeps fleet memory O(cohorts) end to end.
-    """
-    cohort_name, mbps, rtt_ms, label, pairs, mode_values, config, \
-        max_samples = task
-    start = time.perf_counter()
-    conditions = NetworkConditions.of(mbps, rtt_ms, label=label)
-    if config is None:
-        config = BrowserConfig()
-    shard = MetricsRegistry()
-    prefix = f"fleet.cohort.{cohort_name}"
-    for site_spec, delay_s in pairs:
-        shard.counter(f"{prefix}.visits").inc()
-        if delay_s is None:
-            shard.counter(f"{prefix}.cold_visits").inc()
-        for mode_value in mode_values:
-            mode = CachingMode(mode_value)
-            setup = build_mode(mode, site_spec, config)
-            times = [0.0] if delay_s is None else [0.0, delay_s]
-            outcome = run_visit_sequence(setup, conditions, times)[-1]
-            result = outcome.result
-            shard.histogram(f"{prefix}.plt_ms.{mode_value}",
-                            max_samples=max_samples).observe(result.plt_ms)
-            shard.counter(f"{prefix}.requests.{mode_value}").inc(
-                result.request_count)
-            shard.counter(f"{prefix}.bytes_down.{mode_value}").inc(
-                result.bytes_down)
-    return shard.dump(), len(pairs), os.getpid(), \
-        time.perf_counter() - start
-
-
 @dataclass
 class FleetDesResult:
-    """Sampled-DES fleet aggregates, merged from worker sketches."""
+    """Sampled-DES fleet aggregates, folded from the replayed rows."""
 
     visits: int
     workers: int
@@ -394,52 +352,43 @@ def run_fleet_des(spec: PopulationSpec,
                   sample: int = 96,
                   modes: Sequence[CachingMode] = FLEET_MODES,
                   max_workers: Optional[int] = None,
-                  config: Optional[BrowserConfig] = None,
-                  metrics: Optional[MetricsRegistry] = None,
-                  histogram_samples: int = DEFAULT_HISTOGRAM_SAMPLES
+                  config: Optional[BrowserConfig] = None
                   ) -> FleetDesResult:
     """Replay a deterministic schedule sample through the simulator.
 
-    Visits shard by ``(cohort, user)`` through the warm-worker pool;
-    each worker returns a metrics dump (PLT histograms + demand
-    counters per cohort and mode) that merges into ``metrics``.
-    ``max_workers=0`` runs serially in-process — same chunking, same
-    merge order, so the serial and parallel registries agree exactly
-    while the pooled sample count stays under ``histogram_samples``.
+    One :func:`~repro.experiments.harness.replay` cell per sampled visit
+    and mode, grouped by ``(cohort, user)``; the parent folds the rows,
+    in that order, into per-cohort PLT histograms and demand counters
+    (``fleet.cohort.<name>.*``).  ``max_workers`` is ``replay``'s
+    (``0`` runs in-process); every worker count gives the same registry.
     """
     sites = _ranked_sites(spec, corpus)
     start = time.perf_counter()
-    visits = sample_visits(spec, sample, per_cohort=True)
     groups: dict[tuple[int, int], list[Visit]] = {}
-    for visit in visits:
+    for visit in sample_visits(spec, sample, per_cohort=True):
         groups.setdefault((visit.cohort, visit.user), []).append(visit)
-    mode_values = [mode.value for mode in modes]
-    tasks = []
-    for (cohort_index, _user), group in groups.items():
-        cohort = spec.cohorts[cohort_index]
-        pairs = [(sites[v.site], v.delay_s) for v in group]
-        tasks.append((cohort.name, cohort.conditions.downlink_mbps,
-                      cohort.conditions.rtt_ms,
-                      cohort.conditions.describe(), pairs, mode_values,
-                      config, histogram_samples))
-    registry = metrics if metrics is not None else MetricsRegistry()
-    if max_workers == 0 or len(tasks) <= 1:
-        workers = 1
-        outputs = [_fleet_chunk(task) for task in tasks]
-    else:
-        workers = max_workers or min(len(tasks), os.cpu_count() or 1)
-        with ProcessPoolExecutor(max_workers=workers,
-                                 initializer=_warm_worker) as pool:
-            outputs = list(pool.map(
-                _fleet_chunk, tasks,
-                chunksize=_chunksize(len(tasks), workers)))
-    total = 0
-    for dump, n_visits, pid, wall_s in outputs:
-        registry.merge(dump)
-        total += n_visits
-        log.debug("fleet-chunk-done", pid=pid, visits=n_visits,
-                  chunk_s=round(wall_s, 3))
+    visits = [visit for group in groups.values() for visit in group]
+    cells = [(sites[visit.site], mode,
+              spec.cohorts[visit.cohort].conditions, visit.delay_s)
+             for visit in visits for mode in modes]
+    workers = pool_size(max_workers, len(cells))
+    rows = iter(replay(cells, base_config=config, max_workers=max_workers))
+    registry = MetricsRegistry()
     registry.gauge("fleet.des.workers").set(workers)
+    for visit in visits:
+        prefix = f"fleet.cohort.{spec.cohorts[visit.cohort].name}"
+        registry.counter(f"{prefix}.visits").inc()
+        if visit.delay_s is None:
+            registry.counter(f"{prefix}.cold_visits").inc()
+        for mode in modes:
+            plt_ms, requests, bytes_down = next(rows).last_visit
+            registry.histogram(f"{prefix}.plt_ms.{mode.value}") \
+                .observe(plt_ms)
+            registry.counter(f"{prefix}.requests.{mode.value}") \
+                .inc(requests)
+            registry.counter(f"{prefix}.bytes_down.{mode.value}") \
+                .inc(bytes_down)
+    mode_values = [mode.value for mode in modes]
     snapshot: dict = {}
     for cohort in spec.cohorts:
         prefix = f"fleet.cohort.{cohort.name}"
@@ -461,7 +410,7 @@ def run_fleet_des(spec: PopulationSpec,
             }
         if per_mode:
             snapshot[cohort.name] = per_mode
-    return FleetDesResult(visits=total, workers=workers,
+    return FleetDesResult(visits=len(visits), workers=workers,
                           cohorts=snapshot,
                           elapsed_s=time.perf_counter() - start,
                           metrics=registry)

@@ -4,9 +4,9 @@ Drives a swarm of concurrent asyncio clients — each its own
 :class:`~repro.http.aclient.AsyncHttpClient` with one keep-alive
 connection, a retry budget, ``Retry-After`` honouring, and a circuit
 breaker — against a sharded :class:`~repro.http.fleet.ServerFleet`
-origin (or an in-process :class:`~repro.http.aserver.AsyncHttpServer`
-for fast unit runs), optionally misbehaving per a seeded
-:class:`~repro.netsim.faults.FaultPlan`.
+origin (or, with one shard, an in-process
+:class:`~repro.http.aserver.AsyncHttpServer`), optionally misbehaving
+per a seeded :class:`~repro.netsim.faults.FaultPlan`.
 
 What it measures (the *serving-tier* questions, not the cache ones):
 
@@ -278,7 +278,6 @@ def run_load_test(*, shards: int = 1, clients: int = 32,
                   paths: Optional[Sequence[str]] = None,
                   interval_s: float = 0.25,
                   metrics: Optional[MetricsRegistry] = None,
-                  inprocess: bool = False,
                   time_scale: float = 1.0,
                   trace: bool = False,
                   telemetry_interval_s: Optional[float] = None,
@@ -287,9 +286,9 @@ def run_load_test(*, shards: int = 1, clients: int = 32,
                   live: bool = False) -> LoadTestResult:
     """One sustained-load run against a (possibly sharded) origin.
 
-    ``inprocess=True`` serves shard 1 inside the driving event loop —
-    no worker processes, for fast deterministic unit tests; otherwise a
-    :class:`ServerFleet` of ``shards`` worker processes is spawned.
+    One shard is served inside the driving event loop, with no worker
+    processes; more shards spawn a :class:`ServerFleet` of ``shards``
+    worker processes.
 
     Observability knobs (all off by default, zero overhead when off):
     ``trace`` runs driver clients and origin under real tracers with
@@ -301,8 +300,6 @@ def run_load_test(*, shards: int = 1, clients: int = 32,
     ``result.slo_report``; ``live`` prints a per-interval ticker to
     stderr while the swarm runs.
     """
-    if inprocess and shards != 1:
-        raise ValueError("inprocess mode supports exactly one shard")
     plan, preset_name = _resolve_plan(preset, seed)
     registry = metrics if metrics is not None else MetricsRegistry()
     sample_interval_s = telemetry_interval_s or interval_s
@@ -328,7 +325,7 @@ def run_load_test(*, shards: int = 1, clients: int = 32,
         max_inflight=max_inflight, preset=preset_name)
     started = time.perf_counter()
     try:
-        if inprocess:
+        if shards == 1:
             asyncio.run(_run_inprocess(
                 config, paths, result, plan, clients, duration_s,
                 warmup_s, honor_retry_after, max_retries, timeout_s,

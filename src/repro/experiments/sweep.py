@@ -33,8 +33,7 @@ from typing import Optional, Sequence
 
 from ..browser.engine import BrowserConfig
 from ..core.analysis_vec import VectorAnalyticModel, compile_site
-from ..core.catalyst import run_visit_sequence
-from ..core.modes import CachingMode, build_mode
+from ..core.modes import CachingMode
 from ..netsim.clock import format_duration
 from ..netsim.conditions import (FIGURE3_LATENCIES_MS,
                                  FIGURE3_THROUGHPUTS_MBPS)
@@ -42,6 +41,7 @@ from ..netsim.link import NetworkConditions
 from ..workload.corpus import Corpus, make_corpus
 from ..workload.sitegen import SiteSpec
 from .figure3 import HEADLINE_CONDITION, PAPER_REVISIT_DELAYS_S
+from .harness import replay
 from .report import format_grid, format_pct, format_table
 from .stats import spearman
 
@@ -231,26 +231,28 @@ def validate_cells(cells: Sequence[tuple[SiteSpec, NetworkConditions,
     Each ``(site, conditions, delay_s)`` cell (``delay_s=None``: a cold
     first visit) is priced once by the closed form
     (:meth:`~repro.core.analysis_vec.VectorAnalyticModel.batch_plt`)
-    and replayed once through the simulator (``build_mode`` +
-    ``run_visit_sequence``: a cold visit, then the revisit after
-    ``delay_s`` unless the cell is cold).  Gate: the Spearman rho of
-    (analytic, simulated) PLT over all rows must reach ``min_rho``.
+    and replayed once through the simulator, in-process
+    (:func:`~repro.experiments.harness.replay`: a cold visit, then the
+    revisit after ``delay_s`` unless the cell is cold).  Gate: the
+    Spearman rho of (analytic, simulated) last-visit PLT over all rows
+    must reach ``min_rho``.
     """
     model = VectorAnalyticModel(config=config, backend=backend)
     started = time.perf_counter()
+    simulated = iter(replay([(site, mode, conditions, delay_s)
+                             for site, conditions, delay_s in cells
+                             for mode in modes], base_config=config))
     rows = []
     for site, conditions, delay_s in cells:
         cold = delay_s is None
         analytic = model.batch_plt(compile_site(site), modes,
                                    (0.0 if cold else delay_s,),
                                    [conditions], cold=cold)
-        times = [0.0] if cold else [0.0, delay_s]
-        for mi, mode in enumerate(modes):
-            setup = build_mode(mode, site, config)
-            outcome = run_visit_sequence(setup, conditions, times)[-1]
-            rows.append((site.origin, conditions.describe(), mode.value,
-                         delay_s, float(analytic[0][mi][0]),
-                         outcome.result.plt_s))
+        for mi in range(len(modes)):
+            m = next(simulated)
+            rows.append((m.origin, m.conditions, m.mode, delay_s,
+                         float(analytic[0][mi][0]),
+                         m.last_visit[0] / 1000.0))
     rho = spearman([row[4] for row in rows], [row[5] for row in rows])
     return ValidationResult(rho=rho, min_rho=min_rho, rows=rows,
                             elapsed_s=time.perf_counter() - started)

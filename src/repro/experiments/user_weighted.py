@@ -11,8 +11,9 @@ It is a thin single-cohort view over the population engine
 one-cohort, uniform-popularity :class:`PopulationSpec`, and the
 measured revisits are the first ``sites * revisits_per_site`` warm
 entries of its deterministic schedule — the same sampler the fleet
-experiment shards across cohorts, so the two stay consistent by
-construction.
+experiment shards across cohorts, replayed through the same
+:func:`~repro.experiments.harness.replay` — so the two stay consistent
+by construction.
 """
 
 from __future__ import annotations
@@ -21,12 +22,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..browser.engine import BrowserConfig
-from ..core.catalyst import run_visit_sequence
-from ..core.modes import CachingMode, build_mode
+from ..core.modes import CachingMode
 from ..netsim.link import NetworkConditions
 from ..workload.corpus import Corpus, make_corpus
 from ..workload.population import CohortSpec, PopulationSpec, sample_visits
 from ..workload.revisits import DEFAULT_REVISIT_MODEL, RevisitModel
+from .harness import replay
 from .stats import Summary, summarize
 
 __all__ = ["UserWeightedResult", "run_user_weighted", "user_weighted_spec"]
@@ -88,8 +89,6 @@ def run_user_weighted(corpus: Optional[Corpus] = None,
 
     ``base_config=None`` means a fresh default per call.
     """
-    if base_config is None:
-        base_config = BrowserConfig()
     if corpus is None:
         corpus = make_corpus()
     subset = list(corpus.sample(sites, seed=seed).frozen())
@@ -99,22 +98,16 @@ def run_user_weighted(corpus: Optional[Corpus] = None,
                               seed=seed)
     visits = sample_visits(spec, sites * revisits_per_site,
                            measured_only=False, warm_only=True)
+    modes = (CachingMode.STANDARD, CachingMode.CATALYST)
+    rows = replay([(subset[visit.site], mode, conditions, visit.delay_s)
+                   for visit in visits for mode in modes],
+                  base_config=base_config)
     reductions: list[float] = []
     delays: list[float] = []
-    for visit in visits:
-        site = subset[visit.site]
-        delay_s = visit.delay_s
-        warm = {}
-        for mode in (CachingMode.STANDARD, CachingMode.CATALYST):
-            setup = build_mode(mode, site, base_config)
-            outcomes = run_visit_sequence(setup, conditions,
-                                          [0.0, delay_s])
-            warm[mode] = outcomes[1].result.plt_ms
-        if warm[CachingMode.STANDARD] > 0:
-            reductions.append(
-                (warm[CachingMode.STANDARD]
-                 - warm[CachingMode.CATALYST])
-                / warm[CachingMode.STANDARD])
-            delays.append(delay_s)
+    for standard, catalyst in zip(rows[::2], rows[1::2]):
+        if standard.warm_plt_ms > 0:
+            reductions.append((standard.warm_plt_ms - catalyst.warm_plt_ms)
+                              / standard.warm_plt_ms)
+            delays.append(standard.delay_s)
     return UserWeightedResult(conditions=conditions.describe(),
                               reductions=reductions, delays_s=delays)

@@ -18,9 +18,9 @@ recent window.
 Every instrument **merges**: :meth:`MetricsRegistry.dump` produces a
 portable (pickle- and JSON-safe) state and
 :meth:`MetricsRegistry.merge` folds such a dump — or another live
-registry — back in.  That is what lets a process-pool fan-out ship each
+registry — back in.  That is what lets the serving fleet ship each
 worker's registry back to the parent and report fleet-wide aggregates
-(see :func:`repro.experiments.parallel.run_grid_parallel`).
+(see :meth:`repro.http.fleet.ServerFleet.merged_metrics`).
 
 A process-wide default registry is available through :func:`registry`
 for code with no natural injection point; experiments that need

@@ -1,8 +1,8 @@
 """Mergeable fixed-memory percentile sketches.
 
 A :class:`MetricsRegistry` histogram that hoards raw samples cannot
-survive a fleet fan-out: a million-visit grid sharded over a process
-pool would either ship every sample back over the pickle boundary or
+survive a fleet fan-out: a long-lived server sharded over worker
+processes would either ship every sample back to the parent or
 silently drop each worker's distribution on the floor.  The fix is the
 same one HdrHistogram and DDSketch apply to production telemetry —
 bucket values on a *logarithmic* grid so that
@@ -12,8 +12,8 @@ bucket values on a *logarithmic* grid so that
 - any quantile estimate carries a *bounded relative error* (the bucket
   geometry guarantees it), and
 - two sketches over disjoint sample sets **merge losslessly** into the
-  sketch of the pooled set (bucket counts simply add), so a parallel
-  grid's merged percentiles equal the serial run's sketch exactly.
+  sketch of the pooled set (bucket counts simply add), so a sharded
+  fleet's merged percentiles equal one process's sketch exactly.
 
 Geometry (DDSketch-style): with relative-error target ``e``, buckets
 grow by ``gamma = (1 + e) / (1 - e)``; a value ``x > 0`` lands in bucket

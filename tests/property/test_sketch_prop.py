@@ -5,8 +5,8 @@ distribution of positive samples split across any number of shards —
 including empty shards and single-sample shards — merging the shard
 sketches and asking for ``percentile(q)`` returns a value within the
 sketch's relative error of the *pooled* samples' true nearest-rank
-percentile.  This is the property that makes ``run_grid_parallel``'s
-fleet aggregates trustworthy.
+percentile.  This is the property that makes merged serving-fleet
+latency percentiles trustworthy.
 """
 
 import math

@@ -155,6 +155,20 @@ class TestCommands:
         assert main(["--quiet", "sweep", "--delays", "notaduration"]) == 2
 
     @pytest.mark.parametrize("argv", [
+        ["--delays", "notaduration"],
+        ["--sites", "0"],
+        ["--sites", "1", "--throughputs", "60", "--latencies", "40",
+         "--delays", "1h", "--workers", "-1"],
+    ], ids=["bad-delay", "no-sites", "negative-workers"])
+    def test_figure3_bad_input_is_handled(self, capsys, argv):
+        assert main(["--quiet", "figure3", *argv]) == 2
+
+    def test_fleet_des_negative_workers_is_handled(self, capsys):
+        assert main(["--quiet", "fleet", "--users", "2000", "--visits",
+                     "100000", "--des", "--sample", "3",
+                     "--workers", "-1"]) == 2
+
+    @pytest.mark.parametrize("argv", [
         ["sweep", "--sites", "2", "--throughputs", "60",
          "--latencies", "10,100", "--delays", "1d", "--validate",
          "--validate-sites", "1"],

@@ -15,9 +15,9 @@ from repro.obs.metrics import MetricsRegistry
 
 
 def quick_run(**overrides):
-    defaults = dict(inprocess=True, clients=8, duration_s=0.6,
-                    warmup_s=0.15, latency_s=0.02, max_inflight=4,
-                    seed=1, retry_after_s=0.5, drain_s=1.0)
+    defaults = dict(clients=8, duration_s=0.6, warmup_s=0.15,
+                    latency_s=0.02, max_inflight=4, seed=1,
+                    retry_after_s=0.5, drain_s=1.0)
     defaults.update(overrides)
     return run_load_test(**defaults)
 
@@ -80,10 +80,6 @@ class TestInprocessRun:
             quick_run(preset="solar_flare")
         assert set(FAULT_PRESETS) == {"flaky_5g", "lossy_wifi",
                                       "captive_portal"}
-
-    def test_inprocess_requires_single_shard(self):
-        with pytest.raises(ValueError, match="one shard"):
-            run_load_test(inprocess=True, shards=2)
 
 
 class TestArtifacts:

@@ -1,16 +1,18 @@
-"""Unit tests for the multiprocess sweep (must equal the sequential one)."""
+"""The one DES replay: pooled rows must equal the in-process rows."""
 
 import pytest
 
 from repro.core.modes import CachingMode
-from repro.experiments.harness import fleet_summary, run_grid
-from repro.experiments.parallel import run_grid_parallel
-from repro.netsim.clock import HOUR
+from repro.experiments import harness
+from repro.experiments.harness import CACHE_SOURCES, replay, run_grid
+from repro.netsim.clock import DAY, HOUR
 from repro.netsim.link import NetworkConditions
-from repro.obs import MetricsRegistry
+from repro.obs.metrics import percentile
 from repro.workload.corpus import make_corpus
 
 COND = NetworkConditions.of(60, 40, label="60Mbps/40ms")
+SLOW = NetworkConditions.of(8, 100, label="8Mbps/100ms")
+MODES = (CachingMode.STANDARD, CachingMode.CATALYST)
 
 
 @pytest.fixture(scope="module")
@@ -20,115 +22,120 @@ def corpus():
 
 class TestParallelEqualsSequential:
     def test_identical_measurements(self, corpus):
-        kwargs = dict(sites=corpus,
-                      modes=(CachingMode.STANDARD, CachingMode.CATALYST),
-                      conditions_list=[COND], delays_s=[HOUR])
+        kwargs = dict(sites=corpus, modes=MODES, conditions_list=[COND],
+                      delays_s=[HOUR])
         sequential = run_grid(**kwargs)
-        parallel = run_grid_parallel(**kwargs, max_workers=2)
+        parallel = run_grid(**kwargs, max_workers=2)
         assert parallel.measurements == sequential.measurements
-
-    def test_single_task_runs_inline(self, corpus):
-        result = run_grid_parallel(
-            sites=corpus.sites[:1], modes=(CachingMode.STANDARD,),
-            conditions_list=[COND], delays_s=[HOUR])
-        assert len(result.measurements) == 1
 
     def test_full_grid_canonical_equivalence(self, corpus):
-        """Satellite (PR 3): multi-condition, multi-delay grid — the
-        parallel runner must reproduce the sequential GridResult
-        measurement-for-measurement in canonical order."""
-        kwargs = dict(
-            sites=corpus.sites[:2],
-            modes=(CachingMode.STANDARD, CachingMode.CATALYST),
-            conditions_list=[COND,
-                             NetworkConditions.of(8, 100,
-                                                  label="8Mbps/100ms")],
-            delays_s=[HOUR, 24 * HOUR],
-            audit_staleness=True)
+        """Multi-condition, multi-delay grid: the pooled replay must
+        reproduce the in-process GridResult measurement-for-measurement
+        in canonical order (conditions, then mode, delay, site)."""
+        sites = corpus.sites[:2]
+        delays = [HOUR, 24 * HOUR]
+        kwargs = dict(sites=sites, modes=MODES,
+                      conditions_list=[COND, SLOW], delays_s=delays,
+                      audit_staleness=True)
         sequential = run_grid(**kwargs)
-        parallel = run_grid_parallel(**kwargs, max_workers=2)
+        parallel = run_grid(**kwargs, max_workers=2)
         assert len(parallel.measurements) == 16
         assert parallel.measurements == sequential.measurements
+        assert [(m.conditions, m.mode, m.delay_s, m.origin)
+                for m in parallel.measurements] == \
+            [(cond.describe(), mode.value, delay, site.origin)
+             for cond in (COND, SLOW) for mode in MODES
+             for delay in delays for site in sites]
         assert parallel.mean_reduction_vs("standard", "catalyst") == \
             sequential.mean_reduction_vs("standard", "catalyst")
 
     def test_aggregations_work(self, corpus):
-        result = run_grid_parallel(
-            sites=corpus, modes=(CachingMode.STANDARD,
-                                 CachingMode.CATALYST),
-            conditions_list=[COND], delays_s=[HOUR], max_workers=2)
+        result = run_grid(sites=corpus, modes=MODES, conditions_list=[COND],
+                          delays_s=[HOUR], max_workers=2)
         reduction = result.mean_reduction_vs("standard", "catalyst")
         assert -0.5 < reduction < 1.0
 
 
-class TestFleetMetrics:
-    """The PR's acceptance criterion: merged worker registries report
-    the same fleet aggregates a serial run pools from raw samples."""
+class TestReplay:
+    @pytest.fixture(scope="class")
+    def cells(self, corpus):
+        site_a, site_b = corpus.sites[:2]
+        return [(site_a, CachingMode.CATALYST, COND, None),
+                (site_a, CachingMode.CATALYST, COND, HOUR),
+                (site_b, CachingMode.STANDARD, SLOW, DAY),
+                (site_b, CachingMode.STANDARD, SLOW, None)]
 
-    GRID = dict(modes=(CachingMode.STANDARD, CachingMode.CATALYST),
-                conditions_list=[COND,
-                                 NetworkConditions.of(8, 100,
-                                                      label="8Mbps/100ms")],
+    def test_mixed_cells_pooled_equals_serial(self, cells):
+        serial = replay(cells)
+        assert replay(cells, max_workers=2) == serial
+        assert [m.delay_s for m in serial] == [None, HOUR, DAY, None]
+
+    def test_cold_cell_runs_one_visit(self, cells, monkeypatch):
+        visits = []
+        real = harness.run_visit_sequence
+
+        def spy(setup, conditions, times, **kwargs):
+            visits.append(list(times))
+            return real(setup, conditions, times, **kwargs)
+
+        monkeypatch.setattr(harness, "run_visit_sequence", spy)
+        cold, warm, _, _ = replay(cells)
+        assert visits == [[0.0], [0.0, HOUR], [0.0, DAY], [0.0]]
+        assert (cold.warm_plt_ms, cold.warm_bytes, cold.warm_requests,
+                cold.warm_sources) == (0.0, 0, 0, {})
+        # the cold cell's one visit is the cold half of the warm cell
+        assert (cold.cold_plt_ms, cold.cold_bytes, cold.cold_requests) \
+            == (warm.cold_plt_ms, warm.cold_bytes, warm.cold_requests)
+
+    def test_last_visit_accessor(self, cells):
+        for m in replay(cells):
+            if m.delay_s is None:
+                want = (m.cold_plt_ms, m.cold_requests, m.cold_bytes)
+            else:
+                want = (m.warm_plt_ms, m.warm_requests, m.warm_bytes)
+            assert m.last_visit == want
+            assert m.last_visit[0] > 0 and m.last_visit[1] >= 1
+
+    def test_negative_workers_rejected(self, cells):
+        with pytest.raises(ValueError, match="max_workers"):
+            replay(cells, max_workers=-1)
+
+    def test_progress_once_per_chunk(self, cells):
+        messages = []
+        replay(cells, progress=messages.append)
+        # in-process: ~8 chunks; 4 cells make one cell per chunk
+        assert messages == [f"{n}/4 cells done" for n in range(1, 5)]
+
+
+class TestFleetMetrics:
+    """``GridResult.summary()``: the ``figure3`` CLI's summary line,
+    computed from the rows, so pooled and in-process agree exactly."""
+
+    GRID = dict(modes=MODES, conditions_list=[COND, SLOW],
                 delays_s=[HOUR, 24 * HOUR])
 
     def test_parallel_fleet_matches_serial(self, corpus):
-        serial_metrics = MetricsRegistry()
-        fleet_metrics = MetricsRegistry()
-        serial = run_grid(sites=corpus, metrics=serial_metrics,
-                          **self.GRID)
-        parallel = run_grid_parallel(sites=corpus, metrics=fleet_metrics,
-                                     max_workers=3, **self.GRID)
-        assert parallel.measurements == serial.measurements
+        serial = run_grid(sites=corpus, **self.GRID)
+        pooled = run_grid(sites=corpus, max_workers=3, **self.GRID)
+        assert pooled.measurements == serial.measurements
+        summary = serial.summary()
+        assert pooled.summary() == summary
 
-        serial_fleet = fleet_summary(serial_metrics)
-        merged_fleet = fleet_summary(fleet_metrics)
-        assert merged_fleet["pairs"] == serial_fleet["pairs"] == \
-            len(serial.measurements)
-        # Exact counter equality (retries, stale hits, hit ratio) —
-        # counts merge losslessly.
-        assert merged_fleet["warm_retries"] == serial_fleet["warm_retries"]
-        assert merged_fleet["warm_stale_hits"] == \
-            serial_fleet["warm_stale_hits"]
-        assert merged_fleet["cache_hit_ratio"] == pytest.approx(
-            serial_fleet["cache_hit_ratio"])
-        assert merged_fleet["cache_hit_ratio"] > 0.0
-        # PLT percentiles: both sides are below the raw-sample cap here,
-        # so pooled-vs-merged percentiles must agree *exactly*; the
-        # sketch's documented relative error is the bound that would
-        # apply beyond the cap.
-        assert set(merged_fleet["plt_ms"]) == set(serial_fleet["plt_ms"])
-        for series, stats in serial_fleet["plt_ms"].items():
-            merged_hist = fleet_metrics.get(f"fleet.plt_{series}")
-            bound = merged_hist.sketch.relative_error \
-                if not merged_hist.exact else 0.0
-            for key, truth in stats.items():
-                got = merged_fleet["plt_ms"][series][key]
-                assert abs(got - truth) <= bound * truth, \
-                    (series, key, got, truth)
-
-    def test_measurements_identical_with_and_without_metrics(self, corpus):
-        # Byte-identical simulated timestamps: metrics recording is
-        # post-hoc and must never perturb the DES.
-        bare = run_grid_parallel(sites=corpus, max_workers=2, **self.GRID)
-        metered = run_grid_parallel(sites=corpus, max_workers=2,
-                                    metrics=MetricsRegistry(), **self.GRID)
-        assert bare.measurements == metered.measurements
-
-    def test_worker_heartbeat_gauges_recorded(self, corpus):
-        metrics = MetricsRegistry()
-        run_grid_parallel(sites=corpus, metrics=metrics, max_workers=2,
-                          **self.GRID)
-        snap = metrics.snapshot()
-        assert snap["fleet.workers"] >= 1
-        per_worker = [value for name, value in snap.items()
-                      if name.startswith("fleet.worker.")
-                      and name.endswith(".pairs")]
-        assert per_worker and sum(per_worker) == snap["fleet.pairs"]
+        rows = serial.measurements
+        warm = [m.warm_plt_ms for m in rows]
+        assert summary["pairs"] == len(rows)
+        for q in (50, 90, 99):
+            assert summary[f"warm_p{q}_ms"] == percentile(warm, q)
+        hits = sum(m.warm_sources.get(source, 0) for m in rows
+                   for source in CACHE_SOURCES)
+        acquired = sum(sum(m.warm_sources.values()) for m in rows)
+        assert summary["cache_hit_ratio"] == hits / acquired > 0.0
+        assert summary["warm_retries"] == sum(m.warm_retries for m in rows)
 
     def test_serial_grid_records_fleet_metrics_too(self, corpus):
-        metrics = MetricsRegistry()
-        run_grid(sites=corpus.sites[:1], modes=(CachingMode.CATALYST,),
-                 conditions_list=[COND], delays_s=[HOUR], metrics=metrics)
-        fleet = fleet_summary(metrics)
-        assert fleet["pairs"] == 1
-        assert fleet["plt_ms"]["warm_ms"]["p50"] > 0.0
+        result = run_grid(sites=corpus.sites[:1],
+                          modes=(CachingMode.CATALYST,),
+                          conditions_list=[COND], delays_s=[HOUR])
+        summary = result.summary()
+        assert summary["pairs"] == 1
+        assert summary["warm_p50_ms"] > 0.0

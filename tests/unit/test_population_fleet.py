@@ -1,10 +1,9 @@
 """Unit tests for the population-scale fleet engine.
 
 Covers the contracts the fleet CLI and CI gates depend on: analytic
-backends agree to float tolerance, parallel DES merges *exactly* with
-serial (the O(cohorts) streaming claim), the sketch cap bounds memory
-without losing counts, and the run payload carries what ``report_html``
-reads.
+backends agree to float tolerance, a pooled DES replay folds into
+*exactly* the serial registry, and the run payload carries what
+``report_html`` reads.
 """
 
 import pytest
@@ -96,23 +95,6 @@ def test_des_parallel_merges_exactly_with_serial(spec, corpus):
     a.pop("fleet.des.workers")
     b.pop("fleet.des.workers")
     assert a == b
-
-
-def test_des_sketch_cap_preserves_counts(spec, corpus):
-    """With a tiny per-histogram cap the registry stays bounded but the
-    visit/request counters and histogram counts stay exact."""
-    capped = run_fleet_des(spec, corpus, sample=6, max_workers=0,
-                           histogram_samples=4)
-    exact = run_fleet_des(spec, corpus, sample=6, max_workers=0)
-    assert capped.visits == exact.visits
-    for name, modes in exact.cohorts.items():
-        for mode, snap in modes.items():
-            capped_snap = capped.cohorts[name][mode]
-            assert capped_snap["count"] == snap["count"]
-            assert capped_snap["visits"] == snap["visits"]
-    for instrument in capped.metrics:
-        if hasattr(instrument, "exact") and instrument.count > 4:
-            assert not instrument.exact  # spilled to the sketch
 
 
 def test_des_covers_every_cohort(spec, corpus):

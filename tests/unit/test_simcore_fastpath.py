@@ -248,7 +248,8 @@ class TestSlotsContainersPickle:
             origin="https://a.example", mode="catalyst",
             conditions="8Mbps/100ms", delay_s=3600.0,
             cold_plt_ms=1200.5, warm_plt_ms=400.25,
-            cold_bytes=100_000, warm_bytes=5_000, warm_requests=3,
+            cold_bytes=100_000, cold_requests=40, warm_bytes=5_000,
+            warm_requests=3,
             warm_sources={"network": 1, "sw-cache": 2},
             warm_stale_hits=0)
 
