@@ -54,12 +54,16 @@ class CacheEntry:
         """Fold a 304's headers into the stored response (RFC 9111 §4.3.4).
 
         The 304 carries updated metadata (Date, Cache-Control, ETag...);
-        the body stays.
+        each field it names replaces every stored occurrence with all of
+        the 304's occurrences.  The body stays.
         """
-        for name, _ in list(validated.headers.items()):
+        stored = self.response.headers
+        for name in validated.headers.names():
             if name.lower() in ("content-length", "transfer-encoding"):
                 continue
-            self.response.headers.set(name, validated.headers[name])
+            stored.remove(name)
+            for value in validated.headers.get_all(name):
+                stored.add(name, value)
         self.request_time = request_time
         self.response_time = response_time
 

@@ -85,10 +85,7 @@ class ServiceWorkerCache:
 
     def peek(self, url: str) -> Optional[CacheEntry]:
         """Entry stored for ``url`` (any variant), without LRU side effects."""
-        for entry in self._store.entries():
-            if entry.url == url:
-                return entry
-        return None
+        return self._store.peek(url)
 
     def stored_etag(self, url: str) -> Optional[ETag]:
         entry = self.peek(url)

@@ -10,6 +10,7 @@ rejected).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional
 
 __all__ = ["CacheControl", "parse_cache_control"]
@@ -81,8 +82,12 @@ def _parse_delta_seconds(raw: str, directive: str) -> int:
     return min(value, 2 ** 31)
 
 
+@lru_cache(maxsize=128)
 def parse_cache_control(value: str) -> CacheControl:
     """Parse a Cache-Control field value.
+
+    Memoized by value: a site sends a handful of distinct strings, and
+    the result is frozen, so every caller can share it.
 
     >>> cc = parse_cache_control("no-cache, max-age=300")
     >>> cc.no_cache, cc.max_age

@@ -11,6 +11,7 @@ from __future__ import annotations
 import calendar
 import time
 from email.utils import parsedate_to_datetime
+from functools import lru_cache
 
 __all__ = ["format_http_date", "parse_http_date"]
 
@@ -28,10 +29,13 @@ def format_http_date(timestamp: float) -> str:
     return time.strftime(_IMF_FIXDATE, time.gmtime(timestamp))
 
 
+@lru_cache(maxsize=256)
 def parse_http_date(value: str) -> float:
     """Parse any of the three HTTP date formats to a POSIX timestamp.
 
-    Raises :class:`ValueError` on malformed input.
+    Raises :class:`ValueError` on malformed input (never memoized, so it
+    raises every time).  Valid values are memoized: ``strptime`` is slow
+    and a run revalidates against the same few dates over and over.
 
     >>> parse_http_date('Sun, 06 Nov 1994 08:49:37 GMT')
     784111777.0

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Optional
 
 __all__ = ["ETag", "parse_etag", "parse_etag_list", "etag_for_content"]
@@ -44,8 +45,12 @@ class ETag:
         return self.opaque == other.opaque
 
 
+@lru_cache(maxsize=1024)
 def parse_etag(value: str) -> ETag:
     """Parse one entity-tag production.
+
+    Memoized by value (``ETag`` is frozen, so callers share it); a
+    malformed tag raises every time.
 
     >>> parse_etag('W/"abc"')
     ETag(opaque='abc', weak=True)
@@ -86,6 +91,8 @@ def parse_etag_list(value: str) -> Optional[list[ETag]]:
 
 def _split_list(text: str) -> Iterable[str]:
     """Split a comma-separated etag list, respecting quoted strings."""
+    if "," not in text:  # one member, the usual If-None-Match
+        return [text.strip()] if text.strip() else []
     parts = []
     depth_quote = False
     current = []

@@ -8,7 +8,9 @@ deterministic tests).
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping, Optional, Union
+from collections.abc import Iterable, Iterator, Mapping
+from functools import lru_cache
+from typing import Optional, Union
 
 __all__ = ["Headers"]
 
@@ -16,8 +18,34 @@ _RawItems = Union["Headers", Mapping[str, str],
                   Iterable[tuple[str, str]], None]
 
 
+@lru_cache(maxsize=512)
+def _folded_name(name: str) -> str:
+    """The lowercase lookup key of a valid field name.
+
+    Memoized: a program sends the same few dozen names over and over, so
+    each is validated once.  An invalid name raises every time (the cache
+    never stores an exception).
+    """
+    if not name or any(c in name for c in " \t\r\n:"):
+        raise ValueError(f"invalid header field name: {name!r}")
+    return name.lower()
+
+
+def _checked_value(value: str) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"header value must be str, got {type(value)}")
+    if "\r" in value or "\n" in value:
+        raise ValueError("header value contains CR/LF (smuggling risk)")
+    return value.strip()
+
+
 class Headers:
     """An ordered, case-insensitive multimap of header fields.
+
+    ``_items`` keeps every field as sent (order, duplicates, original
+    case); ``_keys`` holds the lowercase name of each, position for
+    position, so lookups run as C-level ``in`` / ``list.index`` scans.
+    ``wire_size`` is cached until the next mutation.
 
     >>> h = Headers({"Content-Type": "text/html"})
     >>> h["content-type"]
@@ -27,14 +55,18 @@ class Headers:
     ['a=1', 'b=2']
     """
 
-    __slots__ = ("_items",)
+    __slots__ = ("_items", "_keys", "_wire_size")
 
     def __init__(self, items: _RawItems = None):
         self._items: list[tuple[str, str]] = []
+        self._keys: list[str] = []
+        self._wire_size: Optional[int] = None
         if items is None:
             return
         if isinstance(items, Headers):
             self._items = list(items._items)
+            self._keys = list(items._keys)
+            self._wire_size = items._wire_size
         elif isinstance(items, Mapping):
             for name, value in items.items():
                 self.add(name, value)
@@ -45,7 +77,10 @@ class Headers:
     # -- mutation ----------------------------------------------------------
     def add(self, name: str, value: str) -> None:
         """Append an occurrence of ``name`` (keeps existing ones)."""
-        self._items.append((self._check_name(name), self._check_value(value)))
+        key = _folded_name(name)
+        self._items.append((name, _checked_value(value)))
+        self._keys.append(key)
+        self._wire_size = None
 
     def set(self, name: str, value: str) -> None:
         """Replace all occurrences of ``name`` with a single value."""
@@ -64,28 +99,35 @@ class Headers:
 
         ``set`` removes then appends, which moves the field to the end;
         on the wire (and for byte-identity checks) order matters.  The
-        first occurrence is rewritten in place, later duplicates are
-        dropped; an absent field is appended like ``set``.
+        first occurrence is rewritten in place (under its own spelling),
+        later duplicates are dropped; an absent field is appended like
+        ``set``.
         """
         key = name.lower()
-        replaced = False
-        items: list[tuple[str, str]] = []
-        for n, v in self._items:
-            if n.lower() == key:
-                if replaced:
-                    continue
-                items.append((n, self._check_value(value)))
-                replaced = True
-            else:
-                items.append((n, v))
-        self._items = items
-        if not replaced:
+        keys = self._keys
+        if key not in keys:
             self.add(name, value)
+            return
+        value = _checked_value(value)
+        first = keys.index(key)
+        self._drop(key, start=first + 1)
+        self._items[first] = (self._items[first][0], value)
+        self._wire_size = None
 
     def remove(self, name: str) -> None:
         """Drop every occurrence of ``name`` (no error if absent)."""
         key = name.lower()
-        self._items = [(n, v) for n, v in self._items if n.lower() != key]
+        if key in self._keys:
+            self._drop(key)
+
+    def _drop(self, key: str, start: int = 0) -> None:
+        """Remove the fields named ``key`` at or after position ``start``."""
+        items, keys = self._items, self._keys
+        kept = [pair for pair in zip(items[start:], keys[start:])
+                if pair[1] != key]
+        self._items = items[:start] + [item for item, _ in kept]
+        self._keys = keys[:start] + [k for _, k in kept]
+        self._wire_size = None
 
     def extend(self, items: _RawItems) -> None:
         for name, value in Headers(items).items():
@@ -95,30 +137,36 @@ class Headers:
     def get(self, name: str, default: Optional[str] = None) -> Optional[str]:
         """First occurrence of ``name``, or ``default``."""
         key = name.lower()
-        for n, v in self._items:
-            if n.lower() == key:
-                return v
+        keys = self._keys
+        if key in keys:
+            return self._items[keys.index(key)][1]
         return default
 
     def get_all(self, name: str) -> list[str]:
         """Every occurrence of ``name``, in insertion order."""
         key = name.lower()
-        return [v for n, v in self._items if n.lower() == key]
+        if key not in self._keys:
+            return []
+        return [item[1] for item, k in zip(self._items, self._keys)
+                if k == key]
 
     def get_joined(self, name: str) -> Optional[str]:
         """All occurrences joined with ``", "`` (RFC 9110 list semantics)."""
-        values = self.get_all(name)
-        if not values:
+        key = name.lower()
+        keys = self._keys
+        if key not in keys:
             return None
-        return ", ".join(values)
+        if keys.count(key) == 1:
+            return self._items[keys.index(key)][1]
+        return ", ".join(self.get_all(name))
 
     def items(self) -> Iterator[tuple[str, str]]:
         return iter(self._items)
 
     def names(self) -> list[str]:
         seen: dict[str, str] = {}
-        for n, _ in self._items:
-            seen.setdefault(n.lower(), n)
+        for (n, _), key in zip(self._items, self._keys):
+            seen.setdefault(key, n)
         return list(seen.values())
 
     def copy(self) -> "Headers":
@@ -135,14 +183,15 @@ class Headers:
         self.set(name, value)
 
     def __delitem__(self, name: str) -> None:
-        if name.lower() not in (n.lower() for n, _ in self._items):
+        key = name.lower()
+        if key not in self._keys:
             raise KeyError(name)
-        self.remove(name)
+        self._drop(key)
 
     def __contains__(self, name: object) -> bool:
         if not isinstance(name, str):
             return False
-        return self.get(name) is not None
+        return name.lower() in self._keys
 
     def __len__(self) -> int:
         return len(self._items)
@@ -154,8 +203,8 @@ class Headers:
         """Order-insensitive, name-case-insensitive equality."""
         if not isinstance(other, Headers):
             return NotImplemented
-        mine = sorted((n.lower(), v) for n, v in self._items)
-        theirs = sorted((n.lower(), v) for n, v in other._items)
+        mine = sorted(zip(self._keys, (v for _, v in self._items)))
+        theirs = sorted(zip(other._keys, (v for _, v in other._items)))
         return mine == theirs
 
     def __repr__(self) -> str:
@@ -165,20 +214,11 @@ class Headers:
     # -- wire accounting ----------------------------------------------------
     def wire_size(self) -> int:
         """Bytes these headers occupy serialized (``Name: value\\r\\n``)."""
-        return sum(len(n) + 2 + len(v.encode("utf-8", "replace")) + 2
-                   for n, v in self._items)
-
-    # -- validation ----------------------------------------------------------
-    @staticmethod
-    def _check_name(name: str) -> str:
-        if not name or any(c in name for c in " \t\r\n:"):
-            raise ValueError(f"invalid header field name: {name!r}")
-        return name
-
-    @staticmethod
-    def _check_value(value: str) -> str:
-        if not isinstance(value, str):
-            raise TypeError(f"header value must be str, got {type(value)}")
-        if "\r" in value or "\n" in value:
-            raise ValueError("header value contains CR/LF (smuggling risk)")
-        return value.strip()
+        size = self._wire_size
+        if size is None:
+            size = 4 * len(self._items)
+            for n, v in self._items:
+                size += len(n) + (len(v) if v.isascii()
+                                  else len(v.encode("utf-8", "replace")))
+            self._wire_size = size
+        return size

@@ -35,8 +35,8 @@ from ..core.etag_config import (DEFAULT_MAX_ENTRIES,
                                 DEFAULT_MAX_HEADER_BYTES,
                                 ETAG_CONFIG_DIGEST_HEADER,
                                 ETAG_CONFIG_SAME_HEADER, EtagConfig)
-from ..html.parser import (ResourceKind, ResourceRef, extract_resources,
-                           is_same_origin, parse_html)
+from ..html.parser import (ResourceKind, ResourceRef,
+                           extract_resources_cached, is_same_origin)
 from ..html.css import extract_css_refs
 from ..html.rewrite import CACHE_SW_PATH, inject_sw_registration
 from ..http.dates import format_http_date
@@ -178,13 +178,17 @@ class CatalystServer:
         self._css_children_memo: dict[tuple[str, int], list[str]] = {}
         #: (path, document_version) -> rendered entry (body + headers)
         self._render_cache: dict[tuple[str, int], _RenderEntry] = {}
-        #: (path, document_version) -> extracted ResourceRef list
-        self._ref_cache: dict[tuple[str, int], list[ResourceRef]] = {}
+        #: (path, document_version) -> extracted ResourceRefs
+        self._ref_cache: dict[tuple[str, int],
+                              tuple[ResourceRef, ...]] = {}
         #: (scope, version-vector) -> session-independent EtagConfig
         self._map_cache: dict[tuple, EtagConfig] = {}
         #: hot-path cache verdicts (render, parse/ref and ETag-map
-        #: caches) and the DOM / stylesheet parses actually performed;
-        #: ``ref_hits`` is the document parses the ref cache avoided
+        #: caches); ``ref_hits`` is the document parses the ref cache
+        #: avoided.  ``html_parses`` counts the documents handed to the
+        #: shared digest-keyed parse (``extract_resources_cached``, which
+        #: the browser also uses), ``css_parses`` the stylesheet parses
+        #: performed
         self.render_hits = 0
         self.render_misses = 0
         self.ref_hits = 0
@@ -384,7 +388,8 @@ class CatalystServer:
                                    at_time)
 
     def _refs_for_document(self, markup, path: Optional[str],
-                           doc_version: Optional[int]) -> list[ResourceRef]:
+                           doc_version: Optional[int]
+                           ) -> tuple[ResourceRef, ...]:
         cacheable = (self.config.hot_path_cache and path is not None
                      and doc_version is not None)
         if cacheable:
@@ -395,7 +400,7 @@ class CatalystServer:
             self.ref_misses += 1
         text = markup() if callable(markup) else markup
         self.html_parses += 1
-        refs = extract_resources(parse_html(text), base_url="")
+        refs = extract_resources_cached(text, base_url="")
         if cacheable:
             self._ref_cache[(path, doc_version)] = refs
             self._trim(self._ref_cache)

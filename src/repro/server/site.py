@@ -9,16 +9,25 @@ serves identical representations — across processes and runs.
 The simulated epoch maps to an absolute wall epoch (:data:`WALL_EPOCH`)
 for ``Date``/``Last-Modified``/``Expires`` headers, which keeps the HTTP
 cache arithmetic real rather than mocked.
+
+What content fixes is computed once per process and shared by every
+origin built over the same spec: churn timelines
+(:func:`~repro.workload.churn.shared_churn`) and, per resource version,
+one compact :class:`_Template` (:func:`_resource_template`).  What a run
+changes stays per instance: request counts (they version dynamic
+resources), rendered documents (a :class:`PageSpec` is mutable) and the
+servers' counters and sessions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from functools import lru_cache
+from typing import NamedTuple, Optional
 
 from ..html.parser import ResourceKind
 from ..http.dates import format_http_date
-from ..http.etag import etag_for_content
+from ..http.etag import ETag, etag_for_content
 from ..http.headers import Headers
 from ..http.messages import Response
 from ..workload.churn import ResourceChurn
@@ -45,6 +54,35 @@ CONTENT_TYPES: dict[ResourceKind, str] = {
 HTML_CONTENT_TYPE = "text/html; charset=utf-8"
 
 
+class _Template(NamedTuple):
+    """What a resource version's 200 carries besides its ``Date``."""
+
+    etag: str
+    last_modified: str
+    cache_control: Optional[str]
+    #: the stand-in body (hashed for the ETag) and its declared size
+    body: bytes
+    size: int
+
+
+@lru_cache(maxsize=1024)
+def _resource_template(spec: ResourceSpec, version: int,
+                       last_modified: float) -> _Template:
+    """The shared 200 template of one (resource, version, Last-Modified).
+
+    A pure function of its key, so every :class:`OriginSite` over the
+    spec shares it.  ``last_modified`` is part of the key because a
+    dynamic resource's version counts requests while its Last-Modified
+    follows the churn timeline.  Full serving-tier bodies are never
+    stored here.
+    """
+    standin, size = render_resource_body(spec, version)
+    return _Template(etag=str(etag_for_content(standin)),
+                     last_modified=format_http_date(last_modified),
+                     cache_control=spec.policy.to_cache_control(),
+                     body=standin, size=size)
+
+
 @dataclass
 class OriginSite:
     """Serves one synthetic site's content as HTTP responses.
@@ -64,14 +102,10 @@ class OriginSite:
     _html_churns: dict[str, ResourceChurn] = field(default_factory=dict)
     #: requests served per URL (diagnostics)
     request_counts: dict[str, int] = field(default_factory=dict)
-    #: (url, version) -> opaque ETag; content is deterministic per
-    #: version, so tags are computed once — exactly the memoization a
-    #: production stapling server needs to keep per-request cost flat
-    _etag_memo: dict[tuple[str, int], str] = field(default_factory=dict)
-    #: (url, version) -> encoded base-HTML body; rendering the markup is
-    #: the priciest part of a document response and versions churn far
-    #: more slowly than requests arrive
-    _html_body_memo: dict[tuple[str, int], bytes] = field(
+    #: (url, version) -> encoded base-HTML body and its ETag; rendering
+    #: the markup is the priciest part of a document response and
+    #: versions churn far more slowly than requests arrive
+    _documents: dict[tuple[str, int], tuple[bytes, ETag]] = field(
         default_factory=dict, repr=False)
     #: url -> ResourceSpec index; the SiteSpec is immutable, so the
     #: per-request page scan in :meth:`resource_spec` collapses to one
@@ -114,10 +148,12 @@ class OriginSite:
         spec = self.resource_spec(url)
         if spec is None:
             return None
+        return self._resource_version(spec, at_time)
+
+    def _resource_version(self, spec: ResourceSpec, at_time: float) -> int:
         if spec.dynamic:
             # Personalised response: new representation on every request.
-            count = self.request_counts.get(url, 0)
-            return count
+            return self.request_counts.get(spec.url, 0)
         return self._churn_for(spec).version_at(at_time)
 
     def last_modified_of(self, url: str, at_time: float) -> float:
@@ -149,48 +185,47 @@ class OriginSite:
         return Response(status=404, body=b"not found",
                         headers=Headers({"Content-Type": "text/plain"}))
 
-    def _respond_page(self, page: PageSpec, at_time: float) -> Response:
-        version = self._html_churn_for(page).version_at(at_time)
+    def _document(self, page: PageSpec, version: int) -> tuple[bytes, ETag]:
         memo_key = (page.url, version)
-        body = self._html_body_memo.get(memo_key)
-        if body is None:
+        document = self._documents.get(memo_key)
+        if document is None:
             body = render_html(page, version).encode()
-            self._html_body_memo[memo_key] = body
-        headers = self._common_headers(page.url, at_time, HTML_CONTENT_TYPE,
-                                       body)
+            document = self._documents[memo_key] = (
+                body, etag_for_content(body))
+        return document
+
+    def _respond_page(self, page: PageSpec, at_time: float) -> Response:
+        churn = self._html_churn_for(page)
+        body, etag = self._document(page, churn.version_at(at_time))
         # Base documents ship no-cache in the wild and in the paper's
         # examples: always revalidated, never trusted from cache.
-        headers.set("Cache-Control", "no-cache")
+        headers = _headers(
+            at_time, HTML_CONTENT_TYPE, str(etag),
+            format_http_date(WALL_EPOCH + churn.last_change_at(at_time)),
+            "no-cache")
         self._count(page.url)
         return Response(status=200, headers=headers, body=body)
 
+    def _template(self, spec: ResourceSpec, version: int,
+                  at_time: float) -> _Template:
+        last_modified = self._churn_for(spec).last_change_at(at_time)
+        return _resource_template(spec, version, WALL_EPOCH + last_modified)
+
     def _respond_resource(self, spec: ResourceSpec,
                           at_time: float) -> Response:
-        version = self.version_of(spec.url, at_time)
-        standin, wire_size = render_resource_body(spec, version)
-        headers = self._common_headers(spec.url, at_time,
-                                       CONTENT_TYPES[spec.kind], standin)
-        spec.policy.apply(headers)
+        version = self._resource_version(spec, at_time)
+        template = self._template(spec, version, at_time)
+        headers = _headers(at_time, CONTENT_TYPES[spec.kind], template.etag,
+                           template.last_modified, template.cache_control)
         self._count(spec.url)
         if self.materialize_fully:
             body, _ = render_resource_body(spec, version,
                                            materialize_fully=True)
             return Response(status=200, headers=headers, body=body)
-        declared = None if wire_size == len(standin) else wire_size
-        return Response(status=200, headers=headers, body=standin,
+        declared = (None if template.size == len(template.body)
+                    else template.size)
+        return Response(status=200, headers=headers, body=template.body,
                         declared_size=declared)
-
-    def _common_headers(self, url: str, at_time: float, content_type: str,
-                        tagged: bytes) -> Headers:
-        """Headers every 200 carries; the ETag hashes ``tagged``."""
-        headers = Headers()
-        headers.set("Date", format_http_date(WALL_EPOCH + at_time))
-        headers.set("Content-Type", content_type)
-        headers.set("ETag", str(etag_for_content(tagged)))
-        last_modified = self.last_modified_of(url, at_time)
-        headers.set("Last-Modified", format_http_date(last_modified))
-        headers.set("Server", "repro-origin")
-        return headers
 
     def _count(self, url: str) -> None:
         self.request_counts[url] = self.request_counts.get(url, 0) + 1
@@ -210,26 +245,14 @@ class OriginSite:
         page = self.page_spec(url)
         if page is not None:
             version = self._html_churn_for(page).version_at(at_time)
-            memo_key = (url, version)
-            cached = self._etag_memo.get(memo_key)
-            if cached is None:
-                body = render_html(page, version).encode()
-                cached = etag_for_content(body).opaque
-                self._etag_memo[memo_key] = cached
-            return cached
+            return self._document(page, version)[1].opaque
         spec = self.resource_spec(url)
         if spec is None:
             return None
         if spec.dynamic:
             return None  # changes per request; has no stable current tag
         version = self._churn_for(spec).version_at(at_time)
-        memo_key = (url, version)
-        cached = self._etag_memo.get(memo_key)
-        if cached is None:
-            body, _ = render_resource_body(spec, version)
-            cached = etag_for_content(body).opaque
-            self._etag_memo[memo_key] = cached
-        return cached
+        return self._template(spec, version, at_time).etag.strip('"')
 
     def changed_between(self, url: str, t0: float, t1: float) -> bool:
         """Whether a (non-dynamic) resource's content changed in (t0, t1]."""
@@ -256,3 +279,14 @@ class OriginSite:
             urls.append(page_url)
             urls.extend(page.resources)
         return urls
+
+
+def _headers(at_time: float, content_type: str, etag: str,
+             last_modified: str, cache_control: Optional[str]) -> Headers:
+    """Headers every 200 carries, in wire order."""
+    fields = [("Date", format_http_date(WALL_EPOCH + at_time)),
+              ("Content-Type", content_type), ("ETag", etag),
+              ("Last-Modified", last_modified), ("Server", "repro-origin")]
+    if cache_control is not None:
+        fields.append(("Cache-Control", cache_control))
+    return Headers(fields)

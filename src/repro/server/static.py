@@ -93,8 +93,7 @@ class StaticServer:
     def _not_modified(full: Response) -> Response:
         headers = Headers()
         for name in _304_HEADERS:
-            value = full.headers.get(name)
-            if value is not None:
-                headers.set(name, value)
+            for value in full.headers.get_all(name):
+                headers.add(name, value)
         return Response(status=304, headers=headers, body=b"",
                         declared_size=0)

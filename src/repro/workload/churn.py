@@ -17,18 +17,26 @@ studies the paper leans on (checked by ``experiments.motivation``):
 
 The flavor: markup and JSON/XHR churn in hours-to-days, scripts and
 stylesheets in days-to-weeks, images and fonts in weeks-to-months.
+
+A timeline is a pure function of ``(period, seed, fixed change times)``,
+so :func:`shared_churn` hands every caller asking for the same three
+values one shared :class:`ResourceChurn`: the grid's cells rebuild their
+origins per cell, but each timeline is drawn once per process.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 
 from ..html.parser import ResourceKind
 
-__all__ = ["ChurnModel", "ResourceChurn", "DEFAULT_CHANGE_PERIODS"]
+__all__ = ["ChurnModel", "ResourceChurn", "DEFAULT_CHANGE_PERIODS",
+           "shared_churn"]
 
 
 @dataclass(frozen=True)
@@ -76,28 +84,39 @@ class ResourceChurn:
     """Deterministic change history for one resource.
 
     Change times are drawn lazily from an exponential inter-arrival
-    process; :meth:`version_at` is monotone in ``t`` and pure.
+    process; :meth:`version_at` is monotone in ``t`` and pure.  The
+    times are kept as C doubles (exact, 8 bytes each), and no generator
+    is held between extensions (a ``random.Random`` is about 2.9 KB): an
+    extension reseeds one and skips the draws already taken, one
+    ``random()`` per ``expovariate``, so the times are those of one
+    uninterrupted stream.
     """
 
-    __slots__ = ("period_s", "_rng", "_change_times", "_fixed")
+    __slots__ = ("period_s", "_seed", "_change_times", "_fixed")
 
     def __init__(self, period_s: float, seed: int,
                  change_times: list[float] | None = None):
         if period_s <= 0:
             raise ValueError("change period must be positive")
         self.period_s = period_s
-        self._rng = random.Random(seed)
+        self._seed = seed
         self._fixed = change_times is not None
-        self._change_times: list[float] = (
-            sorted(change_times) if change_times else [])
+        self._change_times = array(
+            "d", sorted(change_times) if change_times else ())
 
     def _extend_to(self, t: float) -> None:
         if math.isinf(self.period_s) or self._fixed:
             return
-        last = self._change_times[-1] if self._change_times else 0.0
+        times = self._change_times
+        last = times[-1] if times else 0.0
+        if last > t:
+            return
+        rng = random.Random(self._seed)
+        for _ in range(len(times)):
+            rng.random()
         while last <= t:
-            last += self._rng.expovariate(1.0 / self.period_s)
-            self._change_times.append(last)
+            last += rng.expovariate(1.0 / self.period_s)
+            times.append(last)
 
     def version_at(self, t: float) -> int:
         """Number of content changes in (0, t] — the version counter.
@@ -138,6 +157,20 @@ class ResourceChurn:
         if math.isinf(self.period_s):
             return 0.0
         return 1.0 - math.exp(-delta_s / self.period_s)
+
+
+@lru_cache(maxsize=1024)
+def shared_churn(period_s: float, seed: int,
+                 change_times: tuple[float, ...] | None) -> ResourceChurn:
+    """The process-wide timeline for ``(period_s, seed, change_times)``.
+
+    Bounded: an evicted timeline is simply redrawn, identically, by the
+    next caller, and callers that still hold it keep a valid view.
+    """
+    return ResourceChurn(period_s=period_s, seed=seed,
+                         change_times=(list(change_times)
+                                       if change_times is not None
+                                       else None))
 
 
 class ChurnModel:

@@ -30,7 +30,7 @@ from functools import lru_cache
 from typing import Iterator, Optional
 
 from ..html.parser import ResourceKind
-from .churn import ChurnModel, ResourceChurn
+from .churn import ChurnModel, ResourceChurn, shared_churn
 from .headers_model import DeveloperModel, HeaderPolicy
 from .resources import (HTML_SIZE, draw_kind, draw_resource_count, draw_size)
 
@@ -82,11 +82,9 @@ class ResourceSpec:
     fixed_change_times: tuple[float, ...] | None = None
 
     def make_churn(self) -> ResourceChurn:
-        """Fresh churn view (deterministic: same seed, same history)."""
-        return ResourceChurn(
-            period_s=self.change_period_s, seed=self.content_seed,
-            change_times=(list(self.fixed_change_times)
-                          if self.fixed_change_times is not None else None))
+        """Churn timeline (same seed, same history), shared process-wide."""
+        return shared_churn(self.change_period_s, self.content_seed,
+                            self.fixed_change_times)
 
 
 @dataclass
@@ -105,12 +103,9 @@ class PageSpec:
     html_fixed_change_times: tuple[float, ...] | None = None
 
     def make_html_churn(self) -> ResourceChurn:
-        return ResourceChurn(
-            period_s=self.html_change_period_s,
-            seed=self.html_content_seed,
-            change_times=(list(self.html_fixed_change_times)
-                          if self.html_fixed_change_times is not None
-                          else None))
+        return shared_churn(self.html_change_period_s,
+                            self.html_content_seed,
+                            self.html_fixed_change_times)
 
     def iter_resources(self) -> Iterator[ResourceSpec]:
         return iter(self.resources.values())

@@ -63,3 +63,179 @@ def test_copy_equal_but_independent(items):
 @given(pairs)
 def test_len_counts_occurrences(items):
     assert len(Headers(items)) == len(items)
+
+
+class _ReferenceHeaders:
+    """The list-scan multimap ``Headers`` replaced, kept as the oracle.
+
+    Every lookup lowers every field name; the indexed ``Headers`` must be
+    indistinguishable from it through the public API.
+    """
+
+    def __init__(self, items=None):
+        self._items = []
+        if items is None:
+            return
+        if isinstance(items, _ReferenceHeaders):
+            self._items = list(items._items)
+        elif isinstance(items, dict):
+            for name, value in items.items():
+                self.add(name, value)
+        else:
+            for name, value in items:
+                self.add(name, value)
+
+    def add(self, name, value):
+        self._items.append((self._check_name(name), self._check_value(value)))
+
+    def set(self, name, value):
+        self.remove(name)
+        self.add(name, value)
+
+    def setdefault(self, name, value):
+        existing = self.get(name)
+        if existing is not None:
+            return existing
+        self.add(name, value)
+        return value
+
+    def replace(self, name, value):
+        key = name.lower()
+        replaced = False
+        items = []
+        for n, v in self._items:
+            if n.lower() == key:
+                if replaced:
+                    continue
+                items.append((n, self._check_value(value)))
+                replaced = True
+            else:
+                items.append((n, v))
+        self._items = items
+        if not replaced:
+            self.add(name, value)
+
+    def remove(self, name):
+        key = name.lower()
+        self._items = [(n, v) for n, v in self._items if n.lower() != key]
+
+    def extend(self, items):
+        for name, value in _ReferenceHeaders(items).items():
+            self.add(name, value)
+
+    def get(self, name, default=None):
+        key = name.lower()
+        for n, v in self._items:
+            if n.lower() == key:
+                return v
+        return default
+
+    def get_all(self, name):
+        key = name.lower()
+        return [v for n, v in self._items if n.lower() == key]
+
+    def get_joined(self, name):
+        values = self.get_all(name)
+        if not values:
+            return None
+        return ", ".join(values)
+
+    def items(self):
+        return iter(self._items)
+
+    def names(self):
+        seen = {}
+        for n, _ in self._items:
+            seen.setdefault(n.lower(), n)
+        return list(seen.values())
+
+    def copy(self):
+        return _ReferenceHeaders(self)
+
+    def __delitem__(self, name):
+        if name.lower() not in (n.lower() for n, _ in self._items):
+            raise KeyError(name)
+        self.remove(name)
+
+    def __contains__(self, name):
+        if not isinstance(name, str):
+            return False
+        return self.get(name) is not None
+
+    def __len__(self):
+        return len(self._items)
+
+    def wire_size(self):
+        return sum(len(n) + 2 + len(v.encode("utf-8", "replace")) + 2
+                   for n, v in self._items)
+
+    @staticmethod
+    def _check_name(name):
+        if not name or any(c in name for c in " \t\r\n:"):
+            raise ValueError(f"invalid header field name: {name!r}")
+        return name
+
+    @staticmethod
+    def _check_value(value):
+        if not isinstance(value, str):
+            raise TypeError(f"header value must be str, got {type(value)}")
+        if "\r" in value or "\n" in value:
+            raise ValueError("header value contains CR/LF (smuggling risk)")
+        return value.strip()
+
+
+#: a few names in several spellings, so operations collide by case
+PROBE_NAMES = ("ETag", "etag", "ETAG", "Cache-Control", "cache-control",
+               "Vary", "X-Ünïcode", "Set-Cookie")
+op_names = st.one_of(st.sampled_from(PROBE_NAMES),
+                     st.sampled_from(("", "bad name", "x:y", "tab\tname")))
+op_values = st.one_of(
+    st.text(alphabet="ab ,=é\"", max_size=6),
+    st.sampled_from(("  padded  ", "split\r\nvalue", "cr\r")),
+    st.just(5))
+ops = st.lists(st.one_of(
+    st.tuples(st.sampled_from(("add", "set", "replace", "setdefault")),
+              op_names, op_values),
+    st.tuples(st.sampled_from(("remove", "del")), op_names, st.none()),
+    st.tuples(st.just("extend"), st.lists(st.tuples(op_names, op_values),
+                                          max_size=3), st.none()),
+    st.tuples(st.just("copy"), st.none(), st.none())), max_size=25)
+
+
+def _apply(headers, op):
+    kind, arg, value = op
+    if kind == "copy":
+        return headers.copy(), None
+    if kind == "del":
+        del headers[arg]
+        return headers, None
+    if kind == "remove":
+        return headers, headers.remove(arg)
+    if kind == "extend":
+        return headers, headers.extend(arg)
+    return headers, getattr(headers, kind)(arg, value)
+
+
+def _observe(headers):
+    return (list(headers.items()), headers.names(), len(headers),
+            headers.wire_size(),
+            [(headers.get(name), headers.get(name, "-"),
+              headers.get_all(name), headers.get_joined(name),
+              name in headers) for name in PROBE_NAMES])
+
+
+@given(ops)
+def test_op_sequences_match_the_list_scan_reference(sequence):
+    headers, reference = Headers(), _ReferenceHeaders()
+    for op in sequence:
+        outcomes = []
+        for target in (headers, reference):
+            try:
+                outcomes.append(_apply(target, op))
+            except Exception as exc:  # compared below, not swallowed
+                outcomes.append((target, (type(exc), str(exc))))
+        (headers, got), (reference, expected) = outcomes
+        assert got == expected
+        assert _observe(headers) == _observe(reference)
+    assert 5 not in headers
+    assert headers == Headers(list(reference.items()))

@@ -177,6 +177,31 @@ class TestFreshenFrom304:
         assert entry.response.headers["X-Etag-Config"] == "{}"
         assert entry.response_time == 51.0
 
+    def test_repeated_fields_replace_stored_ones_whole(self):
+        """RFC 9111 4.3.4: every occurrence of a 304 field is kept."""
+        entry = entry_for({"Cache-Control": "max-age=1", "ETag": '"v1"',
+                           "Server": "origin"})
+        validated = Response(status=304, headers=[
+            ("Cache-Control", "max-age=600"),
+            ("Cache-Control", "must-revalidate"), ("ETag", '"v1"')])
+        entry.freshen_from_304(validated, request_time=1.0,
+                               response_time=1.0)
+        headers = entry.response.headers
+        assert headers.get_all("Cache-Control") == ["max-age=600",
+                                                    "must-revalidate"]
+        assert entry.response.cache_control.must_revalidate
+        assert list(headers.items()) == [
+            ("Server", "origin"), ("Cache-Control", "max-age=600"),
+            ("Cache-Control", "must-revalidate"), ("ETag", '"v1"')]
+
+    def test_single_fields_keep_their_order(self):
+        entry = entry_for({"Date": "a", "ETag": '"v1"', "Server": "s"})
+        entry.freshen_from_304(
+            Response(status=304, headers=[("ETag", '"v1"'), ("Date", "b")]),
+            request_time=1.0, response_time=1.0)
+        assert list(entry.response.headers.items()) == [
+            ("Server", "s"), ("ETag", '"v1"'), ("Date", "b")]
+
     def test_content_length_not_clobbered(self):
         entry = entry_for({"Content-Length": "7"}, body=b"payload")
         entry.freshen_from_304(

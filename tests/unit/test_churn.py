@@ -1,12 +1,27 @@
 """Unit tests for the resource churn model."""
 
 import math
+import random
+from bisect import bisect_right
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.html.parser import ResourceKind
 from repro.netsim.clock import DAY, HOUR, WEEK
-from repro.workload.churn import ChurnModel, ResourceChurn
+from repro.server.site import OriginSite
+from repro.workload.churn import ChurnModel, ResourceChurn, shared_churn
+from repro.workload.sitegen import generate_site
+
+
+def _stream_times(period_s: float, seed: int, until: float) -> list[float]:
+    """Change times from one uninterrupted ``expovariate`` stream."""
+    rng = random.Random(seed)
+    times, last = [], 0.0
+    while last <= until:
+        last += rng.expovariate(1.0 / period_s)
+        times.append(last)
+    return times
 
 
 class TestResourceChurn:
@@ -92,6 +107,57 @@ class TestResourceChurn:
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             ResourceChurn(period_s=1.0, seed=1).version_at(-1.0)
+
+
+class TestTimelineWithoutHeldGenerator:
+    """An extension reseeds and skips the draws already taken, so the
+    timeline is the one uninterrupted stream, whatever the query order."""
+
+    @given(st.lists(st.floats(min_value=0.0, max_value=40 * HOUR),
+                    min_size=1, max_size=12),
+           st.integers(min_value=0, max_value=2**32),
+           st.sampled_from([600.0, HOUR, DAY]))
+    def test_any_query_order_matches_one_stream(self, queries, seed,
+                                                period):
+        churn = ResourceChurn(period_s=period, seed=seed)
+        reference = _stream_times(period, seed, max(queries))
+        for t in queries:
+            assert churn.version_at(t) == bisect_right(reference, t)
+            index = bisect_right(reference, t)
+            assert churn.last_change_at(t) == (
+                reference[index - 1] if index else 0.0)
+
+    def test_holds_no_generator(self):
+        churn = ResourceChurn(period_s=HOUR, seed=3)
+        churn.version_at(DAY)
+        assert not any(isinstance(getattr(churn, slot, None), random.Random)
+                       for slot in ResourceChurn.__slots__)
+
+    def test_origins_over_one_spec_share_timelines(self):
+        spec = generate_site("https://share.example", seed=8)
+        first, second = OriginSite(spec), OriginSite(spec)
+        resource = next(r for r in spec.index.resources.values()
+                        if not math.isinf(r.change_period_s)
+                        and r.fixed_change_times is None)
+        assert first._churn_for(resource) is second._churn_for(resource)
+        assert first._html_churn_for(spec.index) is \
+            second._html_churn_for(spec.index)
+        # the second origin reads times the first one drew, and extends
+        # them, exactly as a private stream would have
+        early = first.version_of(resource.url, DAY)
+        late = second.version_of(resource.url, 3 * WEEK)
+        reference = _stream_times(resource.change_period_s,
+                                  resource.content_seed, 3 * WEEK)
+        assert (early, late) == (bisect_right(reference, DAY),
+                                 bisect_right(reference, 3 * WEEK))
+        assert first.version_of(resource.url, 3 * WEEK) == late
+
+    def test_shared_store_keys_on_all_three_values(self):
+        base = shared_churn(HOUR, 1, None)
+        assert shared_churn(HOUR, 1, None) is base
+        assert shared_churn(HOUR, 2, None) is not base
+        assert shared_churn(DAY, 1, None) is not base
+        assert shared_churn(HOUR, 1, (5.0,)).version_at(10.0) == 1
 
 
 class TestChurnModel:

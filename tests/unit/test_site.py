@@ -1,11 +1,17 @@
 """Unit tests for OriginSite content materialization."""
 
+import sys
+
 import pytest
 
+from repro.http import cache_control, dates, headers
 from repro.http.dates import parse_http_date
 from repro.http.messages import Request
 from repro.netsim.clock import HOUR, WEEK
+from repro.server import site as site_module
 from repro.server.site import WALL_EPOCH, OriginSite
+from repro.server.static import StaticServer
+from repro.workload import churn
 from repro.workload.sitegen import generate_site
 
 
@@ -132,3 +138,81 @@ class TestHelpers:
         site.respond("/index.html", at_time=0.0)
         site.respond("/index.html", at_time=1.0)
         assert site.request_counts["/index.html"] == 2
+
+
+class TestSharedContent:
+    """Content fixed by (spec, version) is shared by every origin built
+    over the spec; per-run state is not."""
+
+    def test_second_origin_reuses_templates_and_serves_same_bytes(self):
+        spec = generate_site("https://shared.example", seed=44)
+        first, second = OriginSite(spec), OriginSite(spec)
+        urls = [url for url in first.all_urls()
+                if url not in spec.pages]
+        before = [first.respond(url, HOUR) for url in urls]
+        misses = site_module._resource_template.cache_info().misses
+        after = [second.respond(url, HOUR) for url in urls]
+        assert site_module._resource_template.cache_info().misses == misses
+        assert [(r.body, r.declared_size, list(r.headers.items()))
+                for r in before] == \
+            [(r.body, r.declared_size, list(r.headers.items()))
+             for r in after]
+
+    def test_request_counts_stay_per_origin(self):
+        spec = generate_site("https://counts.example", seed=45)
+        dynamic = next((url for page in spec.pages.values()
+                        for url, res in page.resources.items()
+                        if res.dynamic), None)
+        if dynamic is None:
+            pytest.skip("site has no dynamic resource")
+        first = OriginSite(spec)
+        tags = {first.respond(dynamic, 0.0).headers["ETag"]
+                for _ in range(3)}
+        assert len(tags) == 3  # a new representation per request
+        second = OriginSite(spec)
+        assert second.request_counts == {}
+        assert second.respond(dynamic, 0.0).headers["ETag"] == \
+            OriginSite(spec).respond(dynamic, 0.0).headers["ETag"]
+
+    def test_serving_tier_keeps_full_bodies_out_of_the_store(self):
+        spec = generate_site("https://full.example", seed=46)
+        full, standin = OriginSite(spec, materialize_fully=True), \
+            OriginSite(spec)
+        for url, resource in spec.index.resources.items():
+            if resource.dynamic:
+                continue
+            big, small = full.respond(url, 0.0), standin.respond(url, 0.0)
+            assert big.headers["ETag"] == small.headers["ETag"]
+            template = full._template(
+                resource, full.version_of(url, 0.0), 0.0)
+            assert template.body == small.body != big.body
+
+    def test_clearing_program_caches_empties_every_store(self):
+        """perfbench clears every module-level ``functools`` cache in
+        ``repro`` before each set-up; the shared stores must be among
+        them, and empty afterwards."""
+        spec = generate_site("https://clear.example", seed=47)
+        server = StaticServer(OriginSite(spec))
+        first = server.handle(Request(url="/index.html"), 0.0)
+        server.handle(Request(url="/index.html", headers={
+            "If-Modified-Since": first.headers["Last-Modified"]}), 0.0)
+        for url in server.site.all_urls():
+            server.handle(Request(url=url), 0.0).cache_control
+        stores = (site_module._resource_template, churn.shared_churn,
+                  cache_control.parse_cache_control,
+                  dates.parse_http_date, headers._folded_name)
+        assert all(store.cache_info().currsize > 0 for store in stores)
+        cleared = []
+        for name, module in list(sys.modules.items()):
+            if not (name == "repro" or name.startswith("repro.")):
+                continue
+            for value in list(vars(module).values()):
+                if callable(getattr(value, "cache_clear", None)) \
+                        and callable(getattr(value, "cache_info", None)):
+                    value.cache_clear()
+                    cleared.append(value)
+        assert all(any(store is found for found in cleared)
+                   for store in stores)
+        assert [store.cache_info().currsize for store in stores] == \
+            [0] * len(stores)
+

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.http.messages import Request
+from repro.http.messages import Request, Response
 from repro.server.site import OriginSite
 from repro.server.static import StaticServer
 from repro.workload.sitegen import generate_site
@@ -60,6 +60,17 @@ class TestConditionals:
             first.headers.get("Cache-Control")
         assert second.headers.get("Last-Modified") == \
             first.headers.get("Last-Modified")
+
+    def test_304_repeats_every_occurrence(self, server):
+        full = Response(status=200, body=b"x", headers=[
+            ("ETag", '"v1"'), ("Cache-Control", "max-age=600"),
+            ("Cache-Control", "must-revalidate"), ("Server", "origin")])
+        answer = server.finalize(
+            Request(url="/r", headers={"If-None-Match": '"v1"'}), full)
+        assert answer.status == 304
+        assert list(answer.headers.items()) == [
+            ("ETag", '"v1"'), ("Cache-Control", "max-age=600"),
+            ("Cache-Control", "must-revalidate")]
 
     def test_if_none_match_miss_gives_full(self, server):
         resp = server.handle(
