@@ -95,7 +95,7 @@ class BrowserCache:
         """
         if response.is_not_modified and plan.validating is not None:
             entry = plan.validating
-            entry.freshen_from_304(response, request_time, response_time)
+            self.store.freshen(entry, response, request_time, response_time)
             self.validations_not_modified += 1
             return entry.response.copy()
         if response.status == 200:

@@ -99,6 +99,23 @@ class CacheStore:
             return self._entries[key]
         return None
 
+    def freshen(self, entry: CacheEntry, validated: Response,
+                request_time: float, response_time: float) -> None:
+        """Fold a 304 into ``entry`` (:meth:`CacheEntry.freshen_from_304`).
+
+        The 304's headers can grow or shrink the stored response, so a
+        stored entry is re-counted: ``byte_size`` stays the sum of the
+        stored entries' footprints, and a grown entry can evict others.
+        """
+        key = (entry.url, tuple(entry.vary_values.items()))
+        stored = self._entries.get(key) is entry
+        if stored:
+            self._bytes -= entry.size_bytes
+        entry.freshen_from_304(validated, request_time, response_time)
+        if stored:
+            self._bytes += entry.size_bytes
+            self._evict_if_needed()
+
     def invalidate(self, url: str) -> int:
         """Drop every variant stored for ``url``; returns count removed."""
         keys = self._by_url.pop(url, {})

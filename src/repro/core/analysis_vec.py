@@ -19,8 +19,9 @@ population-scale traffic engine sweeps over:
    (level 1 | level 2 | level 3) so each wave aggregation sorts a
    contiguous slab.  Compilation is memoized on the site object.
 2. **Evaluate in bulk.**  :class:`VectorAnalyticModel` prices *all*
-   ``(condition, mode, delay)`` combinations of a compiled site in one
-   pass.  The per-resource expected cost is affine in the condition::
+   ``(condition, mode, delay)`` combinations of a list of compiled
+   sites in one pass.  The per-resource expected cost is affine in the
+   condition::
 
        cost = A + B * rtt + G * (8 / downlink_bps)
 
@@ -33,6 +34,13 @@ population-scale traffic engine sweeps over:
    descending, wave ``w``'s maximum is element ``w*k``, so the level
    time is ``sorted[::k].sum()``.  Zero-cost slots sort to the bottom
    and contribute nothing.
+3. **Batch sites in chunks.**  The NumPy kernel packs the sites, level
+   by level and sorted by that level's width, into chunks of about
+   ``_CHUNK_SLOTS`` zero-padded slots (``[sites, width]``).  Padding has
+   ``A = B = G = 0``, so it sorts below every real cost and the strided
+   sum needs no mask; a chunk's coefficients are built once for every
+   ``(mode, delay)`` and serve every condition.  A one-site call is the
+   one-site case of the same kernel.
 
 Backends: NumPy when importable (``pip install repro[fast]``), else a
 pure-Python path that walks the same compiled tensors with the same
@@ -81,6 +89,11 @@ _POL_NOSTORE, _POL_REVAL, _POL_MAXAGE = 0, 1, 2
 _MC_NO_CACHE, _MC_STANDARD, _MC_CATALYST, _MC_SESSIONS = 0, 1, 2, 3
 
 _CACHE_ATTR = "_analysis_vec_compiled"
+
+#: padded slots per chunk of the batched NumPy kernel.  A chunk's cost
+#: tensor is ``[conditions, modes, delays, padded slots]``, so this
+#: bounds the kernel's working set whatever the number of sites priced.
+_CHUNK_SLOTS = 256
 
 
 def numpy_available() -> bool:
@@ -220,9 +233,73 @@ def _compile_page(origin: str, page_url: str, page: PageSpec) -> CompiledSite:
     )
 
 
+def _compiled(site: "CompiledSite | SiteSpec") -> CompiledSite:
+    return site if isinstance(site, CompiledSite) else compile_site(site)
+
+
+def _axes(modes: Sequence[CachingMode], delays_s: Sequence[float],
+          conditions_list: Sequence[NetworkConditions]) -> tuple:
+    """The batch axes as the engines read them: mode classes, delays,
+    RTTs and seconds per downlink byte."""
+    delays = [float(d) for d in delays_s]
+    if any(not math.isfinite(d) or d < 0 for d in delays):
+        raise ValueError(f"delays must be finite and >= 0: {delays}")
+    return ([_mode_class(mode) for mode in modes], delays,
+            [cond.rtt_s for cond in conditions_list],
+            [8.0 / cond.downlink_bps for cond in conditions_list])
+
+
+def _level_chunks(sites: Sequence[CompiledSite]):
+    """Pack ``sites`` into zero-padded per-level chunks for the kernel.
+
+    Per fetch level, the sites whose level is nonempty are sorted by its
+    width and grouped while ``sites x widest`` stays within
+    :data:`_CHUNK_SLOTS` (a level wider than that is a chunk of its
+    own).  Yields ``(site indices, width W, pack)`` level by level, so
+    each site adds its levels in page order.  The pack holds the
+    :meth:`CompiledSite.numpy_pack` fields of ``sites x W`` slots, row
+    per site, and ``valid``, which is False on the padding.
+    """
+    np = _np
+    if not sites:
+        return
+    packs = [site.numpy_pack() for site in sites]
+    flat = {name: np.concatenate([pack[name] for pack in packs])
+            for name in packs[0]}
+    spans = []          # per site, per level: (first flat slot, width)
+    base = 0
+    for site in sites:
+        begins = (0,) + site.level_ends[:2]
+        spans.append([(base + lo, hi - lo)
+                      for lo, hi in zip(begins, site.level_ends)])
+        base += site.n_slots
+    for level in range(3):
+        groups, group = [], []
+        for width, si in sorted((span[level][1], si)
+                                for si, span in enumerate(spans)
+                                if span[level][1] > 0):
+            if group and (len(group) + 1) * width > _CHUNK_SLOTS:
+                groups.append(group)
+                group = []
+            group.append(si)
+        if group:
+            groups.append(group)
+        for group in groups:
+            starts = np.asarray([spans[si][level][0] for si in group])
+            widths = np.asarray([spans[si][level][1] for si in group])
+            width = int(widths[-1])
+            cols = np.arange(width)
+            valid = cols < widths[:, None]                         # [n,W]
+            index = np.where(valid, starts[:, None] + cols, 0).ravel()
+            pack = {name: values[index] for name, values in flat.items()}
+            pack["valid"] = valid.ravel()
+            yield np.asarray(group), width, pack
+
+
 @dataclass
 class VisitEstimates:
-    """Joint per-visit estimates for one compiled site.
+    """Joint per-visit estimates for one compiled site (or, with a
+    trailing site axis on every field, for a list of them).
 
     ``plt`` is ``[conditions][modes][delays]`` exactly as
     :meth:`VectorAnalyticModel.batch_plt` returns it (NumPy array on
@@ -239,7 +316,7 @@ class VisitEstimates:
     requests: list
     bytes_down: list
     #: resource acquisitions per visit (subresource slots + the HTML)
-    acquisitions: int
+    acquisitions: "int | list[int]"
 
 
 class VectorAnalyticModel:
@@ -281,21 +358,13 @@ class VectorAnalyticModel:
         Returns ``[len(conditions)][len(modes)][len(delays)]`` —
         a NumPy array on the fast path, nested lists on the fallback.
         """
-        if isinstance(compiled, SiteSpec):
-            compiled = compile_site(compiled)
-        delays = [float(d) for d in delays_s]
-        if any(not math.isfinite(d) or d < 0 for d in delays):
-            raise ValueError(f"delays must be finite and >= 0: {delays}")
-        mode_classes = [_mode_class(mode) for mode in modes]
-        rtts = [cond.rtt_s for cond in conditions_list]
-        invbws = [8.0 / cond.downlink_bps for cond in conditions_list]
+        comp = _compiled(compiled)
+        axes = _axes(modes, delays_s, conditions_list)
         if self.backend == "numpy":
-            return self._site_numpy(compiled, mode_classes, delays,
-                                    rtts, invbws, cold)
-        return self._site_python(compiled, mode_classes, delays,
-                                 rtts, invbws, cold)
+            return self._price_numpy([comp], *axes, cold)[0][..., 0]
+        return self._site_python(comp, *axes, cold)
 
-    def batch_visit(self, compiled: "CompiledSite | SiteSpec",
+    def batch_visit(self, sites: "CompiledSite | SiteSpec | Sequence",
                     modes: Sequence[CachingMode],
                     delays_s: Sequence[float],
                     conditions_list: Sequence[NetworkConditions],
@@ -310,41 +379,43 @@ class VectorAnalyticModel:
         :meth:`batch_plt`.  The HTML document contributes one request
         per visit (fetch or revalidation) plus its churn-weighted
         transfer.
+
+        ``sites`` is one site or a sequence of sites.  A sequence is
+        priced in one pass and gives every field a trailing site axis:
+        ``plt`` is ``[conditions][modes][delays][sites]``, ``requests``
+        and ``bytes_down`` are ``[modes][delays][sites]`` (NumPy arrays
+        on the fast path), and ``acquisitions`` has one count per site.
         """
-        if isinstance(compiled, SiteSpec):
-            compiled = compile_site(compiled)
-        delays = [float(d) for d in delays_s]
-        if any(not math.isfinite(d) or d < 0 for d in delays):
-            raise ValueError(f"delays must be finite and >= 0: {delays}")
-        mode_classes = [_mode_class(mode) for mode in modes]
-        rtts = [cond.rtt_s for cond in conditions_list]
-        invbws = [8.0 / cond.downlink_bps for cond in conditions_list]
-        html_full_bytes = compiled.html_size + _HEADER_BYTES
+        one = isinstance(sites, (CompiledSite, SiteSpec))
+        compiled = [_compiled(site) for site in ([sites] if one else sites)]
+        axes = _axes(modes, delays_s, conditions_list)
         if self.backend == "numpy":
-            coeffs = self._coeff_numpy(compiled, mode_classes, delays, cold)
-            plt = self._site_numpy(compiled, mode_classes, delays,
-                                   rtts, invbws, cold, coeffs=coeffs)
-            _, coeff_b, coeff_g = coeffs
-            p_html = self._p_html_numpy(compiled, delays)          # [D]
-            requests = coeff_b.sum(axis=-1) + 1.0                  # [M,D]
-            html_bytes = _np.empty((len(mode_classes), len(delays)))
-            for mi, mc in enumerate(mode_classes):
-                if cold or mc == _MC_NO_CACHE:
-                    html_bytes[mi, :] = html_full_bytes
-                else:
-                    html_bytes[mi, :] = p_html * html_full_bytes
-            bytes_down = coeff_g.sum(axis=-1) + html_bytes
-            return VisitEstimates(plt=plt, requests=requests.tolist(),
-                                  bytes_down=bytes_down.tolist(),
-                                  acquisitions=compiled.n_slots + 1)
-        requests = [[0.0] * len(delays) for _ in mode_classes]
-        bytes_down = [[0.0] * len(delays) for _ in mode_classes]
-        plt = self._site_python(compiled, mode_classes, delays,
-                                rtts, invbws, cold,
-                                demand=(requests, bytes_down))
-        return VisitEstimates(plt=plt, requests=requests,
-                              bytes_down=bytes_down,
-                              acquisitions=compiled.n_slots + 1)
+            plt, requests, bytes_down = self._price_numpy(compiled, *axes,
+                                                          cold)
+            if one:
+                return VisitEstimates(
+                    plt=plt[..., 0], requests=requests[..., 0].tolist(),
+                    bytes_down=bytes_down[..., 0].tolist(),
+                    acquisitions=compiled[0].n_slots + 1)
+            return VisitEstimates(
+                plt=plt, requests=requests, bytes_down=bytes_down,
+                acquisitions=[comp.n_slots + 1 for comp in compiled])
+        per_site = [self._visit_python(comp, *axes, cold)
+                    for comp in compiled]
+        if one:
+            return per_site[0]
+        M, D, C = len(axes[0]), len(axes[1]), len(axes[2])
+
+        def demand(name: str) -> list:
+            return [[[getattr(est, name)[mi][di] for est in per_site]
+                     for di in range(D)] for mi in range(M)]
+
+        return VisitEstimates(
+            plt=[[[[est.plt[ci][mi][di] for est in per_site]
+                   for di in range(D)] for mi in range(M)]
+                 for ci in range(C)],
+            requests=demand("requests"), bytes_down=demand("bytes_down"),
+            acquisitions=[est.acquisitions for est in per_site])
 
     def _exec_s(self, comp: CompiledSite) -> float:
         exec_s = self._exec_s_cache.get(comp.script_sizes)
@@ -363,60 +434,142 @@ class VectorAnalyticModel:
         """Batch over sites: ``[site][condition][mode][delay]``.
 
         Accepts raw :class:`SiteSpec` objects (compiled and memoized on
-        the fly) or precompiled sites.
+        the fly) or precompiled sites.  The fast path prices every site
+        in one pass of the batched kernel.
         """
-        compiled = [site if isinstance(site, CompiledSite)
-                    else compile_site(site) for site in sites]
-        per_site = [self.batch_plt(comp, modes, delays_s,
-                                   conditions_list, cold=cold)
-                    for comp in compiled]
+        compiled = [_compiled(site) for site in sites]
+        axes = _axes(modes, delays_s, conditions_list)
         if self.backend == "numpy":
-            return _np.stack(per_site) if per_site else _np.zeros(
-                (0, len(conditions_list), len(modes), len(delays_s)))
-        return per_site
+            plt = self._price_numpy(compiled, *axes, cold)[0]
+            return _np.moveaxis(plt, -1, 0)
+        return [self._site_python(comp, *axes, cold) for comp in compiled]
 
     # -- numpy fast path ----------------------------------------------------
-    def _coeff_numpy(self, comp: CompiledSite, mode_classes, delays, cold):
-        """Per-slot ``(A, B, G)`` coefficient stacks, each ``[M, D, n]``."""
+    def _price_numpy(self, sites: Sequence[CompiledSite], mode_classes,
+                     delays, rtts, invbws, cold):
+        """The batched kernel: every cell of every site in one pass.
+
+        Returns the PLT ``[C, M, D, S]`` and the expected origin
+        requests and bytes ``[M, D, S]`` for ``S = len(sites)``.  Each
+        level chunk (:func:`_level_chunks`) builds its ``(A, B, G)``
+        once for every ``(mode, delay)``, prices every condition with
+        two fused multiply-adds, and adds the per-(cell, site) wave
+        total of that level, ``wave_s``, to the sites it packs.
+        """
         np = _np
         cfg = self.config
-        pack = comp.numpy_pack()
-        n = comp.n_slots
-        D = len(delays)
+        k = cfg.connections_per_origin
+        C, M, D, S = len(rtts), len(mode_classes), len(delays), len(sites)
+
+        rtt = np.asarray(rtts, dtype=np.float64)
+        invbw = np.asarray(invbws, dtype=np.float64)
+        delay = np.asarray(delays, dtype=np.float64)
+        rtt_c = rtt[:, None, None, None]
+
+        plt = np.zeros((C, M, D, S))
+        requests = np.zeros((M, D, S))
+        bytes_down = np.zeros((M, D, S))
+        for members, width, pack in _level_chunks(sites):
+            coeff_a, coeff_b, coeff_g = self._coeff_numpy(
+                pack, mode_classes, delay, cold)                   # [M,D,P]
+            shape = (M, D, len(members), width)
+            requests[..., members] += coeff_b.reshape(shape).sum(axis=-1)
+            bytes_down[..., members] += coeff_g.reshape(shape).sum(axis=-1)
+
+            # cost[C,M,D,P] = A + B*rtt + G*invbw: two fused passes + add.
+            cost = np.multiply(coeff_b[None], rtt_c)
+            cost += coeff_g[None] * invbw[:, None, None, None]
+            cost += coeff_a[None]
+            cost = cost.reshape((C,) + shape)
+
+            # Wave model per (cell, site): descending sort, strided sum
+            # of wave maxima.  Sort ascending in place, then walk each
+            # row backwards with stride k.  Padding costs 0, so it sorts
+            # below every real cost and adds nothing to any wave.
+            if width <= k:
+                # single wave: the max IS the wave sum (costs are >= 0,
+                # so all-fresh levels contribute max(...) == 0 exactly
+                # like the Python path's positive-cost filter)
+                wave_s = cost.max(axis=-1)
+            else:
+                cost.sort(axis=-1)
+                wave_s = cost[..., ::-1][..., ::k].sum(axis=-1)
+            plt[..., members] += wave_s                            # [C,M,D,n]
+
+        # Navigation terms: setup RTTs, base HTML, parse, script exec.
+        html_bytes = np.asarray([comp.html_size for comp in sites],
+                                dtype=np.float64) + _HEADER_BYTES  # [S]
+        html_period = np.asarray([comp.html_period for comp in sites],
+                                 dtype=np.float64)
+        p_html = 1.0 - np.exp(-delay[:, None] / html_period)       # [D,S]
+        html_transfer = html_bytes * invbw[:, None]                # [C,S]
+        html_full = rtt[:, None] + cfg.html_server_think_s + html_transfer
+        html_warm = (rtt[:, None, None] + cfg.html_server_think_s
+                     + p_html * html_transfer[:, None, :])         # [C,D,S]
+        for mi, mc in enumerate(mode_classes):
+            if cold or mc == _MC_NO_CACHE:
+                plt[:, mi] += html_full[:, None, :]
+                bytes_down[mi] += html_bytes
+            else:
+                plt[:, mi] += html_warm
+                bytes_down[mi] += p_html * html_bytes
+        plt += cfg.connection_policy.setup_rtts * rtt_c
+        plt += np.asarray([cfg.parse_time(comp.html_size) for comp in sites])
+        plt += np.asarray([self._exec_s(comp) for comp in sites])
+        requests += 1.0
+        return plt, requests, bytes_down
+
+    def _coeff_numpy(self, pack: dict, mode_classes, delay, cold):
+        """Per-slot ``(A, B, G)`` coefficient stacks, each ``[M, D, P]``
+        over a chunk's ``P`` padded slots; padding gets 0 in all three."""
+        np = _np
+        shape = (len(delay), len(pack["size"]))
+        size_h = pack["size"] + _HEADER_BYTES                      # [P]
+        full = tuple(np.broadcast_to(value, shape)
+                     for value in (self.config.server_think_s, 1.0, size_h))
+        if cold:
+            rows = [full] * len(mode_classes)
+        else:
+            rows = self._revisit_rows(pack, size_h, mode_classes, delay,
+                                      full)
+        stacks = tuple(np.stack([row[i] for row in rows]) for i in range(3))
+        for stack in stacks:
+            # every coefficient is finite, so x * True == x exactly
+            stack *= pack["valid"]
+        return stacks
+
+    def _revisit_rows(self, pack: dict, size_h, mode_classes, delay, full):
+        """One ``(A, B, G)`` triple of ``[D, P]`` rows per mode, for a
+        revisit after each delay."""
+        np = _np
+        cfg = self.config
         think = cfg.server_think_s
         sw = cfg.sw_lookup_s
         lookup = cfg.cache_lookup_s
 
-        delay = np.asarray(delays, dtype=np.float64)
-
-        size_h = pack["size"] + _HEADER_BYTES                      # [n]
         # P(changed within delay): 1 - exp(-delay/tau); dynamic -> 1,
         # immutable (tau = inf) -> exp(-0) -> 0.
-        p = 1.0 - np.exp(-delay[:, None] / pack["period"][None, :])  # [D,n]
+        p = 1.0 - np.exp(-delay[:, None] / pack["period"][None, :])  # [D,P]
         p = np.where(pack["dynamic"][None, :], 1.0, p)
 
-        # Standard-HTTP-caching coefficients [D, n]: fresh until proven
+        # Standard-HTTP-caching coefficients [D, P]: fresh until proven
         # otherwise, expired -> conditional-revalidation mix, no-store
         # -> always a full fetch.
         expired = pack["reval"][None, :] | (
             pack["maxage"][None, :]
-            & (pack["ttl"][None, :] <= delay[:, None]))            # [D,n]
+            & (pack["ttl"][None, :] <= delay[:, None]))            # [D,P]
         nostore = pack["nostore"][None, :]
-        sa = np.where(nostore, think, np.where(expired, think, lookup))
-        sb = np.where(nostore | expired, 1.0, 0.0)
+        refetch = nostore | expired
+        sa = np.where(refetch, think, lookup)
+        sb = refetch.astype(np.float64)
         sg = np.where(nostore, size_h,
                       np.where(expired, p * pack["size"] + _HEADER_BYTES,
                                0.0))
 
-        a_rows, b_rows, g_rows = [], [], []
-        full_a = np.full((D, n), think)
-        full_b = np.ones((D, n))
-        full_g = np.broadcast_to(size_h, (D, n))
+        rows = []
         for mc in mode_classes:
-            if cold or mc == _MC_NO_CACHE:
-                a_rows.append(full_a)
-                b_rows.append(full_b)
-                g_rows.append(full_g)
+            if mc == _MC_NO_CACHE:
+                rows.append(full)
             elif mc in (_MC_CATALYST, _MC_SESSIONS):
                 # the SW never stores dynamic or no-store responses
                 covered = ~(pack["dynamic"] | pack["nostore"])
@@ -424,78 +577,12 @@ class VectorAnalyticModel:
                     # static stapling cannot see JS-discovered resources
                     covered = covered & ~pack["via_js"]
                 cov = covered[None, :]
-                a_rows.append(np.where(cov, sw + p * (think - sw), sa))
-                b_rows.append(np.where(cov, p, sb))
-                g_rows.append(np.where(cov, p * size_h, sg))
+                rows.append((np.where(cov, sw + p * (think - sw), sa),
+                             np.where(cov, p, sb),
+                             np.where(cov, p * size_h, sg)))
             else:
-                a_rows.append(sa)
-                b_rows.append(sb)
-                g_rows.append(sg)
-        return np.stack(a_rows), np.stack(b_rows), np.stack(g_rows)
-
-    def _p_html_numpy(self, comp: CompiledSite, delays):
-        np = _np
-        delay = np.asarray(delays, dtype=np.float64)
-        return (np.zeros(len(delays)) if math.isinf(comp.html_period)
-                else 1.0 - np.exp(-delay / comp.html_period))       # [D]
-
-    def _site_numpy(self, comp: CompiledSite, mode_classes, delays,
-                    rtts, invbws, cold, coeffs=None):
-        np = _np
-        cfg = self.config
-        n = comp.n_slots
-        C, M, D = len(rtts), len(mode_classes), len(delays)
-        k = cfg.connections_per_origin
-
-        rtt = np.asarray(rtts, dtype=np.float64)
-        invbw = np.asarray(invbws, dtype=np.float64)
-
-        if coeffs is None:
-            coeffs = self._coeff_numpy(comp, mode_classes, delays, cold)
-        coeff_a, coeff_b, coeff_g = coeffs                         # [M,D,n]
-
-        # cost[C,M,D,n] = A + B*rtt + G*invbw: two fused passes + add.
-        cost = np.empty((C, M, D, n))
-        tmp = np.empty((C, M, D, n))
-        np.multiply(coeff_b[None], rtt[:, None, None, None], out=cost)
-        np.multiply(coeff_g[None], invbw[:, None, None, None], out=tmp)
-        np.add(cost, tmp, out=cost)
-        np.add(cost, coeff_a[None], out=cost)
-
-        # Wave model per level: descending sort, strided sum of wave
-        # maxima.  In-place ascending sort on the contiguous level slab,
-        # then walk it backwards with stride k.
-        total = np.zeros((C, M, D))
-        for sl in comp.level_slices():
-            width = sl.stop - sl.start
-            if width <= 0:
-                continue
-            slab = cost[..., sl]
-            if width <= k:
-                # single wave: the max IS the wave sum (costs are >= 0,
-                # so all-fresh levels contribute max(...) == 0 exactly
-                # like the Python path's positive-cost filter)
-                total += slab.max(axis=-1)
-            else:
-                slab.sort(axis=-1)
-                total += slab[..., ::-1][..., ::k].sum(axis=-1)
-
-        # Navigation terms: setup RTTs, base HTML, parse, script exec.
-        setup = cfg.connection_policy.setup_rtts * rtt             # [C]
-        html_transfer = (comp.html_size + _HEADER_BYTES) * invbw   # [C]
-        p_html = self._p_html_numpy(comp, delays)                  # [D]
-        html_full = rtt + cfg.html_server_think_s + html_transfer  # [C]
-        html_warm = (rtt[:, None] + cfg.html_server_think_s
-                     + p_html[None, :] * html_transfer[:, None])   # [C,D]
-        for mi, mc in enumerate(mode_classes):
-            if cold or mc == _MC_NO_CACHE:
-                total[:, mi, :] += html_full[:, None]
-            else:
-                total[:, mi, :] += html_warm
-        total += setup[:, None, None]
-        total += cfg.parse_time(comp.html_size)
-        total += self._exec_s(comp)
-        return total
+                rows.append((sa, sb, sg))
+        return rows
 
     # -- pure-python reference path ---------------------------------------
     def _coeffs_python(self, comp: CompiledSite, mode_class: int,
@@ -576,6 +663,16 @@ class VectorAnalyticModel:
                         plt += sum(costs[0::k])
                     out[ci][mi][di] = plt
         return out
+
+    def _visit_python(self, comp: CompiledSite, mode_classes, delays,
+                      rtts, invbws, cold) -> VisitEstimates:
+        requests = [[0.0] * len(delays) for _ in mode_classes]
+        bytes_down = [[0.0] * len(delays) for _ in mode_classes]
+        plt = self._site_python(comp, mode_classes, delays, rtts, invbws,
+                                cold, demand=(requests, bytes_down))
+        return VisitEstimates(plt=plt, requests=requests,
+                              bytes_down=bytes_down,
+                              acquisitions=comp.n_slots + 1)
 
 
 def batch_estimate_plt(site: SiteSpec,

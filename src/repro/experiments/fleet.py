@@ -16,8 +16,12 @@ Two interchangeable backends answer it:
   (:meth:`~repro.core.analysis_vec.VectorAnalyticModel.batch_visit`),
   and the Poisson-thinning cold share adds the first-visit cells.
   Fleet aggregates are weighted reductions over a few thousand cells
-  standing in for millions of visits — a 10⁶-visit population prices
-  in well under a second on numpy, seconds on the pure-Python leg.
+  standing in for millions of visits.  The engine is entered once per
+  distinct delay mixture, with every site and the conditions of the
+  cohorts sharing that mixture, plus once for every cohort's first
+  visits.  On NumPy the means, sums and nearest-rank percentiles are
+  array reductions, and a 10⁶-visit population prices in about 50 ms;
+  the pure-Python leg loops over the cells, in seconds.
 * **Sampled DES** (:func:`run_fleet_des`): a deterministic sample of
   real schedule entries replays through the simulator
   (:func:`~repro.experiments.harness.replay`, in-process or pooled).
@@ -50,6 +54,11 @@ from .harness import pool_size, replay
 from .report import format_pct, format_table
 from .stats import weighted_percentiles
 from .sweep import ValidationResult, validate_cells
+
+try:  # numpy is optional; without it the python backend prices the fleet
+    import numpy as _np
+except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
+    _np = None
 
 __all__ = ["FLEET_MODES", "DEFAULT_FLEET_COHORTS", "default_population",
            "ModeStats", "CohortFleet", "FleetResult", "run_fleet_analytic",
@@ -202,11 +211,14 @@ class FleetResult:
         return "\n".join(lines)
 
 
-def _weighted_mode_stats(mode: str, values, weights, requests, bytes_down,
-                         acquisitions, window_s) -> ModeStats:
-    total_w = sum(weights)
-    p50, p90, p99 = weighted_percentiles(values, weights, (50, 90, 99))
-    mean_ms = sum(v * w for v, w in zip(values, weights)) / total_w
+#: the PLT percentiles every :class:`ModeStats` reports
+_PERCENTILES = (50, 90, 99)
+
+
+def _mode_stats(mode: str, mean_ms: float, percentiles, requests: float,
+                bytes_down: float, acquisitions: float,
+                window_s: float) -> ModeStats:
+    p50, p90, p99 = percentiles
     return ModeStats(
         mode=mode,
         mean_ms=mean_ms, p50_ms=p50, p90_ms=p90, p99_ms=p99,
@@ -226,11 +238,14 @@ def run_fleet_analytic(spec: PopulationSpec,
     """Price the whole population closed-form; never builds the schedule.
 
     Per cohort, the expected measured visits factor as
-    ``visits · zipf(site) · [cold | (1 - cold) · mixture(delay-bin)]``;
-    each factor's cells come out of one vectorized
+    ``visits · zipf(site) · [cold | (1 - cold) · mixture(delay-bin)]``,
+    and every fleet aggregate is a weighted reduction over the priced
+    ``(site, mode, delay-bin)`` cells.  The cells come out of one
     :meth:`~repro.core.analysis_vec.VectorAnalyticModel.batch_visit`
-    call per site, and every fleet aggregate is a weighted reduction
-    over those cells.
+    call over every site per distinct delay mixture (the conditions of
+    the cohorts that share it are the condition axis) plus one for
+    every cohort's first visits.  On NumPy the reductions are array
+    operations; the pure-Python backend loops over the cells.
     """
     sites = _ranked_sites(spec, corpus)
     start = time.perf_counter()
@@ -240,58 +255,86 @@ def run_fleet_analytic(spec: PopulationSpec,
     warmup_share = spec.warmup_share
     per_user = spec.visits_per_user
     cold = [cold_fraction(per_user * p, warmup_share) for p in popularity]
+    conditions = [cohort.conditions for cohort in spec.cohorts]
+    mixtures = [delay_mixture(cohort.revisit_model, bins)
+                for cohort in spec.cohorts]
+    first = model.batch_visit(compiled, modes, (0.0,), conditions, cold=True)
+    warm = [None] * len(mixtures)   # per cohort: (its call's estimates, row)
+    for mixture in dict.fromkeys(mixtures):
+        members = [ci for ci, other in enumerate(mixtures)
+                   if other == mixture]
+        estimates = model.batch_visit(compiled, modes, mixture.delays_s,
+                                      [conditions[ci] for ci in members])
+        for row, ci in enumerate(members):
+            warm[ci] = (estimates, row)
+    reduce = _reduce_numpy if model.backend == "numpy" else _reduce_python
+    cohort_modes, fleet_modes = reduce(
+        spec, [mode.value for mode in modes], mixtures, warm, first,
+        popularity, cold)
+    cohort_cold = sum(p * c for p, c in zip(popularity, cold))
+    cohort_results = tuple(
+        CohortFleet(name=cohort.name, label=cohort.conditions.describe(),
+                    share=spec.cohort_shares[ci],
+                    visits=spec.n_measured * spec.cohort_shares[ci],
+                    cold_share=cohort_cold, modes=cohort_modes[ci])
+        for ci, cohort in enumerate(spec.cohorts))
+    return FleetResult(
+        users=spec.n_users, population_visits=spec.n_measured,
+        alpha=spec.alpha, sites=spec.n_sites, bins=bins,
+        backend=model.backend, cohorts=cohort_results,
+        fleet=fleet_modes, elapsed_s=time.perf_counter() - start)
+
+
+def _reduce_python(spec, mode_names, mixtures, warm, first, popularity,
+                   cold):
+    """Per-cohort and fleet :class:`ModeStats`, cell by cell."""
     window_s = spec.measured_window_s
-    mode_names = [mode.value for mode in modes]
+
+    def stats(mode, values, weights, requests, bytes_down, acquisitions):
+        mean_ms = sum(v * w for v, w in zip(values, weights)) / sum(weights)
+        return _mode_stats(
+            mode, mean_ms,
+            weighted_percentiles(values, weights, _PERCENTILES),
+            requests, bytes_down, acquisitions, window_s)
 
     fleet_values = {m: [] for m in mode_names}
     fleet_weights = {m: [] for m in mode_names}
     fleet_requests = {m: 0.0 for m in mode_names}
     fleet_bytes = {m: 0.0 for m in mode_names}
     fleet_acquisitions = 0.0
-    cohort_results = []
-    for ci, cohort in enumerate(spec.cohorts):
-        mixture = delay_mixture(cohort.revisit_model, bins)
+    cohort_modes = []
+    for ci, (estimates, row) in enumerate(warm):
         cohort_visits = spec.n_measured * spec.cohort_shares[ci]
         values = {m: [] for m in mode_names}
         weights = {m: [] for m in mode_names}
         requests = {m: 0.0 for m in mode_names}
         bytes_down = {m: 0.0 for m in mode_names}
         acquisitions = 0.0
-        conditions = [cohort.conditions]
-        for si, comp in enumerate(compiled):
-            warm = model.batch_visit(comp, modes, mixture.delays_s,
-                                     conditions)
-            first = model.batch_visit(comp, modes, (0.0,), conditions,
-                                      cold=True)
-            warm_plt = warm.plt[0] if model.backend == "python" \
-                else warm.plt[0].tolist()
-            cold_plt = first.plt[0] if model.backend == "python" \
-                else first.plt[0].tolist()
-            site_visits = cohort_visits * popularity[si]
+        warm_plt, cold_plt = estimates.plt[row], first.plt[ci]
+        for si, share in enumerate(popularity):
+            site_visits = cohort_visits * share
             cold_visits = site_visits * cold[si]
             warm_visits = site_visits - cold_visits
-            acquisitions += site_visits * warm.acquisitions
+            acquisitions += site_visits * first.acquisitions[si]
             for mi, mode_name in enumerate(mode_names):
                 vals, wts = values[mode_name], weights[mode_name]
-                for di, bin_weight in enumerate(mixture.weights):
+                for di, bin_weight in enumerate(mixtures[ci].weights):
                     cell = warm_visits * bin_weight
-                    vals.append(warm_plt[mi][di] * 1000.0)
+                    vals.append(warm_plt[mi][di][si] * 1000.0)
                     wts.append(cell)
-                    requests[mode_name] += cell * warm.requests[mi][di]
-                    bytes_down[mode_name] += cell * warm.bytes_down[mi][di]
-                vals.append(cold_plt[mi][0] * 1000.0)
+                    requests[mode_name] += \
+                        cell * estimates.requests[mi][di][si]
+                    bytes_down[mode_name] += \
+                        cell * estimates.bytes_down[mi][di][si]
+                vals.append(cold_plt[mi][0][si] * 1000.0)
                 wts.append(cold_visits)
-                requests[mode_name] += cold_visits * first.requests[mi][0]
-                bytes_down[mode_name] += cold_visits * first.bytes_down[mi][0]
-        cohort_cold = sum(p * c for p, c in zip(popularity, cold))
-        cohort_modes = tuple(
-            _weighted_mode_stats(m, values[m], weights[m], requests[m],
-                                 bytes_down[m], acquisitions, window_s)
-            for m in mode_names)
-        cohort_results.append(CohortFleet(
-            name=cohort.name, label=cohort.conditions.describe(),
-            share=spec.cohort_shares[ci], visits=cohort_visits,
-            cold_share=cohort_cold, modes=cohort_modes))
+                requests[mode_name] += cold_visits * first.requests[mi][0][si]
+                bytes_down[mode_name] += \
+                    cold_visits * first.bytes_down[mi][0][si]
+        cohort_modes.append(tuple(
+            stats(m, values[m], weights[m], requests[m], bytes_down[m],
+                  acquisitions)
+            for m in mode_names))
         for m in mode_names:
             fleet_values[m].extend(values[m])
             fleet_weights[m].extend(weights[m])
@@ -299,15 +342,78 @@ def run_fleet_analytic(spec: PopulationSpec,
             fleet_bytes[m] += bytes_down[m]
         fleet_acquisitions += acquisitions
     fleet_modes = tuple(
-        _weighted_mode_stats(m, fleet_values[m], fleet_weights[m],
-                             fleet_requests[m], fleet_bytes[m],
-                             fleet_acquisitions, window_s)
+        stats(m, fleet_values[m], fleet_weights[m], fleet_requests[m],
+              fleet_bytes[m], fleet_acquisitions)
         for m in mode_names)
-    return FleetResult(
-        users=spec.n_users, population_visits=spec.n_measured,
-        alpha=spec.alpha, sites=spec.n_sites, bins=bins,
-        backend=model.backend, cohorts=tuple(cohort_results),
-        fleet=fleet_modes, elapsed_s=time.perf_counter() - start)
+    return cohort_modes, fleet_modes
+
+
+def _reduce_numpy(spec, mode_names, mixtures, warm, first, popularity,
+                  cold):
+    """Per-cohort and fleet :class:`ModeStats` as array reductions over
+    the ``[cohort, mode, delay, site]`` cells."""
+    np = _np
+    window_s = spec.measured_window_s
+
+    def stats(mode, values, weights, requests, bytes_down, acquisitions):
+        return _mode_stats(
+            mode, float(values @ weights / weights.sum()),
+            _weighted_percentiles_np(values, weights, _PERCENTILES),
+            requests, bytes_down, acquisitions, window_s)
+
+    popularity = np.asarray(popularity)
+    cold = np.asarray(cold)
+    slots = np.asarray(first.acquisitions, dtype=np.float64)
+    fleet_parts = {m: [] for m in mode_names}    # (values, weights) arrays
+    fleet_requests = {m: 0.0 for m in mode_names}
+    fleet_bytes = {m: 0.0 for m in mode_names}
+    fleet_acquisitions = 0.0
+    cohort_modes = []
+    for ci, (estimates, row) in enumerate(warm):
+        site_visits = spec.n_measured * spec.cohort_shares[ci] * popularity
+        cold_visits = site_visits * cold                           # [S]
+        warm_visits = site_visits - cold_visits
+        cells = warm_visits * np.asarray(mixtures[ci].weights)[:, None]
+        weights = np.concatenate([cells.ravel(), cold_visits])     # [D*S+S]
+        acquisitions = float(site_visits @ slots)
+        per_mode = []
+        for mi, m in enumerate(mode_names):
+            values = np.concatenate([estimates.plt[row, mi].ravel(),
+                                     first.plt[ci, mi, 0]]) * 1000.0
+            requests = float((cells * estimates.requests[mi]).sum()
+                             + cold_visits @ first.requests[mi, 0])
+            bytes_down = float((cells * estimates.bytes_down[mi]).sum()
+                               + cold_visits @ first.bytes_down[mi, 0])
+            per_mode.append(stats(m, values, weights, requests, bytes_down,
+                                  acquisitions))
+            fleet_parts[m].append((values, weights))
+            fleet_requests[m] += requests
+            fleet_bytes[m] += bytes_down
+        cohort_modes.append(tuple(per_mode))
+        fleet_acquisitions += acquisitions
+    fleet_modes = tuple(
+        stats(m, np.concatenate([values for values, _ in fleet_parts[m]]),
+              np.concatenate([weights for _, weights in fleet_parts[m]]),
+              fleet_requests[m], fleet_bytes[m], fleet_acquisitions)
+        for m in mode_names)
+    return cohort_modes, fleet_modes
+
+
+def _weighted_percentiles_np(values, weights, qs) -> list[float]:
+    """:func:`~repro.experiments.stats.weighted_percentiles` on arrays.
+
+    The same nearest-rank rule: order by value (ties by weight), and
+    take the first value whose cumulative weight reaches ``q/100`` of
+    the total, less ``1e-9`` of the total for round-off at exact
+    boundaries.
+    """
+    np = _np
+    order = np.lexsort((weights, values))
+    cumulative = np.cumsum(weights[order])
+    total = cumulative[-1]
+    targets = total * np.asarray(qs, dtype=np.float64) / 100.0
+    index = np.searchsorted(cumulative, targets - 1e-9 * total, side="left")
+    return [float(value) for value in values[order[index]]]
 
 
 # -- sampled DES backend ----------------------------------------------------

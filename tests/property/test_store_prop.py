@@ -17,27 +17,47 @@ ops = st.lists(
         st.tuples(st.just("store"), urls, bodies),
         st.tuples(st.just("lookup"), urls, st.just(b"")),
         st.tuples(st.just("invalidate"), urls, st.just(b"")),
+        st.tuples(st.just("freshen"), urls, bodies),
     ),
     max_size=60)
 
 
-def apply_ops(store: CacheStore, operations):
+def apply_ops(store: CacheStore, operations, after=lambda: None):
+    """Run ``operations``, calling ``after`` once each has run.
+
+    ``freshen`` folds a 304 carrying ``len(body)`` bytes of metadata into
+    the entry last stored for the URL, which may since have been
+    replaced, invalidated or evicted.
+    """
     clock = 0.0
+    last_stored = {}
     for op, url, body in operations:
         clock += 1.0
         if op == "store":
-            store.store(Request(url=url), Response(body=body), clock, clock)
+            entry = store.store(Request(url=url), Response(body=body),
+                                clock, clock)
+            last_stored[url] = entry or last_stored.get(url)
         elif op == "lookup":
             store.lookup(Request(url=url), clock)
+        elif op == "freshen":
+            if last_stored.get(url) is not None:
+                store.freshen(last_stored[url], Response(
+                    status=304, headers={"X-Etag-Config": "m" * len(body)}),
+                    clock, clock)
         else:
             store.invalidate(url)
+        after()
 
 
 @given(ops)
 def test_byte_size_matches_entries(operations):
     store = CacheStore()
-    apply_ops(store, operations)
-    assert store.byte_size == sum(e.size_bytes for e in store.entries())
+
+    def check():
+        assert store.byte_size \
+            == sum(e.size_bytes for e in store.entries())
+
+    apply_ops(store, operations, after=check)
 
 
 @given(ops, st.integers(min_value=300, max_value=2000))

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.browser.cache_layer import BrowserCache
 from repro.cache.store import CacheStore
 from repro.http.messages import Request, Response
 
@@ -129,3 +130,45 @@ class TestStats:
         store.clear()
         assert store.entry_count == 0
         assert store.byte_size == 0
+
+
+class TestFreshen:
+    def test_absorbed_304_keeps_byte_size_exact(self):
+        """A 304 whose headers outgrow the stored ones is re-counted: after
+        the revalidated entry is invalidated, nothing is left over."""
+        cache = BrowserCache()
+        request = Request(url="/a")
+        stored = Response(headers={"Cache-Control": "no-cache",
+                                   "ETag": '"v1"'}, body=b"x")
+        cache.absorb(cache.plan(request, 0.0), request, stored, 0.0, 0.0)
+        plan = cache.plan(request, 1.0)
+        assert plan.is_revalidation
+        not_modified = Response(status=304, headers={
+            "ETag": '"v1"', "X-Etag-Config": "m" * 200})
+        cache.absorb(plan, request, not_modified, 1.0, 1.0)
+        store = cache.store
+        assert store.byte_size == sum(e.size_bytes for e in store.entries())
+        assert store.invalidate("/a") == 1
+        assert (store.entry_count, store.byte_size) == (0, 0)
+
+    def test_grown_entry_evicts_to_budget(self):
+        store = CacheStore(max_bytes=200)
+        old = store_one(store, "/old", b"o" * 40)
+        entry = store_one(store, "/new", b"n" * 40)
+        store.lookup(Request(url="/new"), 1.0)
+        store.freshen(entry, Response(status=304,
+                                      headers={"X-Etag-Config": "m" * 150}),
+                      1.0, 1.0)
+        assert "/old" not in store and "/new" in store
+        assert store.byte_size == entry.size_bytes
+        assert old.size_bytes < entry.size_bytes
+
+    def test_unstored_entry_is_not_counted(self):
+        store = CacheStore()
+        entry = store_one(store, "/a", b"first")
+        store_one(store, "/a", b"second")
+        size = store.byte_size
+        store.freshen(entry, Response(status=304,
+                                      headers={"X-Etag-Config": "m" * 150}),
+                      1.0, 1.0)
+        assert store.byte_size == size

@@ -6,15 +6,22 @@ backends agree to float tolerance, a pooled DES replay folds into
 ``report_html`` reads.
 """
 
+import random
+from dataclasses import astuple, replace
+
 import pytest
 
-from repro.core.analysis_vec import numpy_available
+from repro.core.analysis_vec import VectorAnalyticModel, numpy_available
 from repro.experiments.fleet import (DEFAULT_FLEET_COHORTS,
+                                     _weighted_percentiles_np,
                                      default_population, fleet_payload,
                                      run_fleet_analytic, run_fleet_des,
                                      validate_fleet)
+from repro.experiments.stats import weighted_percentiles
+from repro.netsim.clock import DAY, HOUR, MINUTE
 from repro.workload.corpus import make_corpus
 from repro.workload.population import sample_visits
+from repro.workload.revisits import RevisitModel, _Component
 
 pytestmark = pytest.mark.fleet
 
@@ -67,9 +74,7 @@ def test_analytic_aggregates_are_sane(analytic):
         assert slow["standard"].mean_ms > fast["standard"].mean_ms
 
 
-@pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
-def test_analytic_backends_agree(analytic):
-    vec, py = analytic["numpy"], analytic["python"]
+def assert_backends_agree(vec, py):
     for a, b in zip(vec.fleet + sum((c.modes for c in vec.cohorts), ()),
                     py.fleet + sum((c.modes for c in py.cohorts), ())):
         assert a.mode == b.mode
@@ -78,6 +83,88 @@ def test_analytic_backends_agree(analytic):
             x, y = getattr(a, field), getattr(b, field)
             assert abs(x - y) <= 1e-9 * max(1.0, abs(x)), \
                 (a.mode, field, x, y)
+
+
+@pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
+def test_analytic_backends_agree(analytic):
+    assert_backends_agree(analytic["numpy"], analytic["python"])
+
+
+#: revisits that come back within minutes, unlike the default mixture
+QUICK_RETURNS = RevisitModel(components=(
+    _Component(weight=0.8, median_s=3 * MINUTE, sigma=0.8),
+    _Component(weight=0.2, median_s=2 * HOUR, sigma=1.2),
+), max_delay_s=7 * DAY)
+
+
+@pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
+def test_distinct_revisit_models_price_alike(corpus, monkeypatch):
+    """Cohorts with two delay mixtures make two warm engine calls (plus
+    one for first visits), and both backends price them alike."""
+    cohorts = list(DEFAULT_FLEET_COHORTS)
+    cohorts[1] = replace(cohorts[1], revisit_model=QUICK_RETURNS)
+    spec = default_population(users=2_000, measured=100_000,
+                              cohorts=cohorts)
+    calls = []
+    batch_visit = VectorAnalyticModel.batch_visit
+
+    def counted(self, sites, modes, delays_s, conditions_list, cold=False):
+        calls.append((len(conditions_list), cold))
+        return batch_visit(self, sites, modes, delays_s, conditions_list,
+                           cold=cold)
+
+    monkeypatch.setattr(VectorAnalyticModel, "batch_visit", counted)
+    vec = run_fleet_analytic(spec, corpus, backend="numpy")
+    assert sorted(calls) == [(1, False), (2, False), (3, True)]
+    py = run_fleet_analytic(spec, corpus, backend="python")
+    assert_backends_agree(vec, py)
+    default = run_fleet_analytic(default_population(
+        users=2_000, measured=100_000), corpus, backend="numpy")
+    # the regrouped default cohort prices as it does in the default fleet
+    for got, want in zip(vec.cohorts[2].modes, default.cohorts[2].modes):
+        assert astuple(got)[1:] == pytest.approx(astuple(want)[1:],
+                                                 rel=1e-12)
+    assert vec.cohorts[1].modes[0].mean_ms \
+        < default.cohorts[1].modes[0].mean_ms
+
+
+@pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
+@pytest.mark.parametrize("values, weights", [
+    # tied values, with tied and distinct weights
+    ([5.0, 5.0, 5.0, 1.0, 9.0], [1.0, 3.0, 1.0, 2.0, 1.0]),
+    # zero weights, including the smallest and largest values
+    ([1.0, 2.0, 3.0, 4.0], [0.0, 1.0, 0.0, 0.0]),
+    ([3.0, 1.0, 2.0], [0.0, 0.0, 5.0]),
+    # cumulative weight lands exactly on 50 % and 90 %
+    ([1.0, 2.0, 3.0, 4.0], [5.0, 5.0, 8.0, 2.0]),
+    ([4.0, 3.0, 2.0, 1.0], [1.0, 1.0, 1.0, 1.0]),
+    # the 50 % boundary reached by a sum that rounds below it
+    ([1.0, 2.0, 3.0, 4.0], [0.1, 0.7, 0.1, 0.7]),
+])
+def test_numpy_percentiles_match_reference(values, weights):
+    np = pytest.importorskip("numpy")
+    qs = (0, 10, 25, 50, 70, 90, 99, 100)
+    assert _weighted_percentiles_np(np.asarray(values), np.asarray(weights),
+                                    qs) \
+        == weighted_percentiles(values, weights, qs)
+
+
+@pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
+def test_numpy_percentiles_match_reference_on_random_ties():
+    """Small integer values and weights: ties and zero weights are
+    common, and every cumulative weight is exact."""
+    np = pytest.importorskip("numpy")
+    rng = random.Random(5)
+    qs = tuple(range(0, 101, 5)) + (99,)
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        values = [float(rng.randint(0, 4)) for _ in range(n)]
+        weights = [float(rng.randint(0, 3)) for _ in range(n)]
+        if not any(weights):
+            weights[0] = 1.0
+        assert _weighted_percentiles_np(np.asarray(values),
+                                        np.asarray(weights), qs) \
+            == weighted_percentiles(values, weights, qs), (values, weights)
 
 
 def test_analytic_rejects_mismatched_corpus(spec):
