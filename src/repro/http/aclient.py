@@ -40,7 +40,7 @@ from .errors import (CircuitOpen, ConnectionClosed, HttpError,
                      RequestTimeout)
 from .headers import Headers
 from .messages import Request, Response
-from .wire import read_response, serialize_request
+from .wire import MAX_HEADER_BLOCK, read_response, serialize_request
 
 __all__ = ["AsyncHttpClient", "CircuitBreaker", "FetchTiming",
            "FetchResult"]
@@ -442,7 +442,8 @@ class AsyncHttpClient:
             -> tuple[_PooledConnection, bool]:
         host, port = key
         reader, writer = await asyncio.wait_for(
-            asyncio.open_connection(host, port), timeout=self.timeout_s)
+            asyncio.open_connection(host, port, limit=MAX_HEADER_BLOCK),
+            timeout=self.timeout_s)
         return _PooledConnection(reader=reader, writer=writer), False
 
     @staticmethod

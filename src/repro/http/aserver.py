@@ -10,6 +10,19 @@ response, emulating a distant origin on localhost.
 
 Beyond the basic request loop, the server is *overload-safe*:
 
+read deadlines
+    Each connection arms one ``TimerHandle`` while it reads a request:
+    ``keepalive_timeout_s`` while idle (expiry closes the connection
+    silently) and, from the first byte of a request,
+    ``header_read_timeout_s`` (expiry answers ``408`` with ``Connection:
+    close``; a request line trickled slower than that is a slow-loris
+    too).  Expiry cancels the connection task, and a flag on the
+    connection tells that cancel apart from :meth:`stop`'s.  A
+    keep-alive request starts no Task: the request path awaits the
+    stream directly and reads the head in one buffered call
+    (:mod:`repro.http.wire`), so both ends open their streams with a
+    ``limit`` that admits a whole head.
+
 admission control
     ``max_connections`` caps concurrent connections (excess connections
     are answered ``503`` and closed before entering the serve loop), and
@@ -57,8 +70,8 @@ from ..obs.tracecontext import extract_context
 from .errors import HttpError, ProtocolError
 from .headers import Headers
 from .messages import Request, Response
-from .wire import (read_request_start, read_request_tail,
-                   serialize_response)
+from .wire import (MAX_HEADER_BLOCK, read_request_start,
+                   read_request_tail, serialize_response)
 
 __all__ = ["AsyncHttpServer", "Handler", "STATS_PATH", "METRICS_PATH"]
 
@@ -76,16 +89,38 @@ METRICS_PATH = "/__repro/metrics"
 class _Connection:
     """Book-keeping for one live connection task (drain needs it)."""
 
-    __slots__ = ("task", "writer", "busy", "served")
+    __slots__ = ("task", "writer", "busy", "served", "timer", "expired")
 
     def __init__(self, task: asyncio.Task, writer: asyncio.StreamWriter):
         self.task = task
         self.writer = writer
-        #: True from "request line arrived" to "response written" — the
-        #: window the drain phase must respect
+        #: True from "first byte of a request arrived" to "response
+        #: written" — the window the drain phase must respect
         self.busy = False
         #: responses written on this connection (pipelining guard)
         self.served = 0
+        #: the connection's one read deadline, armed while it reads a
+        #: request (None otherwise)
+        self.timer: Optional[asyncio.TimerHandle] = None
+        #: set when ``timer`` fired: the task's cancellation is a read
+        #: deadline, not :meth:`AsyncHttpServer.stop`
+        self.expired = False
+
+    def arm(self, delay_s: float) -> None:
+        """Restart the read deadline ``delay_s`` seconds from now."""
+        if self.timer is not None:
+            self.timer.cancel()
+        self.timer = self.task.get_loop().call_later(delay_s, self._expire)
+
+    def disarm(self) -> None:
+        if self.timer is not None:
+            self.timer.cancel()
+            self.timer = None
+
+    def _expire(self) -> None:
+        self.timer = None
+        self.expired = True
+        self.task.cancel()
 
 
 class AsyncHttpServer:
@@ -120,8 +155,8 @@ class AsyncHttpServer:
         self.port = port
         self.latency_s = latency_s
         self.keepalive_timeout_s = keepalive_timeout_s
-        #: deadline for the rest of the message once a request line has
-        #: arrived; a peer that trickles headers slower than this is a
+        #: deadline for the rest of the message once its first byte has
+        #: arrived; a peer that trickles a head slower than this is a
         #: slow-loris and gets a 408 instead of a held connection
         self.header_read_timeout_s = header_read_timeout_s
         #: concurrent-connection cap; excess connections are shed with
@@ -175,11 +210,11 @@ class AsyncHttpServer:
         if sock is not None:
             sock.listen(self.backlog)
             self._server = await asyncio.start_server(
-                self._serve_connection, sock=sock)
+                self._serve_connection, sock=sock, limit=MAX_HEADER_BLOCK)
         else:
             self._server = await asyncio.start_server(
                 self._serve_connection, self.host, self.port,
-                backlog=self.backlog)
+                backlog=self.backlog, limit=MAX_HEADER_BLOCK)
         self.port = self._server.sockets[0].getsockname()[1]
         return self
 
@@ -199,8 +234,8 @@ class AsyncHttpServer:
         started = time.perf_counter()
         self.draining = True
         self._server.close()
-        # Idle connections are parked waiting for a request line that
-        # must never be answered now — reclaim them without ceremony.
+        # Idle connections are parked waiting for a request that must
+        # never be answered now — reclaim them without ceremony.
         for conn in list(self._conns):
             if not conn.busy:
                 conn.task.cancel()
@@ -277,6 +312,7 @@ class AsyncHttpServer:
             # clean)
             return
         finally:
+            conn.disarm()
             self._conns.discard(conn)
             self._gauge_set("http.connections", len(self._conns))
             await self._close_writer(writer)
@@ -285,49 +321,45 @@ class AsyncHttpServer:
                                reader: asyncio.StreamReader,
                                writer: asyncio.StreamWriter) -> None:
         while True:
-            # Idle phase: waiting for a request line.  A keep-alive
-            # connection going quiet is normal; close silently.
+            # Idle phase: waiting for the first byte of a request.  A
+            # keep-alive connection going quiet is normal; close silently.
             conn.busy = False
+            conn.arm(self.keepalive_timeout_s)
             try:
-                line = await asyncio.wait_for(
-                    read_request_start(reader),
-                    timeout=self.keepalive_timeout_s)
-            except asyncio.TimeoutError:
+                start = await read_request_start(reader)
+                if start is None:  # clean EOF
+                    return
+                # Committed phase: a request has begun, so the rest of
+                # its head must follow promptly.  A stall here, request
+                # line included, is a slow-loris holding a server slot
+                # open: answer 408 and reclaim the connection.
+                conn.busy = True
+                conn.arm(self.header_read_timeout_s)
+                request = await read_request_tail(reader, start)
+            except asyncio.CancelledError:
+                if not conn.expired:
+                    raise  # stop() is tearing the connection down
+                if conn.busy:
+                    self.timeouts_408 += 1
+                    self._counter_inc("http.timeouts_408")
+                    await self._write(writer, Response(
+                        status=408, body=b"request timed out",
+                        headers={"Connection": "close"}))
                 return
             except ProtocolError as exc:
+                conn.disarm()
                 await self._write(writer, Response(
                     status=400, body=str(exc).encode(),
                     headers={"Connection": "close"}))
                 return
-            if line is None:  # clean EOF
-                return
-            # Committed phase: a request line arrived, so the rest
-            # of the message must follow promptly.  A stall here is
-            # a slow-loris holding a server slot open: answer 408
-            # and reclaim the connection.
-            conn.busy = True
-            try:
-                request = await asyncio.wait_for(
-                    read_request_tail(reader, line),
-                    timeout=self.header_read_timeout_s)
-            except asyncio.TimeoutError:
-                self.timeouts_408 += 1
-                self._counter_inc("http.timeouts_408")
-                await self._write(writer, Response(
-                    status=408, body=b"request timed out",
-                    headers={"Connection": "close"}))
-                return
-            except ProtocolError as exc:
-                await self._write(writer, Response(
-                    status=400, body=str(exc).encode(),
-                    headers={"Connection": "close"}))
-                return
+            conn.disarm()
             shed = False
-            if request.method == "GET" and request.path == STATS_PATH:
+            ops_path = request.path if request.method == "GET" else ""
+            if ops_path == STATS_PATH:
                 # The ops endpoints answer even under overload —
                 # an unobservable saturated server cannot be debugged.
                 response = self._serve_stats(request)
-            elif request.method == "GET" and request.path == METRICS_PATH:
+            elif ops_path == METRICS_PATH:
                 response = self._serve_metrics()
             elif self.max_inflight is not None \
                     and self.inflight >= self.max_inflight:

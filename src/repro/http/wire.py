@@ -1,9 +1,20 @@
 """HTTP/1.1 wire codec over asyncio streams.
 
 Serializes :class:`~repro.http.messages.Request`/``Response`` objects and
-parses them back from ``asyncio.StreamReader``.  Supports Content-Length
-and chunked transfer coding, enforces size limits, and rejects messages
-that smell like request smuggling (conflicting length framing).
+parses them back from ``asyncio.StreamReader``.  A message head (start
+line and header fields) is read with one ``readuntil(b"\\r\\n\\r\\n")``
+and split into lines in one pass; a request's first byte is read on its
+own first (:func:`read_request_start`), so a server can tell an idle
+connection from a started request.  Supports Content-Length and chunked
+transfer coding, enforces size limits, and rejects messages that smell
+like request smuggling (conflicting length framing, bare CR or LF).
+
+Limits: the start line is at most ``MAX_START_LINE`` bytes and the whole
+head at most ``MAX_HEADER_BLOCK`` (Catalyst's ``X-Etag-Config`` maps run
+to 32 KiB on one field line).  One ``readuntil`` is bounded by the
+stream's ``limit`` (asyncio's default is 64 KiB), so open streams with
+``limit=MAX_HEADER_BLOCK`` to admit a full head; a head past the limit
+raises :class:`~repro.http.errors.MessageTooLarge` either way.
 
 This module carries the *real-socket* integration path; the discrete-event
 experiments never serialize, they hand message objects across directly.
@@ -34,29 +45,38 @@ MAX_BODY = 64 * 1024 * 1024
 # Serialization
 # ---------------------------------------------------------------------------
 
+def _head(start_line: str, headers: Headers,
+          content_length: Optional[int]) -> bytes:
+    """A message head straight from ``headers``' field list; a
+    ``content_length`` the fields lack goes last."""
+    lines = [start_line]
+    lines.extend(map(": ".join, headers.items()))
+    if content_length is not None:
+        lines.append(f"Content-Length: {content_length}")
+    lines += ("", "")
+    return "\r\n".join(lines).encode("latin-1")
+
+
 def serialize_request(request: Request) -> bytes:
     """Encode a request for the wire, adding Content-Length when needed."""
-    headers = request.headers.copy()
-    if request.body and "Content-Length" not in headers:
-        headers.set("Content-Length", str(len(request.body)))
-    lines = [f"{request.method} {request.url} {request.http_version}"]
-    lines.extend(f"{name}: {value}" for name, value in headers.items())
-    head = ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
-    return head + request.body
+    body = request.body
+    length = len(body) if body and "Content-Length" not in request.headers \
+        else None
+    return _head(f"{request.method} {request.url} {request.http_version}",
+                 request.headers, length) + body
 
 
 def serialize_response(response: Response) -> bytes:
     """Encode a response for the wire, adding Content-Length when needed."""
-    headers = response.headers.copy()
+    headers = response.headers
     has_body = _response_may_have_body(response.status)
-    if has_body and "Content-Length" not in headers \
-            and "Transfer-Encoding" not in headers:
-        headers.set("Content-Length", str(len(response.body)))
+    length = len(response.body) if has_body \
+        and "Content-Length" not in headers \
+        and "Transfer-Encoding" not in headers else None
     reason = response.reason or status_reason(response.status)
-    lines = [f"{response.http_version} {response.status} {reason}"]
-    lines.extend(f"{name}: {value}" for name, value in headers.items())
-    head = ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
-    return head + (response.body if has_body else b"")
+    head = _head(f"{response.http_version} {response.status} {reason}",
+                 headers, length)
+    return head + response.body if has_body else head
 
 
 def _response_may_have_body(status: int) -> bool:
@@ -66,6 +86,53 @@ def _response_may_have_body(status: int) -> bool:
 # ---------------------------------------------------------------------------
 # Parsing
 # ---------------------------------------------------------------------------
+
+async def _read_head(reader: asyncio.StreamReader,
+                     start: bytes = b"") -> list[str]:
+    """The start line and field lines of the head that ``start`` began.
+
+    One ``readuntil`` takes the head through its blank line, bounded by
+    the stream's ``limit``.
+    """
+    try:
+        head = await reader.readuntil(b"\r\n\r\n")
+    except asyncio.IncompleteReadError as exc:
+        if not (start or exc.partial):
+            raise ConnectionClosed("peer closed before start of message")
+        raise ProtocolError("truncated message head") from exc
+    except asyncio.LimitOverrunError as exc:
+        raise MessageTooLarge("message head exceeds stream limit") from exc
+    if start:
+        head = start + head
+    if len(head) > MAX_HEADER_BLOCK:
+        raise MessageTooLarge(f"message head of {len(head)} bytes exceeds "
+                              f"{MAX_HEADER_BLOCK}")
+    text = head.decode("latin-1")
+    crlf = text.count("\r\n")
+    if text.count("\r") != crlf or text.count("\n") != crlf:
+        raise ProtocolError("bare CR or LF in message head")
+    lines = text[:-4].split("\r\n")
+    if len(lines[0]) > MAX_START_LINE:
+        raise MessageTooLarge(f"start line of {len(lines[0])} bytes "
+                              f"exceeds {MAX_START_LINE}")
+    return lines
+
+
+def _parse_fields(lines: list[str]) -> Headers:
+    """Headers from a head's field lines (its start line excluded)."""
+    headers = Headers()
+    add = headers.add
+    for line in lines:
+        name, sep, value = line.partition(":")
+        # no colon, obsolete line folding, or whitespace around the name
+        if not sep or name != name.strip():
+            raise ProtocolError(f"malformed header line: {line[:80]!r}")
+        try:
+            add(name, value)
+        except ValueError as exc:  # a name with inner whitespace
+            raise ProtocolError(str(exc)) from exc
+    return headers
+
 
 async def _read_line(reader: asyncio.StreamReader, limit: int) -> bytes:
     try:
@@ -79,27 +146,6 @@ async def _read_line(reader: asyncio.StreamReader, limit: int) -> bytes:
     if len(line) > limit:
         raise MessageTooLarge(f"line of {len(line)} bytes exceeds {limit}")
     return line[:-2]
-
-
-async def _read_headers(reader: asyncio.StreamReader) -> Headers:
-    headers = Headers()
-    total = 0
-    while True:
-        line = await _read_line(reader, MAX_START_LINE)
-        if not line:
-            return headers
-        total += len(line)
-        if total > MAX_HEADER_BLOCK:
-            raise MessageTooLarge("header block too large")
-        if line[:1] in (b" ", b"\t"):
-            raise ProtocolError("obsolete header line folding rejected")
-        name, sep, value = line.partition(b":")
-        if not sep:
-            raise ProtocolError(f"malformed header line: {line[:80]!r}")
-        if name != name.strip():
-            raise ProtocolError("whitespace around header field name")
-        headers.add(name.decode("latin-1"),
-                    value.strip().decode("latin-1"))
 
 
 def _body_framing(headers: Headers) -> tuple[str, int]:
@@ -173,32 +219,32 @@ async def _read_body(reader: asyncio.StreamReader,
 
 async def read_request_start(
         reader: asyncio.StreamReader) -> Optional[bytes]:
-    """Read just the request line; None on clean EOF before any bytes.
+    """Wait for the first byte of the next request; None on clean EOF.
 
     Split out from :func:`read_request` so a server can apply *two*
     deadlines: a long keep-alive timeout while the connection is idle
     (no bytes yet — closing silently is fine) and a short header-read
-    timeout once a request line has committed the peer to sending a
-    full header block (a stall there is a slow-loris, answered 408).
+    timeout once a first byte has committed the peer to sending a whole
+    head (a stall there, request line included, is a slow-loris,
+    answered 408).
     """
-    try:
-        return await _read_line(reader, MAX_START_LINE)
-    except ConnectionClosed:
-        return None
+    return await reader.read(1) or None
 
 
 async def read_request_tail(reader: asyncio.StreamReader,
-                            line: bytes) -> Request:
-    """Parse the request line and read the rest of the message."""
-    parts = line.decode("latin-1").split(" ")
+                            start: bytes) -> Request:
+    """Read the rest of the request that began with ``start``: its head
+    in one buffered read, then its body."""
+    lines = await _read_head(reader, start)
+    parts = lines[0].split(" ")
     if len(parts) != 3:
-        raise ProtocolError(f"malformed request line: {line[:80]!r}")
+        raise ProtocolError(f"malformed request line: {lines[0][:80]!r}")
     method, target, version = parts
     if version not in ("HTTP/1.1", "HTTP/1.0"):
         raise ProtocolError(f"unsupported version {version!r}")
     if not method.isalpha():
         raise ProtocolError(f"malformed method {method!r}")
-    headers = await _read_headers(reader)
+    headers = _parse_fields(lines[1:])
     body = await _read_body(reader, headers)
     return Request(method=method, url=target, headers=headers, body=body,
                    http_version=version)
@@ -206,19 +252,19 @@ async def read_request_tail(reader: asyncio.StreamReader,
 
 async def read_request(reader: asyncio.StreamReader) -> Optional[Request]:
     """Read one request; returns None on clean EOF before any bytes."""
-    line = await read_request_start(reader)
-    if line is None:
+    start = await read_request_start(reader)
+    if start is None:
         return None
-    return await read_request_tail(reader, line)
+    return await read_request_tail(reader, start)
 
 
 async def read_response(reader: asyncio.StreamReader,
                         request_method: str = "GET") -> Response:
     """Read one response (framing depends on the request method)."""
-    line = await _read_line(reader, MAX_START_LINE)
-    parts = line.decode("latin-1").split(" ", 2)
+    lines = await _read_head(reader)
+    parts = lines[0].split(" ", 2)
     if len(parts) < 2:
-        raise ProtocolError(f"malformed status line: {line[:80]!r}")
+        raise ProtocolError(f"malformed status line: {lines[0][:80]!r}")
     version = parts[0]
     if version not in ("HTTP/1.1", "HTTP/1.0"):
         raise ProtocolError(f"unsupported version {version!r}")
@@ -227,7 +273,7 @@ async def read_response(reader: asyncio.StreamReader,
     except ValueError:
         raise ProtocolError(f"non-numeric status: {parts[1]!r}")
     reason = parts[2] if len(parts) == 3 else ""
-    headers = await _read_headers(reader)
+    headers = _parse_fields(lines[1:])
     if request_method == "HEAD" or not _response_may_have_body(status):
         body = b""
     else:

@@ -55,6 +55,14 @@ _EXTENSIONS = {
 
 _FILLER_WORDS = ("latency", "cache", "etag", "revalidate", "token", "round",
                  "trip", "header", "resource", "browser", "origin", "fetch")
+#: each filler word with the space that follows it in the text
+_SPACED_WORDS = [word + " " for word in _FILLER_WORDS]
+#: ``bytes.translate`` arguments taking the top byte of a 32-bit
+#: Mersenne Twister output to the word index ``_randbelow(12)`` draws
+#: from it (its top four bits), and deleting the draws it rejects
+#: (top nibble 12-15, bytes 0xC0-0xFF)
+_TOP_BYTE_TO_WORD = bytes(top >> 4 for top in range(0xC0)) + bytes(0x40)
+_REJECTED_TOP_BYTES = bytes(range(0xC0, 0x100))
 
 
 @dataclass(frozen=True)
@@ -421,24 +429,31 @@ def _filler(seed: int, nbytes: int) -> str:
     """Deterministic pseudo-text of ``nbytes`` or ``nbytes - 1`` characters.
 
     Pads every HTML document, and the full CSS/JS bodies of the serving
-    tier; the simulator's CSS/JS stand-ins carry none.  The word walk
-    stops once the words reach ``nbytes``, so the joined text can land
-    one character short.  Content is a pure function of ``(seed,
-    nbytes)``, so the cache is byte-exact; the loop body inlines
-    ``random.Random.choice`` (same underlying ``_randbelow`` draws, so
-    the text is unchanged) to halve the cost of a cold generation.
+    tier; the simulator's CSS/JS stand-ins carry none.  The text is the
+    word walk ``words[rng._randbelow(12)]`` joined by spaces, stopped
+    once the words reach ``nbytes`` and cut there, so it lands one
+    character short when the last word ends at ``nbytes - 1``.  Content
+    is a pure function of ``(seed, nbytes)``, so the cache is byte-exact.
+
+    The walk is drawn in bulk from the same stream: ``_randbelow(12)``
+    keeps the top four bits of one 32-bit output and redraws on 12-15,
+    and ``getrandbits(32 * n)`` holds ``n`` consecutive outputs as
+    little-endian words, so every fourth byte is an output's top byte.
     """
-    randbelow = random.Random(seed)._randbelow
-    words = _FILLER_WORDS
-    nwords = len(words)
-    chosen = []
-    append = chosen.append
+    rng = random.Random(seed)
+    blocks = []
     size = 0
     while size < nbytes:
-        word = words[randbelow(nwords)]
-        append(word)
-        size += len(word) + 1
-    return " ".join(chosen)[:nbytes]
+        outputs = (nbytes - size) // 5 + 8  # ~5.25 characters each
+        top = rng.getrandbits(32 * outputs).to_bytes(4 * outputs,
+                                                     "little")[3::4]
+        block = "".join(map(_SPACED_WORDS.__getitem__, top.translate(
+            _TOP_BYTE_TO_WORD, _REJECTED_TOP_BYTES)))
+        blocks.append(block)
+        size += len(block)
+    text = "".join(blocks)[:nbytes]
+    # a cut ending in a space is where the walk's last word ended
+    return text[:-1] if text.endswith(" ") else text
 
 
 def render_html(page: PageSpec, version: int) -> str:

@@ -17,6 +17,7 @@ from repro.http.messages import Request, Response
 from repro.server.adapter import as_async_handler
 from repro.server.catalyst import CatalystServer
 from repro.server.site import OriginSite
+from repro.workload.corpus import make_corpus
 from repro.workload.sitegen import generate_site
 
 
@@ -174,3 +175,23 @@ class TestCatalystOverSockets:
         # each wall "second" = 1 simulated hour; HTML churns in hours, so
         # Dates must differ and the serving stayed coherent
         assert first.headers["Date"] != second.headers["Date"]
+
+    def test_longest_corpus_map_fetched(self):
+        """At t = 0, 11 corpus pages staple a map line over 8 KiB; the
+        longest, site096-media's index, is 13.5 KB on the wire."""
+        spec = next(site for site in make_corpus()
+                    if site.origin == "https://site096-media.example")
+        catalyst = CatalystServer(OriginSite(spec, materialize_fully=True))
+
+        async def scenario():
+            handler = as_async_handler(catalyst, clock=lambda: 0.0)
+            async with AsyncHttpServer(handler) as server:
+                async with AsyncHttpClient() as client:
+                    return (await client.get(
+                        server.base_url + "/index.html")).response
+
+        response = run(scenario())
+        assert response.status == 200
+        value = response.headers["X-Etag-Config"]
+        assert len("X-Etag-Config: " + value) > 13_000
+        assert json.loads(value)

@@ -5,6 +5,8 @@ cover the failure handling.)
 """
 
 import asyncio
+import socket
+import time
 
 import pytest
 
@@ -12,6 +14,7 @@ from repro.http.aclient import AsyncHttpClient
 from repro.http.aserver import AsyncHttpServer
 from repro.http.errors import HttpError, RequestTimeout
 from repro.http.messages import Request, Response
+from repro.http.wire import MAX_HEADER_BLOCK
 
 
 def run(coro):
@@ -181,6 +184,146 @@ class TestSlowLoris:
                     result = await client.get(server.base_url + "/x")
                     assert result.response.status == 200
         run(scenario())
+
+
+def _raw_exchange(port: int, payload: bytes) -> bytes:
+    """Send ``payload`` on a blocking socket; read until the server
+    closes the connection (or resets it after answering)."""
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        try:
+            sock.sendall(payload)
+        except (BrokenPipeError, ConnectionResetError):
+            pass
+        chunks = []
+        while True:
+            try:
+                chunk = sock.recv(65536)
+            except ConnectionResetError:
+                break
+            if not chunk:
+                break
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
+class TestRequestPath:
+    """One buffered head read and one deadline timer per connection."""
+
+    def test_keep_alive_requests_start_no_task(self):
+        created = []
+
+        def counting_factory(loop, coro, **kwargs):
+            created.append(coro)
+            return asyncio.Task(coro, loop=loop, **kwargs)
+
+        async def scenario():
+            asyncio.get_running_loop().set_task_factory(counting_factory)
+            async with AsyncHttpServer(
+                    lambda req: Response(body=b"ok")) as server:
+                reader, writer = await asyncio.open_connection(
+                    server.host, server.port)
+
+                async def exchange():
+                    writer.write(b"GET /x HTTP/1.1\r\nHost: h\r\n\r\n")
+                    await writer.drain()
+                    head = await reader.readuntil(b"\r\n\r\n")
+                    assert head.startswith(b"HTTP/1.1 200 ")
+                    assert await reader.readexactly(2) == b"ok"
+
+                await exchange()  # accepting starts the connection's task
+                before = len(created)
+                for _ in range(100):
+                    await exchange()
+                during = len(created) - before
+                writer.close()
+                await writer.wait_closed()
+                return during, server.requests_served
+
+        during, served = run(scenario())
+        assert served == 101
+        assert during == 0
+
+    @pytest.mark.faults
+    def test_head_in_three_parts_within_deadline_served(self):
+        async def scenario():
+            async with AsyncHttpServer(lambda req: Response(body=b"ok"),
+                                       header_read_timeout_s=1.0) as server:
+                reader, writer = await asyncio.open_connection(
+                    server.host, server.port)
+                for part in (b"GET /x HT", b"TP/1.1\r\nHost: h\r\n",
+                             b"Accept: */*\r\n\r\n"):
+                    writer.write(part)
+                    await writer.drain()
+                    await asyncio.sleep(0.15)
+                head = await asyncio.wait_for(
+                    reader.readuntil(b"\r\n\r\n"), timeout=5)
+                writer.close()
+                await writer.wait_closed()
+                return head, server.timeouts_408
+
+        head, timeouts = run(scenario())
+        assert head.startswith(b"HTTP/1.1 200 ")
+        assert timeouts == 0
+
+    @pytest.mark.faults
+    def test_stalled_request_line_gets_408(self):
+        """Half a request line then silence falls under the header
+        deadline (408), not the keep-alive one (silent close): the first
+        byte commits the peer to a whole head."""
+        async def scenario():
+            async with AsyncHttpServer(lambda req: Response(body=b"ok"),
+                                       keepalive_timeout_s=5.0,
+                                       header_read_timeout_s=0.2) as server:
+                reader, writer = await asyncio.open_connection(
+                    server.host, server.port)
+                writer.write(b"GET /x HT")
+                await writer.drain()
+                started = time.monotonic()
+                data = await asyncio.wait_for(reader.read(), timeout=5)
+                elapsed = time.monotonic() - started
+                writer.close()
+                await writer.wait_closed()
+                return data, elapsed, server.timeouts_408
+
+        data, elapsed, timeouts = run(scenario())
+        assert data.startswith(b"HTTP/1.1 408 ")
+        assert b"Connection: close" in data
+        assert timeouts == 1
+        assert 0.15 < elapsed < 4.0
+
+    def test_head_above_default_stream_limit_served(self):
+        """A 100 KiB head is past asyncio's default 64 KiB stream limit;
+        both ends open their streams with room for a whole head."""
+        big = {f"X-Big-{i}": "v" * 20 * 1024 for i in range(5)}
+
+        async def scenario():
+            handler = lambda req: Response(
+                body=str(req.headers.wire_size()).encode(), headers=big)
+            async with AsyncHttpServer(handler) as server:
+                async with AsyncHttpClient() as client:
+                    return (await client.request(Request(
+                        url=server.base_url + "/big", headers=big))).response
+
+        response = run(scenario())
+        assert response.status == 200
+        assert int(response.body) > 100 * 1024
+        assert response.headers["X-Big-4"] == "v" * 20 * 1024
+
+    def test_head_over_max_header_block_gets_400(self):
+        head = (b"GET /x HTTP/1.1\r\nHost: h\r\nX-Pad: "
+                + b"p" * MAX_HEADER_BLOCK + b"\r\n\r\n")
+
+        async def scenario():
+            async with AsyncHttpServer(
+                    lambda req: Response(body=b"ok")) as server:
+                data = await asyncio.get_running_loop().run_in_executor(
+                    None, _raw_exchange, server.port, head)
+                return data, server.requests_served
+
+        data, served = run(scenario())
+        assert data.startswith(b"HTTP/1.1 400 ")
+        assert b"Connection: close" in data
+        assert served == 0
 
 
 class TestClientRetryBudget:

@@ -4,10 +4,10 @@ import asyncio
 
 import pytest
 
-from repro.http.errors import ProtocolError
+from repro.http.errors import MessageTooLarge, ProtocolError
 from repro.http.messages import Request, Response
-from repro.http.wire import (read_request, read_response, serialize_request,
-                             serialize_response)
+from repro.http.wire import (MAX_START_LINE, read_request, read_response,
+                             serialize_request, serialize_response)
 
 
 class _ParseCall:
@@ -156,3 +156,49 @@ class TestReadResponse:
         wire = b"HTTP/1.1 404 Not Found\r\nContent-Length: 0\r\n\r\n"
         parsed = run(_ParseCall(read_response, wire))
         assert parsed.reason == "Not Found"
+
+
+class TestHeadLimits:
+    """Field lines are bounded by the head limit only; Catalyst's
+    ``X-Etag-Config`` maps run to 32 KiB on one line."""
+
+    LONG = "x" * (20 * 1024)
+
+    def test_long_field_line_in_request(self):
+        wire = serialize_request(Request(
+            url="/a", headers={"Host": "h", "X-Etag-Config": self.LONG}))
+        parsed = run(_ParseCall(read_request, wire))
+        assert parsed.headers["x-etag-config"] == self.LONG
+        assert parsed.headers["host"] == "h"
+
+    def test_long_field_line_in_response(self):
+        wire = serialize_response(Response(
+            status=200, body=b"page", headers={"X-Etag-Config": self.LONG}))
+        parsed = run(_ParseCall(read_response, wire))
+        assert parsed.headers["X-Etag-Config"] == self.LONG
+        assert parsed.body == b"page"
+
+    def test_long_start_line_rejected(self):
+        data = b"GET /" + b"a" * MAX_START_LINE + b" HTTP/1.1\r\n\r\n"
+        with pytest.raises(MessageTooLarge):
+            run(_ParseCall(read_request, data))
+
+    def test_head_past_stream_limit_rejected(self):
+        # StreamReader() keeps asyncio's default 64 KiB limit
+        data = b"GET / HTTP/1.1\r\nX-Pad: " + b"p" * (70 * 1024) \
+            + b"\r\n\r\n"
+        with pytest.raises(MessageTooLarge):
+            run(_ParseCall(read_request, data))
+
+    @pytest.mark.parametrize("bad", [
+        b"GET / HTTP/1.1\r\nA: 1\nB: 2\r\n\r\n",     # bare LF
+        b"GET / HTTP/1.1\r\nA: 1\rB: 2\r\n\r\n",     # bare CR
+        b"GET / HTTP/1.1\r\nNa me: v\r\n\r\n",       # inner space
+    ])
+    def test_bad_field_lines_are_protocol_errors(self, bad):
+        with pytest.raises(ProtocolError):
+            run(_ParseCall(read_request, bad))
+
+    def test_truncated_head_rejected(self):
+        with pytest.raises(ProtocolError):
+            run(_ParseCall(read_request, b"GET / HTTP/1.1\r\nHost: h\r\n"))
