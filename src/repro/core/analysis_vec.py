@@ -59,9 +59,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from ..browser.engine import BrowserConfig
+from ..browser.js import ScriptModel
 from ..html.parser import ResourceKind
 from ..netsim.link import NetworkConditions
 from ..workload.sitegen import PageSpec, SiteSpec
@@ -94,6 +96,19 @@ _CACHE_ATTR = "_analysis_vec_compiled"
 #: tensor is ``[conditions, modes, delays, padded slots]``, so this
 #: bounds the kernel's working set whatever the number of sites priced.
 _CHUNK_SLOTS = 256
+
+
+@lru_cache(maxsize=1024)
+def _exec_s(script_model: ScriptModel,
+            script_sizes: tuple[int, ...]) -> float:
+    """A site's critical-path script execution: its slowest script.
+
+    A pure function of its key (``ScriptModel`` is a frozen dataclass),
+    so one process-wide memo serves every model instance and every
+    pricing call.
+    """
+    return (max(script_model.execution_time(s) for s in script_sizes)
+            if script_sizes else 0.0)
 
 
 def numpy_available() -> bool:
@@ -337,9 +352,6 @@ class VectorAnalyticModel:
                 "install the [fast] extra or use backend='python'")
         self.backend = ("python" if backend == "python"
                         else "numpy" if _np is not None else "python")
-        #: script-exec maxima keyed by the (hashable) script-size tuple —
-        #: site-constant, so never recomputed across sweep calls
-        self._exec_s_cache: dict[tuple[int, ...], float] = {}
         for name in ("server_think_s", "html_server_think_s",
                      "sw_lookup_s", "cache_lookup_s"):
             if getattr(self.config, name) < 0:
@@ -416,15 +428,6 @@ class VectorAnalyticModel:
                  for ci in range(C)],
             requests=demand("requests"), bytes_down=demand("bytes_down"),
             acquisitions=[est.acquisitions for est in per_site])
-
-    def _exec_s(self, comp: CompiledSite) -> float:
-        exec_s = self._exec_s_cache.get(comp.script_sizes)
-        if exec_s is None:
-            exec_s = (max(self.config.script_model.execution_time(s)
-                          for s in comp.script_sizes)
-                      if comp.script_sizes else 0.0)
-            self._exec_s_cache[comp.script_sizes] = exec_s
-        return exec_s
 
     def sweep(self, sites: Sequence[SiteSpec | CompiledSite],
               modes: Sequence[CachingMode],
@@ -515,7 +518,9 @@ class VectorAnalyticModel:
                 bytes_down[mi] += p_html * html_bytes
         plt += cfg.connection_policy.setup_rtts * rtt_c
         plt += np.asarray([cfg.parse_time(comp.html_size) for comp in sites])
-        plt += np.asarray([self._exec_s(comp) for comp in sites])
+        script_model = self.config.script_model
+        plt += np.asarray([_exec_s(script_model, comp.script_sizes)
+                           for comp in sites])
         requests += 1.0
         return plt, requests, bytes_down
 
@@ -626,7 +631,7 @@ class VectorAnalyticModel:
         k = cfg.connections_per_origin
         levels = comp.level_slices()
         parse = cfg.parse_time(comp.html_size)
-        exec_s = self._exec_s(comp)
+        exec_s = _exec_s(self.config.script_model, comp.script_sizes)
         setup_rtts = cfg.connection_policy.setup_rtts
         html_transfer_bits = (comp.html_size + _HEADER_BYTES) * 8.0
         C, M, D = len(rtts), len(mode_classes), len(delays)

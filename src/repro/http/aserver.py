@@ -38,7 +38,8 @@ admission control
 
 graceful drain
     :meth:`stop` accepts ``drain_s``.  The listener closes immediately,
-    idle keep-alive connections are reclaimed at once, in-flight
+    connections with no dispatched request (idle keep-alive peers and
+    peers still sending a head) are reclaimed at once, dispatched
     requests get up to ``drain_s`` seconds to finish (their responses
     carry ``Connection: close``), and stragglers are hard-cancelled at
     the deadline.  ``stop`` returns only once every connection task has
@@ -94,8 +95,10 @@ class _Connection:
     def __init__(self, task: asyncio.Task, writer: asyncio.StreamWriter):
         self.task = task
         self.writer = writer
-        #: True from "first byte of a request arrived" to "response
-        #: written" — the window the drain phase must respect
+        #: True from "request head read" to "response written" — the
+        #: window the drain phase must respect.  A connection still
+        #: reading a head has no response in flight, so a drain
+        #: reclaims it at once, like an idle one.
         self.busy = False
         #: responses written on this connection (pipelining guard)
         self.served = 0
@@ -121,6 +124,13 @@ class _Connection:
         self.timer = None
         self.expired = True
         self.task.cancel()
+
+
+def _has_close_token(headers: Headers) -> bool:
+    """Whether the ``Connection`` field lists the ``close`` option."""
+    value = headers.get_joined("Connection")
+    return value is not None and any(
+        token.strip().lower() == "close" for token in value.split(","))
 
 
 class AsyncHttpServer:
@@ -221,20 +231,20 @@ class AsyncHttpServer:
     async def stop(self, drain_s: float = 0.0) -> dict:
         """Stop accepting and tear down, gracefully when ``drain_s > 0``.
 
-        Sequence: close the listener; reclaim idle keep-alive
-        connections immediately; give busy connections up to ``drain_s``
-        seconds to write their in-flight response (which carries
-        ``Connection: close``); hard-cancel whatever remains; await
-        every connection task.  Returns a report dict —
-        ``{"connections", "hard_cancelled", "drain_s"}`` — and leaves
-        zero lingering tasks behind.
+        Sequence: close the listener; reclaim every connection without a
+        dispatched request (idle, or still reading a head) immediately;
+        give busy connections up to ``drain_s`` seconds to write their
+        in-flight response (which carries ``Connection: close``);
+        hard-cancel whatever remains; await every connection task.
+        Returns a report dict — ``{"connections", "hard_cancelled",
+        "drain_s"}`` — and leaves zero lingering tasks behind.
         """
         if self._server is None:
             return {"connections": 0, "hard_cancelled": 0, "drain_s": 0.0}
         started = time.perf_counter()
         self.draining = True
         self._server.close()
-        # Idle connections are parked waiting for a request that must
+        # Idle and head-reading connections wait on a request that must
         # never be answered now — reclaim them without ceremony.
         for conn in list(self._conns):
             if not conn.busy:
@@ -323,8 +333,8 @@ class AsyncHttpServer:
         while True:
             # Idle phase: waiting for the first byte of a request.  A
             # keep-alive connection going quiet is normal; close silently.
-            conn.busy = False
             conn.arm(self.keepalive_timeout_s)
+            committed = False
             try:
                 start = await read_request_start(reader)
                 if start is None:  # clean EOF
@@ -333,13 +343,13 @@ class AsyncHttpServer:
                 # its head must follow promptly.  A stall here, request
                 # line included, is a slow-loris holding a server slot
                 # open: answer 408 and reclaim the connection.
-                conn.busy = True
+                committed = True
                 conn.arm(self.header_read_timeout_s)
                 request = await read_request_tail(reader, start)
             except asyncio.CancelledError:
                 if not conn.expired:
                     raise  # stop() is tearing the connection down
-                if conn.busy:
+                if committed:
                     self.timeouts_408 += 1
                     self._counter_inc("http.timeouts_408")
                     await self._write(writer, Response(
@@ -353,6 +363,7 @@ class AsyncHttpServer:
                     headers={"Connection": "close"}))
                 return
             conn.disarm()
+            conn.busy = True
             shed = False
             ops_path = request.path if request.method == "GET" else ""
             if ops_path == STATS_PATH:
@@ -383,12 +394,14 @@ class AsyncHttpServer:
                     self.inflight -= 1
                     self._gauge_set("http.inflight", self.inflight)
             conn.served += 1
+            handler_closes = _has_close_token(response.headers)
             keep_alive = (self._keep_alive(request)
+                          and not handler_closes
                           and not self.draining
                           and (self.max_requests_per_connection is None
                                or conn.served
                                < self.max_requests_per_connection))
-            if not keep_alive:
+            if not keep_alive and not handler_closes:
                 response.headers.set("Connection", "close")
             await self._write(writer, response)
             if not shed:

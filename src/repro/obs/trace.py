@@ -13,7 +13,7 @@ Design constraints, in order:
    instrumentation point bail with one attribute read and a branch.  All
    ``begin``/``instant`` calls on the null tracer return the shared
    :data:`NULL_SPAN` singleton — no allocation on the fast path, which
-   is what keeps PLT numbers and the server hot-path bench unaffected.
+   is what keeps PLT numbers and perfbench's untraced timings unaffected.
 2. **Clock-agnostic.**  The discrete-event stack traces on the *sim*
    clock (``sim.now``); the asyncio stack traces on the wall clock.  A
    tracer takes any zero-arg ``clock`` callable and all timestamps are

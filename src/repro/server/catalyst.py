@@ -29,7 +29,7 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from ..core.etag_config import (DEFAULT_MAX_ENTRIES,
                                 DEFAULT_MAX_HEADER_BYTES,
@@ -39,18 +39,21 @@ from ..html.parser import (ResourceKind, ResourceRef,
                            extract_resources_cached, is_same_origin)
 from ..html.css import extract_css_refs
 from ..html.rewrite import CACHE_SW_PATH, inject_sw_registration
-from ..http.dates import format_http_date
 from ..http.etag import ETag, etag_for_content
 from ..http.headers import Headers
 from ..http.messages import Request, Response
 from ..obs.trace import NULL_TRACER
-from .site import OriginSite, WALL_EPOCH
+from .site import OriginSite
 from .static import StaticServer
 from .sessions import SessionRecorder
 
 __all__ = ["CatalystConfig", "CatalystServer", "SERVICE_WORKER_JS"]
 
 logger = logging.getLogger(__name__)
+
+#: entry cap on every memo of a :class:`CatalystServer` (FIFO eviction,
+#: oldest version first); bounds a long-lived server under version churn
+_MAX_MEMO_ENTRIES = 4096
 
 #: The client-side Service Worker source served at CACHE_SW_PATH.  The DES
 #: browser model implements the same logic natively
@@ -94,12 +97,10 @@ self.addEventListener('fetch', e => e.respondWith(handle(e.request)));
 
 @dataclass(frozen=True)
 class CatalystConfig:
-    """Server-side knobs (each is an ablation axis)."""
+    """Server-side knobs (each is an ablation axis or a deployment cap)."""
 
     #: follow stylesheet url()/@import references one level
     include_css_transitive: bool = True
-    #: inject the SW registration snippet into served HTML
-    inject_sw: bool = True
     #: cap on stapled entries (header-size guard)
     max_entries: int = DEFAULT_MAX_ENTRIES
     #: record per-session fetched URLs and staple them on revisits (§6)
@@ -109,48 +110,51 @@ class CatalystConfig:
     #: honour X-Etag-Config-Digest: answer with a tiny "-Same" header
     #: instead of re-sending an identical map (this repo's extension)
     use_map_digest: bool = False
-    #: serve the page *without* the map when map construction fails,
-    #: instead of surfacing a 500 — stapling is an optimisation and its
-    #: failure must never take the page down
-    fail_open: bool = True
     #: byte cap on the emitted map header (oversized maps are omitted)
     max_header_bytes: int = DEFAULT_MAX_HEADER_BYTES
-    #: content-addressed hot-path caches (render / parse-ref / ETag map).
-    #: Responses are byte-identical either way; the flag exists so the
-    #: bench can measure the uncached seed path and tests can diff the two.
-    hot_path_cache: bool = True
-    #: entry cap per hot-path cache (FIFO eviction; bounds a long-lived
-    #: server under heavy version churn)
-    max_cache_entries: int = 4096
     #: emit an RFC 9211-style ``Cache-Status`` response header on page
-    #: responses naming each hot-path cache's verdict (``repro-render;
-    #: hit`` / ``fwd=miss``, ``repro-map; hit`` / ``fwd=miss;
-    #: detail=build``, plus ``repro-origin; hit; detail=revalidated`` on
-    #: 304s).  Default off: the header changes response bytes, and the
-    #: DES paths pin cached-vs-uncached byte identity — the asyncio
-    #: serving tier (fleet / ``repro serve``) turns it on.
+    #: responses naming each memo's verdict (``repro-render; hit`` /
+    #: ``fwd=miss``, ``repro-map; hit`` / ``fwd=miss; detail=build``,
+    #: plus ``repro-origin; hit; detail=revalidated`` on 304s).  Default
+    #: off: the header changes response bytes, which the DES pins — the
+    #: asyncio serving tier (fleet / ``repro serve``) turns it on.
     emit_cache_status: bool = False
+
+
+class _Page(NamedTuple):
+    """One document version as served, computed once per version."""
+
+    #: the SW-injected body and its re-hashed ETag header value; both
+    #: None when injection failed and the document goes out as rendered
+    body: Optional[bytes]
+    etag: Optional[str]
+    #: the served body's references; None when they could not be read,
+    #: and the page is then served without a map
+    refs: Optional[tuple[ResourceRef, ...]]
 
 
 class CatalystServer:
     """Drop-in replacement for :class:`StaticServer` with stapling.
 
-    The request hot path is content-addressed: everything that depends
-    only on *content versions* (not on the clock or the client) is
-    computed once per version and reused until the churn model moves a
-    version forward.
+    A document request takes one path: ``site.respond`` (which counts
+    the request and writes ``Date``), then the page memo, then the map
+    memo.  Everything that depends only on *content versions* (not on
+    the clock or the client) is computed once per version and reused
+    until the churn model moves a version forward:
 
-    - **render cache** ``(path, document_version)`` → SW-injected body +
-      its precomputed ETag header set; injection and hashing happen once
-      per document version instead of once per request.
-    - **parse/ref cache** ``(path, document_version)`` → extracted
-      :class:`ResourceRef` list; the DOM parse happens once per version.
-    - **ETag-map cache** ``(scope, version-vector)`` → session-independent
+    - **page memo** ``(path, document_version)`` → :class:`_Page`: the
+      SW-injected body, its ETag and its extracted references, so the
+      injection, the hash and the DOM parse run once per version.
+    - **map memo** ``(scope, version-vector)`` → session-independent
       :class:`EtagConfig`; invalidated implicitly because the key embeds
       ``site.version_of`` for every candidate URL, so a churn bump on any
       stapled resource changes the key.  Per-client session entries are
-      merged *on top* of the cached map per request, so responses stay
-      byte-identical to the uncached path.
+      merged *on top* of the memoized map per request.
+    - **stylesheet memo** ``(css_url, version)`` → child URLs.
+
+    Each memo holds at most :data:`_MAX_MEMO_ENTRIES` entries.  A server
+    with empty memos computes the same bytes from scratch, which is the
+    reference the byte-identity tests compare against.
     """
 
     def __init__(self, site: OriginSite,
@@ -165,34 +169,28 @@ class CatalystServer:
         self.third_party_oracle = third_party_oracle
         #: total bytes of X-Etag-Config emitted (overhead accounting)
         self.config_bytes_emitted = 0
-        #: times map construction raised and the server failed open
+        #: times map construction failed and the server failed open
         self.map_build_failures = 0
-        #: times SW injection raised and the server served unmodified HTML
+        #: document versions whose SW injection raised and were served
+        #: unmodified
         self.injection_failures = 0
         #: HTML responses given a map: stapled, answered by its digest,
         #: or dropped over ``max_header_bytes``
         self.maps_stapled = 0
         #: (css_url, version) -> child URLs; stylesheets are parsed once
         #: per content version, not once per HTML request.  Negative
-        #: results (failed peek, non-200) memoize as [] under the same key.
+        #: results (no stand-in body) memoize as [] under the same key.
         self._css_children_memo: dict[tuple[str, int], list[str]] = {}
-        #: (path, document_version) -> rendered entry (body + headers)
-        self._render_cache: dict[tuple[str, int], _RenderEntry] = {}
-        #: (path, document_version) -> extracted ResourceRefs
-        self._ref_cache: dict[tuple[str, int],
-                              tuple[ResourceRef, ...]] = {}
+        #: (path, document_version) -> the page as served
+        self._render_cache: dict[tuple[str, int], _Page] = {}
         #: (scope, version-vector) -> session-independent EtagConfig
         self._map_cache: dict[tuple, EtagConfig] = {}
-        #: hot-path cache verdicts (render, parse/ref and ETag-map
-        #: caches); ``ref_hits`` is the document parses the ref cache
-        #: avoided.  ``html_parses`` counts the documents handed to the
-        #: shared digest-keyed parse (``extract_resources_cached``, which
-        #: the browser also uses), ``css_parses`` the stylesheet parses
-        #: performed
+        #: memo verdicts (page and ETag-map memos).  ``html_parses``
+        #: counts the documents handed to the shared digest-keyed parse
+        #: (``extract_resources_cached``, which the browser also uses),
+        #: ``css_parses`` the stylesheet parses performed
         self.render_hits = 0
         self.render_misses = 0
-        self.ref_hits = 0
-        self.ref_misses = 0
         self.map_hits = 0
         self.map_builds = 0
         self.html_parses = 0
@@ -210,10 +208,10 @@ class CatalystServer:
         """The traced twin of :meth:`handle`.
 
         Emits one ``server.handle`` span per request, annotated with the
-        hot-path cache verdicts derived from counter deltas (the
-        counters stay the single source of truth, the span just reads
-        them) and the handle's wall time.  Separated out so the untraced
-        path stays byte-for-byte what the bench gate measures.
+        memo verdicts derived from counter deltas (the counters stay the
+        single source of truth, the span just reads them) and the
+        handle's wall time.  Separated out so the untraced path stays
+        byte-for-byte what the bench gate measures.
         """
         tracer = self.tracer
         span = tracer.begin("server.handle", "server",
@@ -252,40 +250,30 @@ class CatalystServer:
 
     def _handle_page(self, request: Request, path: str,
                      session_id: Optional[str], at_time: float) -> Response:
-        caching = self.config.hot_path_cache
-        doc_version: Optional[int] = \
-            self.site.version_of(path, at_time) if caching else None
-        render_verdict = "bypass" if not caching else "miss"
-        full = None
-        if caching and doc_version is not None:
-            entry = self._render_cache.get((path, doc_version))
-            if entry is not None:
-                self.render_hits += 1
-                render_verdict = "hit"
-                full = entry.response_at(at_time)
-                self.site.note_request(path)
-        if full is None:
-            if caching:
-                self.render_misses += 1
-            full = self.site.respond(path, at_time)
-            if full.status != 200:
-                return full
-            self._inject_into(full, path)
-            if caching and doc_version is not None:
-                self._render_cache[(path, doc_version)] = _RenderEntry(
-                    body=full.body, headers=full.headers.copy())
-                self._trim(self._render_cache)
+        full = self.site.respond(path, at_time)
+        key = (path, self.site.version_of(path, at_time))
+        page = self._render_cache.get(key)
+        if page is None:
+            self.render_misses += 1
+            render_verdict = "miss"
+            page = self._render_cache[key] = self._render_page(full, path)
+            self._trim(self._render_cache)
+        else:
+            self.render_hits += 1
+            render_verdict = "hit"
+        if page.body is not None:
+            # ``set`` moves ETag to the end of the field list, the order
+            # the golden served-bytes digest pins
+            full.body = page.body
+            full.headers.set("ETag", page.etag)
         map_hits_before = self.map_hits
         try:
-            body = full.body
-            config = self._build_config_for_html(
-                lambda: body.decode(), at_time, path=path,
-                doc_version=doc_version)
+            config = self._build_config_for_html(page.refs, at_time, key)
             if self.sessions is not None and session_id:
                 # A base-HTML request marks a new visit: promote the
                 # previous visit's recording, then staple tokens for
                 # everything in it.  The merge builds a *new* map, so the
-                # cached session-independent one is never polluted.
+                # memoized session-independent one is never polluted.
                 self.sessions.begin_visit(session_id)
                 recorded = self.sessions.urls_for(session_id)
                 config = config.merged_with(
@@ -294,8 +282,6 @@ class CatalystServer:
             # Fail open: the map is an optimisation.  A page served
             # without it revalidates conditionally — a page not served
             # at all is an outage.
-            if not self.config.fail_open:
-                raise
             self.map_build_failures += 1
             logger.warning("X-Etag-Config construction failed for %s; "
                            "serving page without map", path, exc_info=True)
@@ -321,15 +307,41 @@ class CatalystServer:
         self.maps_stapled += 1
         return response
 
+    def _render_page(self, full: Response, path: str) -> _Page:
+        """Inject, re-hash and parse one document version, failing open.
+
+        An injection failure (e.g. an undecodable body) serves the
+        rendered document under its own ETag; a parse failure leaves the
+        page without references, so every request for it is served
+        without a map.
+        """
+        body = etag = refs = None
+        try:
+            body = inject_sw_registration(full.body.decode()).encode()
+            etag = str(etag_for_content(body))
+        except Exception:
+            body = None
+            self.injection_failures += 1
+            logger.warning("SW injection failed for %s; serving "
+                           "unmodified document", path, exc_info=True)
+        try:
+            text = (full.body if body is None else body).decode()
+            self.html_parses += 1
+            refs = extract_resources_cached(text, base_url="")
+        except Exception:
+            logger.warning("reference extraction failed for %s",
+                           path, exc_info=True)
+        return _Page(body=body, etag=etag, refs=refs)
+
     def _stamp_cache_status(self, response: Response, render: str,
                             etag_map: str) -> None:
-        """RFC 9211-style ``Cache-Status`` naming each hot-path verdict.
+        """RFC 9211-style ``Cache-Status`` naming each memo's verdict.
 
-        One list member per cache, most-internal first: ``repro-render``
-        (the injected-body render cache), ``repro-map`` (the ETag-map
-        cache), and — when the conditional path answered 304 —
-        ``repro-origin; hit; detail=revalidated``.  Gated on
-        ``emit_cache_status`` so DES byte-identity invariants hold.
+        One list member per memo, most-internal first: ``repro-render``
+        (the page memo), ``repro-map`` (the ETag-map memo), and — when
+        the conditional path answered 304 — ``repro-origin; hit;
+        detail=revalidated``.  Gated on ``emit_cache_status`` so DES
+        byte-identity invariants hold.
         """
         if not self.config.emit_cache_status:
             return
@@ -338,8 +350,6 @@ class CatalystServer:
                                ("repro-map", etag_map)):
             if verdict == "hit":
                 members.append(f"{cache}; hit")
-            elif verdict == "bypass":
-                members.append(f"{cache}; fwd=bypass")
             elif verdict == "error":
                 members.append(f"{cache}; fwd=miss; detail=error")
             else:
@@ -360,17 +370,13 @@ class CatalystServer:
         return Response(status=200, headers=headers, body=body)
 
     # -- config construction -------------------------------------------------
-    def _build_config_for_html(self, markup, at_time: float,
-                               path: Optional[str] = None,
-                               doc_version: Optional[int] = None
+    def _build_config_for_html(self, refs: Optional[tuple[ResourceRef, ...]],
+                               at_time: float, key: tuple[str, int]
                                ) -> EtagConfig:
-        """Build (or fetch from cache) the map for one document version.
-
-        ``markup`` may be the document text or a zero-arg callable
-        returning it — the callable is only invoked on a parse/ref-cache
-        miss, so render-cache hits never pay the decode.
-        """
-        refs = self._refs_for_document(markup, path, doc_version)
+        """The map for one document version (from the map memo if the
+        version vector of its candidate URLs is unchanged)."""
+        if refs is None:
+            raise ValueError("document references could not be read")
         urls: list[str] = []
         for ref in refs:
             if not is_same_origin(self.site.origin, ref.url):
@@ -384,57 +390,33 @@ class CatalystServer:
         # entries whose saved RTTs matter most for PLT.
         blocking_urls = {ref.url for ref in refs if ref.blocking}
         urls.sort(key=lambda u: (u not in blocking_urls))
-        return self._cached_config(("doc", path, doc_version), urls,
-                                   at_time)
-
-    def _refs_for_document(self, markup, path: Optional[str],
-                           doc_version: Optional[int]
-                           ) -> tuple[ResourceRef, ...]:
-        cacheable = (self.config.hot_path_cache and path is not None
-                     and doc_version is not None)
-        if cacheable:
-            cached = self._ref_cache.get((path, doc_version))
-            if cached is not None:
-                self.ref_hits += 1
-                return cached
-            self.ref_misses += 1
-        text = markup() if callable(markup) else markup
-        self.html_parses += 1
-        refs = extract_resources_cached(text, base_url="")
-        if cacheable:
-            self._ref_cache[(path, doc_version)] = refs
-            self._trim(self._ref_cache)
-        return refs
+        return self._cached_config(("doc",) + key, urls, at_time)
 
     def _cached_config(self, scope: tuple, urls: list[str],
                        at_time: float) -> EtagConfig:
-        """Version-keyed cache around :meth:`_config_for_urls`.
+        """Version-keyed memo around :meth:`_config_for_urls`.
 
         The key embeds ``site.version_of`` for every candidate URL, so
         any churn bump on a stapled resource changes the key and the
         stale map is never served.  Bypassed when a third-party oracle is
-        configured (its answers may be time-dependent) and when there is
-        no version context to key on.
+        configured (its answers may be time-dependent).
         """
-        cacheable = (self.config.hot_path_cache
-                     and self.third_party_oracle is None
-                     and scope[-1] is not None)
-        if cacheable:
-            key = scope + (self._version_signature(urls, at_time),)
-            cached = self._map_cache.get(key)
-            if cached is not None:
-                self.map_hits += 1
-                return cached
+        if self.third_party_oracle is not None:
+            self.map_builds += 1
+            return self._config_for_urls(urls, at_time)
+        key = scope + (self._version_signature(urls, at_time),)
+        cached = self._map_cache.get(key)
+        if cached is not None:
+            self.map_hits += 1
+            return cached
         self.map_builds += 1
-        config = self._config_for_urls(urls, at_time)
-        if cacheable:
-            self._map_cache[key] = config
-            self._trim(self._map_cache)
+        config = self._map_cache[key] = self._config_for_urls(urls, at_time)
+        self._trim(self._map_cache)
         return config
 
     def _version_signature(self, urls: list[str],
                            at_time: float) -> tuple[int, ...]:
-        """Current content-version vector of ``urls`` (the cache key).
+        """Current content-version vector of ``urls`` (the memo key).
 
         Dynamic resources version per *request* but never yield a stable
         tag (they are always excluded from the map), so they contribute a
@@ -454,21 +436,20 @@ class CatalystServer:
         spec = self.site.resource_spec(css_url)
         if spec is None or spec.kind is not ResourceKind.STYLESHEET:
             return []
-        version = self.site.version_of(css_url, at_time)
-        memo_key = (css_url, version if version is not None else -1)
+        memo_key = (css_url, self.site.version_of(css_url, at_time))
         cached = self._css_children_memo.get(memo_key)
         if cached is not None:
             return cached
-        response = self._peek(css_url, at_time)
-        if response is None or response.status != 200:
-            # Memoize the negative result too: without it a failed peek
-            # re-ran the render + decode on every later document request.
-            self._css_children_memo[memo_key] = []
-            return []
-        self.css_parses += 1
-        children = [ref.url
-                    for ref in extract_css_refs(response.body.decode())]
+        # The stand-in keeps every url() rule of the full body, so its
+        # references are the stylesheet's, without rendering the filler
+        # or counting a request.
+        body = self.site.standin_body(css_url, at_time)
+        children: list[str] = []
+        if body is not None:
+            self.css_parses += 1
+            children = [ref.url for ref in extract_css_refs(body.decode())]
         self._css_children_memo[memo_key] = children
+        self._trim(self._css_children_memo)
         return children
 
     def _config_for_urls(self, urls: list[str],
@@ -508,8 +489,6 @@ class CatalystServer:
             config = self._cached_config(("css", path, version), children,
                                          at_time)
         except Exception:
-            if not self.config.fail_open:
-                raise
             self.map_build_failures += 1
             logger.warning("X-Etag-Config construction failed for "
                            "stylesheet %s; serving without map", path,
@@ -519,79 +498,25 @@ class CatalystServer:
                            max_header_bytes=self.config.max_header_bytes):
             self.config_bytes_emitted += config.header_size()
 
-    def _peek(self, url: str, at_time: float) -> Optional[Response]:
-        """Render a resource without counting a request (server-internal)."""
-        spec = self.site.resource_spec(url)
-        if spec is None:
-            return None
-        counts = dict(self.site.request_counts)
-        response = self.site.respond(url, at_time)
-        self.site.request_counts.clear()
-        self.site.request_counts.update(counts)
-        return response
-
-    # -- hot-path cache plumbing ---------------------------------------------
-    def _inject_into(self, full: Response, path: str) -> None:
-        """Apply SW-registration injection + re-hash, failing open.
-
-        Folded into render-cache population so a later map-build failure
-        neither re-pays nor double-applies injection; an injection
-        failure itself (e.g. undecodable body) degrades to serving the
-        unmodified document instead of a 500.
-        """
-        if not self.config.inject_sw:
-            return
-        try:
-            markup = inject_sw_registration(full.body.decode())
-            full.body = markup.encode()
-            full.headers.set("ETag", str(etag_for_content(full.body)))
-        except Exception:
-            if not self.config.fail_open:
-                raise
-            self.injection_failures += 1
-            logger.warning("SW injection failed for %s; serving "
-                           "unmodified document", path, exc_info=True)
-
-    def _trim(self, cache: dict) -> None:
-        while len(cache) > self.config.max_cache_entries:
+    @staticmethod
+    def _trim(cache: dict) -> None:
+        while len(cache) > _MAX_MEMO_ENTRIES:
             cache.pop(next(iter(cache)))  # FIFO: oldest version first
 
     def stats(self) -> dict:
-        """Server-side counters: cache verdicts, overhead, cache sizes."""
+        """Server-side counters: memo verdicts, overhead, memo sizes."""
         return {
             "render_hits": self.render_hits,
             "render_misses": self.render_misses,
-            "ref_hits": self.ref_hits,
-            "ref_misses": self.ref_misses,
             "map_hits": self.map_hits,
             "map_builds": self.map_builds,
             "html_parses": self.html_parses,
             "css_parses": self.css_parses,
-            "parses_avoided": self.ref_hits,
             "config_bytes_emitted": self.config_bytes_emitted,
             "maps_stapled": self.maps_stapled,
             "map_build_failures": self.map_build_failures,
             "injection_failures": self.injection_failures,
             "render_cache_size": len(self._render_cache),
-            "ref_cache_size": len(self._ref_cache),
             "map_cache_size": len(self._map_cache),
             "css_memo_size": len(self._css_children_memo),
         }
-
-
-@dataclass
-class _RenderEntry:
-    """One cached document rendering: injected body + final header set.
-
-    Headers are stored post-injection so field *order* matches the
-    uncached path exactly (``set("ETag", ...)`` moves the field to the
-    end); only ``Date`` varies per request and is rewritten in place.
-    """
-
-    body: bytes
-    headers: Headers
-
-    def response_at(self, at_time: float) -> Response:
-        headers = self.headers.copy()
-        headers.replace("Date", format_http_date(WALL_EPOCH + at_time))
-        return Response(status=200, headers=headers, body=self.body)

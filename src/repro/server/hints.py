@@ -67,16 +67,13 @@ class HintPlanner:
             for ref in refs:
                 if ref.kind is not ResourceKind.STYLESHEET:
                     continue
-                if self.site.resource_spec(ref.url) is None:
-                    continue
-                # peek at the stylesheet without counting a request; the
+                # read the stylesheet without counting a request; the
                 # child set is version-stable, so time 0 is equivalent
-                counts = dict(self.site.request_counts)
-                response = self.site.respond(ref.url, 0.0)
-                self.site.request_counts.clear()
-                self.site.request_counts.update(counts)
+                body = self.site.standin_body(ref.url, 0.0)
+                if body is None:
+                    continue
                 for child in extract_css_refs(
-                        response.body.decode(errors="replace")):
+                        body.decode(errors="replace")):
                     add(child.url)
         return urls
 

@@ -230,15 +230,6 @@ class OriginSite:
     def _count(self, url: str) -> None:
         self.request_counts[url] = self.request_counts.get(url, 0) + 1
 
-    def note_request(self, url: str) -> None:
-        """Count a request served from a layer above (e.g. a render cache).
-
-        The Catalyst hot-path cache answers repeat document requests
-        without calling :meth:`respond`; diagnostics (and dynamic-resource
-        versioning) still need the request recorded.
-        """
-        self._count(url)
-
     # -- oracle used by experiments ---------------------------------------------
     def etag_of(self, url: str, at_time: float) -> Optional[str]:
         """Current ETag opaque value without counting a request."""
@@ -253,6 +244,20 @@ class OriginSite:
             return None  # changes per request; has no stable current tag
         version = self._churn_for(spec).version_at(at_time)
         return self._template(spec, version, at_time).etag.strip('"')
+
+    def standin_body(self, url: str, at_time: float) -> Optional[bytes]:
+        """Current stand-in body of a non-document resource without
+        counting a request (None for documents and unknown URLs).
+
+        The stand-in keeps every ``url()`` rule and fetch directive of
+        the full body, so references read from it are the resource's in
+        both tiers.
+        """
+        spec = self.resource_spec(url)
+        if spec is None:
+            return None
+        version = self._resource_version(spec, at_time)
+        return self._template(spec, version, at_time).body
 
     def changed_between(self, url: str, t0: float, t1: float) -> bool:
         """Whether a (non-dynamic) resource's content changed in (t0, t1]."""

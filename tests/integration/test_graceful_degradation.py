@@ -159,7 +159,6 @@ class TestCorruptedMapDegradation:
     def test_server_fail_open_serves_page_without_map(self, site_spec):
         from repro.core.etag_config import ETAG_CONFIG_HEADER
         from repro.http.messages import Request
-        from repro.server.catalyst import CatalystConfig
         from repro.server.site import OriginSite
 
         site = OriginSite(site_spec)
@@ -169,12 +168,6 @@ class TestCorruptedMapDegradation:
         assert response.status == 200
         assert response.headers.get(ETAG_CONFIG_HEADER) is None
         assert server.map_build_failures == 1
-
-        strict = CatalystServer(OriginSite(site_spec),
-                                config=CatalystConfig(fail_open=False))
-        strict._build_config_for_html = _raises
-        with pytest.raises(RuntimeError):
-            strict.handle(Request(url="/index.html"), 0.0)
 
 
 def _raises(*args, **kwargs):

@@ -90,7 +90,9 @@ class TestServerBehaviour:
                     server.host, server.port)
                 writer.write(b"GET / HTTP/1.1\r\nHost: x\r\n\r\n")
                 await writer.drain()
-                data = await reader.read()  # until server closes
+                # the server closes right after the response, long before
+                # its keep-alive deadline
+                data = await asyncio.wait_for(reader.read(), timeout=1.0)
                 writer.close()
                 return data
         data = run(scenario())

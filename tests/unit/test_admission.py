@@ -248,6 +248,37 @@ class TestDrainCancellation:
         assert report["connections"] == 1
         assert report["hard_cancelled"] == 1
 
+    def test_partial_head_does_not_hold_drain(self):
+        """Only a dispatched request holds the drain: an idle peer and a
+        peer still sending its head are reclaimed at once."""
+        async def scenario():
+            async def handler(request):
+                await asyncio.sleep(0.2)
+                return Response(body=b"ok")
+
+            server = AsyncHttpServer(handler)
+            await server.start()
+            peers = [await asyncio.open_connection(server.host, server.port)
+                     for _ in range(3)]
+            (_, partial), (reader, dispatched) = peers[1], peers[2]
+            partial.write(b"GET /x HT")
+            dispatched.write(b"GET /slow HTTP/1.1\r\nHost: t\r\n\r\n")
+            while server.inflight == 0:
+                await asyncio.sleep(0.01)
+            await asyncio.sleep(0.05)  # the partial head has arrived
+            report = await server.stop(drain_s=1.0)
+            raw = await asyncio.wait_for(reader.read(), timeout=1.0)
+            for _, writer in peers:
+                writer.close()
+            return report, raw
+
+        report, raw = run(scenario())
+        assert report["connections"] == 3
+        assert report["hard_cancelled"] == 0
+        assert report["drain_s"] < 0.6
+        assert raw.startswith(b"HTTP/1.1 200")
+        assert b"Connection: close" in raw
+
     def test_stop_without_start_reports_empty(self):
         async def scenario():
             server = AsyncHttpServer(lambda req: Response())

@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.server.catalyst as catalyst_mod
 from repro.core.etag_config import ETAG_CONFIG_HEADER, EtagConfig
 from repro.html.parser import ResourceKind
 from repro.html.rewrite import CACHE_SW_PATH, has_sw_registration
@@ -69,13 +70,6 @@ class TestHtmlStapling:
             at_time=1.0)
         assert second.status == 304
         assert ETAG_CONFIG_HEADER in second.headers
-
-    def test_injection_disabled_by_config(self, site):
-        server = CatalystServer(site, config=CatalystConfig(
-            inject_sw=False))
-        resp = server.handle(Request(url="/index.html"), at_time=0.0)
-        assert not has_sw_registration(resp.body.decode())
-        assert ETAG_CONFIG_HEADER in resp.headers  # stapling still on
 
     def test_max_entries_cap_prefers_blocking(self, site):
         server = CatalystServer(site, config=CatalystConfig(max_entries=3))
@@ -235,6 +229,24 @@ class TestBookkeepingBounded:
         assert _container_sizes(server) == sizes
         assert site.request_counts[urls[0]] == 4
 
+    def test_memos_stay_within_bound_under_churn(self, monkeypatch):
+        """Under version churn every memo keeps at most the one
+        module-level bound of entries."""
+        monkeypatch.setattr(catalyst_mod, "_MAX_MEMO_ENTRIES", 3)
+        site = OriginSite(generate_site("https://bounded.example", seed=3))
+        server = CatalystServer(site)
+        memos = {"page": server._render_cache, "map": server._map_cache,
+                 "stylesheet": server._css_children_memo}
+        for step in range(14 * 4):  # every 6 h for two weeks
+            for url in site.all_urls():
+                server.handle(Request(url=url), step * 6 * 3600.0)
+            sizes = {name: len(memo) for name, memo in memos.items()}
+            assert max(sizes.values()) <= 3, sizes
+        # the churn filled each memo past the bound many times over
+        assert min(server.render_misses, server.map_builds,
+                   server.css_parses) > 3
+        assert all(len(memo) == 3 for memo in memos.values())
+
 
 class TestCacheStatus:
     """The RFC 9211-style ``Cache-Status`` response header (PR 9)."""
@@ -261,12 +273,6 @@ class TestCacheStatus:
         server = self.enabled(site)
         resp = server.handle(Request(url="/index.html"), at_time=0.0)
         assert "repro-map; fwd=miss; detail=build" \
-            in resp.headers.get("Cache-Status")
-
-    def test_bypass_when_hot_path_cache_disabled(self, site):
-        server = self.enabled(site, hot_path_cache=False)
-        resp = server.handle(Request(url="/index.html"), at_time=0.0)
-        assert "repro-render; fwd=bypass" \
             in resp.headers.get("Cache-Status")
 
     def test_revalidation_304_adds_origin_member(self, site):

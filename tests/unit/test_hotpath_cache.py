@@ -1,9 +1,9 @@
-"""Unit tests for the content-addressed server hot path (PR 3).
+"""Unit tests for the Catalyst origin's content-addressed memos.
 
-Covers the three caches (render / parse-ref / ETag map), churn-keyed
-invalidation, byte-identity with the uncached seed path, session
-isolation, the negative-result stylesheet memo, and the fail-open
-injection fold.
+Covers the page, ETag-map and stylesheet memos, churn-keyed
+invalidation, byte-identity with a server whose memos are empty,
+session isolation, the negative-result stylesheet memo, the fail-open
+injection fold, and the one bound on every memo.
 """
 
 import pytest
@@ -12,6 +12,7 @@ from repro.core.etag_config import ETAG_CONFIG_HEADER, EtagConfig
 from repro.html.parser import ResourceKind
 from repro.html.rewrite import has_sw_registration
 from repro.http.messages import Request, Response
+import repro.server.catalyst as catalyst_mod
 from repro.server.catalyst import CatalystConfig, CatalystServer
 from repro.server.site import OriginSite
 from repro.workload.headers_model import HeaderPolicy
@@ -66,47 +67,54 @@ def assert_same_response(a: Response, b: Response) -> None:
     assert list(a.headers.items()) == list(b.headers.items())
 
 
+def fresh_response(spec: SiteSpec, request: Request,
+                   at_time: float) -> Response:
+    """The reference: a server with empty memos computes the response
+    from scratch."""
+    return CatalystServer(OriginSite(spec)).handle(request, at_time)
+
+
 class TestByteIdentity:
-    """Cached and uncached paths must produce identical bytes."""
+    """A warm server's responses equal a fresh server's, byte for byte."""
 
     @pytest.fixture
-    def pair(self):
-        spec = generate_site("https://ident.example", seed=11)
-        return (CatalystServer(OriginSite(spec)),
-                CatalystServer(OriginSite(spec),
-                               config=CatalystConfig(hot_path_cache=False)))
+    def spec(self):
+        return generate_site("https://ident.example", seed=11)
 
-    def test_repeat_and_churned_documents(self, pair):
-        cached, plain = pair
+    @pytest.fixture
+    def warm(self, spec):
+        return CatalystServer(OriginSite(spec))
+
+    def test_repeat_and_churned_documents(self, spec, warm):
         for at_time in (0.0, 0.0, 1.0, 3600.0, 86400.0, 7 * 86400.0):
-            assert_same_response(
-                cached.handle(Request(url="/index.html"), at_time),
-                plain.handle(Request(url="/index.html"), at_time))
+            request = Request(url="/index.html")
+            assert_same_response(warm.handle(request, at_time),
+                                 fresh_response(spec, request, at_time))
+        assert warm.render_hits >= 2 and warm.map_hits >= 2
 
-    def test_conditional_304(self, pair):
-        cached, plain = pair
-        etag = cached.handle(Request(url="/index.html"), 0.0).headers["ETag"]
-        plain.handle(Request(url="/index.html"), 0.0)
+    def test_conditional_304(self, spec, warm):
+        etag = warm.handle(Request(url="/index.html"), 0.0).headers["ETag"]
         request = Request(url="/index.html",
                           headers={"If-None-Match": etag})
-        a = cached.handle(request, 5.0)
-        b = plain.handle(request, 5.0)
+        a = warm.handle(request, 5.0)
+        b = fresh_response(spec, request, 5.0)
         assert a.status == 304
+        assert warm.render_hits == 1
         assert_same_response(a, b)
 
-    def test_head_request(self, pair):
-        cached, plain = pair
-        cached.handle(Request(url="/index.html"), 0.0)
+    def test_head_request(self, spec, warm):
+        warm.handle(Request(url="/index.html"), 0.0)
         request = Request(method="HEAD", url="/index.html")
-        assert_same_response(cached.handle(request, 1.0),
-                             plain.handle(request, 1.0))
+        assert_same_response(warm.handle(request, 1.0),
+                             fresh_response(spec, request, 1.0))
+        assert warm.render_hits == 1
 
-    def test_subresources_untouched(self, pair):
-        cached, plain = pair
-        spec = cached.site.spec.index
-        for url in list(spec.resources)[:4]:
-            assert_same_response(cached.handle(Request(url=url), 0.0),
-                                 plain.handle(Request(url=url), 0.0))
+    def test_subresources_untouched(self, spec, warm):
+        warm.handle(Request(url="/index.html"), 0.0)  # fill the memos
+        for url in list(spec.index.resources)[:4]:
+            request = Request(url=url)
+            assert_same_response(warm.handle(request, 0.0),
+                                 fresh_response(spec, request, 0.0))
 
 
 class TestRenderCache:
@@ -116,8 +124,7 @@ class TestRenderCache:
         second = server.handle(Request(url="/index.html"), 1.0)
         assert server.render_misses == 1
         assert server.render_hits == 1
-        assert server.html_parses == 1
-        assert server.ref_hits == 1
+        assert server.html_parses == 1  # the page hit skipped the parse
         assert first.body == second.body
         assert has_sw_registration(second.body.decode())
 
@@ -135,15 +142,6 @@ class TestRenderCache:
         server.handle(Request(url="/index.html"), 1.0)
         assert scenario_site.request_counts["/index.html"] == 2
 
-    def test_disabled_cache_keeps_seed_path(self, scenario_site):
-        server = CatalystServer(scenario_site,
-                                config=CatalystConfig(hot_path_cache=False))
-        server.handle(Request(url="/index.html"), 0.0)
-        server.handle(Request(url="/index.html"), 1.0)
-        assert server.render_hits == 0
-        assert not server._render_cache
-        assert server.html_parses == 2
-
 
 class TestChurnInvalidation:
     """Satellite: after a churn bump, the next document response must
@@ -154,7 +152,7 @@ class TestChurnInvalidation:
         server = CatalystServer(scenario_site)
         before = config_of(server.handle(Request(url="/index.html"), 0.0))
         after = config_of(server.handle(Request(url="/index.html"), 60.0))
-        # Document version unchanged: the render cache answered ...
+        # Document version unchanged: the page memo answered ...
         assert server.render_hits == 1
         # ... but /app.js changed at t=50, so the map was rebuilt fresh.
         assert before.etag_for("/app.js") != after.etag_for("/app.js")
@@ -229,21 +227,21 @@ class TestSessionIsolation:
 
 
 class TestCssNegativeMemo:
-    """Satellite: a failed stylesheet peek memoizes as [] instead of
-    re-running the render + decode on every document request."""
+    """Satellite: a stylesheet without a readable body memoizes as []
+    instead of being looked up again on every document request."""
 
     def test_failed_peek_runs_once(self, scenario_site, monkeypatch):
         server = CatalystServer(scenario_site)
-        original = scenario_site.respond
+        original = scenario_site.standin_body
         calls = {"css": 0}
 
         def failing_css(url, at_time):
             if url == "/style.css":
                 calls["css"] += 1
-                return Response(status=404, body=b"gone")
+                return None
             return original(url, at_time)
 
-        monkeypatch.setattr(scenario_site, "respond", failing_css)
+        monkeypatch.setattr(scenario_site, "standin_body", failing_css)
         server.handle(Request(url="/index.html"), 0.0)
         peeks_after_first = calls["css"]
         assert peeks_after_first >= 1
@@ -261,14 +259,12 @@ class TestCssNegativeMemo:
 
 
 class TestInjectionFailOpen:
-    """Satellite: injection lives inside the render-cache fold and fails
-    open — a broken injection serves the unmodified document, and a
-    map-build failure neither re-pays nor double-applies injection."""
+    """Satellite: injection lives inside the page memo and fails open —
+    a broken injection serves the unmodified document, and a map-build
+    failure neither re-pays nor double-applies injection."""
 
     def test_injection_failure_serves_unmodified(self, scenario_site,
                                                  monkeypatch):
-        import repro.server.catalyst as catalyst_mod
-
         def broken(markup, *args, **kwargs):
             raise RuntimeError("synthetic injection failure")
 
@@ -282,19 +278,6 @@ class TestInjectionFailOpen:
         # independently
         assert ETAG_CONFIG_HEADER in response.headers
 
-    def test_injection_failure_raises_when_strict(self, scenario_site,
-                                                  monkeypatch):
-        import repro.server.catalyst as catalyst_mod
-
-        def broken(markup, *args, **kwargs):
-            raise RuntimeError("synthetic injection failure")
-
-        monkeypatch.setattr(catalyst_mod, "inject_sw_registration", broken)
-        server = CatalystServer(scenario_site,
-                                config=CatalystConfig(fail_open=False))
-        with pytest.raises(RuntimeError):
-            server.handle(Request(url="/index.html"), 0.0)
-
     def test_map_failure_does_not_double_inject(self, scenario_site):
         server = CatalystServer(scenario_site)
         server._build_config_for_html = _raises
@@ -303,7 +286,7 @@ class TestInjectionFailOpen:
         assert server.map_build_failures == 2
         assert first.body == second.body
         assert first.body.decode().count("cache-catalyst-register") == 1
-        # injection + hash ran once (render cache), not once per failure
+        # injection + hash ran once (page memo), not once per failure
         assert server.render_misses == 1
         assert server.render_hits == 1
 
@@ -316,11 +299,10 @@ class TestStatsSurface:
     #: the ``stats()`` contract: the serving tier reports it as the
     #: ``app`` section of ``/__repro/stats``, and benches read it by key
     STATS_KEYS = {
-        "render_hits", "render_misses", "ref_hits", "ref_misses",
-        "map_hits", "map_builds", "html_parses", "css_parses",
-        "parses_avoided", "config_bytes_emitted", "maps_stapled",
-        "map_build_failures", "injection_failures", "render_cache_size",
-        "ref_cache_size", "map_cache_size", "css_memo_size"}
+        "render_hits", "render_misses", "map_hits", "map_builds",
+        "html_parses", "css_parses", "config_bytes_emitted",
+        "maps_stapled", "map_build_failures", "injection_failures",
+        "render_cache_size", "map_cache_size", "css_memo_size"}
 
     def test_stats_key_set(self, scenario_site):
         server = CatalystServer(scenario_site)
@@ -331,21 +313,20 @@ class TestStatsSurface:
 
     def test_stats_exposes_perf_and_cache_sizes(self, scenario_site):
         server = CatalystServer(scenario_site)
-        server.handle(Request(url="/index.html"), 0.0)  # every cache misses
-        server.handle(Request(url="/index.html"), 1.0)  # every cache hits
+        server.handle(Request(url="/index.html"), 0.0)  # every memo misses
+        server.handle(Request(url="/index.html"), 1.0)  # every memo hits
         stats = server.stats()
         assert (stats["render_misses"], stats["render_hits"]) == (1, 1)
         assert (stats["map_builds"], stats["map_hits"]) == (1, 1)
         assert stats["maps_stapled"] == 2
-        assert stats["parses_avoided"] == stats["ref_hits"] == 1
         assert stats["html_parses"] == 1
         assert stats["render_cache_size"] == 1
-        assert stats["ref_cache_size"] == 1
         assert stats["map_cache_size"] >= 1
+        assert stats["css_memo_size"] == 1
 
-    def test_cache_cap_trims_fifo(self, scenario_site):
-        server = CatalystServer(scenario_site,
-                                config=CatalystConfig(max_cache_entries=2))
+    def test_cache_cap_trims_fifo(self, scenario_site, monkeypatch):
+        monkeypatch.setattr(catalyst_mod, "_MAX_MEMO_ENTRIES", 2)
+        server = CatalystServer(scenario_site)
         # three distinct document versions: t<200 (v0), then forced keys
         server._render_cache[("/a", 0)] = object()
         server._render_cache[("/b", 0)] = object()
