@@ -27,20 +27,22 @@ FALLBACK_CI_FLOOR_PER_S = 1_000.0
 
 
 def test_sweep_grid_artifact(save_result):
-    """The full-grid sweep is sane and lands as a results artifact."""
-    from repro.experiments.sweep import run_sweep
-    result = run_sweep(sites=8, delays_s=(3600.0, 86400.0))
+    """The closed form's full Figure-3 grid on a churned corpus is sane
+    and lands as a results artifact."""
+    from repro.experiments.figure3 import run_figure3
+    result = run_figure3(sites=8, delays_s=(3600.0, 86400.0),
+                         backend="auto", content_churn=True)
     save_result("analytic_sweep", result.format())
-    cells = [value for row in result.reduction_grid for value in row]
-    assert all(0.0 < value < 1.0 for value in cells)
+    assert all(0.0 < cell.mean_reduction < 1.0 for cell in result.cells)
     # The paper's latency story: at fixed throughput, catalyst's edge
     # grows with RTT (it removes round trips).
-    top = result.reduction_grid[-1]  # highest throughput row
+    top = [result.cell(max(result.throughputs_mbps), rtt).mean_reduction
+           for rtt in result.latencies_ms]  # highest throughput row
     assert top == sorted(top)
 
 
 def test_sweep_validation_tracks_des(save_result):
-    """`repro sweep --validate` on 4 sites x 6 conditions x 2 modes at
+    """`repro figure3 --validate` on 4 sites x 6 conditions x 2 modes at
     one day: the rho gate holds, and per (site, condition) both
     backends agree on whether Catalyst wins."""
     from repro.experiments.sweep import validate_sweep
@@ -72,13 +74,13 @@ def test_sweep_clears_estimate_floors():
     """Both backends price 10 sites of the delay-dense grid above their
     (CI-derated) visit-estimates/s floors."""
     from repro.core.analysis_vec import numpy_available
-    from repro.experiments.sweep import run_sweep
+    from repro.experiments.figure3 import run_figure3
     floors = {"python": FALLBACK_CI_FLOOR_PER_S}
     if numpy_available():
         floors["numpy"] = VECTORIZED_CI_FLOOR_PER_S
     for backend, floor in floors.items():
-        result = run_sweep(sites=10, delays_s=FLOOR_DELAYS_S,
-                           backend=backend)
+        result = run_figure3(sites=10, delays_s=FLOOR_DELAYS_S,
+                             backend=backend, content_churn=True)
         assert result.backend == backend
         assert result.estimates == 10 * 20 * 2 * 25
         assert result.estimates_per_s >= floor, (

@@ -94,12 +94,9 @@ def test_figure3_delay_sensitivity(benchmark, save_result):
     corpus = make_corpus().sample(max(4, SITES // 2), seed=3)
 
     def run():
-        rows = []
-        for delay in PAPER_REVISIT_DELAYS_S:
-            result = run_figure3(corpus=corpus, throughputs_mbps=(60.0,),
-                                 latencies_ms=(40.0,), delays_s=(delay,))
-            rows.append((delay, result.cells[0].mean_reduction))
-        return rows
+        return run_figure3(corpus=corpus, throughputs_mbps=(60.0,),
+                           latencies_ms=(40.0,),
+                           delays_s=PAPER_REVISIT_DELAYS_S).delay_series
     rows = benchmark.pedantic(run, rounds=1, iterations=1)
     from repro.experiments.report import format_pct, format_table
     from repro.netsim.clock import format_duration

@@ -5,7 +5,7 @@ writing Python::
 
     python -m repro figure1
     python -m repro figure3 --sites 6 --throughputs 8,60 --latencies 10,40
-    python -m repro sweep --validate
+    python -m repro figure3 --backend auto --churn --sites 100 --validate
     python -m repro fleet --users 2000 --visits 100000 --validate
     python -m repro motivation
     python -m repro crosspage
@@ -52,7 +52,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("figure1", help="the worked example's three timelines")
 
-    fig3 = sub.add_parser("figure3", help="the PLT-reduction grid")
+    fig3 = sub.add_parser(
+        "figure3", help="the PLT-reduction grid, replayed through the DES "
+                        "or priced by the closed form (--backend)")
     fig3.add_argument("--sites", type=int, default=6,
                       help="corpus subsample size (default 6)")
     fig3.add_argument("--throughputs", type=_float_list,
@@ -66,34 +68,21 @@ def build_parser() -> argparse.ArgumentParser:
                       help="realistic content churn instead of clones")
     fig3.add_argument("--workers", type=int, default=0,
                       help="DES worker processes (default 0 = in-process)")
-
-    sweep = sub.add_parser(
-        "sweep",
-        help="full-grid analytic PLT sweep (vectorized closed form); "
-             "--validate replays a seeded subgrid through the DES")
-    sweep.add_argument("--sites", type=int, default=None,
-                       help="corpus subsample size (default: full corpus)")
-    sweep.add_argument("--throughputs", type=_float_list,
-                       default=(8.0, 16.0, 30.0, 60.0),
-                       help="Mbit/s list (default 8,16,30,60)")
-    sweep.add_argument("--latencies", type=_float_list,
-                       default=(10.0, 20.0, 40.0, 80.0, 100.0),
-                       help="RTT ms list (default 10,20,40,80,100)")
-    sweep.add_argument("--delays", default="1min,1h,6h,1d,1w",
-                       help="revisit delays (default 1min,1h,6h,1d,1w)")
-    sweep.add_argument("--backend", default="auto",
-                       choices=("auto", "numpy", "python"),
-                       help="force the engine backend (default auto)")
-    sweep.add_argument("--out", default=None,
-                       help="also write the grid report to this file")
-    sweep.add_argument("--validate", action="store_true",
-                       help="re-run a seeded sampled subgrid through the "
-                            "DES and gate on rank correlation")
-    sweep.add_argument("--validate-sites", type=int, default=4,
-                       help="subgrid size for --validate (default 4)")
-    sweep.add_argument("--min-rho", type=float, default=0.85,
-                       help="rank-correlation floor for --validate "
-                            "(default 0.85)")
+    fig3.add_argument("--backend", default="des",
+                      choices=("des", "auto", "numpy", "python"),
+                      help="replay the grid through the DES (default) or "
+                           "price it with the closed form's engine")
+    fig3.add_argument("--out", default=None,
+                      help="also write the grid report to this file")
+    fig3.add_argument("--validate", action="store_true",
+                      help="re-run a seeded sampled subgrid through the "
+                           "DES and gate the closed form on rank "
+                           "correlation")
+    fig3.add_argument("--validate-sites", type=int, default=4,
+                      help="subgrid size for --validate (default 4)")
+    fig3.add_argument("--min-rho", type=float, default=0.85,
+                      help="rank-correlation floor for --validate "
+                           "(default 0.85)")
 
     fleet = sub.add_parser(
         "fleet",
@@ -170,9 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
     visit.add_argument("--rtt", type=float, default=40.0)
     visit.add_argument("--waterfall", action="store_true",
                        help="print the warm catalyst waterfall")
-    visit.add_argument("--trace-out", default=None,
-                       help="also capture the catalyst pair as a Chrome "
-                            "trace (Perfetto-loadable JSON) at this path")
 
     trace = sub.add_parser(
         "trace",
@@ -292,7 +278,10 @@ def _cmd_figure1() -> int:
 
 
 def _cmd_figure3(args: argparse.Namespace) -> int:
+    import pathlib
+
     from .experiments.figure3 import run_figure3
+    from .experiments.sweep import validate_sweep
     from .netsim.clock import parse_duration
     try:
         delays = tuple(parse_duration(part)
@@ -304,56 +293,37 @@ def _cmd_figure3(args: argparse.Namespace) -> int:
                              content_churn=args.churn,
                              max_workers=args.workers,
                              progress=lambda msg: log.info("progress",
-                                                           step=msg))
+                                                           step=msg),
+                             backend=args.backend)
+        text = result.format()
     except (ValueError, RuntimeError) as exc:
         log.error("figure3-invalid", detail=str(exc))
         return 2
-    print(result.format())
-    summary = result.grid.summary()
-    log.info("fleet-summary", pairs=summary["pairs"],
-             warm_p50_ms=round(summary["warm_p50_ms"], 1),
-             warm_p90_ms=round(summary["warm_p90_ms"], 1),
-             warm_p99_ms=round(summary["warm_p99_ms"], 1),
-             cache_hit_ratio=round(summary["cache_hit_ratio"], 3),
-             warm_retries=summary["warm_retries"])
-    return 0
-
-
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    import pathlib
-
-    from .experiments.sweep import run_sweep, validate_sweep
-    from .netsim.clock import parse_duration
-
-    try:
-        delays = tuple(parse_duration(part)
-                       for part in args.delays.split(","))
-        result = run_sweep(sites=args.sites,
-                           throughputs_mbps=args.throughputs,
-                           latencies_ms=args.latencies,
-                           delays_s=delays,
-                           backend=args.backend)
-    except (ValueError, RuntimeError) as exc:
-        log.error("sweep-invalid", detail=str(exc))
-        return 2
-    text = result.format()
     print(text)
-    log.info("sweep-done", estimates=result.estimates,
+    log.info("figure3-done", estimates=result.estimates,
              backend=result.backend,
              rate=f"{result.estimates_per_s:,.0f}/s")
+    if result.grid is not None:
+        summary = result.grid.summary()
+        log.info("fleet-summary", pairs=summary["pairs"],
+                 warm_p50_ms=round(summary["warm_p50_ms"], 1),
+                 warm_p90_ms=round(summary["warm_p90_ms"], 1),
+                 warm_p99_ms=round(summary["warm_p99_ms"], 1),
+                 cache_hit_ratio=round(summary["cache_hit_ratio"], 3),
+                 warm_retries=summary["warm_retries"])
     if args.out:
         path = pathlib.Path(args.out)
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text + "\n")
         log.info("wrote-artifact", path=path)
     if args.validate:
-        validation = validate_sweep(sites=args.validate_sites,
-                                    min_rho=args.min_rho,
-                                    backend=args.backend)
+        validation = validate_sweep(
+            sites=args.validate_sites, min_rho=args.min_rho,
+            backend="auto" if args.backend == "des" else args.backend)
         print()
         print(validation.format())
         if not validation.passed:
-            log.error("sweep-validation-failed",
+            log.error("figure3-validation-failed",
                       rho=f"{validation.rho:.3f}",
                       required=f"{args.min_rho:g}")
             return 1
@@ -464,7 +434,6 @@ def _cmd_visit(args: argparse.Namespace) -> int:
     from .core.modes import CachingMode, build_mode
     from .netsim.clock import parse_duration
     from .netsim.link import NetworkConditions
-    from .obs import Tracer, to_chrome_trace_json
     from .workload.sitegen import generate_site
 
     site = generate_site(f"https://cli{args.seed}.example", seed=args.seed)
@@ -473,13 +442,10 @@ def _cmd_visit(args: argparse.Namespace) -> int:
     print(f"site seed {args.seed}: {site.index.resource_count} resources; "
           f"{conditions.describe()}; revisit after {args.delay}\n")
     warm_catalyst = None
-    tracer = Tracer() if args.trace_out else None
     for mode in (CachingMode.NO_CACHE, CachingMode.STANDARD,
                  CachingMode.CATALYST):
         setup = build_mode(mode, site)
-        outcomes = run_visit_sequence(
-            setup, conditions, [0.0, delay_s],
-            tracer=tracer if mode is CachingMode.CATALYST else None)
+        outcomes = run_visit_sequence(setup, conditions, [0.0, delay_s])
         cold, warm = outcomes[0].result, outcomes[1].result
         print(f"{mode.value:>9}: cold {cold.plt_ms:7.1f} ms   "
               f"warm {warm.plt_ms:7.1f} ms   "
@@ -489,13 +455,6 @@ def _cmd_visit(args: argparse.Namespace) -> int:
     if args.waterfall and warm_catalyst is not None:
         print()
         print(render_waterfall(warm_catalyst))
-    if tracer is not None:
-        import pathlib
-        path = pathlib.Path(args.trace_out)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(to_chrome_trace_json(tracer) + "\n")
-        log.info("wrote-trace", path=path, spans=len(tracer),
-                 trace_id=tracer.trace_id)
     return 0
 
 
@@ -696,8 +655,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _cmd_figure1()
     if args.command == "figure3":
         return _cmd_figure3(args)
-    if args.command == "sweep":
-        return _cmd_sweep(args)
     if args.command == "fleet":
         return _cmd_fleet(args)
     if args.command == "motivation":

@@ -192,6 +192,13 @@ def compile_site(site: SiteSpec,
                  page_url: Optional[str] = None) -> CompiledSite:
     """Flatten one page of ``site`` into evaluation tensors.
 
+    A resource (or the HTML) whose ``fixed_change_times`` is ``()``
+    never changes, so it is priced with an infinite change period:
+    that is how :func:`~repro.workload.sitegen.freeze_site` (a frozen
+    corpus) reaches the closed form.  Non-empty fixed change times keep
+    the period-based pricing; in this package only the Figure-1 site's
+    ``/d.jpg`` has them.
+
     Memoized on the site object (sites are built once and swept many
     times); pass the same ``site`` again and compilation is free.
     """
@@ -237,15 +244,24 @@ def _compile_page(origin: str, page_url: str, page: PageSpec) -> CompiledSite:
         page_url=page_url,
         level_ends=(end1, end2, end3),
         size=tuple(float(s.size_bytes) for s in flat),
-        period=tuple(float(s.change_period_s) for s in flat),
+        period=tuple(_change_period(s.change_period_s, s.fixed_change_times)
+                     for s in flat),
         dynamic=tuple(bool(s.dynamic) for s in flat),
         via_js=tuple(s.discovered_via == "js" for s in flat),
         policy=tuple(_policy_class(s.policy.mode) for s in flat),
         ttl=tuple(float(s.policy.ttl_s) for s in flat),
         html_size=page.html_size_bytes,
-        html_period=float(page.html_change_period_s),
+        html_period=_change_period(page.html_change_period_s,
+                                   page.html_fixed_change_times),
         script_sizes=tuple(script_sizes),
     )
+
+
+def _change_period(period_s: float,
+                   fixed_change_times: Optional[tuple[float, ...]]) -> float:
+    """The change period the model prices: infinite for content whose
+    fixed change times are ``()`` (it never changes)."""
+    return math.inf if fixed_change_times == () else float(period_s)
 
 
 def _compiled(site: "CompiledSite | SiteSpec") -> CompiledSite:
@@ -428,24 +444,6 @@ class VectorAnalyticModel:
                  for ci in range(C)],
             requests=demand("requests"), bytes_down=demand("bytes_down"),
             acquisitions=[est.acquisitions for est in per_site])
-
-    def sweep(self, sites: Sequence[SiteSpec | CompiledSite],
-              modes: Sequence[CachingMode],
-              delays_s: Sequence[float],
-              conditions_list: Sequence[NetworkConditions],
-              cold: bool = False):
-        """Batch over sites: ``[site][condition][mode][delay]``.
-
-        Accepts raw :class:`SiteSpec` objects (compiled and memoized on
-        the fly) or precompiled sites.  The fast path prices every site
-        in one pass of the batched kernel.
-        """
-        compiled = [_compiled(site) for site in sites]
-        axes = _axes(modes, delays_s, conditions_list)
-        if self.backend == "numpy":
-            plt = self._price_numpy(compiled, *axes, cold)[0]
-            return _np.moveaxis(plt, -1, 0)
-        return [self._site_python(comp, *axes, cold) for comp in compiled]
 
     # -- numpy fast path ----------------------------------------------------
     def _price_numpy(self, sites: Sequence[CompiledSite], mode_classes,

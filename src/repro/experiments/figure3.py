@@ -11,22 +11,33 @@ Expected shape (from the paper's Figure 3 and text):
 - large improvement at 60 Mbps (latency-bound) — ~30 % on average,
 - at fixed throughput, improvement grows with latency,
 - 60 Mbps / 40 ms is the median global 5G condition.
+
+One grid, two backends.  :func:`run_figure3` prices the grid either by
+replaying page loads through the simulator (``backend="des"``) or with
+the closed-form engine (:mod:`repro.core.analysis_vec`; ``"auto"``,
+``"numpy"`` or ``"python"``), which does ~10^6 visit-estimates/s where
+the simulator does ~10^2 visits/s.  Both select the corpus the same way
+and fill one warm-PLT table; :class:`Figure3Result` reduces it with one
+rule and prints it with one formatter.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+import time
+from dataclasses import dataclass, field
+from typing import Any, Optional, Sequence
 
 from ..browser.engine import BrowserConfig
+from ..core.analysis_vec import VectorAnalyticModel
 from ..core.modes import CachingMode
-from ..netsim.clock import DAY, HOUR, MINUTE, WEEK
+from ..netsim.clock import DAY, HOUR, MINUTE, WEEK, format_duration
 from ..netsim.conditions import (FIGURE3_LATENCIES_MS,
                                  FIGURE3_THROUGHPUTS_MBPS)
 from ..netsim.link import NetworkConditions
 from ..workload.corpus import Corpus, make_corpus
 from .harness import GridResult, run_grid
-from .report import format_grid, format_pct
+from .report import format_grid, format_pct, format_table
+from .stats import summarize
 
 __all__ = ["Figure3Cell", "Figure3Result", "run_figure3",
            "PAPER_REVISIT_DELAYS_S", "HEADLINE_CONDITION"]
@@ -37,6 +48,9 @@ PAPER_REVISIT_DELAYS_S: tuple[float, ...] = (
 
 #: median global 5G — the condition the paper anchors its 30 % claim on
 HEADLINE_CONDITION = NetworkConditions.of(60, 40, label="60Mbps/40ms")
+
+#: the table's mode axis: the baseline, then the proposal
+_MODES = (CachingMode.STANDARD, CachingMode.CATALYST)
 
 
 @dataclass(frozen=True)
@@ -55,16 +69,85 @@ class Figure3Cell:
         return f"{self.mbps:g}Mbps/{self.rtt_ms:g}ms"
 
 
+def _mean(values: list[float]) -> float:
+    return sum(values) / len(values)
+
+
 @dataclass
 class Figure3Result:
-    cells: list[Figure3Cell]
-    grid: GridResult
+    """One Figure-3 grid, priced by either backend.
+
+    ``plt_ms`` is the warm-visit PLT table
+    ``[condition][mode][delay][site]`` in ms: conditions in
+    ``throughputs x latencies`` order, modes (standard, catalyst), delays
+    and sites in run order.  The simulator and the pure-Python engine
+    fill nested lists; the NumPy engine leaves its array.  Every
+    reduction comes from :meth:`reductions`.
+    """
+
+    throughputs_mbps: tuple[float, ...]
+    latencies_ms: tuple[float, ...]
+    delays_s: tuple[float, ...]
+    sites: int
+    plt_ms: Any
+    #: ``"des"``, or the analytic engine that priced the table
+    #: (``"numpy"`` or ``"python"``)
+    backend: str = "des"
+    #: the simulator's rows (``None`` for an analytic grid)
+    grid: Optional[GridResult] = None
+    #: wall seconds the backend took to fill the table
+    elapsed_s: float = 0.0
+    cells: list[Figure3Cell] = field(init=False)
+
+    def __post_init__(self) -> None:
+        pairs = len(self.delays_s) * self.sites
+        self.cells = []
+        for mbps in self.throughputs_mbps:
+            for rtt_ms in self.latencies_ms:
+                reductions = self.reductions(mbps, rtt_ms)
+                standard, catalyst = self._plane(mbps, rtt_ms)
+                self.cells.append(Figure3Cell(
+                    mbps=mbps, rtt_ms=rtt_ms,
+                    mean_reduction=_mean(reductions),
+                    mean_standard_plt_ms=_mean(
+                        [v for row in standard for v in row]),
+                    mean_catalyst_plt_ms=_mean(
+                        [v for row in catalyst for v in row]),
+                    pairs=pairs))
+
+    def _index(self, mbps: float, rtt_ms: float) -> int:
+        """The cell's position on the condition axis."""
+        try:
+            return (self.throughputs_mbps.index(mbps)
+                    * len(self.latencies_ms)
+                    + self.latencies_ms.index(rtt_ms))
+        except ValueError:
+            raise KeyError(f"no cell {mbps}Mbps/{rtt_ms}ms") from None
+
+    def _plane(self, mbps: float, rtt_ms: float) -> list:
+        """One cell's ``[mode][delay][site]`` PLTs as Python floats."""
+        plane = self.plt_ms[self._index(mbps, rtt_ms)]
+        return plane.tolist() if hasattr(plane, "tolist") else plane
+
+    def reductions(self, mbps: float, rtt_ms: float,
+                   delay_s: Optional[float] = None) -> list[float]:
+        """The cell's fractional warm-PLT reductions of catalyst against
+        standard, one per (delay, site) whose standard PLT is positive,
+        delay-major.  ``delay_s`` keeps one delay's."""
+        standard, catalyst = self._plane(mbps, rtt_ms)
+        out = []
+        for delay, base_row, row in zip(self.delays_s, standard, catalyst):
+            if delay_s is not None and delay != delay_s:
+                continue
+            for base, value in zip(base_row, row):
+                if base > 0:
+                    out.append((base - value) / base)
+        if not out:
+            raise ValueError("no overlapping measurements to compare")
+        return out
 
     def cell(self, mbps: float, rtt_ms: float) -> Figure3Cell:
-        for cell in self.cells:
-            if cell.mbps == mbps and cell.rtt_ms == rtt_ms:
-                return cell
-        raise KeyError(f"no cell {mbps}Mbps/{rtt_ms}ms")
+        return self.cells[self._index(mbps, rtt_ms)]
 
     @property
     def overall_mean_reduction(self) -> float:
@@ -72,26 +155,60 @@ class Figure3Result:
             return 0.0
         return sum(c.mean_reduction for c in self.cells) / len(self.cells)
 
+    @property
+    def headline(self) -> tuple[float, float]:
+        """The grid cell nearest the paper's 60 Mbps / 40 ms anchor."""
+        mbps = min(self.throughputs_mbps, key=lambda t: abs(
+            t - HEADLINE_CONDITION.downlink_mbps))
+        rtt_ms = min(self.latencies_ms, key=lambda l: abs(
+            l - HEADLINE_CONDITION.rtt_ms))
+        return mbps, rtt_ms
+
+    @property
+    def delay_series(self) -> list[tuple[float, float]]:
+        """Mean reduction per revisit delay at the :attr:`headline`
+        cell."""
+        mbps, rtt_ms = self.headline
+        return [(delay, _mean(self.reductions(mbps, rtt_ms, delay)))
+                for delay in self.delays_s]
+
+    @property
+    def estimates(self) -> int:
+        """Warm visits priced: conditions x modes x delays x sites."""
+        return (len(self.throughputs_mbps) * len(self.latencies_ms)
+                * len(_MODES) * len(self.delays_s) * self.sites)
+
+    @property
+    def estimates_per_s(self) -> float:
+        return self.estimates / self.elapsed_s if self.elapsed_s > 0 else 0.0
+
     def format(self) -> str:
-        """The figure as a text grid: rows = throughput, cols = latency."""
-        throughputs = sorted({c.mbps for c in self.cells})
-        latencies = sorted({c.rtt_ms for c in self.cells})
+        """The figure as a text grid (rows = throughput, cols = latency),
+        the overall mean, and the delay series at the headline cell.
+        Nothing in it depends on wall time or the analytic engine."""
+        throughputs = sorted(set(self.throughputs_mbps))
+        latencies = sorted(set(self.latencies_ms))
         values = [[format_pct(self.cell(mbps, rtt).mean_reduction)
                    for rtt in latencies] for mbps in throughputs]
         grid = format_grid(
             row_labels=[f"{t:g} Mbps" for t in throughputs],
             col_labels=[f"{l:g} ms" for l in latencies],
             values=values, corner="PLT reduction")
+        mbps, rtt_ms = self.headline
+        series = format_table(
+            ["revisit delay", f"PLT reduction @{mbps:g}Mbps/{rtt_ms:g}ms"],
+            [[format_duration(delay), format_pct(value)]
+             for delay, value in self.delay_series])
+        kind = "des" if self.backend == "des" else "analytic"
         return (grid + "\n"
-                + f"overall mean: {format_pct(self.overall_mean_reduction)}")
+                + f"overall mean: {format_pct(self.overall_mean_reduction)}"
+                + f"  ({kind}, {self.sites} sites, "
+                + f"{len(self.delays_s)} delays)\n\n" + series)
 
     def cell_summary(self, mbps: float, rtt_ms: float):
         """Bootstrap :class:`~repro.experiments.stats.Summary` of the
         per-(site, delay) reductions behind one cell."""
-        cell = self.cell(mbps, rtt_ms)
-        return self.grid.reduction_summary(
-            CachingMode.STANDARD.value, CachingMode.CATALYST.value,
-            conditions=cell.label)
+        return summarize(self.reductions(mbps, rtt_ms))
 
     def format_cell_with_ci(self, mbps: float, rtt_ms: float) -> str:
         """One cell with its confidence interval, e.g. for the headline."""
@@ -110,20 +227,26 @@ def run_figure3(corpus: Optional[Corpus] = None,
                 base_config: Optional[BrowserConfig] = None,
                 content_churn: bool = False,
                 max_workers: Optional[int] = 0,
-                progress=None) -> Figure3Result:
+                progress=None,
+                backend: str = "des") -> Figure3Result:
     """Regenerate Figure 3.
 
-    ``sites`` subsamples the corpus for quicker runs; the full corpus is
-    the default (and what EXPERIMENTS.md records).  ``max_workers`` and
-    ``progress`` go to :func:`~repro.experiments.harness.run_grid`; the
-    default runs in-process.
+    ``sites`` subsamples the corpus (seed 7) for quicker runs; the full
+    corpus is the default (and what EXPERIMENTS.md records).
 
     ``content_churn=False`` is the paper's methodology: homepages were
     *cloned*, so content never changed between visits — only headers and
     the advanced clock mattered.  ``content_churn=True`` is this repo's
     realism extension, where resources change per their churn processes
     (changed resources must be fetched in every mode, shrinking — but not
-    erasing — the advantage).
+    erasing — the advantage).  Both backends honour it.
+
+    ``backend="des"`` replays every cell through the simulator;
+    ``max_workers`` and ``progress`` go to
+    :func:`~repro.experiments.harness.run_grid` (the default runs
+    in-process).  ``"auto"``, ``"numpy"`` and ``"python"`` price the
+    grid with :class:`~repro.core.analysis_vec.VectorAnalyticModel`'s
+    engine of that name, whose cost model is ``base_config``.
     """
     if corpus is None:
         corpus = make_corpus()
@@ -131,32 +254,38 @@ def run_figure3(corpus: Optional[Corpus] = None,
         corpus = corpus.sample(sites, seed=7)
     if not content_churn:
         corpus = corpus.frozen()
+    site_list = list(corpus)
+    throughputs = tuple(float(t) for t in throughputs_mbps)
+    latencies = tuple(float(l) for l in latencies_ms)
+    delays = tuple(delays_s)
     conditions_list = [
         NetworkConditions.of(mbps, rtt_ms,
                              label=f"{mbps:g}Mbps/{rtt_ms:g}ms")
-        for mbps in throughputs_mbps for rtt_ms in latencies_ms]
-    grid = run_grid(
-        sites=corpus,
-        modes=(CachingMode.STANDARD, CachingMode.CATALYST),
-        conditions_list=conditions_list,
-        delays_s=delays_s,
-        base_config=base_config,
-        progress=progress,
-        max_workers=max_workers)
-    cells = []
-    for conditions in conditions_list:
-        label = conditions.describe()
-        reduction = grid.mean_reduction_vs(
-            CachingMode.STANDARD.value, CachingMode.CATALYST.value,
-            conditions=label)
-        cells.append(Figure3Cell(
-            mbps=conditions.downlink_mbps,
-            rtt_ms=conditions.rtt_ms,
-            mean_reduction=reduction,
-            mean_standard_plt_ms=grid.mean_warm_plt(
-                mode=CachingMode.STANDARD.value, conditions=label),
-            mean_catalyst_plt_ms=grid.mean_warm_plt(
-                mode=CachingMode.CATALYST.value, conditions=label),
-            pairs=len(grid.where(mode=CachingMode.CATALYST.value,
-                                 conditions=label))))
-    return Figure3Result(cells=cells, grid=grid)
+        for mbps in throughputs for rtt_ms in latencies]
+    grid = None
+    started = time.perf_counter()
+    if backend == "des":
+        grid = run_grid(
+            sites=site_list, modes=_MODES, conditions_list=conditions_list,
+            delays_s=delays, base_config=base_config, progress=progress,
+            max_workers=max_workers)
+        # run_grid's canonical order is conditions, mode, delay, site
+        rows = iter(grid.measurements)
+        plt_ms = [[[[next(rows).warm_plt_ms for _ in site_list]
+                    for _ in delays] for _ in _MODES]
+                  for _ in conditions_list]
+    else:
+        model = VectorAnalyticModel(config=base_config, backend=backend)
+        plt = model.batch_visit(site_list, _MODES, delays,
+                                conditions_list).plt
+        if model.backend == "numpy":
+            plt_ms = plt * 1000.0
+        else:
+            plt_ms = [[[[value * 1000.0 for value in row] for row in plane]
+                       for plane in cond] for cond in plt]
+        backend = model.backend
+    return Figure3Result(
+        throughputs_mbps=throughputs, latencies_ms=latencies,
+        delays_s=delays, sites=len(site_list), plt_ms=plt_ms,
+        backend=backend, grid=grid,
+        elapsed_s=time.perf_counter() - started)

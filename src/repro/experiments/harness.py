@@ -217,7 +217,11 @@ def replay(cells: Iterable[Cell],
 
 @dataclass(slots=True)
 class GridResult:
-    """All measurements of a sweep plus slicing helpers."""
+    """The rows of one :func:`run_grid` replay, plus their summary.
+
+    :class:`~repro.experiments.figure3.Figure3Result` reduces them to
+    the Figure-3 grid.
+    """
 
     measurements: list[PairMeasurement]
 
@@ -235,62 +239,6 @@ class GridResult:
         out["cache_hit_ratio"] = hits / acquired if acquired else 0.0
         out["warm_retries"] = sum(m.warm_retries for m in rows)
         return out
-
-    def where(self, mode: Optional[str] = None,
-              conditions: Optional[str] = None,
-              delay_s: Optional[float] = None) -> list[PairMeasurement]:
-        out = self.measurements
-        if mode is not None:
-            out = [m for m in out if m.mode == mode]
-        if conditions is not None:
-            out = [m for m in out if m.conditions == conditions]
-        if delay_s is not None:
-            out = [m for m in out if m.delay_s == delay_s]
-        return out
-
-    def mean_warm_plt(self, **filters) -> float:
-        rows = self.where(**filters)
-        if not rows:
-            raise ValueError(f"no measurements match {filters}")
-        return sum(m.warm_plt_ms for m in rows) / len(rows)
-
-    def reductions_vs(self, baseline_mode: str, target_mode: str,
-                      conditions: Optional[str] = None,
-                      delay_s: Optional[float] = None) -> list[float]:
-        """Per-(site, delay) fractional warm-PLT reductions."""
-        base = {(m.origin, m.delay_s, m.conditions): m.warm_plt_ms
-                for m in self.where(mode=baseline_mode,
-                                    conditions=conditions,
-                                    delay_s=delay_s)}
-        reductions = []
-        for m in self.where(mode=target_mode, conditions=conditions,
-                            delay_s=delay_s):
-            key = (m.origin, m.delay_s, m.conditions)
-            baseline_plt = base.get(key)
-            if baseline_plt and baseline_plt > 0:
-                reductions.append(
-                    (baseline_plt - m.warm_plt_ms) / baseline_plt)
-        if not reductions:
-            raise ValueError("no overlapping measurements to compare")
-        return reductions
-
-    def mean_reduction_vs(self, baseline_mode: str, target_mode: str,
-                          conditions: Optional[str] = None,
-                          delay_s: Optional[float] = None) -> float:
-        """Mean per-(site, delay) fractional warm-PLT reduction."""
-        reductions = self.reductions_vs(baseline_mode, target_mode,
-                                        conditions=conditions,
-                                        delay_s=delay_s)
-        return sum(reductions) / len(reductions)
-
-    def reduction_summary(self, baseline_mode: str, target_mode: str,
-                          conditions: Optional[str] = None,
-                          delay_s: Optional[float] = None):
-        """Full :class:`~repro.experiments.stats.Summary` of reductions."""
-        from .stats import summarize
-        return summarize(self.reductions_vs(baseline_mode, target_mode,
-                                            conditions=conditions,
-                                            delay_s=delay_s))
 
 
 def run_grid(sites: Corpus | Sequence[SiteSpec],

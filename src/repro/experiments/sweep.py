@@ -1,28 +1,15 @@
-"""Full-grid analytic sweep (the ``repro sweep`` command).
+"""The analytic-vs-DES check: the closed form, validated cell by cell.
 
-Everything Figure 3 does, minus the simulator: price the whole
-``(throughput x latency x delay x site)`` space with the vectorized
-closed-form model (:mod:`repro.core.analysis_vec`) instead of replaying
-page loads through the DES.  The DES does ~10^2 visits/s; the vector
-engine does ~10^6 visit-estimates/s, which turns "a cell of Figure 3"
-into "the entire figure, every delay, the full corpus" at interactive
-latency — the substrate the population-scale traffic engine sweeps
-over.
-
-The analytic model is only trustworthy *because* it is continuously
-validated against the simulator: :func:`validate_cells` prices a list
-of ``(site, condition, delay)`` cells both ways and gates on the
-Spearman rank correlation between analytic and simulated PLTs.  It is
-the one analytic-vs-DES check: :func:`validate_sweep` feeds it a seeded
-subgrid (``repro sweep --validate``), and
+The closed-form model (:mod:`repro.core.analysis_vec`) is only
+trustworthy *because* it is continuously validated against the
+simulator: :func:`validate_cells` prices a list of
+``(site, condition, delay)`` cells both ways and gates on the Spearman
+rank correlation between analytic and simulated PLTs.  It is the one
+analytic-vs-DES check: :func:`validate_sweep` feeds it a seeded subgrid
+(``repro figure3 --validate``), and
 :func:`~repro.experiments.fleet.validate_fleet` a fleet visit sample.
-
-Two artifacts come out:
-
-- a Figure-3-style reduction grid (catalyst vs standard, mean over
-  sites and delays) plus a revisit-delay series at the headline
-  condition, with the run's visit-estimates/s,
-- an optional validation report (rank correlation on the subgrid).
+The Figure-3 grid itself, on either backend, is
+:func:`~repro.experiments.figure3.run_figure3`.
 """
 
 from __future__ import annotations
@@ -35,156 +22,17 @@ from ..browser.engine import BrowserConfig
 from ..core.analysis_vec import VectorAnalyticModel, compile_site
 from ..core.modes import CachingMode
 from ..netsim.clock import format_duration
-from ..netsim.conditions import (FIGURE3_LATENCIES_MS,
-                                 FIGURE3_THROUGHPUTS_MBPS)
 from ..netsim.link import NetworkConditions
 from ..workload.corpus import Corpus, make_corpus
 from ..workload.sitegen import SiteSpec
-from .figure3 import HEADLINE_CONDITION, PAPER_REVISIT_DELAYS_S
 from .harness import replay
-from .report import format_grid, format_pct, format_table
+from .report import format_table
 from .stats import spearman
 
-__all__ = ["SweepResult", "run_sweep", "ValidationResult", "validate_cells",
-           "validate_sweep"]
+__all__ = ["ValidationResult", "validate_cells", "validate_sweep"]
 
 _MODES = (CachingMode.STANDARD, CachingMode.CATALYST)
 
-
-@dataclass
-class SweepResult:
-    """The full analytic grid, reduced to the Figure 3 shape."""
-
-    throughputs_mbps: tuple[float, ...]
-    latencies_ms: tuple[float, ...]
-    delays_s: tuple[float, ...]
-    sites: int
-    backend: str
-    #: mean catalyst-vs-standard reduction per (throughput, latency),
-    #: averaged over sites and delays — rows follow throughputs_mbps
-    reduction_grid: list[list[float]]
-    #: reduction per delay at the headline condition (60 Mbps / 40 ms,
-    #: or the nearest grid cell), averaged over sites
-    delay_series: list[tuple[float, float]]
-    #: total visit estimates priced (sites x conditions x modes x delays)
-    estimates: int
-    elapsed_s: float
-
-    @property
-    def estimates_per_s(self) -> float:
-        return self.estimates / self.elapsed_s if self.elapsed_s > 0 else 0.0
-
-    @property
-    def overall_mean_reduction(self) -> float:
-        cells = [value for row in self.reduction_grid for value in row]
-        return sum(cells) / len(cells) if cells else 0.0
-
-    def cell(self, mbps: float, rtt_ms: float) -> float:
-        ti = self.throughputs_mbps.index(mbps)
-        li = self.latencies_ms.index(rtt_ms)
-        return self.reduction_grid[ti][li]
-
-    def format(self) -> str:
-        grid = format_grid(
-            row_labels=[f"{t:g} Mbps" for t in self.throughputs_mbps],
-            col_labels=[f"{l:g} ms" for l in self.latencies_ms],
-            values=[[format_pct(v) for v in row]
-                    for row in self.reduction_grid],
-            corner="PLT reduction")
-        series = format_table(
-            ["revisit delay", "PLT reduction @" + self._headline_label()],
-            [[format_duration(delay), format_pct(value)]
-             for delay, value in self.delay_series])
-        return (grid + "\n"
-                + f"overall mean: {format_pct(self.overall_mean_reduction)}"
-                + f"  (analytic, {self.sites} sites, "
-                + f"{len(self.delays_s)} delays, {self.backend} backend, "
-                + f"{self.estimates:,} estimates "
-                + f"in {self.elapsed_s:.2f}s)\n\n" + series)
-
-    def _headline_label(self) -> str:
-        mbps, rtt = _headline_cell(self.throughputs_mbps,
-                                   self.latencies_ms)
-        return f"{mbps:g}Mbps/{rtt:g}ms"
-
-
-def _headline_cell(throughputs: Sequence[float],
-                   latencies: Sequence[float]) -> tuple[float, float]:
-    """The grid cell nearest the paper's 60 Mbps / 40 ms headline."""
-    mbps = min(throughputs,
-               key=lambda t: abs(t - HEADLINE_CONDITION.downlink_mbps))
-    rtt = min(latencies,
-              key=lambda l: abs(l - HEADLINE_CONDITION.rtt_ms))
-    return mbps, rtt
-
-
-def run_sweep(corpus: Optional[Corpus] = None,
-              throughputs_mbps: Sequence[float] = FIGURE3_THROUGHPUTS_MBPS,
-              latencies_ms: Sequence[float] = FIGURE3_LATENCIES_MS,
-              delays_s: Sequence[float] = PAPER_REVISIT_DELAYS_S,
-              sites: Optional[int] = None,
-              backend: str = "auto",
-              config=None) -> SweepResult:
-    """Price the full grid analytically.
-
-    Mirrors :func:`~repro.experiments.figure3.run_figure3`'s sampling
-    knobs (``sites`` subsamples with the same seed) so analytic and
-    simulated grids are comparable site-for-site.  Churn enters the
-    closed form through the generated change periods, so no
-    frozen/churn toggle exists here — the model *is* the expectation
-    over churn.
-    """
-    if corpus is None:
-        corpus = make_corpus()
-    if sites is not None and sites < len(corpus):
-        corpus = corpus.sample(sites, seed=7)
-    throughputs = tuple(float(t) for t in throughputs_mbps)
-    latencies = tuple(float(l) for l in latencies_ms)
-    delays = tuple(float(d) for d in delays_s)
-    conditions_list = [NetworkConditions.of(mbps, rtt)
-                       for mbps in throughputs for rtt in latencies]
-    model = VectorAnalyticModel(config=config, backend=backend)
-    site_list = list(corpus)
-    started = time.perf_counter()
-    plts = model.sweep(site_list, _MODES, delays, conditions_list)
-    elapsed = time.perf_counter() - started
-
-    n_sites = len(site_list)
-    n_lat = len(latencies)
-
-    def mean_reduction(ci: int, di_filter=None) -> float:
-        """Mean (standard - catalyst)/standard over sites (x delays)."""
-        total, count = 0.0, 0
-        for si in range(n_sites):
-            for di in range(len(delays)):
-                if di_filter is not None and di != di_filter:
-                    continue
-                standard = float(plts[si][ci][0][di])
-                catalyst = float(plts[si][ci][1][di])
-                if standard > 0:
-                    total += (standard - catalyst) / standard
-                    count += 1
-        return total / count if count else 0.0
-
-    reduction_grid = [
-        [mean_reduction(ti * n_lat + li) for li in range(n_lat)]
-        for ti in range(len(throughputs))]
-    head_mbps, head_rtt = _headline_cell(throughputs, latencies)
-    head_ci = (throughputs.index(head_mbps) * n_lat
-               + latencies.index(head_rtt))
-    delay_series = [(delay, mean_reduction(head_ci, di_filter=di))
-                    for di, delay in enumerate(delays)]
-    estimates = n_sites * len(conditions_list) * len(_MODES) * len(delays)
-    return SweepResult(
-        throughputs_mbps=throughputs, latencies_ms=latencies,
-        delays_s=delays, sites=n_sites, backend=model.backend,
-        reduction_grid=reduction_grid, delay_series=delay_series,
-        estimates=estimates, elapsed_s=elapsed)
-
-
-# ---------------------------------------------------------------------------
-# Validation: analytic vs DES, cell by cell
-# ---------------------------------------------------------------------------
 
 @dataclass
 class ValidationResult:

@@ -39,7 +39,7 @@ from ..obs.tracecontext import (TRACEPARENT_HEADER, TRACESTATE_HEADER,
 from .errors import (CircuitOpen, ConnectionClosed, HttpError,
                      RequestTimeout)
 from .headers import Headers
-from .messages import Request, Response
+from .messages import Request, Response, keeps_alive
 from .wire import MAX_HEADER_BLOCK, read_response, serialize_request
 
 __all__ = ["AsyncHttpClient", "CircuitBreaker", "FetchTiming",
@@ -405,7 +405,7 @@ class AsyncHttpClient:
                 else:
                     raise
             done = time.monotonic()
-            if (response.headers.get("Connection") or "").lower() == "close":
+            if not keeps_alive(response):
                 conn.close()
             else:
                 self._idle.setdefault(key, []).append(conn)

@@ -70,7 +70,7 @@ from ..obs.trace import NULL_TRACER
 from ..obs.tracecontext import extract_context
 from .errors import HttpError, ProtocolError
 from .headers import Headers
-from .messages import Request, Response
+from .messages import Request, Response, keeps_alive
 from .wire import (MAX_HEADER_BLOCK, read_request_start,
                    read_request_tail, serialize_response)
 
@@ -124,13 +124,6 @@ class _Connection:
         self.timer = None
         self.expired = True
         self.task.cancel()
-
-
-def _has_close_token(headers: Headers) -> bool:
-    """Whether the ``Connection`` field lists the ``close`` option."""
-    value = headers.get_joined("Connection")
-    return value is not None and any(
-        token.strip().lower() == "close" for token in value.split(","))
 
 
 class AsyncHttpServer:
@@ -394,8 +387,8 @@ class AsyncHttpServer:
                     self.inflight -= 1
                     self._gauge_set("http.inflight", self.inflight)
             conn.served += 1
-            handler_closes = _has_close_token(response.headers)
-            keep_alive = (self._keep_alive(request)
+            handler_closes = not keeps_alive(response)
+            keep_alive = (keeps_alive(request)
                           and not handler_closes
                           and not self.draining
                           and (self.max_requests_per_connection is None
@@ -554,13 +547,6 @@ class AsyncHttpServer:
                         headers=Headers({
                             "Content-Type": PROM_CONTENT_TYPE,
                             "Cache-Control": "no-store"}))
-
-    @staticmethod
-    def _keep_alive(request: Request) -> bool:
-        conn = (request.headers.get("Connection") or "").lower()
-        if request.http_version == "HTTP/1.0":
-            return conn == "keep-alive"
-        return conn != "close"
 
     @staticmethod
     async def _write(writer: asyncio.StreamWriter,

@@ -15,7 +15,8 @@ from .cache_control import CacheControl, parse_cache_control
 from .etag import ETag, parse_etag
 from .headers import Headers
 
-__all__ = ["Request", "Response", "STATUS_REASONS", "status_reason"]
+__all__ = ["Request", "Response", "STATUS_REASONS", "status_reason",
+           "keeps_alive"]
 
 STATUS_REASONS: dict[int, str] = {
     100: "Continue", 101: "Switching Protocols",
@@ -39,6 +40,18 @@ STATUS_REASONS: dict[int, str] = {
 def status_reason(code: int) -> str:
     """Reason phrase for a status code (empty string when unknown)."""
     return STATUS_REASONS.get(code, "")
+
+
+def keeps_alive(message: "Request | Response") -> bool:
+    """Whether the connection persists after ``message`` (RFC 9112
+    §9.3), read from the tokens of its ``Connection`` field: HTTP/1.1
+    persists unless ``close`` is listed, HTTP/1.0 only if
+    ``keep-alive`` is."""
+    value = message.headers.get_joined("Connection") or ""
+    tokens = [token.strip().lower() for token in value.split(",")]
+    if "close" in tokens:
+        return False
+    return message.http_version != "HTTP/1.0" or "keep-alive" in tokens
 
 
 @dataclass

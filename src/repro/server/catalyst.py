@@ -235,6 +235,9 @@ class CatalystServer:
         return response
 
     def _dispatch(self, request: Request, at_time: float) -> Response:
+        if request.method not in ("GET", "HEAD"):
+            return Response(status=405,
+                            headers=Headers({"Allow": "GET, HEAD"}))
         path = request.path
         if path == CACHE_SW_PATH:
             return self._serve_sw()

@@ -99,6 +99,40 @@ class TestServerBehaviour:
         assert b"200" in data
         assert b"Connection: close" in data
 
+    def test_close_among_request_connection_tokens_honoured(self):
+        """``Connection`` is a token list: ``close, TE`` closes too."""
+        async def scenario():
+            async with AsyncHttpServer(
+                    lambda req: Response(body=b"x")) as server:
+                reader, writer = await asyncio.open_connection(
+                    server.host, server.port)
+                writer.write(b"GET / HTTP/1.1\r\nHost: x\r\n"
+                             b"Connection: close, TE\r\n\r\n")
+                await writer.drain()
+                data = await asyncio.wait_for(reader.read(), timeout=1.0)
+                writer.close()
+                return data
+        data = run(scenario())
+        assert b"200" in data
+        assert b"Connection: close" in data
+
+    def test_client_drops_connection_on_close_token(self):
+        """A response listing ``close`` among its ``Connection`` tokens
+        ends the connection, so the next request dials a new one."""
+        def handler(request):
+            return Response(body=b"x",
+                            headers={"Connection": "close, TE"})
+
+        async def scenario():
+            async with AsyncHttpServer(handler) as server:
+                async with AsyncHttpClient() as client:
+                    first = await client.get(server.base_url + "/a")
+                    second = await client.get(server.base_url + "/b")
+                    return first.timing, second.timing
+        first, second = run(scenario())
+        assert first.reused_connection is False
+        assert second.reused_connection is False
+
     def test_http10_defaults_to_close(self):
         async def scenario():
             async with AsyncHttpServer(

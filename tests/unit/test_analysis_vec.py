@@ -6,6 +6,7 @@ backend's batched output to it priced one cell per call, and
 """
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -225,6 +226,29 @@ class TestHandPriced:
         assert [float(plt[0][mi][0]) for mi in range(3)] == pytest.approx(
             [standard, catalyst, catalyst], rel=1e-12)
 
+    def test_frozen_content_prices_as_never_changing(self, backend):
+        """Content whose fixed change times are ``()`` never changes
+        (``freeze_site``'s clones), whatever its change period: the
+        micro-site with a one-hour period on the HTML and every resource,
+        all frozen, prices exactly as it does with infinite periods."""
+        page = micro_site().pages["/index.html"]
+        frozen_page = replace(
+            page, html_change_period_s=HOUR, html_fixed_change_times=(),
+            resources={url: replace(spec, change_period_s=HOUR,
+                                    fixed_change_times=())
+                       for url, spec in page.resources.items()})
+        frozen = SiteSpec(origin="https://micro.example", seed=0,
+                          pages={"/index.html": frozen_page})
+        modes = (CachingMode.STANDARD, CachingMode.CATALYST,
+                 CachingMode.CATALYST_SESSIONS)
+        model = VectorAnalyticModel(backend=backend)
+
+        def priced(site):
+            plt = model.batch_plt(site, modes, (MINUTE, DAY, WEEK), [COND])
+            return [[float(value) for value in row] for row in plt[0]]
+
+        assert priced(frozen) == priced(micro_site())
+
     @pytest.mark.parametrize("mode", [CachingMode.STANDARD,
                                       CachingMode.CATALYST,
                                       CachingMode.CATALYST_SESSIONS],
@@ -286,13 +310,16 @@ class TestValidation:
 
 class TestSweepShape:
     def test_sweep_stacks_sites(self, site):
+        """A site list adds a trailing site axis: ``[C, M, D, S]``."""
         other = generate_site("https://vec2.example", seed=72)
-        model = VectorAnalyticModel(backend=BACKENDS[0])
-        out = model.sweep([site, other], MODES, DELAYS, CONDITIONS)
-        assert len(out) == 2
-        assert len(out[0]) == len(CONDITIONS)
-        assert len(out[0][0]) == len(MODES)
-        assert len(out[0][0][0]) == len(DELAYS)
+        for backend in BACKENDS:
+            model = VectorAnalyticModel(backend=backend)
+            out = model.batch_visit([site, other], MODES, DELAYS,
+                                    CONDITIONS).plt
+            assert len(out) == len(CONDITIONS)
+            assert len(out[0]) == len(MODES)
+            assert len(out[0][0]) == len(DELAYS)
+            assert len(out[0][0][0]) == 2
 
     def test_accepts_raw_site_spec(self, site):
         model = VectorAnalyticModel(backend=BACKENDS[0])

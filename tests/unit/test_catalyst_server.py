@@ -109,6 +109,20 @@ class TestCssStapling:
         assert EtagConfig.from_headers(resp.headers) is None
 
 
+class TestMethods:
+    @pytest.mark.parametrize("url", ["/index.html", CACHE_SW_PATH])
+    def test_post_not_allowed(self, server, site, url):
+        """Like :class:`StaticServer`, only GET and HEAD are served: a
+        POST to the page or the SW script is a 405 that counts no
+        request and staples no map."""
+        resp = server.handle(Request(method="POST", url=url), at_time=0.0)
+        assert resp.status == 405
+        assert resp.headers["Allow"] == "GET, HEAD"
+        assert ETAG_CONFIG_HEADER not in resp.headers
+        assert site.request_counts == {}
+        assert server.maps_stapled == 0
+
+
 class TestServiceWorkerServing:
     def test_sw_script_served(self, server):
         resp = server.handle(Request(url=CACHE_SW_PATH), at_time=0.0)

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core.analysis_vec import numpy_available
 from repro.obs import log as obs_log
 
 
@@ -55,23 +56,31 @@ class TestParser:
         assert args.quiet is True
 
     def test_sweep_defaults(self):
-        args = build_parser().parse_args(["sweep"])
-        assert args.sites is None
+        """The analytic grid is ``figure3 --backend``: figure3's grid
+        defaults on every backend, the DES by default."""
+        args = build_parser().parse_args(["figure3", "--backend", "auto"])
+        assert args.sites == 6
         assert args.backend == "auto"
-        assert args.delays == "1min,1h,6h,1d,1w"
-        assert args.throughputs == (8.0, 16.0, 30.0, 60.0)
-        assert not args.validate
+        assert args.delays == "1min,6h,1w"
+        assert args.throughputs == (8.0, 60.0)
+        assert args.latencies == (10.0, 40.0, 100.0)
+        assert not args.churn and not args.validate
+        assert (args.out, args.validate_sites, args.min_rho) == \
+            (None, 4, 0.85)
+        assert build_parser().parse_args(["figure3"]).backend == "des"
 
-    def test_sweep_backend_choices(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["sweep", "--backend", "fortran"])
-
-    def test_sweep_has_no_seed_flag(self):
-        # validate_sweep samples with its own fixed seed; a --seed flag
-        # would be silently ignored
+    def test_figure3_backend_choices(self):
         with pytest.raises(SystemExit) as exc:
-            build_parser().parse_args(["sweep", "--seed", "3"])
+            build_parser().parse_args(["figure3", "--backend", "fortran"])
         assert exc.value.code == 2
+
+    def test_no_sweep_command(self, capsys):
+        # `python -m repro sweep` exits 2: the analytic grid is
+        # `figure3 --backend`
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'sweep'" in capsys.readouterr().err
 
     def test_no_bench_command(self):
         # wall-clock measurement lives in perfbench/, not the CLI
@@ -137,22 +146,41 @@ class TestCommands:
 
     def test_sweep_runs_and_writes_grid(self, capsys, tmp_path):
         out = tmp_path / "sweep.txt"
-        assert main(["--quiet", "sweep", "--sites", "4",
-                     "--throughputs", "8,60", "--latencies", "10,100",
-                     "--delays", "1h,1d", "--out", str(out)]) == 0
+        assert main(["--quiet", "figure3", "--backend", "auto", "--churn",
+                     "--sites", "4", "--throughputs", "8,60",
+                     "--latencies", "10,100", "--delays", "1h,1d",
+                     "--out", str(out)]) == 0
         stdout = capsys.readouterr().out
         assert "PLT reduction" in stdout
+        assert "(analytic, 4 sites, 2 delays)" in stdout
         assert "revisit delay" in stdout
-        assert "PLT reduction" in out.read_text()
+        assert out.read_text() == stdout
 
     def test_sweep_python_backend_matches_auto(self, capsys):
-        assert main(["--quiet", "sweep", "--sites", "2",
-                     "--throughputs", "8", "--latencies", "40",
-                     "--delays", "1d", "--backend", "python"]) == 0
-        assert "python backend" in capsys.readouterr().out
+        argv = ["--quiet", "figure3", "--sites", "2", "--throughputs", "8",
+                "--latencies", "40", "--delays", "1d", "--backend"]
+        assert main([*argv, "python"]) == 0
+        python = capsys.readouterr().out
+        assert main([*argv, "auto"]) == 0
+        assert capsys.readouterr().out == python
+        assert "analytic" in python and "python" not in python
+
+    @pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
+    def test_figure3_numpy_and_python_print_the_same(self, capsys):
+        """Stdout carries no wall time or engine name, so both analytic
+        engines print byte-identical grids."""
+        argv = ["--quiet", "figure3", "--churn", "--sites", "6",
+                "--throughputs", "8,16,30,60",
+                "--latencies", "10,20,40,80,100", "--delays", "1h,1d",
+                "--backend"]
+        assert main([*argv, "numpy"]) == 0
+        numpy_out = capsys.readouterr().out
+        assert main([*argv, "python"]) == 0
+        assert capsys.readouterr().out == numpy_out
 
     def test_sweep_bad_delay_is_handled(self, capsys):
-        assert main(["--quiet", "sweep", "--delays", "notaduration"]) == 2
+        assert main(["--quiet", "figure3", "--backend", "auto",
+                     "--delays", "notaduration"]) == 2
 
     @pytest.mark.parametrize("argv", [
         ["--delays", "notaduration"],
@@ -169,12 +197,12 @@ class TestCommands:
                      "--workers", "-1"]) == 2
 
     @pytest.mark.parametrize("argv", [
-        ["sweep", "--sites", "2", "--throughputs", "60",
-         "--latencies", "10,100", "--delays", "1d", "--validate",
-         "--validate-sites", "1"],
+        ["figure3", "--backend", "auto", "--churn", "--sites", "2",
+         "--throughputs", "60", "--latencies", "10,100", "--delays", "1d",
+         "--validate", "--validate-sites", "1"],
         ["fleet", "--users", "2000", "--visits", "100000", "--validate",
          "--sample", "3"],
-    ], ids=["sweep", "fleet"])
+    ], ids=["figure3", "fleet"])
     def test_validate_exit_codes(self, capsys, argv):
         """Both ``--validate`` paths share one check: exit 0 when rho
         reaches the floor, 1 when it cannot."""

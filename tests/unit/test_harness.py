@@ -3,7 +3,8 @@
 import pytest
 
 from repro.core.modes import CachingMode
-from repro.experiments.harness import GridResult, measure_pair, run_grid
+from repro.experiments.figure3 import Figure3Result, run_figure3
+from repro.experiments.harness import measure_pair, run_grid
 from repro.experiments.motivation import measure_motivation
 from repro.netsim.clock import HOUR
 from repro.netsim.link import NetworkConditions
@@ -58,28 +59,54 @@ class TestRunGrid:
     def test_full_cross_product(self, grid):
         assert len(grid.measurements) == 2 * 2  # sites x modes
 
-    def test_where_filters(self, grid):
-        standard = grid.where(mode="standard")
+    @pytest.fixture(scope="class")
+    def figure3(self):
+        """The same sites and condition through the one Figure-3 grid,
+        which keeps the rows it reduces (``grid``)."""
+        return run_figure3(corpus=make_corpus(size=2, seed=5),
+                           throughputs_mbps=(60.0,), latencies_ms=(40.0,),
+                           delays_s=(HOUR,), content_churn=True)
+
+    def test_where_filters(self, figure3):
+        """The table slices the rows by mode: its standard plane holds
+        the standard rows' warm PLTs, delay-major, in row order."""
+        standard = [m.warm_plt_ms for m in figure3.grid.measurements
+                    if m.mode == "standard"]
         assert len(standard) == 2
-        assert all(m.mode == "standard" for m in standard)
+        assert figure3.plt_ms[0][0] == [standard]
 
-    def test_mean_warm_plt(self, grid):
-        mean = grid.mean_warm_plt(mode="standard")
-        values = [m.warm_plt_ms for m in grid.where(mode="standard")]
-        assert mean == pytest.approx(sum(values) / len(values))
+    def test_mean_warm_plt(self, figure3):
+        rows = figure3.grid.measurements
+        for mode, mean in (("standard",
+                            figure3.cell(60.0, 40.0).mean_standard_plt_ms),
+                           ("catalyst",
+                            figure3.cell(60.0, 40.0).mean_catalyst_plt_ms)):
+            values = [m.warm_plt_ms for m in rows if m.mode == mode]
+            assert mean == pytest.approx(sum(values) / len(values))
 
-    def test_mean_warm_plt_empty_filter_raises(self, grid):
+    def test_mean_warm_plt_empty_filter_raises(self, figure3):
+        with pytest.raises(KeyError):
+            figure3.cell(8.0, 40.0)
         with pytest.raises(ValueError):
-            grid.mean_warm_plt(mode="nonexistent")
+            Figure3Result(throughputs_mbps=(60.0,), latencies_ms=(40.0,),
+                          delays_s=(HOUR,), sites=0,
+                          plt_ms=[[[[]], [[]]]])
 
-    def test_mean_reduction_vs(self, grid):
-        reduction = grid.mean_reduction_vs("standard", "catalyst")
+    def test_mean_reduction_vs(self, figure3):
+        rows = figure3.grid.measurements
+        standard = [m.warm_plt_ms for m in rows if m.mode == "standard"]
+        catalyst = [m.warm_plt_ms for m in rows if m.mode == "catalyst"]
+        assert figure3.reductions(60.0, 40.0) == [
+            (s - c) / s for s, c in zip(standard, catalyst)]
+        reduction = figure3.cell(60.0, 40.0).mean_reduction
         assert -0.5 < reduction < 1.0
 
     def test_mean_reduction_no_overlap_raises(self):
-        empty = GridResult(measurements=[])
-        with pytest.raises(ValueError):
-            empty.mean_reduction_vs("standard", "catalyst")
+        """Pairs whose standard PLT is not positive have no reduction."""
+        with pytest.raises(ValueError, match="no overlapping"):
+            Figure3Result(throughputs_mbps=(60.0,), latencies_ms=(40.0,),
+                          delays_s=(HOUR,), sites=2,
+                          plt_ms=[[[[0.0, 0.0]], [[1.0, 2.0]]]])
 
     def test_progress_callback(self, site_spec):
         messages = []

@@ -1,47 +1,52 @@
-"""Unit tests for the full-grid analytic sweep experiment."""
+"""Unit tests for the analytic Figure-3 grid and its DES validation."""
 
 import pytest
 
 from repro.core.analysis_vec import batch_estimate_plt, numpy_available
 from repro.core.modes import CachingMode
+from repro.experiments.figure3 import run_figure3
+from repro.experiments.sweep import ValidationResult, validate_sweep
 from repro.netsim.clock import DAY, HOUR
 from repro.netsim.link import NetworkConditions
 from repro.workload.corpus import make_corpus
-from repro.experiments.sweep import (ValidationResult, run_sweep,
-                                     validate_sweep)
 
 pytestmark = pytest.mark.analytic
 
 
 @pytest.fixture(scope="module")
 def small_sweep():
-    return run_sweep(sites=6, throughputs_mbps=(8.0, 60.0),
-                     latencies_ms=(10.0, 40.0, 100.0),
-                     delays_s=(HOUR, DAY))
+    """The closed form's grid on a churned corpus (``figure3 --backend
+    auto --churn``)."""
+    return run_figure3(sites=6, throughputs_mbps=(8.0, 60.0),
+                       latencies_ms=(10.0, 40.0, 100.0),
+                       delays_s=(HOUR, DAY), backend="auto",
+                       content_churn=True)
 
 
 class TestRunSweep:
     def test_grid_shape(self, small_sweep):
-        assert len(small_sweep.reduction_grid) == 2
-        assert all(len(row) == 3 for row in small_sweep.reduction_grid)
+        assert len(small_sweep.cells) == 2 * 3
+        assert [(c.mbps, c.rtt_ms) for c in small_sweep.cells] == \
+            [(mbps, rtt) for mbps in (8.0, 60.0)
+             for rtt in (10.0, 40.0, 100.0)]
         assert small_sweep.sites == 6
         assert small_sweep.estimates == 6 * 6 * 2 * 2
 
     def test_reductions_in_unit_interval(self, small_sweep):
-        for row in small_sweep.reduction_grid:
-            for value in row:
-                assert 0.0 < value < 1.0
+        for cell in small_sweep.cells:
+            assert 0.0 < cell.mean_reduction < 1.0
 
     def test_latency_story_at_high_throughput(self, small_sweep):
         """At 60 Mbps the win grows with RTT — the paper's Figure 3."""
-        top_row = small_sweep.reduction_grid[-1]
+        top_row = [small_sweep.cell(60.0, rtt).mean_reduction
+                   for rtt in (10.0, 40.0, 100.0)]
         assert top_row == sorted(top_row)
 
     @pytest.mark.skipif(not numpy_available(),
                         reason="numpy not installed")
     def test_numpy_reduction_matches_python_for_one_cell(self,
                                                          small_sweep):
-        """Spot-check the NumPy sweep's aggregation against per-site
+        """Spot-check the NumPy grid's reduction against per-site
         Python pricing."""
         assert small_sweep.backend == "numpy"
         corpus = make_corpus().sample(6, seed=7)
@@ -56,17 +61,20 @@ class TestRunSweep:
                 standard, catalyst = plt[0][0][di], plt[0][1][di]
                 total += (standard - catalyst) / standard
                 count += 1
-        assert small_sweep.cell(60.0, 40.0) == pytest.approx(
-            total / count, rel=1e-9)
+        assert small_sweep.cell(60.0, 40.0).mean_reduction == \
+            pytest.approx(total / count, rel=1e-9)
 
     def test_delay_series_covers_all_delays(self, small_sweep):
         assert [delay for delay, _ in small_sweep.delay_series] \
             == [HOUR, DAY]
 
     def test_format_mentions_headline_and_backend(self, small_sweep):
+        """The report names the grid's backend (analytic, not the
+        engine) and the headline cell, and carries no wall time."""
         text = small_sweep.format()
         assert "60Mbps/40ms" in text
-        assert small_sweep.backend in text
+        assert "(analytic, 6 sites, 2 delays)" in text
+        assert small_sweep.backend not in text
         assert "overall mean" in text
 
 
