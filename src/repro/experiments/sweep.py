@@ -48,8 +48,10 @@ class ValidationResult:
 
     @property
     def passed(self) -> bool:
-        """``min_rho`` is a floor: a rho equal to it passes."""
-        return self.rho >= self.min_rho
+        """``min_rho`` is a floor: a rho equal to it passes.  A rank
+        correlation of fewer than two rows compares nothing, so it
+        fails whatever it reads."""
+        return len(self.rows) >= 2 and self.rho >= self.min_rho
 
     def format(self) -> str:
         table = format_table(
@@ -61,6 +63,8 @@ class ValidationResult:
              for origin, cond, mode, delay, analytic, simulated
              in self.rows[:24]])
         verdict = "PASS" if self.passed else "FAIL"
+        if len(self.rows) < 2:
+            verdict += ": fewer than 2 rows compared"
         return (table
                 + f"\n\nSpearman rank correlation (n={len(self.rows)}): "
                 + f"{self.rho:.3f}  (floor {self.min_rho:.2f}) "

@@ -47,7 +47,9 @@ def keeps_alive(message: "Request | Response") -> bool:
     §9.3), read from the tokens of its ``Connection`` field: HTTP/1.1
     persists unless ``close`` is listed, HTTP/1.0 only if
     ``keep-alive`` is."""
-    value = message.headers.get_joined("Connection") or ""
+    value = message.headers.get_joined("Connection")
+    if value is None:
+        return message.http_version != "HTTP/1.0"
     tokens = [token.strip().lower() for token in value.split(",")]
     if "close" in tokens:
         return False

@@ -1,20 +1,24 @@
-"""HTTP/1.1 wire codec over asyncio streams.
+"""HTTP/1.1 wire codec.
 
-Serializes :class:`~repro.http.messages.Request`/``Response`` objects and
-parses them back from ``asyncio.StreamReader``.  A message head (start
-line and header fields) is read with one ``readuntil(b"\\r\\n\\r\\n")``
-and split into lines in one pass; a request's first byte is read on its
-own first (:func:`read_request_start`), so a server can tell an idle
-connection from a started request.  Supports Content-Length and chunked
-transfer coding, enforces size limits, and rejects messages that smell
-like request smuggling (conflicting length framing, bare CR or LF).
+Serializes :class:`~repro.http.messages.Request`/``Response`` objects
+and parses them back: requests with :class:`RequestParser`, a sans-IO
+parser (bytes in, complete requests out) that the server feeds from
+``data_received``, and responses from an ``asyncio.StreamReader``
+(:func:`read_response`, the client's side).  Both split a head into
+lines with :func:`_split_head`, read its fields with one field parser
+(:func:`_parse_fields`) and frame a body by one rule
+(:func:`_body_framing`): Content-Length or chunked transfer coding.
+Both enforce size limits and reject messages that smell like request
+smuggling (conflicting length framing, bare CR or LF).
 
 Limits: the start line is at most ``MAX_START_LINE`` bytes and the whole
 head at most ``MAX_HEADER_BLOCK`` (Catalyst's ``X-Etag-Config`` maps run
-to 32 KiB on one field line).  One ``readuntil`` is bounded by the
-stream's ``limit`` (asyncio's default is 64 KiB), so open streams with
-``limit=MAX_HEADER_BLOCK`` to admit a full head; a head past the limit
-raises :class:`~repro.http.errors.MessageTooLarge` either way.
+to 32 KiB on one field line); a chunk-size or trailer line is at most
+``MAX_START_LINE`` and a body at most ``MAX_BODY``.  One ``readuntil``
+is bounded by the stream's ``limit`` (asyncio's default is 64 KiB), so
+the client opens its streams with ``limit=MAX_HEADER_BLOCK`` to admit a
+full head; a head past the limit raises
+:class:`~repro.http.errors.MessageTooLarge` either way.
 
 This module carries the *real-socket* integration path; the discrete-event
 experiments never serialize, they hand message objects across directly.
@@ -23,7 +27,7 @@ experiments never serialize, they hand message objects across directly.
 from __future__ import annotations
 
 import asyncio
-from typing import Optional
+from typing import Optional, Union
 
 from .errors import ConnectionClosed, MessageTooLarge, ProtocolError
 from .headers import Headers
@@ -31,8 +35,7 @@ from .messages import Request, Response, status_reason
 
 __all__ = [
     "serialize_request", "serialize_response",
-    "read_request", "read_request_start", "read_request_tail",
-    "read_response",
+    "RequestParser", "read_response",
     "MAX_START_LINE", "MAX_HEADER_BLOCK", "MAX_BODY",
 ]
 
@@ -87,23 +90,9 @@ def _response_may_have_body(status: int) -> bool:
 # Parsing
 # ---------------------------------------------------------------------------
 
-async def _read_head(reader: asyncio.StreamReader,
-                     start: bytes = b"") -> list[str]:
-    """The start line and field lines of the head that ``start`` began.
-
-    One ``readuntil`` takes the head through its blank line, bounded by
-    the stream's ``limit``.
-    """
-    try:
-        head = await reader.readuntil(b"\r\n\r\n")
-    except asyncio.IncompleteReadError as exc:
-        if not (start or exc.partial):
-            raise ConnectionClosed("peer closed before start of message")
-        raise ProtocolError("truncated message head") from exc
-    except asyncio.LimitOverrunError as exc:
-        raise MessageTooLarge("message head exceeds stream limit") from exc
-    if start:
-        head = start + head
+def _split_head(head: Union[bytes, bytearray]) -> list[str]:
+    """The start line and field lines of a head that ends in its blank
+    line, checked against the limits and for bare CR or LF."""
     if len(head) > MAX_HEADER_BLOCK:
         raise MessageTooLarge(f"message head of {len(head)} bytes exceeds "
                               f"{MAX_HEADER_BLOCK}")
@@ -134,18 +123,17 @@ def _parse_fields(lines: list[str]) -> Headers:
     return headers
 
 
-async def _read_line(reader: asyncio.StreamReader, limit: int) -> bytes:
-    try:
-        line = await reader.readuntil(b"\r\n")
-    except asyncio.IncompleteReadError as exc:
-        if not exc.partial:
-            raise ConnectionClosed("peer closed before start of message")
-        raise ProtocolError("truncated line") from exc
-    except asyncio.LimitOverrunError as exc:
-        raise MessageTooLarge("line exceeds stream limit") from exc
-    if len(line) > limit:
-        raise MessageTooLarge(f"line of {len(line)} bytes exceeds {limit}")
-    return line[:-2]
+def _parse_request_head(lines: list[str]) -> Request:
+    parts = lines[0].split(" ")
+    if len(parts) != 3:
+        raise ProtocolError(f"malformed request line: {lines[0][:80]!r}")
+    method, target, version = parts
+    if version not in ("HTTP/1.1", "HTTP/1.0"):
+        raise ProtocolError(f"unsupported version {version!r}")
+    if not method.isalpha():
+        raise ProtocolError(f"malformed method {method!r}")
+    return Request(method=method, url=target,
+                   headers=_parse_fields(lines[1:]), http_version=version)
 
 
 def _body_framing(headers: Headers) -> tuple[str, int]:
@@ -177,85 +165,200 @@ def _body_framing(headers: Headers) -> tuple[str, int]:
     return ("none", 0)
 
 
+def _chunk_size(line: bytes, total: int) -> int:
+    """The size a chunk-size line declares; ``total`` is the body so far."""
+    try:
+        size = int(line.split(b";", 1)[0].strip(), 16)
+    except ValueError:
+        raise ProtocolError(f"bad chunk size: {line[:40]!r}") from None
+    if size < 0:
+        raise ProtocolError("negative chunk size")
+    if total + size > MAX_BODY:
+        raise MessageTooLarge("chunked body too large")
+    return size
+
+
+#: ``RequestParser._left`` while a chunked body waits for a chunk-size
+#: line, and while it reads the trailer section
+_SIZE_LINE = -1
+_TRAILER = -2
+
+
+class RequestParser:
+    """Sans-IO HTTP/1.1 request parser: bytes in, complete requests out.
+
+    :meth:`feed` appends bytes in pieces of any size, as they arrive;
+    :meth:`next_request` returns the next complete :class:`Request`, or
+    None until more bytes come, and raises
+    :class:`~repro.http.errors.ProtocolError` (or ``MessageTooLarge``)
+    for a stream that is not a request; :meth:`feed_eof` raises if the
+    stream ended inside a message.  The parser does no I/O, so a server
+    parses each request in the call that delivered its last byte.
+    """
+
+    __slots__ = ("_buffer", "_scan", "_request", "_left", "_chunks",
+                 "_total")
+
+    def __init__(self) -> None:
+        #: bytes received and not yet parsed
+        self._buffer = bytearray()
+        #: where the search for the head's blank line resumes
+        self._scan = 0
+        #: a request whose head is parsed and whose body is still due
+        self._request: Optional[Request] = None
+        #: body bytes still due (Content-Length), or the bytes of the
+        #: current chunk, or ``_SIZE_LINE``/``_TRAILER``
+        self._left = 0
+        #: the chunks read so far of a chunked body (None otherwise)
+        self._chunks: Optional[list[bytes]] = None
+        self._total = 0
+
+    @property
+    def pending(self) -> bool:
+        """Whether a request has begun and is not complete yet."""
+        return bool(self._buffer) or self._request is not None
+
+    @property
+    def buffered(self) -> int:
+        """Bytes received and not yet parsed."""
+        return len(self._buffer)
+
+    def feed(self, data: bytes) -> None:
+        self._buffer += data
+
+    def next_request(self) -> Optional[Request]:
+        """The next complete request, or None until more bytes come."""
+        request = self._request
+        if request is None:
+            buffer = self._buffer
+            end = buffer.find(b"\r\n\r\n", self._scan)
+            if end < 0:
+                if len(buffer) >= MAX_HEADER_BLOCK:
+                    raise MessageTooLarge(f"message head exceeds "
+                                          f"{MAX_HEADER_BLOCK} bytes")
+                self._scan = max(0, len(buffer) - 3)
+                return None
+            end += 4
+            request = _parse_request_head(_split_head(buffer[:end]))
+            del buffer[:end]
+            self._scan = 0
+            framing, length = _body_framing(request.headers)
+            if framing == "none":
+                return request
+            self._request = request
+            if framing == "length":
+                self._left = length
+            else:
+                self._left = _SIZE_LINE
+                self._chunks = []
+                self._total = 0
+        body = self._body() if self._chunks is None else self._chunked()
+        if body is None:
+            return None
+        request.body = body
+        self._request = None
+        return request
+
+    def feed_eof(self) -> None:
+        """The peer sent EOF: a head it cut is a ``ProtocolError``, a
+        body it cut ``ConnectionClosed``; at a message boundary, nothing."""
+        if self._request is not None:
+            raise ConnectionClosed("body truncated")
+        if self._buffer:
+            raise ProtocolError("truncated message head")
+
+    def _body(self) -> Optional[bytes]:
+        buffer = self._buffer
+        left = self._left
+        if len(buffer) < left:
+            return None
+        body = bytes(buffer[:left])
+        del buffer[:left]
+        return body
+
+    def _chunked(self) -> Optional[bytes]:
+        buffer = self._buffer
+        chunks = self._chunks
+        while True:
+            left = self._left
+            if left >= 0:  # a chunk's data and its CRLF
+                if len(buffer) < left + 2:
+                    return None
+                if buffer[left:left + 2] != b"\r\n":
+                    raise ProtocolError("chunk missing terminating CRLF")
+                chunks.append(bytes(buffer[:left]))
+                del buffer[:left + 2]
+                self._left = _SIZE_LINE
+                continue
+            end = buffer.find(b"\r\n")
+            if end < 0 and len(buffer) < MAX_START_LINE:
+                return None
+            if end < 0 or end + 2 > MAX_START_LINE:
+                raise MessageTooLarge(f"chunk line exceeds {MAX_START_LINE} "
+                                      f"bytes")
+            line = bytes(buffer[:end])
+            del buffer[:end + 2]
+            if left == _TRAILER:
+                if not line:  # the blank line that ends the trailers
+                    self._chunks = None
+                    return b"".join(chunks)
+                continue
+            size = _chunk_size(line, self._total)
+            self._total += size
+            self._left = size if size else _TRAILER
+
+
+async def _read_head(reader: asyncio.StreamReader) -> list[str]:
+    """The start line and field lines of the next head on ``reader``,
+    read with one ``readuntil`` bounded by the stream's ``limit``."""
+    try:
+        head = await reader.readuntil(b"\r\n\r\n")
+    except asyncio.IncompleteReadError as exc:
+        if not exc.partial:
+            raise ConnectionClosed("peer closed before start of message")
+        raise ProtocolError("truncated message head") from exc
+    except asyncio.LimitOverrunError as exc:
+        raise MessageTooLarge("message head exceeds stream limit") from exc
+    return _split_head(head)
+
+
+async def _read_line(reader: asyncio.StreamReader) -> bytes:
+    try:
+        line = await reader.readuntil(b"\r\n")
+    except asyncio.IncompleteReadError as exc:
+        if not exc.partial:
+            raise ConnectionClosed("peer closed before start of message")
+        raise ProtocolError("truncated line") from exc
+    except asyncio.LimitOverrunError as exc:
+        raise MessageTooLarge("line exceeds stream limit") from exc
+    if len(line) > MAX_START_LINE:
+        raise MessageTooLarge(f"line of {len(line)} bytes exceeds "
+                              f"{MAX_START_LINE}")
+    return line[:-2]
+
+
 async def _read_body(reader: asyncio.StreamReader,
                      headers: Headers) -> bytes:
     framing, length = _body_framing(headers)
     if framing == "none":
         return b""
-    if framing == "length":
-        try:
+    try:
+        if framing == "length":
             return await reader.readexactly(length)
-        except asyncio.IncompleteReadError as exc:
-            raise ConnectionClosed("body truncated") from exc
-    # chunked
-    chunks: list[bytes] = []
-    total = 0
-    while True:
-        size_line = await _read_line(reader, MAX_START_LINE)
-        size_text = size_line.split(b";", 1)[0].strip()
-        try:
-            size = int(size_text, 16)
-        except ValueError:
-            raise ProtocolError(f"bad chunk size: {size_line[:40]!r}")
-        if size < 0:
-            raise ProtocolError("negative chunk size")
-        total += size
-        if total > MAX_BODY:
-            raise MessageTooLarge("chunked body too large")
-        if size == 0:
-            # trailer section: read until blank line
-            while True:
-                trailer = await _read_line(reader, MAX_START_LINE)
-                if not trailer:
-                    return b"".join(chunks)
-        try:
+        chunks: list[bytes] = []
+        total = 0
+        while True:
+            size = _chunk_size(await _read_line(reader), total)
+            if size == 0:
+                while await _read_line(reader):  # trailer section
+                    pass
+                return b"".join(chunks)
+            total += size
             chunks.append(await reader.readexactly(size))
-            crlf = await reader.readexactly(2)
-        except asyncio.IncompleteReadError as exc:
-            raise ConnectionClosed("chunk truncated") from exc
-        if crlf != b"\r\n":
-            raise ProtocolError("chunk missing terminating CRLF")
-
-
-async def read_request_start(
-        reader: asyncio.StreamReader) -> Optional[bytes]:
-    """Wait for the first byte of the next request; None on clean EOF.
-
-    Split out from :func:`read_request` so a server can apply *two*
-    deadlines: a long keep-alive timeout while the connection is idle
-    (no bytes yet — closing silently is fine) and a short header-read
-    timeout once a first byte has committed the peer to sending a whole
-    head (a stall there, request line included, is a slow-loris,
-    answered 408).
-    """
-    return await reader.read(1) or None
-
-
-async def read_request_tail(reader: asyncio.StreamReader,
-                            start: bytes) -> Request:
-    """Read the rest of the request that began with ``start``: its head
-    in one buffered read, then its body."""
-    lines = await _read_head(reader, start)
-    parts = lines[0].split(" ")
-    if len(parts) != 3:
-        raise ProtocolError(f"malformed request line: {lines[0][:80]!r}")
-    method, target, version = parts
-    if version not in ("HTTP/1.1", "HTTP/1.0"):
-        raise ProtocolError(f"unsupported version {version!r}")
-    if not method.isalpha():
-        raise ProtocolError(f"malformed method {method!r}")
-    headers = _parse_fields(lines[1:])
-    body = await _read_body(reader, headers)
-    return Request(method=method, url=target, headers=headers, body=body,
-                   http_version=version)
-
-
-async def read_request(reader: asyncio.StreamReader) -> Optional[Request]:
-    """Read one request; returns None on clean EOF before any bytes."""
-    start = await read_request_start(reader)
-    if start is None:
-        return None
-    return await read_request_tail(reader, start)
+            if await reader.readexactly(2) != b"\r\n":
+                raise ProtocolError("chunk missing terminating CRLF")
+    except asyncio.IncompleteReadError as exc:
+        raise ConnectionClosed("body truncated") from exc
 
 
 async def read_response(reader: asyncio.StreamReader,

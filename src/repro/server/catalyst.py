@@ -43,17 +43,13 @@ from ..http.etag import ETag, etag_for_content
 from ..http.headers import Headers
 from ..http.messages import Request, Response
 from ..obs.trace import NULL_TRACER
-from .site import OriginSite
+from .site import _MAX_MEMO_ENTRIES, OriginSite
 from .static import StaticServer
 from .sessions import SessionRecorder
 
 __all__ = ["CatalystConfig", "CatalystServer", "SERVICE_WORKER_JS"]
 
 logger = logging.getLogger(__name__)
-
-#: entry cap on every memo of a :class:`CatalystServer` (FIFO eviction,
-#: oldest version first); bounds a long-lived server under version churn
-_MAX_MEMO_ENTRIES = 4096
 
 #: The client-side Service Worker source served at CACHE_SW_PATH.  The DES
 #: browser model implements the same logic natively
@@ -152,9 +148,10 @@ class CatalystServer:
       merged *on top* of the memoized map per request.
     - **stylesheet memo** ``(css_url, version)`` → child URLs.
 
-    Each memo holds at most :data:`_MAX_MEMO_ENTRIES` entries.  A server
-    with empty memos computes the same bytes from scratch, which is the
-    reference the byte-identity tests compare against.
+    Each memo holds at most ``site._MAX_MEMO_ENTRIES`` entries, evicted
+    oldest first, which bounds a long-lived server under version churn.
+    A server with empty memos computes the same bytes from scratch,
+    which is the reference the byte-identity tests compare against.
     """
 
     def __init__(self, site: OriginSite,

@@ -12,11 +12,12 @@ cache arithmetic real rather than mocked.
 
 What content fixes is computed once per process and shared by every
 origin built over the same spec: churn timelines
-(:func:`~repro.workload.churn.shared_churn`) and, per resource version,
-one compact :class:`_Template` (:func:`_resource_template`).  What a run
-changes stays per instance: request counts (they version dynamic
-resources), rendered documents (a :class:`PageSpec` is mutable) and the
-servers' counters and sessions.
+(:func:`~repro.workload.churn.shared_churn`) and, per version of a
+non-dynamic resource, one compact :class:`_Template`
+(:func:`_resource_template`).  What a run changes stays per instance:
+request counts (they version dynamic resources, whose templates are
+never shared), rendered documents (a :class:`PageSpec` is mutable) and
+the servers' counters and sessions.
 """
 
 from __future__ import annotations
@@ -53,6 +54,12 @@ CONTENT_TYPES: dict[ResourceKind, str] = {
 
 HTML_CONTENT_TYPE = "text/html; charset=utf-8"
 
+#: entry cap on every content memo of the origin: the shared template
+#: memo and each :class:`~repro.server.catalyst.CatalystServer` memo.
+#: The templates a ``serve`` stream cycles through (1,882 of them, about
+#: 128 B of stand-in each) fit with room to spare.
+_MAX_MEMO_ENTRIES = 4096
+
 
 class _Template(NamedTuple):
     """What a resource version's 200 carries besides its ``Date``."""
@@ -65,22 +72,24 @@ class _Template(NamedTuple):
     size: int
 
 
-@lru_cache(maxsize=1024)
-def _resource_template(spec: ResourceSpec, version: int,
-                       last_modified: float) -> _Template:
-    """The shared 200 template of one (resource, version, Last-Modified).
+def _render_template(spec: ResourceSpec, version: int,
+                     last_modified: float) -> _Template:
+    """The 200 template of one (resource, version, Last-Modified).
 
-    A pure function of its key, so every :class:`OriginSite` over the
-    spec shares it.  ``last_modified`` is part of the key because a
-    dynamic resource's version counts requests while its Last-Modified
-    follows the churn timeline.  Full serving-tier bodies are never
-    stored here.
+    A pure function of its arguments.  Full serving-tier bodies are
+    never part of it.
     """
     standin, size = render_resource_body(spec, version)
     return _Template(etag=str(etag_for_content(standin)),
                      last_modified=format_http_date(last_modified),
                      cache_control=spec.policy.to_cache_control(),
                      body=standin, size=size)
+
+
+#: the template memo every :class:`OriginSite` over a spec shares, for
+#: non-dynamic resources only: a dynamic resource's version counts
+#: requests, so its key never comes back
+_resource_template = lru_cache(maxsize=_MAX_MEMO_ENTRIES)(_render_template)
 
 
 @dataclass
@@ -208,8 +217,11 @@ class OriginSite:
 
     def _template(self, spec: ResourceSpec, version: int,
                   at_time: float) -> _Template:
-        last_modified = self._churn_for(spec).last_change_at(at_time)
-        return _resource_template(spec, version, WALL_EPOCH + last_modified)
+        last_modified = WALL_EPOCH \
+            + self._churn_for(spec).last_change_at(at_time)
+        if spec.dynamic:
+            return _render_template(spec, version, last_modified)
+        return _resource_template(spec, version, last_modified)
 
     def _respond_resource(self, spec: ResourceSpec,
                           at_time: float) -> Response:

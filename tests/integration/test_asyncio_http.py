@@ -14,9 +14,11 @@ from repro.http.aclient import AsyncHttpClient
 from repro.http.aserver import AsyncHttpServer
 from repro.http.headers import Headers
 from repro.http.messages import Request, Response
+from repro.http.wire import RequestParser, serialize_response
 from repro.server.adapter import as_async_handler
-from repro.server.catalyst import CatalystServer
+from repro.server.catalyst import CatalystConfig, CatalystServer
 from repro.server.site import OriginSite
+from repro.server.static import StaticServer
 from repro.workload.corpus import make_corpus
 from repro.workload.sitegen import generate_site
 
@@ -195,3 +197,83 @@ class TestCatalystOverSockets:
         value = response.headers["X-Etag-Config"]
         assert len("X-Etag-Config: " + value) > 13_000
         assert json.loads(value)
+
+
+class TestServedBytes:
+    """The bytes on the wire are ``serialize_response(handler(request))``."""
+
+    MODE = "X-Test-Mode"
+    AT = "X-Test-At"
+
+    def _origins(self, specs) -> dict:
+        origins = {}
+        for spec in specs:
+            site = OriginSite(spec, materialize_fully=True)
+            origins[(spec.origin, "static")] = StaticServer(site)
+            origins[(spec.origin, "catalyst")] = CatalystServer(
+                site, CatalystConfig(emit_cache_status=True))
+        return origins
+
+    def _handler(self, origins):
+        def handler(request):
+            server = origins[(request.headers["X-Test-Origin"],
+                              request.headers[self.MODE])]
+            return server.handle(request, float(request.headers[self.AT]))
+        return handler
+
+    def _stream(self, specs) -> list[bytes]:
+        """GETs for every URL of each site in both modes at three times;
+        the later passes revalidate with the first pass's ETag, so
+        unchanged resources answer 304."""
+        origins = self._origins(specs)
+        messages = []
+        for at in (0.0, 3600.0, 30 * 3600.0):
+            for spec in specs:
+                for mode in ("static", "catalyst"):
+                    site = origins[(spec.origin, mode)].site
+                    for url in site.all_urls():
+                        lines = [f"GET {url} HTTP/1.1", "Host: h",
+                                 f"X-Test-Origin: {spec.origin}",
+                                 f"{self.MODE}: {mode}", f"{self.AT}: {at!r}"]
+                        etag = site.etag_of(url, 0.0)
+                        if at > 0 and etag is not None:
+                            lines.append(f'If-None-Match: "{etag}"')
+                        messages.append(
+                            ("\r\n".join(lines) + "\r\n\r\n").encode())
+        return messages
+
+    def test_wire_bytes_equal_serialized_handler_responses(self):
+        specs = list(make_corpus(size=2, seed=2024))
+        messages = self._stream(specs)
+        expected = []
+        reference = self._handler(self._origins(specs))
+        for message in messages:
+            parser = RequestParser()
+            parser.feed(message)
+            expected.append(serialize_response(
+                reference(parser.next_request())))
+
+        async def scenario():
+            handler = self._handler(self._origins(specs))
+            async with AsyncHttpServer(handler) as server:
+                reader, writer = await asyncio.open_connection(
+                    server.host, server.port)
+                got = []
+                for message, want in zip(messages, expected):
+                    writer.write(message)
+                    await writer.drain()
+                    got.append(await reader.readexactly(len(want)))
+                writer.write_eof()
+                rest = await reader.read()
+                writer.close()
+                await writer.wait_closed()
+                return got, rest
+
+        got, rest = run(scenario())
+        statuses = {want.split(b" ", 2)[1] for want in expected}
+        assert len(messages) > 200
+        assert statuses == {b"200", b"304"}
+        assert any(b"Cache-Status" in want for want in expected)
+        assert any(b"X-Etag-Config" in want for want in expected)
+        assert got == expected
+        assert rest == b""

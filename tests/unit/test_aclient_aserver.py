@@ -5,6 +5,7 @@ cover the failure handling.)
 """
 
 import asyncio
+import os
 import socket
 import time
 
@@ -45,7 +46,10 @@ class TestClientErrors:
         run(scenario())
 
     def test_request_timeout_raised(self):
+        accepted = []
+
         async def never_responds(reader, writer):
+            accepted.append(writer)
             await asyncio.sleep(10)
 
         async def scenario():
@@ -57,6 +61,8 @@ class TestClientErrors:
                     with pytest.raises(RequestTimeout):
                         await client.get(f"http://127.0.0.1:{port}/slow")
             finally:
+                for writer in accepted:  # one per attempt
+                    writer.close()
                 server.close()
                 await server.wait_closed()
         run(scenario())
@@ -76,6 +82,102 @@ class TestClientErrors:
         first, second = run(scenario())
         assert first == b"/one"
         assert second == b"/two"
+
+
+def _count_tasks(created: list):
+    """A task factory that records each coroutine it starts."""
+    def factory(loop, coro, **kwargs):
+        created.append(coro)
+        return asyncio.Task(coro, loop=loop, **kwargs)
+    return factory
+
+
+_ASYNCIO_DIR = os.path.dirname(asyncio.__file__)
+
+
+def _own_tasks(created: list) -> list[str]:
+    """The recorded coroutines that are not asyncio's own (the event
+    loop starts one to accept each connection)."""
+    return [coro.__qualname__ for coro in created
+            if not coro.cr_code.co_filename.startswith(_ASYNCIO_DIR)]
+
+
+class TestClientRequestPath:
+    def test_keep_alive_gets_start_no_task(self):
+        """One timer per exchange, not ``asyncio.wait_for``, which
+        starts a Task per call on Python 3.10 and 3.11."""
+        created = []
+
+        async def scenario():
+            asyncio.get_running_loop().set_task_factory(
+                _count_tasks(created))
+            async with AsyncHttpServer(
+                    lambda req: Response(body=b"ok")) as server:
+                async with AsyncHttpClient() as client:
+                    await client.get(server.base_url + "/warm")
+                    before = len(created)
+                    for i in range(100):
+                        result = await client.get(
+                            f"{server.base_url}/r{i}")
+                        assert result.response.body == b"ok"
+                        assert result.timing.reused_connection
+                    return created[before:]
+
+        assert run(scenario()) == []
+
+    def test_timeout_leaves_outer_cancellation_alone(self):
+        """A timed-out exchange raises RequestTimeout and leaves the
+        calling task with no cancellation pending."""
+        async def never_answers(reader, writer):
+            await reader.read()
+            writer.close()
+
+        async def scenario():
+            server = await asyncio.start_server(never_answers,
+                                                "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            try:
+                async with AsyncHttpClient(timeout_s=0.1,
+                                           max_retries=0) as client:
+                    with pytest.raises(RequestTimeout):
+                        await client.get(f"http://127.0.0.1:{port}/x")
+                    task = asyncio.current_task()
+                    if hasattr(task, "cancelling"):  # Python 3.11+
+                        assert task.cancelling() == 0
+                    await asyncio.sleep(0.01)  # not cancelled
+            finally:
+                server.close()
+                await server.wait_closed()
+        run(scenario())
+
+    def test_redial_reports_a_new_connection(self):
+        """After the server idle-closes the pooled connection, the
+        retried exchange runs on a redialled one: ``reused_connection``
+        is False and ``connect_done`` follows the redial."""
+        async def scenario():
+            handler = lambda req: Response(body=req.path.encode())
+            async with AsyncHttpServer(handler,
+                                       keepalive_timeout_s=0.15) as server:
+                async with AsyncHttpClient() as client:
+                    dialled = []
+                    new_connection = client._new_connection
+
+                    async def recording(key):
+                        result = await new_connection(key)
+                        dialled.append(time.monotonic())
+                        return result
+
+                    client._new_connection = recording
+                    await client.get(server.base_url + "/one")
+                    await asyncio.sleep(0.4)  # server times the conn out
+                    second = await client.get(server.base_url + "/two")
+                    return second, dialled
+
+        second, dialled = run(scenario())
+        assert second.response.body == b"/two"
+        assert len(dialled) == 2  # the first GET and the redial
+        assert second.timing.reused_connection is False
+        assert second.timing.connect_done >= dialled[1]
 
 
 class TestServerBehaviour:
@@ -246,38 +348,159 @@ class TestRequestPath:
     """One buffered head read and one deadline timer per connection."""
 
     def test_keep_alive_requests_start_no_task(self):
+        """A connection to a synchronous handler starts no Task from
+        accept to close: every request is answered in the callback that
+        delivered it."""
         created = []
 
-        def counting_factory(loop, coro, **kwargs):
-            created.append(coro)
-            return asyncio.Task(coro, loop=loop, **kwargs)
-
         async def scenario():
-            asyncio.get_running_loop().set_task_factory(counting_factory)
+            asyncio.get_running_loop().set_task_factory(
+                _count_tasks(created))
             async with AsyncHttpServer(
                     lambda req: Response(body=b"ok")) as server:
                 reader, writer = await asyncio.open_connection(
                     server.host, server.port)
-
-                async def exchange():
+                for _ in range(101):
                     writer.write(b"GET /x HTTP/1.1\r\nHost: h\r\n\r\n")
                     await writer.drain()
                     head = await reader.readuntil(b"\r\n\r\n")
                     assert head.startswith(b"HTTP/1.1 200 ")
                     assert await reader.readexactly(2) == b"ok"
-
-                await exchange()  # accepting starts the connection's task
-                before = len(created)
-                for _ in range(100):
-                    await exchange()
-                during = len(created) - before
                 writer.close()
                 await writer.wait_closed()
-                return during, server.requests_served
+                while server.connections:  # the server's side closes
+                    await asyncio.sleep(0.01)
+                return _own_tasks(created), server.requests_served
 
-        during, served = run(scenario())
+        tasks, served = run(scenario())
         assert served == 101
-        assert during == 0
+        assert tasks == []
+
+    @pytest.mark.parametrize("asynchronous", [False, True])
+    def test_pipelined_requests_in_one_segment_answered_in_order(
+            self, asynchronous):
+        """Two requests in one write get their responses in request
+        order, though the first takes longer to answer."""
+        def sync_handler(request):
+            return Response(body=request.path.encode())
+
+        async def async_handler(request):
+            await asyncio.sleep(0.05 if request.path == "/first" else 0)
+            return Response(body=request.path.encode())
+
+        async def scenario():
+            handler = async_handler if asynchronous else sync_handler
+            async with AsyncHttpServer(handler) as server:
+                reader, writer = await asyncio.open_connection(
+                    server.host, server.port)
+                writer.write(b"GET /first HTTP/1.1\r\nHost: h\r\n\r\n"
+                             b"GET /second HTTP/1.1\r\nHost: h\r\n"
+                             b"Connection: close\r\n\r\n")
+                await writer.drain()
+                data = await asyncio.wait_for(reader.read(), timeout=5)
+                writer.close()
+                await writer.wait_closed()
+                return data, server.requests_served
+
+        data, served = run(scenario())
+        assert served == 2
+        first, second = data.split(b"HTTP/1.1 200 OK\r\n")[1:]
+        assert first.endswith(b"\r\n\r\n/first")
+        assert second.endswith(b"\r\n\r\n/second")
+
+    @pytest.mark.parametrize("payload,asynchronous,status", [
+        (b"GET /x HTTP/1.1\r\nHost: h\r\n\r\n", False, b"200"),
+        (b"GET /x HTTP/1.1\r\nHost: h\r\n\r\n", True, b"200"),
+        (b"GET /x HTTP/1.1\r\nHost: h\r\n", False, b"400"),
+    ], ids=["request-sync", "request-async", "cut-head"])
+    def test_half_close(self, payload, asynchronous, status):
+        """A peer that half-closes after a whole request still gets its
+        response; one that cut its head gets a 400; then the server
+        closes."""
+        async def handler(request):
+            await asyncio.sleep(0.05)
+            return Response(body=b"ok")
+
+        async def scenario():
+            async with AsyncHttpServer(
+                    handler if asynchronous
+                    else lambda req: Response(body=b"ok")) as server:
+                reader, writer = await asyncio.open_connection(
+                    server.host, server.port)
+                writer.write(payload)
+                writer.write_eof()
+                data = await asyncio.wait_for(reader.read(), timeout=5)
+                writer.close()
+                await writer.wait_closed()
+                return data
+
+        data = run(scenario())
+        assert data.startswith(b"HTTP/1.1 " + status + b" ")
+        assert data.count(b"HTTP/1.1 ") == 1
+
+    def test_unread_responses_pause_dispatch(self):
+        """A peer that pipelines large-response requests without reading
+        stops the server at the send buffer's high-water mark instead of
+        growing it, then receives every response in order."""
+        body_size = 1 << 20
+        count = 32
+
+        def handler(request):
+            index = request.path.encode()
+            return Response(body=index + b"." * (body_size - len(index)))
+
+        async def scenario():
+            async with AsyncHttpServer(handler) as server:
+                reader, writer = await asyncio.open_connection(
+                    server.host, server.port)
+                writer.write(b"".join(
+                    b"GET /%d HTTP/1.1\r\nHost: h\r\n\r\n" % i
+                    for i in range(count)))
+                await writer.drain()
+                served = -1
+                while served != server.requests_served:  # until it stalls
+                    served = server.requests_served
+                    await asyncio.sleep(0.2)
+                [conn] = server._conns
+                buffered = conn.transport.get_write_buffer_size()
+                high = conn.transport.get_write_buffer_limits()[1]
+                paths = []
+                for _ in range(count):
+                    head = await reader.readuntil(b"\r\n\r\n")
+                    assert head.startswith(b"HTTP/1.1 200 ")
+                    body = await reader.readexactly(body_size)
+                    paths.append(body.split(b".", 1)[0])
+                writer.close()
+                await writer.wait_closed()
+                return served, buffered, high, paths
+
+        served, buffered, high, paths = run(scenario())
+        assert served < count
+        assert buffered <= high + body_size + 1024
+        assert paths == [b"/%d" % i for i in range(count)]
+
+    @pytest.mark.faults
+    def test_active_connection_outlives_keepalive_timeout(self):
+        """Each request moves the keep-alive deadline: a connection used
+        every 0.1 s stays open past a 0.3 s keep-alive timeout."""
+        async def scenario():
+            async with AsyncHttpServer(lambda req: Response(body=b"ok"),
+                                       keepalive_timeout_s=0.3) as server:
+                reader, writer = await asyncio.open_connection(
+                    server.host, server.port)
+                for _ in range(10):
+                    writer.write(b"GET /x HTTP/1.1\r\nHost: h\r\n\r\n")
+                    await writer.drain()
+                    head = await asyncio.wait_for(
+                        reader.readuntil(b"\r\n\r\n"), timeout=5)
+                    assert head.startswith(b"HTTP/1.1 200 ")
+                    assert await reader.readexactly(2) == b"ok"
+                    await asyncio.sleep(0.1)
+                writer.close()
+                await writer.wait_closed()
+                return server.requests_served
+
+        assert run(scenario()) == 10
 
     @pytest.mark.faults
     def test_head_in_three_parts_within_deadline_served(self):

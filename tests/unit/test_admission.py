@@ -237,16 +237,22 @@ class TestDrainCancellation:
             while server.inflight == 0:
                 await asyncio.sleep(0.01)
             report = await server.stop(drain_s=0.0)
+            # the cancelled handler has finished and given its slot back
+            lingering = [task for task in asyncio.all_tasks()
+                         if task not in (asyncio.current_task(), hung)]
+            inflight = server.inflight
             hung.cancel()
             try:
                 await hung
             except (asyncio.CancelledError, Exception):
                 pass
-            return report
+            return report, lingering, inflight
 
-        report = run(scenario())
+        report, lingering, inflight = run(scenario())
         assert report["connections"] == 1
         assert report["hard_cancelled"] == 1
+        assert lingering == []
+        assert inflight == 0
 
     def test_partial_head_does_not_hold_drain(self):
         """Only a dispatched request holds the drain: an idle peer and a

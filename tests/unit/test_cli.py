@@ -210,3 +210,13 @@ class TestCommands:
         assert "Spearman rank correlation" in capsys.readouterr().out
         assert main(["--quiet", *argv, "--min-rho", "1.01"]) == 1
         assert "Spearman rank correlation" in capsys.readouterr().out
+
+    def test_validation_of_nothing_fails(self, capsys):
+        """``--validate-sites 0`` compares no rows: exit 1, not a pass."""
+        assert main(["--quiet", "figure3", "--backend", "auto", "--sites",
+                     "2", "--throughputs", "60", "--latencies", "40",
+                     "--delays", "1h", "--validate",
+                     "--validate-sites", "0"]) == 1
+        out = capsys.readouterr().out
+        assert "Spearman rank correlation (n=0)" in out
+        assert "[FAIL: fewer than 2 rows compared]" in out

@@ -12,6 +12,7 @@ from repro.server import site as site_module
 from repro.server.site import WALL_EPOCH, OriginSite
 from repro.server.static import StaticServer
 from repro.workload import churn
+from repro.workload.corpus import make_corpus
 from repro.workload.sitegen import generate_site
 
 
@@ -157,6 +158,41 @@ class TestSharedContent:
                 for r in before] == \
             [(r.body, r.declared_size, list(r.headers.items()))
              for r in after]
+
+    def test_second_pass_over_a_serving_working_set_is_all_hits(self):
+        """More static (resource, version) keys than the old 1,024 bound
+        (a ``serve`` round cycles through 1,882) stay memoized."""
+        site_module._resource_template.cache_clear()
+        origins = [OriginSite(spec) for spec in make_corpus(size=8, seed=7)]
+        static = [(site, url) for site in origins
+                  for url in site.all_urls()
+                  if url not in site.spec.pages
+                  and not site.resource_spec(url).dynamic]
+        for site, url in static:
+            site.respond(url, HOUR)
+        info = site_module._resource_template.cache_info()
+        assert info.currsize > 1024
+        for site, url in static:
+            site.respond(url, HOUR)
+        assert site_module._resource_template.cache_info().misses \
+            == info.misses
+
+    def test_dynamic_versions_stay_out_of_the_memo(self):
+        spec = generate_site("https://dynamic.example", seed=48)
+        dynamic = next((url for page in spec.pages.values()
+                        for url, res in page.resources.items()
+                        if res.dynamic), None)
+        if dynamic is None:
+            pytest.skip("site has no dynamic resource")
+        site_module._resource_template.cache_clear()
+        site = OriginSite(spec)
+        site.respond(dynamic, 0.0)
+        entries = site_module._resource_template.cache_info().currsize
+        tags = {site.respond(dynamic, 0.0).headers["ETag"]
+                for _ in range(20)}
+        assert len(tags) == 20
+        assert site_module._resource_template.cache_info().currsize \
+            == entries
 
     def test_request_counts_stay_per_origin(self):
         spec = generate_site("https://counts.example", seed=45)

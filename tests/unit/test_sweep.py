@@ -5,7 +5,8 @@ import pytest
 from repro.core.analysis_vec import batch_estimate_plt, numpy_available
 from repro.core.modes import CachingMode
 from repro.experiments.figure3 import run_figure3
-from repro.experiments.sweep import ValidationResult, validate_sweep
+from repro.experiments.sweep import (ValidationResult, validate_cells,
+                                     validate_sweep)
 from repro.netsim.clock import DAY, HOUR
 from repro.netsim.link import NetworkConditions
 from repro.workload.corpus import make_corpus
@@ -104,8 +105,19 @@ class TestValidateSweep:
 
     def test_rho_equal_to_floor_passes(self):
         """``--min-rho`` is a floor: reaching it is enough."""
-        assert ValidationResult(rho=0.85, min_rho=0.85).passed
-        assert not ValidationResult(rho=0.849, min_rho=0.85).passed
+        rows = [("o", "c", "m", None, 1.0, 1.0)] * 2
+        assert ValidationResult(rho=0.85, min_rho=0.85, rows=rows).passed
+        assert not ValidationResult(rho=0.849, min_rho=0.85,
+                                    rows=rows).passed
+
+    def test_fewer_than_two_rows_fail(self):
+        """A rank correlation over fewer than two rows compares nothing
+        (``spearman`` reads 1.0 there), so the gate fails."""
+        assert not validate_cells([]).passed
+        one = ValidationResult(rho=1.0, min_rho=0.85,
+                               rows=[("o", "c", "m", None, 1.0, 1.0)])
+        assert not one.passed
+        assert "[FAIL: fewer than 2 rows compared]" in one.format()
 
     def test_cold_rows_format_as_cold(self):
         result = ValidationResult(

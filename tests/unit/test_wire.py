@@ -6,8 +6,19 @@ import pytest
 
 from repro.http.errors import MessageTooLarge, ProtocolError
 from repro.http.messages import Request, Response
-from repro.http.wire import (MAX_START_LINE, read_request, read_response,
+from repro.http.wire import (MAX_START_LINE, RequestParser, read_response,
                              serialize_request, serialize_response)
+
+
+def parse_request(data: bytes):
+    """The first request of ``data`` fed whole to a parser, then EOF;
+    None when the stream held no bytes."""
+    parser = RequestParser()
+    parser.feed(data)
+    request = parser.next_request()
+    if request is None:
+        parser.feed_eof()
+    return request
 
 
 class _ParseCall:
@@ -64,18 +75,18 @@ class TestReadRequest:
     def test_round_trip(self):
         original = Request(method="GET", url="/x?q=1",
                            headers={"Host": "h", "Accept": "*/*"})
-        parsed = run(_ParseCall(read_request, serialize_request(original)))
+        parsed = parse_request(serialize_request(original))
         assert parsed.method == "GET"
         assert parsed.url == "/x?q=1"
         assert parsed.headers["host"] == "h"
 
     def test_round_trip_with_body(self):
         original = Request(method="POST", url="/submit", body=b"payload")
-        parsed = run(_ParseCall(read_request, serialize_request(original)))
+        parsed = parse_request(serialize_request(original))
         assert parsed.body == b"payload"
 
     def test_clean_eof_returns_none(self):
-        assert run(_ParseCall(read_request, b"")) is None
+        assert parse_request(b"") is None
 
     @pytest.mark.parametrize("bad", [
         b"GARBAGE\r\n\r\n",
@@ -87,42 +98,48 @@ class TestReadRequest:
     ])
     def test_malformed_rejected(self, bad):
         with pytest.raises(ProtocolError):
-            run(_ParseCall(read_request, bad))
+            parse_request(bad)
 
     def test_obsolete_folding_rejected(self):
         data = b"GET / HTTP/1.1\r\nA: 1\r\n folded\r\n\r\n"
         with pytest.raises(ProtocolError):
-            run(_ParseCall(read_request, data))
+            parse_request(data)
 
     def test_conflicting_content_lengths_rejected(self):
         data = (b"POST / HTTP/1.1\r\nContent-Length: 3\r\n"
                 b"Content-Length: 5\r\n\r\nabc")
         with pytest.raises(ProtocolError):
-            run(_ParseCall(read_request, data))
+            parse_request(data)
 
     def test_te_plus_cl_rejected_smuggling(self):
         data = (b"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n"
                 b"Content-Length: 3\r\n\r\n0\r\n\r\n")
         with pytest.raises(ProtocolError):
-            run(_ParseCall(read_request, data))
+            parse_request(data)
 
     def test_chunked_body(self):
         data = (b"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
                 b"3\r\nabc\r\n4\r\ndefg\r\n0\r\n\r\n")
-        parsed = run(_ParseCall(read_request, data))
+        parsed = parse_request(data)
         assert parsed.body == b"abcdefg"
 
     def test_chunked_with_extension_and_trailer(self):
         data = (b"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
                 b"3;ext=1\r\nabc\r\n0\r\nX-Trailer: t\r\n\r\n")
-        parsed = run(_ParseCall(read_request, data))
+        parsed = parse_request(data)
         assert parsed.body == b"abc"
+
+    def test_chunk_without_its_crlf_rejected(self):
+        data = (b"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
+                b"3\r\nabcXY0\r\n\r\n")
+        with pytest.raises(ProtocolError, match="CRLF"):
+            parse_request(data)
 
     def test_bad_chunk_size_rejected(self):
         data = (b"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
                 b"zz\r\nabc\r\n0\r\n\r\n")
         with pytest.raises(ProtocolError):
-            run(_ParseCall(read_request, data))
+            parse_request(data)
 
 
 class TestReadResponse:
@@ -167,7 +184,7 @@ class TestHeadLimits:
     def test_long_field_line_in_request(self):
         wire = serialize_request(Request(
             url="/a", headers={"Host": "h", "X-Etag-Config": self.LONG}))
-        parsed = run(_ParseCall(read_request, wire))
+        parsed = parse_request(wire)
         assert parsed.headers["x-etag-config"] == self.LONG
         assert parsed.headers["host"] == "h"
 
@@ -181,14 +198,15 @@ class TestHeadLimits:
     def test_long_start_line_rejected(self):
         data = b"GET /" + b"a" * MAX_START_LINE + b" HTTP/1.1\r\n\r\n"
         with pytest.raises(MessageTooLarge):
-            run(_ParseCall(read_request, data))
+            parse_request(data)
 
     def test_head_past_stream_limit_rejected(self):
-        # StreamReader() keeps asyncio's default 64 KiB limit
-        data = b"GET / HTTP/1.1\r\nX-Pad: " + b"p" * (70 * 1024) \
+        # StreamReader() keeps asyncio's default 64 KiB limit, which
+        # bounds the one readuntil that reads a response head
+        data = b"HTTP/1.1 200 OK\r\nX-Pad: " + b"p" * (70 * 1024) \
             + b"\r\n\r\n"
         with pytest.raises(MessageTooLarge):
-            run(_ParseCall(read_request, data))
+            run(_ParseCall(read_response, data))
 
     @pytest.mark.parametrize("bad", [
         b"GET / HTTP/1.1\r\nA: 1\nB: 2\r\n\r\n",     # bare LF
@@ -197,8 +215,8 @@ class TestHeadLimits:
     ])
     def test_bad_field_lines_are_protocol_errors(self, bad):
         with pytest.raises(ProtocolError):
-            run(_ParseCall(read_request, bad))
+            parse_request(bad)
 
     def test_truncated_head_rejected(self):
         with pytest.raises(ProtocolError):
-            run(_ParseCall(read_request, b"GET / HTTP/1.1\r\nHost: h\r\n"))
+            parse_request(b"GET / HTTP/1.1\r\nHost: h\r\n")
