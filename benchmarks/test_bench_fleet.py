@@ -12,7 +12,9 @@ import pytest
 from repro.core.analysis_vec import numpy_available
 from repro.experiments.fleet import (default_population,
                                      run_fleet_analytic, run_fleet_des)
+from repro.netsim.link import NetworkConditions
 from repro.workload.corpus import make_corpus
+from repro.workload.population import CohortSpec
 
 pytestmark = pytest.mark.fleet
 
@@ -74,3 +76,22 @@ def test_million_user_population_clears_floors(corpus):
     des = run_fleet_des(spec, corpus, sample=3, max_workers=0)
     assert des.visits == 3
     assert des.visits_per_s >= FLEET_DES_FLOOR_PER_S
+
+
+def test_revisit_reductions_by_cohort(corpus, save_result):
+    """The user-weighted benefit, read off one sampled DES replay: per
+    cohort, the warm visits' per-revisit reductions (the reduction
+    column of ``repro fleet --des``).  At the 5G anchor the mean stays in
+    the headline band; on a bandwidth-bound link of the same RTT it is
+    smaller."""
+    anchor = NetworkConditions.of(60, 40, label="60Mbps/40ms")
+    bandwidth_bound = NetworkConditions.of(8, 40, label="8Mbps/40ms")
+    spec = default_population(cohorts=(
+        CohortSpec("60Mbps/40ms", 0.5, anchor),
+        CohortSpec("8Mbps/40ms", 0.5, bandwidth_bound)))
+    des = run_fleet_des(spec, corpus, sample=80, max_workers=2)
+    save_result("population_fleet_des", des.format())
+    summary = des.reduction_summary()
+    assert all(summary[name]["n"] >= 15 for name in summary)
+    assert 0.20 <= summary["60Mbps/40ms"]["mean"] <= 0.60
+    assert summary["8Mbps/40ms"]["mean"] < summary["60Mbps/40ms"]["mean"]

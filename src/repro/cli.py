@@ -5,7 +5,7 @@ writing Python::
 
     python -m repro figure1
     python -m repro figure3 --sites 6 --throughputs 8,60 --latencies 10,40
-    python -m repro figure3 --backend auto --churn --sites 100 --validate
+    python -m repro figure3 --backend auto --churn --sites 6 --validate
     python -m repro fleet --users 2000 --visits 100000 --validate
     python -m repro motivation
     python -m repro crosspage
@@ -75,11 +75,10 @@ def build_parser() -> argparse.ArgumentParser:
     fig3.add_argument("--out", default=None,
                       help="also write the grid report to this file")
     fig3.add_argument("--validate", action="store_true",
-                      help="re-run a seeded sampled subgrid through the "
-                           "DES and gate the closed form on rank "
-                           "correlation")
-    fig3.add_argument("--validate-sites", type=int, default=4,
-                      help="subgrid size for --validate (default 4)")
+                      help="also price the grid with the other backend "
+                           "(the closed form under --backend des, else "
+                           "the DES) and gate the closed form on rank "
+                           "correlation with the DES, row by row")
     fig3.add_argument("--min-rho", type=float, default=0.85,
                       help="rank-correlation floor for --validate "
                            "(default 0.85)")
@@ -120,7 +119,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "0 = in-process)")
     fleet.add_argument("--validate", action="store_true",
                        help="gate the analytic backend on Spearman rank "
-                            "agreement with a sampled DES replay")
+                            "agreement with the sampled DES replay "
+                            "(implies --des)")
     fleet.add_argument("--min-rho", type=float, default=0.85,
                        help="rank-correlation floor for --validate "
                             "(default 0.85)")
@@ -129,8 +129,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("crosspage", help="first visits to inner pages")
     sub.add_parser("serverload",
                    help="origin request volume per mode (§6)")
-    sub.add_parser("userweighted",
-                   help="population-weighted revisit benefit")
 
     faults = sub.add_parser(
         "faultsweep",
@@ -278,24 +276,27 @@ def _cmd_figure1() -> int:
 
 
 def _cmd_figure3(args: argparse.Namespace) -> int:
+    import functools
     import pathlib
 
-    from .experiments.figure3 import run_figure3
-    from .experiments.sweep import validate_sweep
+    from .experiments.figure3 import run_figure3, validate_grid
     from .netsim.clock import parse_duration
     try:
         delays = tuple(parse_duration(part)
                        for part in args.delays.split(","))
-        result = run_figure3(sites=args.sites,
-                             throughputs_mbps=args.throughputs,
-                             latencies_ms=args.latencies,
-                             delays_s=delays,
-                             content_churn=args.churn,
-                             max_workers=args.workers,
-                             progress=lambda msg: log.info("progress",
-                                                           step=msg),
-                             backend=args.backend)
+        # one grid; --validate prices it again on the other backend
+        price = functools.partial(
+            run_figure3, sites=args.sites,
+            throughputs_mbps=args.throughputs,
+            latencies_ms=args.latencies, delays_s=delays,
+            content_churn=args.churn, max_workers=args.workers,
+            progress=lambda msg: log.info("progress", step=msg))
+        result = price(backend=args.backend)
         text = result.format()
+        if args.validate and args.backend == "des":
+            analytic, simulated = price(backend="auto"), result
+        elif args.validate:
+            analytic, simulated = result, price(backend="des")
     except (ValueError, RuntimeError) as exc:
         log.error("figure3-invalid", detail=str(exc))
         return 2
@@ -317,9 +318,8 @@ def _cmd_figure3(args: argparse.Namespace) -> int:
         path.write_text(text + "\n")
         log.info("wrote-artifact", path=path)
     if args.validate:
-        validation = validate_sweep(
-            sites=args.validate_sites, min_rho=args.min_rho,
-            backend="auto" if args.backend == "des" else args.backend)
+        validation = validate_grid(analytic, simulated,
+                                   min_rho=args.min_rho)
         print()
         print(validation.format())
         if not validation.passed:
@@ -352,15 +352,14 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
                  backend=result.backend,
                  rate=f"{result.visits_per_s:,.0f}/s")
         des = None
-        if args.des:
+        if args.des or args.validate:
             des = run_fleet_des(spec, corpus, sample=args.sample,
                                 max_workers=args.workers)
             print()
             print(des.format())
         validation = None
         if args.validate:
-            validation = validate_fleet(spec, corpus, sample=args.sample,
-                                        min_rho=args.min_rho,
+            validation = validate_fleet(des, corpus, min_rho=args.min_rho,
                                         backend=args.backend)
             print()
             print(validation.format())
@@ -397,12 +396,6 @@ def _cmd_serverload() -> int:
     from .experiments.server_load import (format_server_load,
                                           run_server_load)
     print(format_server_load(run_server_load()))
-    return 0
-
-
-def _cmd_userweighted() -> int:
-    from .experiments.user_weighted import run_user_weighted
-    print(run_user_weighted().format())
     return 0
 
 
@@ -663,8 +656,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _cmd_crosspage()
     if args.command == "serverload":
         return _cmd_serverload()
-    if args.command == "userweighted":
-        return _cmd_userweighted()
     if args.command == "faultsweep":
         return _cmd_faultsweep(args)
     if args.command == "visit":

@@ -7,7 +7,9 @@ driven by the same churn and header models the simulator uses.  The
 model makes the paper's story legible: at high bandwidth the ``size/bw``
 terms vanish and PLT collapses to a count of RTTs, which is exactly the
 count CacheCatalyst shrinks.  One function checks it against the
-simulator: :func:`repro.experiments.sweep.validate_cells`.
+simulator, :func:`repro.experiments.figure3.validate_cells`, on rows a
+command already replayed: ``figure3 --validate`` prices its own grid
+on both backends, ``fleet --validate`` prices its DES sample.
 
 The model is laid out for throughput over the
 ``(throughput x latency x delay x corpus x population)`` spaces the
@@ -86,9 +88,13 @@ _HEADER_BYTES = 350.0
 #: conditional revalidation; ``max-age`` -> fresh until ``ttl <= delay``.
 _POL_NOSTORE, _POL_REVAL, _POL_MAXAGE = 0, 1, 2
 
-#: mode classes the model distinguishes (push/hints modes price like
-#: standard HTTP caching in the closed form)
+#: mode classes the model distinguishes; push and hints modes have no
+#: closed form, so the engine refuses them
 _MC_NO_CACHE, _MC_STANDARD, _MC_CATALYST, _MC_SESSIONS = 0, 1, 2, 3
+_MODE_CLASSES = {CachingMode.NO_CACHE: _MC_NO_CACHE,
+                 CachingMode.STANDARD: _MC_STANDARD,
+                 CachingMode.CATALYST: _MC_CATALYST,
+                 CachingMode.CATALYST_SESSIONS: _MC_SESSIONS}
 
 _CACHE_ATTR = "_analysis_vec_compiled"
 
@@ -117,13 +123,12 @@ def numpy_available() -> bool:
 
 
 def _mode_class(mode: CachingMode) -> int:
-    if mode is CachingMode.NO_CACHE:
-        return _MC_NO_CACHE
-    if mode is CachingMode.CATALYST:
-        return _MC_CATALYST
-    if mode is CachingMode.CATALYST_SESSIONS:
-        return _MC_SESSIONS
-    return _MC_STANDARD
+    try:
+        return _MODE_CLASSES[mode]
+    except KeyError:
+        raise ValueError(f"the closed form cannot price mode "
+                         f"{mode.value!r}; replay it with the DES") \
+            from None
 
 
 def _policy_class(mode: str) -> int:
@@ -355,6 +360,9 @@ class VectorAnalyticModel:
 
     One instance carries one :class:`BrowserConfig` cost model; the
     network condition, caching mode and revisit delay are batch axes.
+    What it cannot price raises ``ValueError``: the push and hints
+    modes, and the ``http2``, ``preconnect`` and
+    ``connection_policy.slow_start`` switches.
     """
 
     def __init__(self, config: Optional[BrowserConfig] = None,
@@ -374,6 +382,17 @@ class VectorAnalyticModel:
                 raise ValueError(f"config.{name} must be nonnegative "
                                  "(the wave aggregation assumes "
                                  "nonnegative per-resource costs)")
+        # the closed form prices HTTP/1.1 with no preconnect and no
+        # slow-start ramp
+        policy = self.config.connection_policy
+        unpriced = [name for name, on in (
+            ("http2", self.config.http2),
+            ("preconnect", self.config.preconnect != 0),
+            ("connection_policy.slow_start", policy.slow_start)) if on]
+        if unpriced:
+            raise ValueError(f"the closed form cannot price config."
+                             f"{', config.'.join(unpriced)}; replay it "
+                             "with the DES")
 
     # -- public batch API ---------------------------------------------------
     def batch_plt(self, compiled: "CompiledSite | SiteSpec",

@@ -18,7 +18,6 @@ from .stats import (Summary, bootstrap_ci, mean, median, percentile,
                     stdev, summarize)
 from .server_load import (ServerLoadResult, format_server_load,
                           run_server_load)
-from .user_weighted import UserWeightedResult, run_user_weighted
 from .report_html import build_report, write_report
 from .report import format_grid, format_pct, format_table
 
@@ -38,7 +37,6 @@ __all__ = [
     "run_fleet_analytic", "run_fleet_des", "validate_fleet",
     "default_population", "DEFAULT_FLEET_COHORTS",
     "FleetResult", "FleetDesResult", "CohortFleet",
-    "run_user_weighted", "UserWeightedResult",
     "run_server_load", "ServerLoadResult", "format_server_load",
     "build_report", "write_report",
 ]

@@ -19,6 +19,12 @@ the closed-form engine (:mod:`repro.core.analysis_vec`; ``"auto"``,
 the simulator does ~10^2 visits/s.  Both select the corpus the same way
 and fill one warm-PLT table; :class:`Figure3Result` reduces it with one
 rule and prints it with one formatter.
+
+The closed form is trusted because it is checked against the simulator
+on the rows it priced: :func:`validate_grid` pairs the two backends'
+tables of one grid row by row, and :func:`validate_cells` is the one
+rank-correlation gate over such aligned rows (the fleet's sample feeds
+it too, :func:`~repro.experiments.fleet.validate_fleet`).
 """
 
 from __future__ import annotations
@@ -37,9 +43,10 @@ from ..netsim.link import NetworkConditions
 from ..workload.corpus import Corpus, make_corpus
 from .harness import GridResult, run_grid
 from .report import format_grid, format_pct, format_table
-from .stats import summarize
+from .stats import spearman, summarize
 
 __all__ = ["Figure3Cell", "Figure3Result", "run_figure3",
+           "ValidationResult", "validate_cells", "validate_grid",
            "PAPER_REVISIT_DELAYS_S", "HEADLINE_CONDITION"]
 
 #: the paper's revisit schedule: 1 min, 1 h, 6 h, 1 d, 1 w
@@ -97,6 +104,10 @@ class Figure3Result:
     grid: Optional[GridResult] = None
     #: wall seconds the backend took to fill the table
     elapsed_s: float = 0.0
+    #: the sites' origins, in the table's site order
+    origins: tuple[str, ...] = ()
+    #: whether content churned between visits (``False``: clones)
+    content_churn: bool = False
     cells: list[Figure3Cell] = field(init=False)
 
     def __post_init__(self) -> None:
@@ -288,4 +299,98 @@ def run_figure3(corpus: Optional[Corpus] = None,
         throughputs_mbps=throughputs, latencies_ms=latencies,
         delays_s=delays, sites=len(site_list), plt_ms=plt_ms,
         backend=backend, grid=grid,
-        elapsed_s=time.perf_counter() - started)
+        elapsed_s=time.perf_counter() - started,
+        origins=tuple(site.origin for site in site_list),
+        content_churn=content_churn)
+
+
+@dataclass
+class ValidationResult:
+    """Analytic-vs-simulated agreement over aligned rows."""
+
+    rho: float
+    min_rho: float
+    #: (origin, condition, mode, delay_s or None for cold, analytic s,
+    #: simulated s), one row per (cell, mode)
+    rows: list[tuple[str, str, str, Optional[float], float, float]] = \
+        field(default_factory=list)
+    #: wall seconds of the DES replay behind the simulated column
+    elapsed_s: float = 0.0
+
+    @property
+    def passed(self) -> bool:
+        """``min_rho`` is a floor: a rho equal to it passes.  A rank
+        correlation of fewer than two rows compares nothing, so it
+        fails whatever it reads."""
+        return len(self.rows) >= 2 and self.rho >= self.min_rho
+
+    def format(self) -> str:
+        table = format_table(
+            ["site", "condition", "mode", "delay", "analytic ms",
+             "simulated ms"],
+            [[origin, cond, mode,
+              "cold" if delay is None else format_duration(delay),
+              f"{analytic * 1000:.0f}", f"{simulated * 1000:.0f}"]
+             for origin, cond, mode, delay, analytic, simulated
+             in self.rows[:24]])
+        verdict = "PASS" if self.passed else "FAIL"
+        if len(self.rows) < 2:
+            verdict += ": fewer than 2 rows compared"
+        return (table
+                + f"\n\nSpearman rank correlation (n={len(self.rows)}): "
+                + f"{self.rho:.3f}  (floor {self.min_rho:.2f}) "
+                + f"[{verdict}]  ({self.elapsed_s:.1f}s of DES)")
+
+
+def validate_cells(rows: Sequence[tuple[str, str, str, Optional[float],
+                                        float, float]],
+                   min_rho: float = 0.85,
+                   elapsed_s: float = 0.0) -> ValidationResult:
+    """The one analytic-vs-DES gate: rank-correlate aligned rows.
+
+    Each row is ``(origin, condition, mode, delay_s, analytic_s,
+    simulated_s)`` (``delay_s=None``: a cold first visit), one PLT of
+    each backend for the same visit.  Gate: the Spearman rho of the two
+    PLT columns must reach ``min_rho``.  Nothing is replayed here;
+    ``elapsed_s`` is the replay the caller already ran.
+    """
+    rows = list(rows)
+    rho = spearman([row[4] for row in rows], [row[5] for row in rows])
+    return ValidationResult(rho=rho, min_rho=min_rho, rows=rows,
+                            elapsed_s=elapsed_s)
+
+
+def validate_grid(analytic: Figure3Result, simulated: Figure3Result,
+                  min_rho: float = 0.85) -> ValidationResult:
+    """Check the closed form against the DES on one Figure-3 grid.
+
+    Pairs the two warm-PLT tables row by row, one row per
+    ``(condition, mode, delay, site)`` in table order, and gates them
+    with :func:`validate_cells`.  ``simulated`` must be the DES's table
+    and ``analytic`` the closed form's, of the same conditions, delays,
+    sites and churn: anything else raises ``ValueError``.
+    """
+    if simulated.backend != "des" or analytic.backend == "des":
+        raise ValueError("validate_grid compares an analytic table "
+                         "with a DES table")
+
+    def grid(result: Figure3Result) -> tuple:
+        return (result.throughputs_mbps, result.latencies_ms,
+                result.delays_s, result.origins, result.content_churn)
+
+    if grid(analytic) != grid(simulated):
+        raise ValueError("the two results price different grids")
+    rows = []
+    for cell in analytic.cells:
+        planes = zip(analytic._plane(cell.mbps, cell.rtt_ms),
+                     simulated._plane(cell.mbps, cell.rtt_ms))
+        for mode, (model_rows, des_rows) in zip(_MODES, planes):
+            for delay, model_row, des_row in zip(analytic.delays_s,
+                                                 model_rows, des_rows):
+                rows.extend(
+                    (origin, cell.label, mode.value, delay,
+                     model_ms / 1000.0, des_ms / 1000.0)
+                    for origin, model_ms, des_ms
+                    in zip(analytic.origins, model_row, des_row))
+    return validate_cells(rows, min_rho=min_rho,
+                          elapsed_s=simulated.elapsed_s)

@@ -27,10 +27,13 @@ Two interchangeable backends answer it:
   (:func:`~repro.experiments.harness.replay`, in-process or pooled).
   The rows come back to the parent, which folds them in sample order
   into per-cohort PLT histograms and demand counters, so a pooled run's
-  registry equals the in-process one for any sample size.
+  registry equals the in-process one for any sample size.  The result
+  keeps the visits and rows, and the per-cohort distribution of
+  per-revisit reductions is a fold over them.
 
-:func:`validate_fleet` ties the two together through the one
-analytic-vs-DES check, :func:`~repro.experiments.sweep.validate_cells`.
+:func:`validate_fleet` ties the two together: it prices the replayed
+visits closed-form and hands the aligned rows to the one
+analytic-vs-DES check, :func:`~repro.experiments.figure3.validate_cells`.
 Wall-clock throughput is measured by the ``fleet`` workload of the
 repository benchmark (``perfbench/``).
 """
@@ -45,15 +48,15 @@ from ..browser.engine import BrowserConfig
 from ..core.analysis_vec import VectorAnalyticModel, compile_site
 from ..core.modes import CachingMode
 from ..netsim.link import NetworkConditions
-from ..obs.metrics import MetricsRegistry
+from ..obs.metrics import MetricsRegistry, percentile
 from ..workload.corpus import CORPUS_SIZE, Corpus, make_corpus
 from ..workload.population import (CohortSpec, PopulationSpec, Visit,
                                    cold_fraction, delay_mixture,
                                    sample_visits, zipf_weights)
-from .harness import pool_size, replay
+from .figure3 import ValidationResult, validate_cells
+from .harness import PairMeasurement, pool_size, replay
 from .report import format_pct, format_table
 from .stats import weighted_percentiles
-from .sweep import ValidationResult, validate_cells
 
 try:  # numpy is optional; without it the python backend prices the fleet
     import numpy as _np
@@ -427,15 +430,59 @@ class FleetDesResult:
     cohorts: dict
     elapsed_s: float
     metrics: MetricsRegistry = field(repr=False)
+    #: the population the sample was drawn from
+    spec: PopulationSpec = field(repr=False)
+    #: the replayed visits, in replay order
+    sample: list[Visit] = field(repr=False)
+    #: the replayed rows: one per (visit, mode), visit-major
+    rows: list[PairMeasurement] = field(repr=False)
 
     @property
     def visits_per_s(self) -> float:
         return self.visits / self.elapsed_s if self.elapsed_s > 0 \
             else float("inf")
 
+    def visit_rows(self):
+        """Each replayed visit with its rows, one per mode, in replay
+        order."""
+        per_visit = len(self.rows) // len(self.sample)
+        for index, visit in enumerate(self.sample):
+            yield visit, self.rows[index * per_visit:
+                                   (index + 1) * per_visit]
+
+    def revisit_reductions(self) -> dict[str, list[float]]:
+        """Per cohort, the warm visits' fractional PLT reductions of
+        catalyst against standard, in replay order (cold visits price
+        the same in both modes, so they are left out)."""
+        out: dict[str, list[float]] = {name: [] for name in self.cohorts}
+        for visit, rows in self.visit_rows():
+            if visit.delay_s is None:
+                continue
+            plt = {row.mode: row.warm_plt_ms for row in rows}
+            standard = plt.get(CachingMode.STANDARD.value, 0.0)
+            if standard > 0 and CachingMode.CATALYST.value in plt:
+                out[self.spec.cohorts[visit.cohort].name].append(
+                    (standard - plt[CachingMode.CATALYST.value])
+                    / standard)
+        return out
+
+    def reduction_summary(self) -> dict[str, dict]:
+        """Per cohort: n, mean and p10/p50/p90 of
+        :meth:`revisit_reductions`.  No confidence interval: the visits
+        of one user are not independent."""
+        summary = {}
+        for name, values in self.revisit_reductions().items():
+            summary[name] = {"n": len(values)}
+            if values:
+                summary[name]["mean"] = sum(values) / len(values)
+                for q in (10, 50, 90):
+                    summary[name][f"p{q}"] = percentile(values, q)
+        return summary
+
     def format(self) -> str:
         header = ["cohort", "mode", "visits", "cold", "mean ms", "p50",
-                  "p90", "p99"]
+                  "p90", "p99", "revisit reduction, mean [p10, p50, p90]"]
+        reductions = self.reduction_summary()
         rows = []
         for name, modes in self.cohorts.items():
             for index, (mode, snap) in enumerate(modes.items()):
@@ -445,12 +492,22 @@ class FleetDesResult:
                     f"{snap['visits']}" if index == 0 else "",
                     f"{snap['cold_visits']}" if index == 0 else "",
                     f"{snap['mean_ms']:,.0f}", f"{snap['p50_ms']:,.0f}",
-                    f"{snap['p90_ms']:,.0f}", f"{snap['p99_ms']:,.0f}"])
+                    f"{snap['p90_ms']:,.0f}", f"{snap['p99_ms']:,.0f}",
+                    _format_reduction(reductions[name]) if index == 0
+                    else ""])
         return "\n".join([
             f"sampled DES fleet: {self.visits} visits, "
             f"{self.workers} worker(s), {self.elapsed_s:.1f}s "
             f"({self.visits_per_s:.1f} visits/s)",
             format_table(header, rows)])
+
+
+def _format_reduction(summary: dict) -> str:
+    if not summary["n"]:
+        return "n=0"
+    return (f"{format_pct(summary['mean'])} "
+            f"[{summary['p10'] * 100:.1f}, {summary['p50'] * 100:.1f}, "
+            f"{summary['p90'] * 100:.1f}] n={summary['n']}")
 
 
 def run_fleet_des(spec: PopulationSpec,
@@ -478,7 +535,8 @@ def run_fleet_des(spec: PopulationSpec,
               spec.cohorts[visit.cohort].conditions, visit.delay_s)
              for visit in visits for mode in modes]
     workers = pool_size(max_workers, len(cells))
-    rows = iter(replay(cells, base_config=config, max_workers=max_workers))
+    measured = replay(cells, base_config=config, max_workers=max_workers)
+    rows = iter(measured)
     registry = MetricsRegistry()
     registry.gauge("fleet.des.workers").set(workers)
     for visit in visits:
@@ -519,30 +577,40 @@ def run_fleet_des(spec: PopulationSpec,
     return FleetDesResult(visits=len(visits), workers=workers,
                           cohorts=snapshot,
                           elapsed_s=time.perf_counter() - start,
-                          metrics=registry)
+                          metrics=registry, spec=spec, sample=visits,
+                          rows=measured)
 
 
 # -- DES-vs-analytic validation --------------------------------------------
-def validate_fleet(spec: PopulationSpec,
+def validate_fleet(des: FleetDesResult,
                    corpus: Optional[Corpus] = None,
-                   sample: int = 24,
                    min_rho: float = 0.85,
                    backend: str = "auto",
-                   modes: Sequence[CachingMode] = FLEET_MODES,
                    config: Optional[BrowserConfig] = None
                    ) -> ValidationResult:
-    """Price a seeded cohort sample both ways; gate on Spearman ρ.
+    """Price a sampled replay's rows closed-form; gate on Spearman ρ.
 
-    The same check as ``sweep --validate``
-    (:func:`~repro.experiments.sweep.validate_cells`), over sampled
-    fleet visits, cold loads included.
+    Each replayed visit, cold loads included, is priced by the closed
+    form in the modes it replayed, and the aligned rows, in replay
+    order, go to the same check as ``figure3 --validate``
+    (:func:`~repro.experiments.figure3.validate_cells`).  Nothing is
+    replayed again.  ``corpus`` and ``config`` must be the replay's.
     """
+    spec = des.spec
     sites = _ranked_sites(spec, corpus)
-    cells = [(sites[visit.site], spec.cohorts[visit.cohort].conditions,
-              visit.delay_s)
-             for visit in sample_visits(spec, sample, per_cohort=True)]
-    return validate_cells(cells, modes=modes, min_rho=min_rho,
-                          backend=backend, config=config)
+    model = VectorAnalyticModel(config=config, backend=backend)
+    rows = []
+    for visit, measured in des.visit_rows():
+        cold = visit.delay_s is None
+        analytic = model.batch_plt(
+            compile_site(sites[visit.site]),
+            [CachingMode(row.mode) for row in measured],
+            (0.0 if cold else visit.delay_s,),
+            [spec.cohorts[visit.cohort].conditions], cold=cold)
+        rows.extend((row.origin, row.conditions, row.mode, visit.delay_s,
+                     float(analytic[0][mi][0]), row.last_visit[0] / 1000.0)
+                    for mi, row in enumerate(measured))
+    return validate_cells(rows, min_rho=min_rho, elapsed_s=des.elapsed_s)
 
 
 # -- artifact payloads ------------------------------------------------------
@@ -587,7 +655,12 @@ def fleet_payload(result: FleetResult,
     if des is not None:
         payload["des"] = {"visits": des.visits, "workers": des.workers,
                           "visits_per_s": round(des.visits_per_s, 2),
-                          "cohorts": des.cohorts}
+                          "cohorts": des.cohorts,
+                          "revisit_reduction": {
+                              name: {key: round(value, 4)
+                                     for key, value in summary.items()}
+                              for name, summary
+                              in des.reduction_summary().items()}}
     if validation is not None:
         payload["validation"] = {"rho": round(validation.rho, 4),
                                  "min_rho": validation.min_rho,

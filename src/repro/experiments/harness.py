@@ -4,9 +4,10 @@ A *measurement pair* is the paper's unit of evaluation: load a page cold
 at t=0, reload it after a revisit delay, and record both PLTs plus the
 traffic/caching breakdown of the warm visit.  :func:`replay` is the one
 place the simulator runs such cells, in-process or through one process
-pool: the Figure-3 grid (:func:`run_grid`), the sampled fleet, the
-analytic-vs-DES check and the user-weighted study all call it.  Warm
-visits can be audited for staleness against the origin's ground truth.
+pool: the Figure-3 grid (:func:`run_grid`) and the sampled fleet call
+it, once per command, and their analytic-vs-DES checks and reduction
+distributions read the rows it returned.  Warm visits can be audited
+for staleness against the origin's ground truth.
 """
 
 from __future__ import annotations

@@ -32,7 +32,7 @@ _SECTIONS: tuple[tuple[str, str], ...] = (
     ("catalyst_staleness", "Catalyst vs standard staleness"),
     ("cross_page_navigation", "Cross-page navigation"),
     ("first_render", "First-render improvement"),
-    ("user_weighted", "User-weighted benefit"),
+    ("population_fleet_des", "User-weighted benefit — sampled fleet DES"),
     ("server_load", "Server-side load"),
     ("handover_schedules", "Mobility / handover schedules"),
     ("etag_config_overhead", "X-Etag-Config size overhead"),

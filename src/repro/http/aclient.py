@@ -471,9 +471,9 @@ class AsyncHttpClient:
     async def _new_connection(self, key: tuple[str, int]) \
             -> tuple[_PooledConnection, bool]:
         host, port = key
-        reader, writer = await asyncio.wait_for(
-            asyncio.open_connection(host, port, limit=MAX_HEADER_BLOCK),
-            timeout=self.timeout_s)
+        with _Deadline(self.timeout_s, f"connect {host}:{port}"):
+            reader, writer = await asyncio.open_connection(
+                host, port, limit=MAX_HEADER_BLOCK)
         return _PooledConnection(reader=reader, writer=writer), False
 
     async def _exchange(self, conn: _PooledConnection, request: Request,

@@ -272,10 +272,9 @@ def iter_visits(spec: PopulationSpec,
 
 
 def sample_visits(spec: PopulationSpec, n: int, *,
-                  measured_only: bool = True,
-                  warm_only: bool = False,
                   per_cohort: bool = False) -> list[Visit]:
-    """A deterministic sample of ``n`` schedule entries, in scan order.
+    """A deterministic sample of ``n`` measured schedule entries, in scan
+    order.
 
     Scans user streams from id 0 upward — ids past ``n_users`` are
     legal stream indices (the population is a distribution, not a
@@ -297,11 +296,9 @@ def sample_visits(spec: PopulationSpec, n: int, *,
         if user_id >= max_users:
             raise RuntimeError(
                 f"could not draw {n} visits from {max_users} user "
-                f"streams; spec too sparse for the requested filter")
+                f"streams; spec too sparse")
         for visit in user_visits(spec, user_id):
-            if measured_only and not visit.measured:
-                continue
-            if warm_only and visit.delay_s is None:
+            if not visit.measured:
                 continue
             bucket = visit.cohort if per_cohort else 0
             if counts[bucket] >= quota:

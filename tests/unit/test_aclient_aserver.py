@@ -150,6 +150,57 @@ class TestClientRequestPath:
                 await server.wait_closed()
         run(scenario())
 
+    def test_dials_start_no_task(self):
+        """Each dial runs under the exchange's timer, not
+        ``asyncio.wait_for``: a server answering ``Connection: close``
+        makes every GET dial, and no dial starts a Task."""
+        created = []
+
+        async def scenario():
+            asyncio.get_running_loop().set_task_factory(
+                _count_tasks(created))
+            handler = lambda req: Response(
+                body=b"ok", headers={"Connection": "close"})
+            async with AsyncHttpServer(handler) as server:
+                async with AsyncHttpClient() as client:
+                    before = len(created)
+                    for i in range(10):
+                        result = await client.get(
+                            f"{server.base_url}/r{i}")
+                        assert result.response.body == b"ok"
+                        assert not result.timing.reused_connection
+                    return created[before:]
+
+        created = run(scenario())
+        assert _own_tasks(created) == []
+        assert [coro.__qualname__ for coro in created
+                if coro.__qualname__ == "open_connection"] == []
+
+    def test_hanging_dial_is_a_retried_timeout(self, monkeypatch):
+        """A dial that never completes is a :class:`RequestTimeout`:
+        retried within the budget and counted by the breaker, as
+        ``request()`` promises for timeouts."""
+        dials = []
+
+        async def never_connects(host, port, **kwargs):
+            dials.append((host, port))
+            await asyncio.sleep(3600)
+
+        monkeypatch.setattr(asyncio, "open_connection", never_connects)
+        url = "http://127.0.0.1:9/x"
+
+        async def scenario():
+            async with AsyncHttpClient(timeout_s=0.05, max_retries=2,
+                                       backoff_base_s=0.001) as client:
+                with pytest.raises(RequestTimeout, match="connect"):
+                    await client.get(url)
+                return client.retries, client.breaker_for(url).failures
+
+        retries, failures = run(scenario())
+        assert len(dials) == 3      # max_retries + 1 attempts
+        assert retries == 2
+        assert failures == 3
+
     def test_redial_reports_a_new_connection(self):
         """After the server idle-closes the pooled connection, the
         retried exchange runs on a redialled one: ``reused_connection``

@@ -189,10 +189,20 @@ class TestConfigDefaultIsolation:
 class TestAgainstSimulator:
     def test_rank_correlation_with_des(self):
         """Analytic and simulated PLT must order conditions the same way."""
-        from repro.experiments.sweep import validate_cells
-        site = build_figure1_site()
-        cells = [(site, NetworkConditions.of(mbps, rtt), 2 * HOUR)
-                 for mbps in (8, 60) for rtt in (10, 100)]
-        result = validate_cells(cells, modes=(CachingMode.STANDARD,))
+        from dataclasses import replace
+
+        from repro.experiments.figure3 import (run_figure3, validate_cells,
+                                               validate_grid)
+        from repro.workload.corpus import make_corpus
+        # the Figure-1 site as built (churn on: it is not frozen)
+        corpus = replace(make_corpus(size=1), sites=[build_figure1_site()])
+        grid = dict(corpus=corpus, throughputs_mbps=(8, 60),
+                    latencies_ms=(10, 100), delays_s=(2 * HOUR,),
+                    content_churn=True)
+        both = validate_grid(run_figure3(**grid, backend="auto"),
+                             run_figure3(**grid))
+        assert len(both.rows) == 8 and both.passed
+        result = validate_cells([row for row in both.rows
+                                 if row[2] == CachingMode.STANDARD.value])
         assert len(result.rows) == 4
         assert result.rho == pytest.approx(1.0)

@@ -15,9 +15,11 @@ from repro.browser.engine import BrowserConfig
 from repro.core.analysis_vec import (VectorAnalyticModel, batch_estimate_plt,
                                      compile_site, numpy_available)
 from repro.core.modes import CachingMode
+from repro.experiments.figure3 import run_figure3
 from repro.html.parser import ResourceKind
 from repro.netsim.clock import DAY, HOUR, MINUTE, WEEK
 from repro.netsim.link import NetworkConditions
+from repro.netsim.tcp import ConnectionPolicy
 from repro.workload.headers_model import HeaderPolicy
 from repro.workload.sitegen import (PageSpec, ResourceSpec, SiteSpec,
                                     generate_site)
@@ -306,6 +308,35 @@ class TestValidation:
     def test_negative_config_cost_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             VectorAnalyticModel(config=BrowserConfig(server_think_s=-0.1))
+
+    @pytest.mark.parametrize("mode", [
+        CachingMode.PUSH_ALL, CachingMode.PUSH_BLOCKING, CachingMode.HINTS,
+        CachingMode.CATALYST_HINTS], ids=lambda mode: mode.value)
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_unpriced_mode_rejected(self, site, backend, mode):
+        """Push and hints modes have no closed form; the engine names
+        the mode instead of pricing it as standard caching."""
+        model = VectorAnalyticModel(backend=backend)
+        with pytest.raises(ValueError, match=f"mode '{mode.value}'"):
+            model.batch_visit([site], (CachingMode.STANDARD, mode),
+                              (HOUR,), [COND])
+
+    @pytest.mark.parametrize("config, switch", [
+        (BrowserConfig(http2=True), "config.http2"),
+        (BrowserConfig(preconnect=2), "config.preconnect"),
+        (BrowserConfig(connection_policy=ConnectionPolicy(slow_start=True)),
+         "config.connection_policy.slow_start"),
+    ], ids=["http2", "preconnect", "slow_start"])
+    def test_unpriced_switch_rejected(self, config, switch):
+        """The closed form prices HTTP/1.1 without preconnect or a
+        slow-start ramp; a config that turns one on is refused, also
+        through the Figure-3 grid's analytic backend."""
+        with pytest.raises(ValueError, match=switch):
+            VectorAnalyticModel(config=config)
+        with pytest.raises(ValueError, match=switch):
+            run_figure3(sites=1, throughputs_mbps=(60,), latencies_ms=(40,),
+                        delays_s=(HOUR,), base_config=config,
+                        backend="auto")
 
 
 class TestSweepShape:

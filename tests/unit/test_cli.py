@@ -65,8 +65,7 @@ class TestParser:
         assert args.throughputs == (8.0, 60.0)
         assert args.latencies == (10.0, 40.0, 100.0)
         assert not args.churn and not args.validate
-        assert (args.out, args.validate_sites, args.min_rho) == \
-            (None, 4, 0.85)
+        assert (args.out, args.min_rho) == (None, 0.85)
         assert build_parser().parse_args(["figure3"]).backend == "des"
 
     def test_figure3_backend_choices(self):
@@ -126,9 +125,19 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "origin requests" in out
 
-    def test_userweighted_runs(self, capsys):
-        assert main(["userweighted"]) == 0
-        assert "user-weighted" in capsys.readouterr().out
+    def test_userweighted_folded_into_fleet_des(self, capsys):
+        """The per-revisit reduction distribution is a column of
+        ``fleet --des``; there is no ``userweighted`` command."""
+        with pytest.raises(SystemExit) as exc:
+            main(["userweighted"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert main(["--quiet", "fleet", "--users", "2000", "--visits",
+                     "100000", "--des", "--sample", "3",
+                     "--workers", "0"]) == 0
+        out = capsys.readouterr().out
+        assert "revisit reduction, mean [p10, p50, p90]" in out
+        assert "Spearman" not in out
 
     def test_trace_writes_perfetto_artifact(self, capsys, tmp_path):
         out = tmp_path / "trace.json"
@@ -187,9 +196,14 @@ class TestCommands:
         ["--sites", "0"],
         ["--sites", "1", "--throughputs", "60", "--latencies", "40",
          "--delays", "1h", "--workers", "-1"],
-    ], ids=["bad-delay", "no-sites", "negative-workers"])
+        ["--backend", "auto", "--sites", "1", "--throughputs", "60",
+         "--latencies", "40", "--delays", "1h", "--validate",
+         "--workers", "-1"],
+    ], ids=["bad-delay", "no-sites", "negative-workers",
+            "validate-negative-workers"])
     def test_figure3_bad_input_is_handled(self, capsys, argv):
         assert main(["--quiet", "figure3", *argv]) == 2
+        assert capsys.readouterr().out == ""
 
     def test_fleet_des_negative_workers_is_handled(self, capsys):
         assert main(["--quiet", "fleet", "--users", "2000", "--visits",
@@ -199,7 +213,7 @@ class TestCommands:
     @pytest.mark.parametrize("argv", [
         ["figure3", "--backend", "auto", "--churn", "--sites", "2",
          "--throughputs", "60", "--latencies", "10,100", "--delays", "1d",
-         "--validate", "--validate-sites", "1"],
+         "--validate"],
         ["fleet", "--users", "2000", "--visits", "100000", "--validate",
          "--sample", "3"],
     ], ids=["figure3", "fleet"])
@@ -211,12 +225,66 @@ class TestCommands:
         assert main(["--quiet", *argv, "--min-rho", "1.01"]) == 1
         assert "Spearman rank correlation" in capsys.readouterr().out
 
-    def test_validation_of_nothing_fails(self, capsys):
-        """``--validate-sites 0`` compares no rows: exit 1, not a pass."""
-        assert main(["--quiet", "figure3", "--backend", "auto", "--sites",
-                     "2", "--throughputs", "60", "--latencies", "40",
-                     "--delays", "1h", "--validate",
-                     "--validate-sites", "0"]) == 1
+    def test_validate_sites_is_gone(self, capsys):
+        """``--validate`` compares the grid it priced, so there is no
+        separate subgrid to size."""
+        with pytest.raises(SystemExit) as exc:
+            main(["--quiet", "figure3", "--backend", "auto", "--sites",
+                  "2", "--throughputs", "60", "--latencies", "40",
+                  "--delays", "1h", "--validate",
+                  "--validate-sites", "1"])
+        assert exc.value.code == 2
+        assert "--validate-sites" in capsys.readouterr().err
+
+
+@pytest.fixture
+def measure_pair_calls(monkeypatch):
+    """Count in-process DES cells: every replay runs ``measure_pair``."""
+    from repro.experiments import harness
+    calls = []
+    measure_pair = harness.measure_pair
+
+    def counting(site, mode, conditions, delay_s, **kwargs):
+        calls.append((site.origin, mode, conditions.describe(), delay_s))
+        return measure_pair(site, mode, conditions, delay_s, **kwargs)
+
+    monkeypatch.setattr(harness, "measure_pair", counting)
+    return calls
+
+
+class TestOneReplay:
+    """Each command replays its cells once: the table, the
+    analytic-vs-DES check and the reduction column read the same rows."""
+
+    def test_fleet_validate_replays_the_sample_once(self, capsys,
+                                                    measure_pair_calls):
+        assert main(["--quiet", "fleet", "--users", "2000", "--visits",
+                     "100000", "--des", "--validate", "--sample", "3",
+                     "--workers", "0"]) == 0
+        # 3 visits (one per cohort) x 2 modes
+        assert len(measure_pair_calls) == 6
         out = capsys.readouterr().out
-        assert "Spearman rank correlation (n=0)" in out
-        assert "[FAIL: fewer than 2 rows compared]" in out
+        assert "Spearman rank correlation (n=6)" in out
+
+    def test_fleet_validate_implies_des(self, capsys, measure_pair_calls):
+        assert main(["--quiet", "fleet", "--users", "2000", "--visits",
+                     "100000", "--validate", "--sample", "3",
+                     "--workers", "0"]) == 0
+        assert len(measure_pair_calls) == 6
+        out = capsys.readouterr().out
+        assert "sampled DES fleet: 3 visits" in out
+        assert "Spearman rank correlation (n=6)" in out
+
+    @pytest.mark.parametrize("backend", ["des", "auto"])
+    def test_figure3_validate_replays_the_grid_once(self, capsys, backend,
+                                                    measure_pair_calls):
+        """The check compares the grid the command priced: one DES cell
+        per grid cell, and one row per (condition, mode, delay, site)."""
+        assert main(["--quiet", "figure3", "--backend", backend, "--sites",
+                     "2", "--throughputs", "8,60", "--latencies", "40",
+                     "--delays", "1h,1d", "--validate"]) == 0
+        cells = 2 * 2 * 2 * 2   # conditions x modes x delays x sites
+        assert len(measure_pair_calls) == cells
+        assert len(set(measure_pair_calls)) == cells
+        out = capsys.readouterr().out
+        assert f"Spearman rank correlation (n={cells})" in out

@@ -189,14 +189,34 @@ def test_des_covers_every_cohort(spec, corpus):
     assert set(result.cohorts) == {c.name for c in spec.cohorts}
 
 
+def test_des_keeps_its_sample_and_rows(spec, corpus):
+    """The result keeps what it replayed: the sampled visits, grouped
+    by (cohort, user), and one row per (visit, mode)."""
+    des = run_fleet_des(spec, corpus, sample=6, max_workers=0)
+    visits = sample_visits(spec, 6, per_cohort=True)
+    assert sorted(des.sample, key=visits.index) == visits
+    groups = [(visit.cohort, visit.user) for visit in des.sample]
+    assert groups == sorted(groups, key=groups.index)
+    assert len(des.rows) == 2 * len(des.sample) == 2 * des.visits
+    for visit, rows in des.visit_rows():
+        assert [row.mode for row in rows] == ["standard", "catalyst"]
+        assert {row.delay_s for row in rows} == {visit.delay_s}
+        assert {row.origin for row in rows} \
+            == {corpus[visit.site].origin}
+
+
 # -- validation gate --------------------------------------------------------
 def test_validate_fleet_passes_default_gate(spec, corpus):
-    validation = validate_fleet(spec, corpus, sample=9)
-    visits = sample_visits(spec, 9, per_cohort=True)
-    assert len(validation.rows) == len(visits) * 2
-    # cold visits replay and price as first loads, shown as ``cold``
+    des = run_fleet_des(spec, corpus, sample=9, max_workers=0)
+    validation = validate_fleet(des, corpus)
+    assert len(validation.rows) == len(des.sample) * 2
+    # the rows follow the replay order; cold visits replay and price as
+    # first loads, shown as ``cold``
     assert [row[3] for row in validation.rows[::2]] \
-        == [visit.delay_s for visit in visits]
+        == [visit.delay_s for visit in des.sample]
+    assert [row[5] * 1000.0 for row in validation.rows] \
+        == [row.last_visit[0] for row in des.rows]
+    assert validation.elapsed_s == des.elapsed_s
     assert validation.passed, validation.format()
     assert "PASS" in validation.format()
 
@@ -205,7 +225,7 @@ def test_validate_fleet_passes_default_gate(spec, corpus):
 def test_fleet_payload_shape(analytic, spec, corpus):
     result = analytic[BACKENDS[0]]
     des = run_fleet_des(spec, corpus, sample=6, max_workers=0)
-    validation = validate_fleet(spec, corpus, sample=6)
+    validation = validate_fleet(des, corpus)
     payload = fleet_payload(result, des, validation)
     assert payload["bench"] == "population_fleet_run"
     assert payload["population_visits"] == spec.n_measured
@@ -216,5 +236,12 @@ def test_fleet_payload_shape(analytic, spec, corpus):
                         "origin_rps", "hit_ratio"):
                 assert key in mode
     assert payload["des"]["visits"] == des.visits
+    reduction = payload["des"]["revisit_reduction"]
+    assert set(reduction) == set(des.cohorts)
+    for name, values in des.revisit_reductions().items():
+        assert reduction[name]["n"] == len(values)
+        if values:
+            assert set(reduction[name]) == {"n", "mean", "p10", "p50",
+                                            "p90"}
     assert payload["validation"]["passed"] is True
     assert payload["validation"]["rows"] == len(validation.rows)

@@ -1,10 +1,13 @@
-"""Unit tests for the revisit-interval model and user-weighted runs."""
+"""Unit tests for the revisit-interval model and the user-weighted
+benefit (the per-revisit reductions of ``fleet --des``)."""
 
 import random
 
 import pytest
 
+from repro.experiments.fleet import default_population, run_fleet_des
 from repro.netsim.clock import DAY, HOUR, MINUTE
+from repro.workload.corpus import make_corpus
 from repro.workload.revisits import DEFAULT_REVISIT_MODEL, RevisitModel
 
 
@@ -39,28 +42,6 @@ class TestRevisitModel:
         within_hour = sum(1 for d in draws if d <= HOUR) / len(draws)
         assert 0.25 < within_hour < 0.65
 
-
-class TestUserWeighted:
-    @pytest.fixture(scope="class")
-    def result(self):
-        from repro.experiments.user_weighted import run_user_weighted
-        return run_user_weighted(sites=3, revisits_per_site=2)
-
-    def test_positive_mean_reduction(self, result):
-        assert result.summary.mean > 0.10
-
-    def test_sample_bookkeeping(self, result):
-        assert len(result.reductions) == len(result.delays_s) == 6
-
-    def test_format_mentions_ci(self, result):
-        assert "95% CI" in result.format()
-
-    def test_deterministic(self):
-        from repro.experiments.user_weighted import run_user_weighted
-        a = run_user_weighted(sites=2, revisits_per_site=2, seed=5)
-        b = run_user_weighted(sites=2, revisits_per_site=2, seed=5)
-        assert a.reductions == b.reductions
-
     def test_cdf_matches_draw_distribution(self):
         """RevisitModel.cdf is the closed form the fleet's delay bins
         price with — it must agree with the sampler."""
@@ -79,18 +60,64 @@ class TestUserWeighted:
         values = [model.cdf(x) for x in probes]
         assert values == sorted(values)
 
-    def test_is_single_cohort_population_view(self, result):
-        """The measured (site, delay) pairs are exactly the population
-        sampler's first warm entries for the one-cohort spec — the
-        experiment is a view, not a second workload generator."""
-        from repro.experiments.user_weighted import user_weighted_spec
-        from repro.netsim.link import NetworkConditions
-        from repro.workload.population import sample_visits
 
-        spec = user_weighted_spec(
-            NetworkConditions.of(60, 40, label="60Mbps/40ms"),
-            sites=3, revisits_per_site=2)
-        visits = sample_visits(spec, 6, measured_only=False,
-                               warm_only=True)
-        assert [v.delay_s for v in visits] == result.delays_s
-        assert all(v.delay_s is not None for v in visits)
+def replay_small_fleet():
+    """A 5-site fleet whose 12-visit sample (4 per cohort) mixes cold
+    and warm visits in every cohort."""
+    spec = default_population(users=200, measured=2_000, sites=5)
+    return run_fleet_des(spec, make_corpus(size=5), sample=12,
+                         max_workers=0)
+
+
+class TestUserWeighted:
+    """The per-revisit reductions behind ``fleet --des``'s reduction
+    column."""
+
+    @pytest.fixture(scope="class")
+    def des(self):
+        return replay_small_fleet()
+
+    def test_positive_mean_reduction(self, des):
+        values = [value for values in des.revisit_reductions().values()
+                  for value in values]
+        assert sum(values) / len(values) > 0.10
+
+    def test_sample_bookkeeping(self, des):
+        """n is the cohort's warm visits."""
+        warm = {}
+        for visit in des.sample:
+            if visit.delay_s is not None:
+                name = des.spec.cohorts[visit.cohort].name
+                warm[name] = warm.get(name, 0) + 1
+        reductions = des.revisit_reductions()
+        summary = des.reduction_summary()
+        assert set(reductions) == set(summary) == set(warm)
+        for name, count in warm.items():
+            assert len(reductions[name]) == summary[name]["n"] == count
+
+    def test_only_warm_visits_count(self, des):
+        cold = sum(visit.delay_s is None for visit in des.sample)
+        assert 0 < cold < len(des.sample)
+        assert sum(len(values) for values
+                   in des.revisit_reductions().values()) \
+            == len(des.sample) - cold
+
+    def test_values_are_row_reductions(self, des):
+        """Each value is (standard - catalyst) / standard of its visit's
+        two rows, in replay order."""
+        expected = {name: [] for name in des.cohorts}
+        for index, visit in enumerate(des.sample):
+            if visit.delay_s is None:
+                continue
+            standard, catalyst = des.rows[2 * index:2 * index + 2]
+            assert (standard.mode, catalyst.mode) == ("standard",
+                                                      "catalyst")
+            assert standard.delay_s == catalyst.delay_s == visit.delay_s
+            expected[des.spec.cohorts[visit.cohort].name].append(
+                (standard.warm_plt_ms - catalyst.warm_plt_ms)
+                / standard.warm_plt_ms)
+        assert des.revisit_reductions() == expected
+
+    def test_deterministic(self, des):
+        assert replay_small_fleet().revisit_reductions() \
+            == des.revisit_reductions()

@@ -1,12 +1,13 @@
 """Unit tests for the analytic Figure-3 grid and its DES validation."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.analysis_vec import batch_estimate_plt, numpy_available
 from repro.core.modes import CachingMode
-from repro.experiments.figure3 import run_figure3
-from repro.experiments.sweep import (ValidationResult, validate_cells,
-                                     validate_sweep)
+from repro.experiments.figure3 import (ValidationResult, run_figure3,
+                                       validate_cells, validate_grid)
 from repro.netsim.clock import DAY, HOUR
 from repro.netsim.link import NetworkConditions
 from repro.workload.corpus import make_corpus
@@ -79,26 +80,71 @@ class TestRunSweep:
         assert "overall mean" in text
 
 
-class TestValidateSweep:
-    def test_seeded_subgrid_is_reproducible_and_passes(self):
-        conditions = [NetworkConditions.of(8.0, 10.0),
-                      NetworkConditions.of(60.0, 100.0)]
-        first = validate_sweep(sites=2, delays_s=(DAY,),
-                               conditions_list=conditions)
-        again = validate_sweep(sites=2, delays_s=(DAY,),
-                               conditions_list=conditions)
-        assert first.passed
-        assert first.rho == pytest.approx(again.rho)
-        assert [row[:4] for row in first.rows] \
-            == [row[:4] for row in again.rows]
-        assert "Spearman rank correlation" in first.format()
+#: one small churned grid: 2 sites x 4 conditions x 1 delay
+SMALL_GRID = dict(sites=2, throughputs_mbps=(8.0, 60.0),
+                  latencies_ms=(10.0, 100.0), delays_s=(DAY,),
+                  content_churn=True)
 
-    def test_min_rho_gate(self):
-        conditions = [NetworkConditions.of(8.0, 10.0),
-                      NetworkConditions.of(60.0, 100.0)]
-        strict = validate_sweep(sites=2, delays_s=(DAY,),
-                                conditions_list=conditions,
-                                min_rho=1.0)
+
+@pytest.fixture(scope="module")
+def small_pair():
+    """The small grid priced by the closed form and replayed by the
+    DES: what ``figure3 --validate`` compares."""
+    return (run_figure3(**SMALL_GRID, backend="auto"),
+            run_figure3(**SMALL_GRID))
+
+
+class TestValidateSweep:
+    def test_rows_follow_the_grid(self, small_pair):
+        """One row per (condition, mode, delay, site), in table order,
+        carrying both tables' warm PLTs in seconds."""
+        analytic, simulated = small_pair
+        validation = validate_grid(analytic, simulated)
+        assert [row[:4] for row in validation.rows] == [
+            (origin, f"{mbps:g}Mbps/{rtt:g}ms", mode, DAY)
+            for mbps in (8.0, 60.0) for rtt in (10.0, 100.0)
+            for mode in ("standard", "catalyst")
+            for origin in simulated.origins]
+        assert len(set(simulated.origins)) == 2
+        first = validation.rows[0]
+        assert first[4] * 1000.0 == pytest.approx(
+            float(analytic.plt_ms[0][0][0][0]), rel=1e-12)
+        assert first[5] * 1000.0 == pytest.approx(
+            simulated.plt_ms[0][0][0][0], rel=1e-12)
+        assert validation.elapsed_s == simulated.elapsed_s
+
+    def test_grid_rows_are_reproducible_and_pass(self, small_pair):
+        first = validate_grid(*small_pair)
+        again = validate_grid(run_figure3(**SMALL_GRID, backend="auto"),
+                              run_figure3(**SMALL_GRID))
+        assert first.passed
+        assert first.rows == again.rows
+        assert first.rho == again.rho
+        assert "Spearman rank correlation (n=16)" in first.format()
+
+    def test_different_grids_refused(self, small_pair):
+        """Only two tables of one grid compare, the closed form's
+        against the DES's."""
+        analytic, simulated = small_pair
+        other = run_figure3(**{**SMALL_GRID, "delays_s": (HOUR,)},
+                            backend="auto")
+        with pytest.raises(ValueError, match="different grids"):
+            validate_grid(other, simulated)
+        with pytest.raises(ValueError, match="different grids"):
+            validate_grid(replace(analytic, origins=analytic.origins[::-1]),
+                          simulated)
+        frozen = run_figure3(**{**SMALL_GRID, "content_churn": False},
+                             backend="auto")
+        assert frozen.origins == simulated.origins
+        with pytest.raises(ValueError, match="different grids"):
+            validate_grid(frozen, simulated)
+        with pytest.raises(ValueError, match="analytic table"):
+            validate_grid(analytic, analytic)
+        with pytest.raises(ValueError, match="analytic table"):
+            validate_grid(simulated, simulated)
+
+    def test_min_rho_gate(self, small_pair):
+        strict = validate_grid(*small_pair, min_rho=1.0)
         assert strict.rho < 1.0
         assert not strict.passed
         assert "FAIL" in strict.format()
