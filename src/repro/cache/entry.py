@@ -10,6 +10,9 @@ from ..http.messages import Response
 
 __all__ = ["CacheEntry"]
 
+#: framing fields a 304 never updates in the stored response
+_NOT_FRESHENED = frozenset(("content-length", "transfer-encoding"))
+
 
 @dataclass
 class CacheEntry:
@@ -55,15 +58,11 @@ class CacheEntry:
 
         The 304 carries updated metadata (Date, Cache-Control, ETag...);
         each field it names replaces every stored occurrence with all of
-        the 304's occurrences.  The body stays.
+        the 304's occurrences (:meth:`Headers.update_from`).  The body
+        stays.
         """
-        stored = self.response.headers
-        for name in validated.headers.names():
-            if name.lower() in ("content-length", "transfer-encoding"):
-                continue
-            stored.remove(name)
-            for value in validated.headers.get_all(name):
-                stored.add(name, value)
+        self.response.headers.update_from(validated.headers,
+                                          skip=_NOT_FRESHENED)
         self.request_time = request_time
         self.response_time = response_time
 

@@ -20,6 +20,7 @@ from ..http.etag import ETag
 from ..http.messages import Request, Response
 from ..obs.trace import NULL_TRACER
 from .entry import CacheEntry
+from .policy import may_store
 from .store import CacheStore
 
 __all__ = ["ServiceWorkerCache"]
@@ -47,8 +48,10 @@ class ServiceWorkerCache:
         if not response.ok:
             return False
         # Strip freshness directives' influence by storing verbatim; the SW
-        # never consults them again.
-        self._store.store(request, _storable_copy(response), now, now)
+        # never consults them again.  The store keeps this one copy.
+        stored = _storable_copy(response)
+        if may_store(request, stored):
+            self._store.insert(request, stored, now, now)
         return True
 
     # -- read path -----------------------------------------------------------
@@ -113,13 +116,13 @@ def _storable_copy(response: Response) -> Response:
     """Copy a response for SW storage.
 
     The SW stores responses that the HTTP cache would refuse (``no-cache``,
-    short ``max-age``); storing verbatim keeps diagnostics honest, and the
-    store's own ``may_store`` is bypassed by ensuring the copy is always
-    acceptable to it.
+    short ``max-age``); storing verbatim keeps diagnostics honest, and
+    moving ``Cache-Control`` aside makes the copy acceptable to
+    ``may_store``.
     """
     copy = response.copy()
-    # CacheStore.store consults may_store(); make the stored representation
-    # acceptable while preserving the original directives for inspection.
+    # Make the stored representation acceptable to may_store() while
+    # preserving the original directives for inspection.
     cc = copy.headers.get("Cache-Control")
     if cc is not None:
         copy.headers.set("X-Original-Cache-Control", cc)

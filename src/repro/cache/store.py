@@ -20,6 +20,8 @@ __all__ = ["CacheStore"]
 
 def _variant_key(vary: str, request: Request) -> tuple[tuple[str, str], ...]:
     """Secondary key from the request headers a response varies on."""
+    if not vary:
+        return ()
     names = sorted({name.strip().lower()
                     for name in vary.split(",") if name.strip()})
     return tuple((name, request.headers.get(name, "") or "")
@@ -54,14 +56,23 @@ class CacheStore:
     # -- primary operations ---------------------------------------------------
     def store(self, request: Request, response: Response,
               request_time: float, response_time: float) -> Optional[CacheEntry]:
-        """Store the exchange if policy allows; returns the entry or None."""
+        """Store a copy of the exchange if policy allows; returns the
+        entry or None."""
         if not may_store(request, response):
             return None
+        return self.insert(request, response.copy(), request_time,
+                           response_time)
+
+    def insert(self, request: Request, response: Response,
+               request_time: float, response_time: float) -> CacheEntry:
+        """Store ``response`` itself, with no policy check: the caller
+        hands over a copy it owns and has checked (:meth:`store` is the
+        usual entry point)."""
         vary = response.headers.get("Vary", "")
         variant = _variant_key(vary, request)
         key = (request.url, variant)
         vary_values = dict(variant) if vary else {}
-        entry = CacheEntry(url=request.url, response=response.copy(),
+        entry = CacheEntry(url=request.url, response=response,
                            request_time=request_time,
                            response_time=response_time,
                            vary_values=vary_values)

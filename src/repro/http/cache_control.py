@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional
 
-__all__ = ["CacheControl", "parse_cache_control"]
+__all__ = ["CacheControl", "NO_CACHE_CONTROL", "parse_cache_control"]
 
 
 @dataclass(frozen=True)
@@ -62,6 +62,11 @@ class CacheControl:
     def is_cacheable(self) -> bool:
         """Whether a shared-nothing private cache may store the response."""
         return not self.no_store
+
+
+#: what a message without a Cache-Control field carries: one shared,
+#: frozen instance rather than a new one per response
+NO_CACHE_CONTROL = CacheControl()
 
 
 def _parse_delta_seconds(raw: str, directive: str) -> int:

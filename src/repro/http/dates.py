@@ -9,6 +9,7 @@ what the simulator clock speaks.
 from __future__ import annotations
 
 import calendar
+import math
 import time
 from email.utils import parsedate_to_datetime
 from functools import lru_cache
@@ -23,10 +24,21 @@ _ASCTIME = "%a %b %d %H:%M:%S %Y"
 def format_http_date(timestamp: float) -> str:
     """Format a POSIX timestamp as an IMF-fixdate string.
 
+    An HTTP date has one-second resolution and ``gmtime`` floors to the
+    second, so the string is memoized per whole second: every response
+    a page load gets within one second shares one ``strftime``.
+
     >>> format_http_date(784111777.0)
     'Sun, 06 Nov 1994 08:49:37 GMT'
+    >>> format_http_date(784111777.999)
+    'Sun, 06 Nov 1994 08:49:37 GMT'
     """
-    return time.strftime(_IMF_FIXDATE, time.gmtime(timestamp))
+    return _format_second(math.floor(timestamp))
+
+
+@lru_cache(maxsize=1024)
+def _format_second(second: int) -> str:
+    return time.strftime(_IMF_FIXDATE, time.gmtime(second))
 
 
 @lru_cache(maxsize=256)

@@ -8,7 +8,7 @@ deterministic tests).
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Container, Iterable, Iterator, Mapping
 from functools import lru_cache
 from typing import Optional, Union
 
@@ -58,21 +58,24 @@ class Headers:
     __slots__ = ("_items", "_keys", "_wire_size")
 
     def __init__(self, items: _RawItems = None):
-        self._items: list[tuple[str, str]] = []
-        self._keys: list[str] = []
-        self._wire_size: Optional[int] = None
+        if isinstance(items, Headers):
+            # a copy: the fields were validated when ``items`` was built
+            self._items: list[tuple[str, str]] = list(items._items)
+            self._keys: list[str] = list(items._keys)
+            self._wire_size: Optional[int] = items._wire_size
+            return
+        self._items = []
+        self._keys = []
+        self._wire_size = None
         if items is None:
             return
-        if isinstance(items, Headers):
-            self._items = list(items._items)
-            self._keys = list(items._keys)
-            self._wire_size = items._wire_size
-        elif isinstance(items, Mapping):
-            for name, value in items.items():
-                self.add(name, value)
-        else:
-            for name, value in items:
-                self.add(name, value)
+        # A list or tuple of pairs is the common argument; test for it
+        # before the (much slower) ``Mapping`` ABC check.
+        if not isinstance(items, (list, tuple)) \
+                and isinstance(items, Mapping):
+            items = items.items()
+        for name, value in items:
+            self.add(name, value)
 
     # -- mutation ----------------------------------------------------------
     def add(self, name: str, value: str) -> None:
@@ -130,8 +133,48 @@ class Headers:
         self._wire_size = None
 
     def extend(self, items: _RawItems) -> None:
-        for name, value in Headers(items).items():
-            self.add(name, value)
+        """Append every field of ``items``.
+
+        A :class:`Headers` argument's fields were validated when it was
+        built, so they are appended as they are, without a second pass.
+        """
+        other = items if isinstance(items, Headers) else Headers(items)
+        self._items.extend(other._items)
+        self._keys.extend(other._keys)
+        self._wire_size = None
+
+    def update_from(self, other: "Headers",
+                    skip: Container[str] = ()) -> None:
+        """Fold ``other``'s fields in, as a cache freshens a stored
+        response from a 304 (RFC 9111 §4.3.4).
+
+        Each field ``other`` names, unless its lowercase name is in
+        ``skip``, replaces every occurrence here: the others keep their
+        order, and ``other``'s occurrences are appended in the order it
+        first names each field, all under that first spelling.  The
+        field list is rebuilt once, however many fields ``other`` names.
+        """
+        groups: dict[str, list[tuple[str, str]]] = {}
+        for (name, value), key in zip(other._items, other._keys):
+            if key in skip:
+                continue
+            group = groups.get(key)
+            if group is None:
+                groups[key] = [(name, value)]
+            else:
+                group.append((group[0][0], value))
+        if not groups:
+            return
+        kept = [pair for pair in zip(self._items, self._keys)
+                if pair[1] not in groups]
+        items = [item for item, _ in kept]
+        keys = [key for _, key in kept]
+        for key, group in groups.items():
+            items.extend(group)
+            keys.extend([key] * len(group))
+        self._items = items
+        self._keys = keys
+        self._wire_size = None
 
     # -- access ------------------------------------------------------------
     def get(self, name: str, default: Optional[str] = None) -> Optional[str]:

@@ -8,10 +8,11 @@ serializes/parses them for real-socket integration runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional
 from urllib.parse import urlsplit
 
-from .cache_control import CacheControl, parse_cache_control
+from .cache_control import NO_CACHE_CONTROL, CacheControl, parse_cache_control
 from .etag import ETag, parse_etag
 from .headers import Headers
 
@@ -56,6 +57,18 @@ def keeps_alive(message: "Request | Response") -> bool:
     return message.http_version != "HTTP/1.0" or "keep-alive" in tokens
 
 
+@lru_cache(maxsize=1024)
+def _path_of(url: str) -> str:
+    """The path of ``url`` (``"/"`` when it has none).
+
+    Memoized by URL string: a fetch asks for its request's path several
+    times (the cache layers, the SW's map lookup, the origin) within a
+    few simulated milliseconds, and a run requests the same URLs over
+    and over.
+    """
+    return urlsplit(url).path or "/"
+
+
 @dataclass
 class Request:
     """An HTTP request.
@@ -78,8 +91,7 @@ class Request:
     # -- URL helpers ---------------------------------------------------------
     @property
     def path(self) -> str:
-        path = urlsplit(self.url).path
-        return path or "/"
+        return _path_of(self.url)
 
     @property
     def query(self) -> str:
@@ -111,9 +123,15 @@ class Request:
         return start + self.headers.wire_size() + 2 + len(self.body)
 
     def copy(self) -> "Request":
-        return Request(method=self.method, url=self.url,
-                       headers=self.headers.copy(), body=self.body,
-                       http_version=self.http_version)
+        # A copy of a valid request is valid: the fields are set as
+        # they are, without ``__init__`` and its checks.
+        clone = object.__new__(Request)
+        clone.method = self.method
+        clone.url = self.url
+        clone.headers = self.headers.copy()
+        clone.body = self.body
+        clone.http_version = self.http_version
+        return clone
 
     def __repr__(self) -> str:
         return f"<Request {self.method} {self.url}>"
@@ -176,7 +194,7 @@ class Response:
     def cache_control(self) -> CacheControl:
         raw = self.headers.get_joined("Cache-Control")
         if raw is None:
-            return CacheControl()
+            return NO_CACHE_CONTROL
         return parse_cache_control(raw)
 
     def wire_size(self) -> int:
@@ -185,9 +203,16 @@ class Response:
         return start + self.headers.wire_size() + 2 + len(self.body)
 
     def copy(self) -> "Response":
-        return Response(status=self.status, headers=self.headers.copy(),
-                        body=self.body, http_version=self.http_version,
-                        reason=self.reason, declared_size=self.declared_size)
+        # A copy of a valid response is valid: the fields are set as
+        # they are, without ``__init__`` and its checks.
+        clone = object.__new__(Response)
+        clone.status = self.status
+        clone.headers = self.headers.copy()
+        clone.body = self.body
+        clone.http_version = self.http_version
+        clone.reason = self.reason
+        clone.declared_size = self.declared_size
+        return clone
 
     def __repr__(self) -> str:
         return (f"<Response {self.status} {self.reason} "

@@ -123,13 +123,20 @@ class Event:
 
     # -- transitions ------------------------------------------------------
     def succeed(self, value: Any = None, delay: float = 0.0) -> "Event":
-        """Trigger the event successfully with ``value`` after ``delay``."""
+        """Trigger the event successfully with ``value`` after ``delay``.
+
+        Pushes onto the queue itself (what :meth:`Simulator._schedule`
+        does, without the call): most events in a run trigger here.
+        """
         if self._triggered:
             raise SimulationError("event already triggered")
         self._triggered = True
         self._value = value
         self._ok = True
-        self.sim._schedule(self, delay)
+        if delay < 0:
+            raise SimulationError(f"cannot schedule into the past: {delay}")
+        sim = self.sim
+        heappush(sim._queue, (sim.now + delay, next(sim._counter), self))
         return self
 
     def fail(self, exception: BaseException, delay: float = 0.0) -> "Event":
@@ -203,10 +210,12 @@ class Process(Event):
         self._gen = gen
         self.name = name or getattr(gen, "__name__", "process")
         self._waiting_on: Optional[Event] = None
-        # Kick off at the current time.
+        # Kick off at the current time: one event, born triggered with
+        # its one waiter, in the queue slot ``succeed(None)`` would take.
         start = Event(sim)
-        start.succeed(None)
-        start.add_callback(self._resume)
+        start._triggered = True
+        start.callbacks = [self._resume]
+        heappush(sim._queue, (sim.now, next(sim._counter), start))
 
     @property
     def is_alive(self) -> bool:
@@ -228,14 +237,16 @@ class Process(Event):
         wake.add_callback(self._resume)
 
     def _resume(self, event: Event) -> None:
+        # ``event`` was dispatched, so it is triggered: its slots are
+        # read directly rather than through the checked properties.
         if self._triggered:
             return
         self._waiting_on = None
         try:
-            if event.ok:
-                target = self._gen.send(event.value)
+            if event._ok:
+                target = self._gen.send(event._value)
             else:
-                target = self._gen.throw(event.value)
+                target = self._gen.throw(event._value)
         except StopIteration as stop:
             self.succeed(stop.value)
             return
@@ -279,10 +290,10 @@ class AnyOf(Event):
     def _check(self, event: Event) -> None:
         if self._triggered:
             return
-        if not event.ok:
-            self.fail(event.value)
+        if not event._ok:
+            self.fail(event._value)
             return
-        self.succeed({ev: ev.value for ev in self.events if ev.processed
+        self.succeed({ev: ev._value for ev in self.events if ev._processed
                       or ev is event})
 
 
@@ -304,12 +315,13 @@ class AllOf(Event):
     def _check(self, event: Event) -> None:
         if self._triggered:
             return
-        if not event.ok:
-            self.fail(event.value)
+        if not event._ok:
+            self.fail(event._value)
             return
         self._remaining -= 1
         if self._remaining == 0:
-            self.succeed({ev: ev.value for ev in self.events})
+            # every event has fired, so every ``_value`` is decided
+            self.succeed({ev: ev._value for ev in self.events})
 
 
 class Resource:
@@ -396,7 +408,8 @@ class Simulator:
     _TIMEOUT_POOL_MAX = 256
 
     def __init__(self, strict: bool = True, tracer=None):
-        self._now = 0.0
+        #: current simulated time in seconds; only the kernel writes it
+        self.now = 0.0
         self._queue: list[tuple[float, int, Event]] = []
         self._counter = itertools.count()
         self._timeout_pool: list[Timeout] = []
@@ -409,11 +422,6 @@ class Simulator:
             from ..obs.trace import NULL_TRACER
             tracer = NULL_TRACER
         self.tracer = tracer
-
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
 
     # -- event factories ---------------------------------------------------
     def event(self) -> Event:
@@ -434,7 +442,8 @@ class Simulator:
             timer._triggered = True
             timer._processed = False
             timer.callbacks = None
-            self._schedule(timer, delay)
+            heappush(self._queue, (self.now + delay, next(self._counter),
+                                   timer))
             return timer
         return Timeout(self, delay, value)
 
@@ -454,19 +463,8 @@ class Simulator:
     def _schedule(self, event: Event, delay: float) -> None:
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past: {delay}")
-        heappush(self._queue, (self._now + delay, next(self._counter),
+        heappush(self._queue, (self.now + delay, next(self._counter),
                                event))
-
-    def step(self) -> None:
-        """Process the single next event."""
-        when, _, event = heappop(self._queue)
-        self._now = when
-        callbacks = event.callbacks
-        event.callbacks = None
-        event._processed = True
-        if callbacks is not None:
-            for fn in callbacks:
-                fn(event)
 
     def run(self, until: Optional[float] = None) -> None:
         """Run until the queue drains or the clock would pass ``until``.
@@ -474,15 +472,15 @@ class Simulator:
         When stopped by ``until`` the clock is advanced exactly to
         ``until``.
 
-        This loop is the simulator's hottest code: everything is bound to
-        locals, dispatch is inlined rather than delegated to
-        :meth:`step`, and retired timeouts are returned to the free-list.
+        This loop is the simulator's only dispatcher and its hottest
+        code: everything is bound to locals, dispatch is inlined, and
+        retired timeouts are returned to the free-list.
         A timeout is recycled only when this frame holds the last
         reference (``getrefcount == 2``: the local plus the call
         argument), which makes reuse invisible to any code that kept the
         event — e.g. an :class:`AnyOf` still reading ``.value``.
         """
-        if until is not None and until < self._now:
+        if until is not None and until < self.now:
             raise SimulationError("until lies in the past")
         queue = self._queue
         pool = self._timeout_pool
@@ -490,10 +488,10 @@ class Simulator:
         getrefcount = _getrefcount
         while queue:
             if until is not None and queue[0][0] > until:
-                self._now = until
+                self.now = until
                 return
             when, _, event = heappop(queue)
-            self._now = when
+            self.now = when
             callbacks = event.callbacks
             event.callbacks = None
             event._processed = True
@@ -504,7 +502,7 @@ class Simulator:
                     and getrefcount(event) == 2 and len(pool) < pool_max):
                 pool.append(event)
         if until is not None:
-            self._now = until
+            self.now = until
 
     def run_process(self, gen: Generator, name: str = "") -> Any:
         """Convenience: run ``gen`` to completion and return its value.

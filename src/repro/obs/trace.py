@@ -41,7 +41,7 @@ import os
 import time
 import uuid
 from collections import deque
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from typing import Any, Callable, Iterator, Optional
 
 __all__ = ["Span", "Tracer", "NullTracer", "NULL_TRACER", "NULL_SPAN",
@@ -279,6 +279,9 @@ class Tracer:
         }
 
 
+_NO_PARENTING = nullcontext()
+
+
 class NullTracer:
     """The disabled tracer: every operation is a cheap no-op.
 
@@ -308,9 +311,10 @@ class NullTracer:
                  end_s: float, parent=None, args=None) -> _NullSpan:
         return NULL_SPAN
 
-    @contextmanager
-    def parenting(self, span) -> Iterator[None]:
-        yield
+    def parenting(self, span) -> nullcontext:
+        # one shared, reusable no-op context: the untraced browser
+        # enters this on every Service-Worker call
+        return _NO_PARENTING
 
     def spans(self) -> list:
         return []

@@ -65,8 +65,9 @@ class _Template(NamedTuple):
     """What a resource version's 200 carries besides its ``Date``."""
 
     etag: str
-    last_modified: str
-    cache_control: Optional[str]
+    #: every header field after ``Date``, in wire order, validated once
+    #: per version (never mutated: a response extends its own copy)
+    fields: Headers
     #: the stand-in body (hashed for the ETag) and its declared size
     body: bytes
     size: int
@@ -80,9 +81,11 @@ def _render_template(spec: ResourceSpec, version: int,
     never part of it.
     """
     standin, size = render_resource_body(spec, version)
-    return _Template(etag=str(etag_for_content(standin)),
-                     last_modified=format_http_date(last_modified),
-                     cache_control=spec.policy.to_cache_control(),
+    etag = str(etag_for_content(standin))
+    return _Template(etag=etag,
+                     fields=_fields(CONTENT_TYPES[spec.kind], etag,
+                                    format_http_date(last_modified),
+                                    spec.policy.to_cache_control()),
                      body=standin, size=size)
 
 
@@ -208,10 +211,10 @@ class OriginSite:
         body, etag = self._document(page, churn.version_at(at_time))
         # Base documents ship no-cache in the wild and in the paper's
         # examples: always revalidated, never trusted from cache.
-        headers = _headers(
-            at_time, HTML_CONTENT_TYPE, str(etag),
+        headers = _dated(at_time, _fields(
+            HTML_CONTENT_TYPE, str(etag),
             format_http_date(WALL_EPOCH + churn.last_change_at(at_time)),
-            "no-cache")
+            "no-cache"))
         self._count(page.url)
         return Response(status=200, headers=headers, body=body)
 
@@ -227,8 +230,7 @@ class OriginSite:
                           at_time: float) -> Response:
         version = self._resource_version(spec, at_time)
         template = self._template(spec, version, at_time)
-        headers = _headers(at_time, CONTENT_TYPES[spec.kind], template.etag,
-                           template.last_modified, template.cache_control)
+        headers = _dated(at_time, template.fields)
         self._count(spec.url)
         if self.materialize_fully:
             body, _ = render_resource_body(spec, version,
@@ -298,12 +300,18 @@ class OriginSite:
         return urls
 
 
-def _headers(at_time: float, content_type: str, etag: str,
-             last_modified: str, cache_control: Optional[str]) -> Headers:
-    """Headers every 200 carries, in wire order."""
-    fields = [("Date", format_http_date(WALL_EPOCH + at_time)),
-              ("Content-Type", content_type), ("ETag", etag),
+def _fields(content_type: str, etag: str, last_modified: str,
+            cache_control: Optional[str]) -> Headers:
+    """The fields every 200 carries after ``Date``, in wire order."""
+    fields = [("Content-Type", content_type), ("ETag", etag),
               ("Last-Modified", last_modified), ("Server", "repro-origin")]
     if cache_control is not None:
         fields.append(("Cache-Control", cache_control))
     return Headers(fields)
+
+
+def _dated(at_time: float, fields: Headers) -> Headers:
+    """A 200's headers: ``Date`` at ``at_time``, then ``fields``."""
+    headers = Headers((("Date", format_http_date(WALL_EPOCH + at_time)),))
+    headers.extend(fields)
+    return headers

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache
 from typing import Iterator, Optional
 
@@ -88,6 +88,23 @@ class ResourceSpec:
     #: exact change times (for hand-built scenario pages, e.g. Figure 1);
     #: None means the seeded Poisson process decides
     fixed_change_times: tuple[float, ...] | None = None
+
+    def __hash__(self) -> int:
+        # The origin's template memo hashes a spec on every request, and
+        # a frozen spec's hash never changes: compute it once.  ``str``
+        # hashes differ between processes, so the cached value stays out
+        # of a pickle (``__getstate__``) and a spawned worker rehashes.
+        cached = self.__dict__.get("_hash")
+        if cached is None:
+            cached = self.__dict__["_hash"] = hash(tuple(
+                getattr(self, spec_field.name)
+                for spec_field in fields(self)))
+        return cached
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
 
     def make_churn(self) -> ResourceChurn:
         """Churn timeline (same seed, same history), shared process-wide."""

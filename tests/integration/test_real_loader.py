@@ -134,10 +134,16 @@ class TestRealCatalyst:
             assert sources[url] is FetchSource.SW_CACHE, url
 
     def test_warm_visit_wall_clock_speedup(self, site_spec):
-        results = run(_visits(site_spec, CatalystServer,
-                              RealLoaderConfig(use_service_worker=True)))
-        cold, warm = results
-        assert warm.plt_s < cold.plt_s
+        """Three cold + warm pairs, each on a fresh origin and session:
+        the fastest warm load beats the fastest cold one.  One pair of
+        ~50 ms loads on the OS clock can invert on a busy machine; the
+        minimum of three discards that noise."""
+        pairs = [run(_visits(site_spec, CatalystServer,
+                             RealLoaderConfig(use_service_worker=True)))
+                 for _ in range(3)]
+        fastest_cold = min(cold.plt_s for cold, _ in pairs)
+        fastest_warm = min(warm.plt_s for _, warm in pairs)
+        assert fastest_warm < fastest_cold
 
     def test_served_etags_are_current(self, site_spec):
         results = run(_visits(site_spec, CatalystServer,

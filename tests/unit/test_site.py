@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from repro.http import cache_control, dates, headers
+from repro.http import cache_control, dates, headers, messages
 from repro.http.dates import parse_http_date
 from repro.http.messages import Request
 from repro.netsim.clock import HOUR, WEEK
@@ -236,7 +236,8 @@ class TestSharedContent:
             server.handle(Request(url=url), 0.0).cache_control
         stores = (site_module._resource_template, churn.shared_churn,
                   cache_control.parse_cache_control,
-                  dates.parse_http_date, headers._folded_name)
+                  dates.parse_http_date, dates._format_second,
+                  headers._folded_name, messages._path_of)
         assert all(store.cache_info().currsize > 0 for store in stores)
         cleared = []
         for name, module in list(sys.modules.items()):
