@@ -9,8 +9,8 @@
 
 from .cache_layer import BrowserCache, CachePlan
 from .engine import BrowserConfig, BrowserSession, PageLoader
-from .fetcher import (CONNECTIONS_PER_ORIGIN, ExchangeRecord, NetworkClient,
-                      OriginHandler, OriginUnreachable)
+from .fetcher import (CONNECTIONS_PER_ORIGIN, NetworkClient, OriginHandler,
+                      OriginUnreachable)
 from .js import ScriptModel, extract_js_fetches, kind_from_url
 from .metrics import FetchEvent, FetchSource, PageLoadResult
 from .sw_host import ServiceWorkerHost
@@ -18,7 +18,7 @@ from .trace import render_waterfall, to_har, to_har_json
 
 __all__ = [
     "BrowserSession", "PageLoader", "BrowserConfig",
-    "NetworkClient", "OriginHandler", "ExchangeRecord",
+    "NetworkClient", "OriginHandler",
     "CONNECTIONS_PER_ORIGIN", "OriginUnreachable",
     "BrowserCache", "CachePlan", "ServiceWorkerHost",
     "ScriptModel", "extract_js_fetches", "kind_from_url",

@@ -20,7 +20,7 @@ from ..http.messages import Request, Response
 __all__ = ["BrowserCache", "CachePlan"]
 
 
-@dataclass
+@dataclass(slots=True)
 class CachePlan:
     """What the cache layer decided for one request."""
 

@@ -25,7 +25,7 @@ from ..netsim.link import Link
 from ..netsim.sim import Resource, Simulator
 from ..netsim.tcp import Connection, ConnectionPolicy, slow_start_extra_rtts
 
-__all__ = ["NetworkClient", "OriginHandler", "ExchangeRecord",
+__all__ = ["NetworkClient", "OriginHandler",
            "CONNECTIONS_PER_ORIGIN", "OriginUnreachable",
            "FetchTimeout", "FetchFailed",
            "DEFAULT_FAULT_GUARD_TIMEOUT_S"]
@@ -65,25 +65,6 @@ class FetchFailed(Exception):
 
 
 OriginHandler = Callable[[Request, float], Response]
-
-
-@dataclass
-class ExchangeRecord:
-    """Timing and accounting for one network exchange."""
-
-    url: str
-    start_s: float
-    end_s: float
-    status: int
-    response_bytes: int
-    new_connection: bool
-    queued_s: float = 0.0
-    #: wire attempts this exchange took (1 = no retries)
-    attempts: int = 1
-
-    @property
-    def elapsed_s(self) -> float:
-        return self.end_s - self.start_s
 
 
 #: HTTP/2 default SETTINGS_MAX_CONCURRENT_STREAMS in common servers
@@ -131,7 +112,6 @@ class NetworkClient:
         self._idle: list[Connection] = []
         self._h2_connection: Connection | None = None
         self._h2_ready: "Event | None" = None
-        self.exchanges: list[ExchangeRecord] = []
         self.connections_opened = 0
         #: attempts re-issued after a failure (visible in metrics/traces)
         self.retries = 0
@@ -169,10 +149,8 @@ class NetworkClient:
                              args={"url": request.url}) \
             if tracer.enabled else None
         try:
-            start = self.sim.now
-            queued = start - queue_start
-            if xspan is not None and queued > 0:
-                xspan.set("queued_s", queued)
+            if xspan is not None and self.sim.now > queue_start:
+                xspan.set("queued_s", self.sim.now - queue_start)
             plan = getattr(self.link, "fault_plan", None)
             if plan is not None and not plan.injects_anything:
                 plan = None
@@ -214,13 +192,7 @@ class NetworkClient:
                     yield self.sim.timeout(delay)
                     self.retries += 1
                     attempt += 1
-            response, response_bytes, is_new = outcome
-            self.exchanges.append(ExchangeRecord(
-                url=request.url, start_s=start, end_s=self.sim.now,
-                status=response.status,
-                response_bytes=response_bytes,
-                new_connection=is_new, queued_s=queued,
-                attempts=attempt + 1))
+            response, is_new = outcome
             if xspan is not None:
                 xspan.annotate(status=response.status,
                                attempts=attempt + 1,
@@ -258,7 +230,7 @@ class NetworkClient:
 
     def _attempt(self, request: Request, think_s: Optional[float],
                  decision, span=None):
-        """Process: one wire attempt; returns (response, bytes, is_new).
+        """Process: one wire attempt; returns (response, is_new).
 
         The response size is unknown until the handler runs, so the
         exchange is phased: handshake, upstream + server think, run the
@@ -316,7 +288,7 @@ class NetworkClient:
                     total, decision, span=span)
             connection.requests_served += 1
             self._checkin(connection)
-            return response, total, is_new
+            return response, is_new
         except BaseException:
             self._discard(connection)
             raise
@@ -387,12 +359,3 @@ class NetworkClient:
             if ready is not None and not ready.triggered:
                 ready.fail(InjectedReset(
                     "connection torn down mid-handshake"))
-
-    # -- accounting -------------------------------------------------------------
-    @property
-    def bytes_downloaded(self) -> int:
-        return sum(record.response_bytes for record in self.exchanges)
-
-    @property
-    def request_count(self) -> int:
-        return len(self.exchanges)

@@ -29,7 +29,7 @@ class FetchSource(enum.Enum):
     PUSHED = "pushed"            # arrived via server push
 
 
-@dataclass
+@dataclass(slots=True)
 class FetchEvent:
     """One resource acquisition in the page-load timeline."""
 

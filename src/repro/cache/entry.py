@@ -14,7 +14,7 @@ __all__ = ["CacheEntry"]
 _NOT_FRESHENED = frozenset(("content-length", "transfer-encoding"))
 
 
-@dataclass
+@dataclass(slots=True)
 class CacheEntry:
     """One stored response plus the metadata freshness math needs.
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterator, Mapping, Optional
 
 from ..http.etag import ETag
@@ -53,6 +54,12 @@ DEFAULT_MAX_ENTRIES = 512
 #: degrades to standard revalidation instead of shipping an unbounded
 #: header that middleboxes and servers may reject or truncate.
 DEFAULT_MAX_HEADER_BYTES = 32 * 1024
+
+#: distinct header values whose parse the client keeps, least recently
+#: used first out: the 41 maps a ``revisit`` pass receives, with room to
+#: spare.  A parsed map runs to kilobytes, and a cold ``fleet`` replay
+#: parses hundreds it never sees again.
+_PARSED_MAPS = 64
 
 
 @dataclass
@@ -128,9 +135,9 @@ class EtagConfig:
             entries[url] = ETag(opaque=opaque)
         return cls(entries=entries)
 
-    @classmethod
+    @staticmethod
     def from_header_value_lenient(
-            cls, value: str) -> tuple[Optional["EtagConfig"], int]:
+            value: str) -> tuple[Optional["EtagConfig"], int]:
         """Salvage whatever valid entries a damaged header still carries.
 
         Returns ``(config, dropped)``: the entries that survived (or
@@ -139,23 +146,12 @@ class EtagConfig:
         keys or values.  A partially-applicable map is still useful: the
         surviving URLs keep their zero-RTT path while the rest fall back
         to conditional revalidation.
+
+        Memoized per header value (:func:`_parse_lenient`): every visit
+        to an unchanged page receives the same map, and an
+        ``EtagConfig`` is never mutated, so callers share one.
         """
-        try:
-            payload = json.loads(value)
-        except json.JSONDecodeError:
-            return None, 0
-        if not isinstance(payload, dict):
-            return None, 0
-        entries: dict[str, ETag] = {}
-        dropped = 0
-        for url, opaque in payload.items():
-            if isinstance(url, str) and isinstance(opaque, str) and opaque:
-                entries[url] = ETag(opaque=opaque)
-            else:
-                dropped += 1
-        if not entries:
-            return None, dropped
-        return cls(entries=entries), dropped
+        return _parse_lenient(value)
 
     def apply_to(self, headers: Headers,
                  max_header_bytes: int = DEFAULT_MAX_HEADER_BYTES) -> bool:
@@ -224,3 +220,24 @@ class EtagConfig:
             return 0
         return (len(ETAG_CONFIG_HEADER) + 2
                 + len(self.to_header_value().encode()) + 2)
+
+
+@lru_cache(maxsize=_PARSED_MAPS)
+def _parse_lenient(value: str) -> tuple[Optional[EtagConfig], int]:
+    """:meth:`EtagConfig.from_header_value_lenient`, computed."""
+    try:
+        payload = json.loads(value)
+    except json.JSONDecodeError:
+        return None, 0
+    if not isinstance(payload, dict):
+        return None, 0
+    entries: dict[str, ETag] = {}
+    dropped = 0
+    for url, opaque in payload.items():
+        if isinstance(url, str) and isinstance(opaque, str) and opaque:
+            entries[url] = ETag(opaque=opaque)
+        else:
+            dropped += 1
+    if not entries:
+        return None, dropped
+    return EtagConfig(entries=entries), dropped

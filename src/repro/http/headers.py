@@ -45,7 +45,10 @@ class Headers:
     ``_items`` keeps every field as sent (order, duplicates, original
     case); ``_keys`` holds the lowercase name of each, position for
     position, so lookups run as C-level ``in`` / ``list.index`` scans.
-    ``wire_size`` is cached until the next mutation.
+    ``wire_size`` is cached until the next mutation.  A copy is
+    copy-on-write: it shares the two lists, both sides are marked
+    ``_shared``, and whichever side first mutates them in place takes
+    its own lists first (most copies are read and never changed).
 
     >>> h = Headers({"Content-Type": "text/html"})
     >>> h["content-type"]
@@ -55,18 +58,21 @@ class Headers:
     ['a=1', 'b=2']
     """
 
-    __slots__ = ("_items", "_keys", "_wire_size")
+    __slots__ = ("_items", "_keys", "_wire_size", "_shared")
 
     def __init__(self, items: _RawItems = None):
         if isinstance(items, Headers):
-            # a copy: the fields were validated when ``items`` was built
-            self._items: list[tuple[str, str]] = list(items._items)
-            self._keys: list[str] = list(items._keys)
+            # a copy: the fields were validated when ``items`` was built,
+            # and the lists are shared until either side mutates them
+            self._items: list[tuple[str, str]] = items._items
+            self._keys: list[str] = items._keys
             self._wire_size: Optional[int] = items._wire_size
+            self._shared = items._shared = True
             return
         self._items = []
         self._keys = []
         self._wire_size = None
+        self._shared = False
         if items is None:
             return
         # A list or tuple of pairs is the common argument; test for it
@@ -78,10 +84,20 @@ class Headers:
             self.add(name, value)
 
     # -- mutation ----------------------------------------------------------
+    def _own(self) -> None:
+        """Take private copies of field lists a copy still shares, before
+        changing them in place."""
+        self._items = list(self._items)
+        self._keys = list(self._keys)
+        self._shared = False
+
     def add(self, name: str, value: str) -> None:
         """Append an occurrence of ``name`` (keeps existing ones)."""
         key = _folded_name(name)
-        self._items.append((name, _checked_value(value)))
+        value = _checked_value(value)
+        if self._shared:
+            self._own()
+        self._items.append((name, value))
         self._keys.append(key)
         self._wire_size = None
 
@@ -113,9 +129,8 @@ class Headers:
             return
         value = _checked_value(value)
         first = keys.index(key)
-        self._drop(key, start=first + 1)
+        self._drop(key, start=first + 1)  # new, unshared lists
         self._items[first] = (self._items[first][0], value)
-        self._wire_size = None
 
     def remove(self, name: str) -> None:
         """Drop every occurrence of ``name`` (no error if absent)."""
@@ -124,13 +139,15 @@ class Headers:
             self._drop(key)
 
     def _drop(self, key: str, start: int = 0) -> None:
-        """Remove the fields named ``key`` at or after position ``start``."""
+        """Remove the fields named ``key`` at or after position ``start``
+        (into new lists, which this object owns)."""
         items, keys = self._items, self._keys
         kept = [pair for pair in zip(items[start:], keys[start:])
                 if pair[1] != key]
         self._items = items[:start] + [item for item, _ in kept]
         self._keys = keys[:start] + [k for _, k in kept]
         self._wire_size = None
+        self._shared = False
 
     def extend(self, items: _RawItems) -> None:
         """Append every field of ``items``.
@@ -139,6 +156,8 @@ class Headers:
         built, so they are appended as they are, without a second pass.
         """
         other = items if isinstance(items, Headers) else Headers(items)
+        if self._shared:
+            self._own()
         self._items.extend(other._items)
         self._keys.extend(other._keys)
         self._wire_size = None
@@ -175,6 +194,7 @@ class Headers:
         self._items = items
         self._keys = keys
         self._wire_size = None
+        self._shared = False
 
     # -- access ------------------------------------------------------------
     def get(self, name: str, default: Optional[str] = None) -> Optional[str]:
@@ -213,7 +233,24 @@ class Headers:
         return list(seen.values())
 
     def copy(self) -> "Headers":
+        """An equal ``Headers`` that shares these field lists until either
+        side mutates them."""
         return Headers(self)
+
+    def prepended(self, name: str, value: str) -> "Headers":
+        """A new ``Headers``: ``name: value`` first, then these fields.
+
+        For a field its caller built itself, such as the ``Date`` an
+        origin formats: the name is validated (through the memo), the
+        value is taken as it is and must already be a valid, stripped
+        field value.
+        """
+        headers = Headers.__new__(Headers)
+        headers._items = [(name, value), *self._items]
+        headers._keys = [_folded_name(name), *self._keys]
+        headers._wire_size = None
+        headers._shared = False
+        return headers
 
     # -- dunder ------------------------------------------------------------
     def __getitem__(self, name: str) -> str:

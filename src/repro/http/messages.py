@@ -69,7 +69,7 @@ def _path_of(url: str) -> str:
     return urlsplit(url).path or "/"
 
 
-@dataclass
+@dataclass(slots=True)
 class Request:
     """An HTTP request.
 
@@ -137,7 +137,7 @@ class Request:
         return f"<Request {self.method} {self.url}>"
 
 
-@dataclass
+@dataclass(slots=True)
 class Response:
     """An HTTP response."""
 

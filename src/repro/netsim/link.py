@@ -107,16 +107,16 @@ class ProcessorSharingPipe:
     """A bandwidth pipe shared equally among in-flight transfers.
 
     Scheduling is lazily invalidated: one timer is armed for the next
-    completion, stamped with a wakeup token.  Any arrival, departure or
-    capacity change advances every in-flight transfer once (the O(n)
-    work the exact discipline requires), bumps the token — which strands
-    the armed timer without touching the event heap — and re-arms.  A
-    capacity "change" to the identical rate is a no-op, so back-to-back
-    handovers between equal-rate conditions cost nothing.
+    completion.  Any arrival, departure or capacity change advances
+    every in-flight transfer once (the O(n) work the exact discipline
+    requires), disarms the armed timer — it keeps its heap slot, so no
+    event moves, but fires with no callback — and re-arms.  A capacity
+    "change" to the identical rate is a no-op, so back-to-back handovers
+    between equal-rate conditions cost nothing.
     """
 
     __slots__ = ("sim", "capacity_bps", "_active", "_last_update",
-                 "_wakeup_token", "total_bits")
+                 "_armed", "_target", "total_bits")
 
     def __init__(self, sim: Simulator, capacity_bps: float):
         if capacity_bps <= 0:
@@ -125,7 +125,9 @@ class ProcessorSharingPipe:
         self.capacity_bps = capacity_bps
         self._active: list[_Transfer] = []
         self._last_update = 0.0
-        self._wakeup_token = 0
+        #: the live wakeup timer and the transfer it completes
+        self._armed: Optional[Event] = None
+        self._target: Optional[_Transfer] = None
         #: cumulative bits pushed through the pipe (for accounting benches)
         self.total_bits = 0.0
 
@@ -188,8 +190,8 @@ class ProcessorSharingPipe:
         One fused pass both collects finished transfers and finds the
         next finisher among the survivors (first-minimum, matching the
         pre-fusion ``min()`` tie-break); the active list is only rebuilt
-        when something actually finished.  The wakeup carries its target
-        transfer and force-completes it: float drift could otherwise
+        when something actually finished.  The live wakeup force-completes
+        its target transfer (``_target``): float drift could otherwise
         leave a sub-bit residue whose completion delay underflows to a
         zero time step, livelocking the queue.
         """
@@ -212,21 +214,23 @@ class ProcessorSharingPipe:
                                      if t.remaining_bits > 1e-6]
             for t in finished:
                 t.event.succeed()
-        self._wakeup_token += 1
+        armed = self._armed
+        if armed is not None:
+            # superseded: the kernel pops it with nothing to call
+            armed.callbacks = None
+        self._target = target
         if target is None:
+            self._armed = None
             return
         delay = target.remaining_bits / (self.capacity_bps / len(active))
-        token = self._wakeup_token
-        timer = self.sim.timeout(delay)
-        timer.add_callback(
-            lambda _ev, _token=token, _target=target:
-            self._on_wakeup(_token, _target))
+        self._armed = timer = self.sim.timeout(delay)
+        timer.add_callback(self._on_wakeup)
 
-    def _on_wakeup(self, token: int, target: _Transfer) -> None:
-        if token != self._wakeup_token:
-            return  # superseded by a later arrival/departure
+    def _on_wakeup(self, _timer: Event) -> None:
+        """The live timer fired: its target transfer is due."""
+        self._armed = None
         self._advance()
-        target.remaining_bits = 0.0  # guaranteed progress per wakeup
+        self._target.remaining_bits = 0.0  # guaranteed progress per wakeup
         self._reschedule()
 
 

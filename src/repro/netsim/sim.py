@@ -85,7 +85,10 @@ class Event:
     case never pays for an empty list.  ``None`` means "no callbacks yet"
     while the event is live, and "already dispatched" once ``_processed``
     is set — always register through :meth:`add_callback`, never by
-    appending to ``callbacks`` directly.
+    appending to ``callbacks`` directly.  The one owner of a pending
+    timer may disarm it by setting ``callbacks`` back to ``None``: it
+    keeps its queue slot, so no other event moves, and fires with
+    nothing to call.
     """
 
     __slots__ = ("sim", "callbacks", "_value", "_ok", "_triggered",

@@ -29,6 +29,7 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, NamedTuple, Optional
 
 from ..core.etag_config import (DEFAULT_MAX_ENTRIES,
@@ -43,7 +44,7 @@ from ..http.etag import ETag, etag_for_content
 from ..http.headers import Headers
 from ..http.messages import Request, Response
 from ..obs.trace import NULL_TRACER
-from .site import _MAX_MEMO_ENTRIES, OriginSite
+from .site import _MAX_MEMO_ENTRIES, _SHARED_SPECS, OriginSite, _SpecKey
 from .static import StaticServer
 from .sessions import SessionRecorder
 
@@ -129,6 +130,15 @@ class _Page(NamedTuple):
     refs: Optional[tuple[ResourceRef, ...]]
 
 
+@lru_cache(maxsize=_SHARED_SPECS)
+def _shared_memos(site: _SpecKey, config: CatalystConfig
+                  ) -> tuple[dict, dict, dict]:
+    """The stylesheet, page and map memos every :class:`CatalystServer`
+    over one site spec and one config shares: what they hold is fixed
+    by the two (and the content versions in their keys)."""
+    return {}, {}, {}
+
+
 class CatalystServer:
     """Drop-in replacement for :class:`StaticServer` with stapling.
 
@@ -150,8 +160,14 @@ class CatalystServer:
 
     Each memo holds at most ``site._MAX_MEMO_ENTRIES`` entries, evicted
     oldest first, which bounds a long-lived server under version churn.
-    A server with empty memos computes the same bytes from scratch,
-    which is the reference the byte-identity tests compare against.
+    Every server over one site spec and config shares one set of memos
+    (:func:`_shared_memos`), so a cell's origin finds what an earlier
+    cell's built; the counters below stay per server.  A server that
+    emits ``Cache-Status`` keeps its own set: its verdicts are served
+    bytes, so it must answer as if it were the only server in the
+    process.  A server built over emptied memos computes the same bytes
+    from scratch, which is the reference the byte-identity tests
+    compare against.
     """
 
     def __init__(self, site: OriginSite,
@@ -177,11 +193,14 @@ class CatalystServer:
         #: (css_url, version) -> child URLs; stylesheets are parsed once
         #: per content version, not once per HTML request.  Negative
         #: results (no stand-in body) memoize as [] under the same key.
-        self._css_children_memo: dict[tuple[str, int], list[str]] = {}
+        self._css_children_memo: dict[tuple[str, int], list[str]]
         #: (path, document_version) -> the page as served
-        self._render_cache: dict[tuple[str, int], _Page] = {}
+        self._render_cache: dict[tuple[str, int], _Page]
         #: (scope, version-vector) -> session-independent EtagConfig
-        self._map_cache: dict[tuple, EtagConfig] = {}
+        self._map_cache: dict[tuple, EtagConfig]
+        self._css_children_memo, self._render_cache, self._map_cache = (
+            ({}, {}, {}) if config.emit_cache_status
+            else _shared_memos(_SpecKey(site.spec), config))
         #: memo verdicts (page and ETag-map memos).  ``html_parses``
         #: counts the documents handed to the shared digest-keyed parse
         #: (``extract_resources_cached``, which the browser also uses),

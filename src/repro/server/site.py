@@ -12,12 +12,13 @@ cache arithmetic real rather than mocked.
 
 What content fixes is computed once per process and shared by every
 origin built over the same spec: churn timelines
-(:func:`~repro.workload.churn.shared_churn`) and, per version of a
-non-dynamic resource, one compact :class:`_Template`
-(:func:`_resource_template`).  What a run changes stays per instance:
-request counts (they version dynamic resources, whose templates are
-never shared), rendered documents (a :class:`PageSpec` is mutable) and
-the servers' counters and sessions.
+(:func:`~repro.workload.churn.shared_churn`), per version of a
+non-dynamic resource one compact :class:`_Template`
+(:func:`_resource_template`), a site's URL index (:func:`_spec_index`)
+and a page's rendered documents (:func:`_page_documents`).  What a run
+changes stays per instance: request counts (they version dynamic
+resources, whose templates are never shared) and the servers' counters
+and sessions.
 """
 
 from __future__ import annotations
@@ -55,10 +56,41 @@ CONTENT_TYPES: dict[ResourceKind, str] = {
 HTML_CONTENT_TYPE = "text/html; charset=utf-8"
 
 #: entry cap on every content memo of the origin: the shared template
-#: memo and each :class:`~repro.server.catalyst.CatalystServer` memo.
-#: The templates a ``serve`` stream cycles through (1,882 of them, about
-#: 128 B of stand-in each) fit with room to spare.
+#: memo, each page's documents and each
+#: :class:`~repro.server.catalyst.CatalystServer` memo.  The templates a
+#: ``serve`` stream cycles through (1,882 of them, about 128 B of
+#: stand-in each) fit with room to spare.
 _MAX_MEMO_ENTRIES = 4096
+
+#: specs whose content each per-spec table keeps (:func:`_spec_index`,
+#: :func:`_page_documents` and the Catalyst memos), least recently used
+#: first out: twice the 4 sites a ``revisit`` pass replays.  A cold
+#: ``fleet`` replay visits about 16 sites and reuses little of what it
+#: leaves behind (about 0.15 MB of documents and memos per site), so a
+#: larger bound would mostly hold memory.
+_SHARED_SPECS = 8
+
+
+class _SpecKey:
+    """A spec as a memo key: hashed and compared by identity.
+
+    :class:`SiteSpec` and :class:`PageSpec` are mutable, so unhashable,
+    but nothing mutates one after ``generate_site``, ``freeze_site`` or
+    ``har_import`` returns it, so its identity names its content.  A
+    memo entry holds its key and the key its spec, so the id cannot be
+    reused while the entry lives.
+    """
+
+    __slots__ = ("spec",)
+
+    def __init__(self, spec):
+        self.spec = spec
+
+    def __hash__(self) -> int:
+        return id(self.spec)
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is _SpecKey and other.spec is self.spec
 
 
 class _Template(NamedTuple):
@@ -95,6 +127,26 @@ def _render_template(spec: ResourceSpec, version: int,
 _resource_template = lru_cache(maxsize=_MAX_MEMO_ENTRIES)(_render_template)
 
 
+@lru_cache(maxsize=_SHARED_SPECS)
+def _spec_index(site: _SpecKey) -> dict[str, ResourceSpec]:
+    """URL -> ResourceSpec over a site's pages (the first page naming a
+    URL wins), shared by every origin over the site."""
+    index: dict[str, ResourceSpec] = {}
+    for page in site.spec.pages.values():
+        for resource_url, spec in page.resources.items():
+            index.setdefault(resource_url, spec)
+    return index
+
+
+@lru_cache(maxsize=_SHARED_SPECS)
+def _page_documents(page: _SpecKey) -> dict[int, tuple[bytes, ETag]]:
+    """version -> a page's encoded document and its ETag, filled by
+    every origin over the page; rendering the markup is the priciest
+    part of a document response, and versions churn far more slowly
+    than requests arrive."""
+    return {}
+
+
 @dataclass
 class OriginSite:
     """Serves one synthetic site's content as HTTP responses.
@@ -114,16 +166,15 @@ class OriginSite:
     _html_churns: dict[str, ResourceChurn] = field(default_factory=dict)
     #: requests served per URL (diagnostics)
     request_counts: dict[str, int] = field(default_factory=dict)
-    #: (url, version) -> encoded base-HTML body and its ETag; rendering
-    #: the markup is the priciest part of a document response and
-    #: versions churn far more slowly than requests arrive
-    _documents: dict[tuple[str, int], tuple[bytes, ETag]] = field(
-        default_factory=dict, repr=False)
-    #: url -> ResourceSpec index; the SiteSpec is immutable, so the
-    #: per-request page scan in :meth:`resource_spec` collapses to one
-    #: dict lookup after first use
+    #: the site's shared URL index (:func:`_spec_index`) and, per page
+    #: URL, the page's shared documents (:func:`_page_documents`), each
+    #: fetched on first use: a lookup is one dict read, and a long-lived
+    #: origin keeps its own content however many specs the bounded
+    #: tables see after it
     _spec_index: Optional[dict[str, ResourceSpec]] = field(default=None,
                                                            repr=False)
+    _documents: dict[str, dict[int, tuple[bytes, ETag]]] = field(
+        default_factory=dict, repr=False)
 
     # -- version / etag oracle ------------------------------------------------
     def _churn_for(self, spec: ResourceSpec) -> ResourceChurn:
@@ -141,13 +192,10 @@ class OriginSite:
         return churn
 
     def resource_spec(self, url: str) -> Optional[ResourceSpec]:
-        if self._spec_index is None:
-            index: dict[str, ResourceSpec] = {}
-            for page in self.spec.pages.values():
-                for resource_url, spec in page.resources.items():
-                    index.setdefault(resource_url, spec)
-            self._spec_index = index
-        return self._spec_index.get(url)
+        index = self._spec_index
+        if index is None:
+            index = self._spec_index = _spec_index(_SpecKey(self.spec))
+        return index.get(url)
 
     def page_spec(self, url: str) -> Optional[PageSpec]:
         return self.spec.pages.get(url)
@@ -198,12 +246,16 @@ class OriginSite:
                         headers=Headers({"Content-Type": "text/plain"}))
 
     def _document(self, page: PageSpec, version: int) -> tuple[bytes, ETag]:
-        memo_key = (page.url, version)
-        document = self._documents.get(memo_key)
+        documents = self._documents.get(page.url)
+        if documents is None:
+            documents = self._documents[page.url] = _page_documents(
+                _SpecKey(page))
+        document = documents.get(version)
         if document is None:
             body = render_html(page, version).encode()
-            document = self._documents[memo_key] = (
-                body, etag_for_content(body))
+            document = documents[version] = (body, etag_for_content(body))
+            if len(documents) > _MAX_MEMO_ENTRIES:
+                documents.pop(next(iter(documents)))  # oldest first
         return document
 
     def _respond_page(self, page: PageSpec, at_time: float) -> Response:
@@ -311,7 +363,6 @@ def _fields(content_type: str, etag: str, last_modified: str,
 
 
 def _dated(at_time: float, fields: Headers) -> Headers:
-    """A 200's headers: ``Date`` at ``at_time``, then ``fields``."""
-    headers = Headers((("Date", format_http_date(WALL_EPOCH + at_time)),))
-    headers.extend(fields)
-    return headers
+    """A 200's headers: ``Date`` at ``at_time``, then ``fields``.  The
+    origin formats the date itself, so it is not validated again."""
+    return fields.prepended("Date", format_http_date(WALL_EPOCH + at_time))

@@ -1,17 +1,21 @@
 """Property: the Catalyst origin's memos never change a response.
 
-One warm :class:`CatalystServer` answers a random request sequence.
-Each response must equal what a fresh server, whose memos are empty,
-computes from scratch for the same request at the same time: status,
-body and header list.  The sequence mixes pages, stylesheets and other
-non-dynamic resources, GET and HEAD, and no condition, a matching
-``If-None-Match`` or an old one, at non-decreasing times across two
-weeks of content churn.  Dynamic resources are left out: they version
-by request count and are never stapled.
+One warm :class:`CatalystServer` answers a random request sequence, and
+a second server over the same spec, which shares its memos, answers
+each request after it.  Each response must equal what a fresh server,
+built over emptied shared memos, computes from scratch for the same
+request at the same time: status, body and header list.  The sequence
+mixes pages, stylesheets and other non-dynamic resources, GET and HEAD,
+and no condition, a matching ``If-None-Match`` or an old one, at
+non-decreasing times across two weeks of content churn.  Dynamic
+resources are left out: they version by request count and are never
+stapled.
 """
 
 from hypothesis import given, settings, strategies as st
 
+import repro.server.catalyst as catalyst_mod
+import repro.server.site as site_module
 from repro.html.parser import ResourceKind
 from repro.http.headers import Headers
 from repro.http.messages import Request
@@ -41,14 +45,23 @@ requests = st.lists(
 
 
 def fresh_response(url: str, headers: dict, method: str, at_time: float):
+    """A server over emptied shared memos; live servers keep theirs."""
+    catalyst_mod._shared_memos.cache_clear()
+    site_module._page_documents.cache_clear()
+    site_module._spec_index.cache_clear()
     return CatalystServer(OriginSite(SPEC)).handle(
         Request(method, url, headers=Headers(headers)), at_time)
+
+
+def _wire(response) -> tuple:
+    return response.status, response.body, list(response.headers.items())
 
 
 @settings(max_examples=40, deadline=None)
 @given(requests)
 def test_warm_server_answers_like_a_fresh_one(draws):
     warm = CatalystServer(OriginSite(SPEC))
+    twin = CatalystServer(OriginSite(SPEC))  # shares warm's memos
     times = sorted(at_time for *_, at_time in draws)
     for (url, method, condition, _), at_time in zip(draws, times):
         headers = {}
@@ -58,7 +71,8 @@ def test_warm_server_answers_like_a_fresh_one(draws):
                 url, {}, "GET", tag_time).headers["ETag"]
         got = warm.handle(Request(method, url, headers=Headers(headers)),
                           at_time)
+        shared = twin.handle(
+            Request(method, url, headers=Headers(headers)), at_time)
         want = fresh_response(url, headers, method, at_time)
-        assert (got.status, got.body, list(got.headers.items())) == \
-            (want.status, want.body, list(want.headers.items())), \
+        assert _wire(got) == _wire(shared) == _wire(want), \
             (url, method, condition, at_time)

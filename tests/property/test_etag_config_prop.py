@@ -1,9 +1,11 @@
 """Property-based tests for the X-Etag-Config codec."""
 
+import json
 import string
 
 from hypothesis import given, strategies as st
 
+from repro.core import etag_config
 from repro.core.etag_config import EtagConfig
 from repro.http.etag import ETag
 
@@ -56,3 +58,36 @@ def test_cap_is_a_prefix(entries, cap):
     assert len(config) == min(cap, len(pairs))
     for url, tag in pairs[:len(config)]:
         assert config.etag_for(url).opaque == tag
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=8)
+#: header values as a client may receive them: arbitrary strings, maps
+#: with entries of any JSON type, and truncated maps
+map_values = st.one_of(
+    st.text(max_size=60),
+    st.dictionaries(urls, opaques | json_values, max_size=8).map(json.dumps),
+    st.tuples(entry_dicts.map(lambda d: json.dumps(d, separators=(",", ":"))),
+              st.integers(min_value=0, max_value=200))
+    .map(lambda pair: pair[0][:pair[1]]))
+
+
+def _read(parsed) -> tuple:
+    config, dropped = parsed
+    return (None if config is None
+            else [(url, tag.opaque) for url, tag in config.entries.items()],
+            dropped)
+
+
+@given(st.lists(map_values, min_size=1, max_size=6))
+def test_memoized_lenient_parse_equals_a_fresh_parse(values):
+    fresh = etag_config._parse_lenient.__wrapped__
+    for value in values + values:  # the second round hits the memo
+        got = EtagConfig.from_header_value_lenient(value)
+        assert _read(got) == _read(fresh(value))
+        if got[0] is not None:  # using a shared map leaves it as it was
+            got[0].merged_with(got[0]).digest()
+            got[0].digest()

@@ -1,8 +1,9 @@
 """Property-based tests for the header multimap."""
 
+import copy
 import string
 
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.http.headers import Headers
 
@@ -239,3 +240,76 @@ def test_op_sequences_match_the_list_scan_reference(sequence):
         assert _observe(headers) == _observe(reference)
     assert 5 not in headers
     assert headers == Headers(list(reference.items()))
+
+
+#: pool operations: each names its target by an index into the pool of
+#: live objects (modulo its size); ``extend`` and ``update_from`` name a
+#: second member, which may be the target itself or share its fields
+member = st.integers(min_value=0, max_value=7)
+#: mostly valid fields, so most mutations go through
+pool_names = st.sampled_from(PROBE_NAMES) | op_names
+pool_values = values | op_values
+pool_ops = st.lists(st.one_of(
+    st.tuples(st.just("copy"), member, st.none(), st.none()),
+    st.tuples(st.sampled_from(("add", "set", "setdefault", "replace",
+                               "setitem")), member, pool_names,
+              pool_values),
+    st.tuples(st.sampled_from(("remove", "del")), member, pool_names,
+              st.none()),
+    st.tuples(st.sampled_from(("extend", "update_from")), member, member,
+              st.none())), max_size=30)
+
+#: every mutator once on a fresh copy, then once on the original of
+#: fresh copies (the pool grows by one per copy)
+_MUTATIONS = [("add", "Vary", "a"), ("set", "ETag", "b"),
+              ("setdefault", "Vary", "c"), ("replace", "etag", "d"),
+              ("remove", "ETAG", None), ("del", "ETag", None),
+              ("setitem", "Cache-Control", "e")]
+_ON_COPIES = [op for n, (kind, name, value) in enumerate(_MUTATIONS)
+              for op in (("copy", 0, None, None),
+                         (kind, n + 1, name, value))] + [
+    ("copy", 0, None, None), ("extend", 8, 0, None),
+    ("copy", 0, None, None), ("update_from", 9, 1, None)]
+_ON_ORIGINALS = [op for kind, name, value in _MUTATIONS
+                 for op in (("copy", 0, None, None),
+                            (kind, 0, name, value))] + [
+    ("copy", 0, None, None), ("extend", 0, 8, None),
+    ("copy", 0, None, None), ("update_from", 0, 0, None)]
+
+
+def _apply_to_pool(pool, op, clone) -> None:
+    kind, index, arg, value = op
+    target = pool[index % len(pool)]
+    if kind == "copy":
+        pool.append(clone(target))
+    elif kind in ("extend", "update_from"):
+        getattr(target, kind)(pool[arg % len(pool)])
+    elif kind == "setitem":
+        target[arg] = value
+    elif kind == "del":
+        del target[arg]
+    elif kind == "remove":
+        target.remove(arg)
+    else:
+        getattr(target, kind)(arg, value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(PROBE_NAMES), values),
+                max_size=4), pool_ops)
+@example([("ETag", "x"), ("Vary", "y")], _ON_COPIES)
+@example([("ETag", "x"), ("Vary", "y")], _ON_ORIGINALS)
+def test_copy_on_write_matches_deep_copies(items, sequence):
+    """``copy()`` shares field lists until a side mutates them; every
+    object must read as if each copy had been a deep copy."""
+    pool, model = [Headers(items)], [Headers(items)]
+    for op in sequence:
+        outcomes = []
+        for world, clone in ((pool, Headers.copy), (model, copy.deepcopy)):
+            try:
+                _apply_to_pool(world, op, clone)
+                outcomes.append(None)
+            except Exception as exc:  # compared below, not swallowed
+                outcomes.append((type(exc), str(exc)))
+        assert outcomes[0] == outcomes[1]
+        assert [_observe(h) for h in pool] == [_observe(h) for h in model]

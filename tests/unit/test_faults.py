@@ -129,8 +129,11 @@ class TestClientResilience:
         assert response.body == b"k" * 1000
         assert client.retries == 1
         assert client.faults_seen == 1
-        assert client.exchanges[-1].attempts == 2
-        assert sim.now > 0.5  # one watchdog period was paid
+        # two attempts: both scripted decisions were drawn, and the
+        # second attempt began after the watchdog and one backoff
+        assert client.link.fault_plan.decisions == []
+        assert sim.now > 0.5 + backoff_delay(
+            0, client.backoff_base_s, client.backoff_cap_s, 0, "/a")
 
     def test_budget_exhaustion_raises_fetch_failed(self):
         sim = Simulator()

@@ -67,32 +67,43 @@ class TestExchange:
         for i in range(6):
             sim.process(proc(f"/{i}"))
         sim.run()
-        assert flags == [record.new_connection
-                         for record in client.exchanges]
+        # the first two open the pool's two connections, the rest reuse
+        assert flags == [True, True, False, False, False, False]
         assert sum(flags) == client.connections_opened == 2
 
     def test_connection_cap_queues_excess(self):
         sim = Simulator()
         client = make_client(sim, simple_handler,
                              connections_per_origin=2)
+        done = []
+
+        def proc(url):
+            yield from client.exchange(Request(url=url))
+            done.append(sim.now)
+
         for i in range(6):
-            sim.process(client.exchange(Request(url=f"/{i}")))
+            sim.process(proc(f"/{i}"))
         sim.run()
         assert client.connections_opened <= 2
-        assert len(client.exchanges) == 6
-        assert any(record.queued_s > 0 for record in client.exchanges)
+        assert len(done) == 6
+        # issued together, served two at a time: three waves, each at
+        # least a request round trip (40 ms) after the one before
+        assert done[0] == done[1] and done[2] == done[3] \
+            and done[4] == done[5]
+        assert done[2] - done[1] > 0.040 and done[4] - done[3] > 0.040
 
     def test_exchange_records_accounting(self):
         sim = Simulator()
         client = make_client(sim, simple_handler)
-        sim.run_process(client.exchange(Request(url="/a")))
-        (record,) = client.exchanges
-        assert record.url == "/a"
-        assert record.status == 200
-        assert record.response_bytes > 1000
-        assert record.new_connection
-        assert client.bytes_downloaded == record.response_bytes
-        assert client.request_count == 1
+        response, new_connection = sim.run_process(
+            client.exchange(Request(url="/a")))
+        assert response.status == 200
+        assert new_connection and client.connections_opened == 1
+        # the downlink billed the response's headers (at least the
+        # policy's floor) and its body
+        header_bytes = max(client.policy.response_header_bytes,
+                           response.headers.wire_size())
+        assert client.link.bytes_down == header_bytes + 1000
 
     def test_handler_sees_arrival_time(self):
         sim = Simulator()

@@ -2,7 +2,8 @@
 
 Covers the page, ETag-map and stylesheet memos, churn-keyed
 invalidation, byte-identity with a server whose memos are empty,
-session isolation, the negative-result stylesheet memo, the fail-open
+memos shared by every server over one spec and config, session
+isolation, the negative-result stylesheet memo, the fail-open
 injection fold, and the one bound on every memo.
 """
 
@@ -12,7 +13,9 @@ from repro.core.etag_config import ETAG_CONFIG_HEADER, EtagConfig
 from repro.html.parser import ResourceKind
 from repro.html.rewrite import has_sw_registration
 from repro.http.messages import Request, Response
+from repro.netsim.clock import DAY
 import repro.server.catalyst as catalyst_mod
+import repro.server.site as site_module
 from repro.server.catalyst import CatalystConfig, CatalystServer
 from repro.server.site import OriginSite
 from repro.workload.headers_model import HeaderPolicy
@@ -67,10 +70,19 @@ def assert_same_response(a: Response, b: Response) -> None:
     assert list(a.headers.items()) == list(b.headers.items())
 
 
+def empty_shared_memos() -> None:
+    """Empty the tables origins share across instances, so the next
+    server built starts cold.  A live server keeps the memos it holds."""
+    catalyst_mod._shared_memos.cache_clear()
+    site_module._page_documents.cache_clear()
+    site_module._spec_index.cache_clear()
+
+
 def fresh_response(spec: SiteSpec, request: Request,
                    at_time: float) -> Response:
     """The reference: a server with empty memos computes the response
     from scratch."""
+    empty_shared_memos()
     return CatalystServer(OriginSite(spec)).handle(request, at_time)
 
 
@@ -115,6 +127,94 @@ class TestByteIdentity:
             request = Request(url=url)
             assert_same_response(warm.handle(request, 0.0),
                                  fresh_response(spec, request, 0.0))
+
+
+def _stream(spec: SiteSpec) -> list[tuple[Request, float]]:
+    """Every page and the first stylesheets and scripts, every 6 h for
+    two weeks: GETs, HEADs and revalidations with the tag of t = 0 (304
+    until the content churns), so memos fill, hit and turn over."""
+    site = OriginSite(spec)
+    urls = list(spec.pages) + [
+        url for url, resource in spec.index.resources.items()
+        if resource.kind in (ResourceKind.STYLESHEET, ResourceKind.SCRIPT)
+        and not resource.dynamic][:6]
+    tags = {url: site.etag_of(url, 0.0) for url in urls}
+    stream = []
+    for step in range(14 * 4):
+        at_time = step * 6 * 3600.0
+        for index, url in enumerate(urls):
+            kind = (step + index) % 3
+            if kind == 1:
+                stream.append((Request(method="HEAD", url=url), at_time))
+            elif kind == 2:
+                stream.append((Request(url=url, headers={
+                    "If-None-Match": f'"{tags[url]}"'}), at_time))
+            else:
+                stream.append((Request(url=url), at_time))
+    return stream
+
+
+def _answers(server, stream) -> list[tuple]:
+    return [(r.status, r.body, list(r.headers.items()))
+            for r in (server.handle(request, at_time)
+                      for request, at_time in stream)]
+
+
+class TestCrossServerSharing:
+    """Every server over one site spec and config shares one set of
+    memos.  A server over memos another one filled answers byte for
+    byte like one over emptied memos; servers over another spec (same
+    origin and URLs, other content) or another config never read each
+    other's entries; a server that emits ``Cache-Status`` keeps its
+    own."""
+
+    @pytest.fixture
+    def spec(self):
+        return generate_site("https://shared.example", seed=1)
+
+    @pytest.mark.parametrize("materialize_fully", [False, True],
+                             ids=["des", "serving"])
+    def test_server_over_filled_memos_answers_like_a_cold_one(
+            self, spec, materialize_fully):
+        stream = _stream(spec)
+        empty_shared_memos()
+        first = CatalystServer(OriginSite(spec, materialize_fully))
+        want = _answers(first, stream)  # over emptied memos
+        assert sum(status == 304 for status, *_ in want) > 0
+        second = CatalystServer(OriginSite(spec, materialize_fully))
+        assert second._render_cache is first._render_cache
+        assert _answers(second, stream) == want
+        # it read what the first server built, and built nothing
+        assert second.render_misses == second.map_builds == 0
+        assert second.render_hits > 0 and second.map_hits > 0
+
+    @pytest.mark.parametrize("other", ["spec", "config"])
+    def test_other_spec_or_config_never_reads_the_entries(self, spec,
+                                                         other):
+        if other == "spec":
+            spec_b = generate_site("https://shared.example", seed=2)
+            config_b = CatalystConfig()
+        else:
+            spec_b, config_b = spec, CatalystConfig(max_entries=3)
+        stream = _stream(spec_b)
+        empty_shared_memos()
+        cold = CatalystServer(OriginSite(spec_b), config_b)
+        want = _answers(cold, stream)
+        empty_shared_memos()
+        _answers(CatalystServer(OriginSite(spec)), _stream(spec))
+        server = CatalystServer(OriginSite(spec_b), config_b)
+        assert _answers(server, stream) == want
+        assert server.stats() == cold.stats()
+
+    def test_cache_status_server_keeps_its_own_memos(self, spec):
+        config = CatalystConfig(emit_cache_status=True)
+        stream = _stream(spec)
+        empty_shared_memos()
+        want = _answers(CatalystServer(OriginSite(spec), config), stream)
+        _answers(CatalystServer(OriginSite(spec)), stream)
+        server = CatalystServer(OriginSite(spec), config)
+        assert _answers(server, stream) == want
+        assert catalyst_mod._shared_memos.cache_info().currsize == 1
 
 
 class TestRenderCache:

@@ -151,13 +151,46 @@ class TestPipeMatchesSeedAlgorithm:
         assert fast == reference
 
 
+class TestDisarmedWakeups:
+    def test_only_live_wakeups_reach_the_pipe(self, monkeypatch):
+        """A re-arm disarms the superseded timer: it keeps its queue
+        slot, so no event moves, but fires with nothing to call."""
+        armed, fired = [], []
+        reschedule = ProcessorSharingPipe._reschedule
+        on_wakeup = ProcessorSharingPipe._on_wakeup
+
+        def counting_reschedule(pipe):
+            reschedule(pipe)
+            if pipe._armed is not None:
+                armed.append(pipe._armed)
+
+        def checked_wakeup(pipe, timer):
+            fired.append(timer is pipe._armed)
+            on_wakeup(pipe, timer)
+
+        monkeypatch.setattr(ProcessorSharingPipe, "_reschedule",
+                            counting_reschedule)
+        monkeypatch.setattr(ProcessorSharingPipe, "_on_wakeup",
+                            checked_wakeup)
+        rng = random.Random(3)
+        workload = [(rng.uniform(0.0, 0.5), rng.randint(1, 200_000))
+                    for _ in range(24)]
+        changes = [(0.1, 2e6), (0.3, 16e6)]
+        assert _drive(ProcessorSharingPipe, 8e6, workload, changes) \
+            == _drive(_ReferencePipe, 8e6, workload, changes)
+        assert fired and all(fired)  # never a superseded timer
+        assert len(armed) - len(fired) > len(workload) // 2
+
+
 class TestSetCapacityNoop:
     def test_equal_capacity_is_ignored(self):
         sim = Simulator()
         pipe = ProcessorSharingPipe(sim, 8e6)
-        token_before = pipe._wakeup_token
+        pipe.transfer(10_000)
+        armed = pipe._armed
         pipe.set_capacity(8e6)
-        assert pipe._wakeup_token == token_before  # no reschedule ran
+        # no reschedule ran: the armed wakeup is the same, and live
+        assert pipe._armed is armed and armed.callbacks
 
     def test_redundant_sets_leave_timestamps_unchanged(self):
         workload = [(0.0, 50_000), (0.02, 70_000)]

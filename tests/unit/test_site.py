@@ -4,10 +4,12 @@ import sys
 
 import pytest
 
+from repro.core import etag_config
 from repro.http import cache_control, dates, headers, messages
 from repro.http.dates import parse_http_date
 from repro.http.messages import Request
 from repro.netsim.clock import HOUR, WEEK
+from repro.server import catalyst
 from repro.server import site as site_module
 from repro.server.site import WALL_EPOCH, OriginSite
 from repro.server.static import StaticServer
@@ -234,10 +236,15 @@ class TestSharedContent:
             "If-Modified-Since": first.headers["Last-Modified"]}), 0.0)
         for url in server.site.all_urls():
             server.handle(Request(url=url), 0.0).cache_control
+        page = catalyst.CatalystServer(OriginSite(spec)).handle(
+            Request(url="/index.html"), 0.0)
+        assert etag_config.EtagConfig.from_headers(page.headers)
         stores = (site_module._resource_template, churn.shared_churn,
                   cache_control.parse_cache_control,
                   dates.parse_http_date, dates._format_second,
-                  headers._folded_name, messages._path_of)
+                  headers._folded_name, messages._path_of,
+                  site_module._spec_index, site_module._page_documents,
+                  catalyst._shared_memos, etag_config._parse_lenient)
         assert all(store.cache_info().currsize > 0 for store in stores)
         cleared = []
         for name, module in list(sys.modules.items()):

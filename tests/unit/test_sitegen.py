@@ -1,5 +1,6 @@
 """Unit tests for synthetic site generation."""
 
+import sys
 from collections import Counter
 from dataclasses import replace
 
@@ -170,9 +171,15 @@ class TestFillerOnlyForDocuments:
                                       CachingMode.CATALYST])
     def test_pair_fills_each_document_version_once(self, site, mode,
                                                    monkeypatch):
-        for value in vars(sitegen).values():
-            if hasattr(value, "cache_clear"):
-                value.cache_clear()
+        # Every program cache, not only sitegen's: origins share the
+        # documents they render, so another test's pair over this site
+        # would leave them rendered.
+        for name, module in list(sys.modules.items()):
+            if name == "repro" or name.startswith("repro."):
+                for value in list(vars(module).values()):
+                    if callable(getattr(value, "cache_clear", None)) \
+                            and callable(getattr(value, "cache_info", None)):
+                        value.cache_clear()
         seeds = []
         filler = sitegen._filler
 
