@@ -36,13 +36,19 @@ population-scale traffic engine sweeps over:
    descending, wave ``w``'s maximum is element ``w*k``, so the level
    time is ``sorted[::k].sum()``.  Zero-cost slots sort to the bottom
    and contribute nothing.
-3. **Batch sites in chunks.**  The NumPy kernel packs the sites, level
-   by level and sorted by that level's width, into chunks of about
-   ``_CHUNK_SLOTS`` zero-padded slots (``[sites, width]``).  Padding has
-   ``A = B = G = 0``, so it sorts below every real cost and the strided
-   sum needs no mask; a chunk's coefficients are built once for every
-   ``(mode, delay)`` and serve every condition.  A one-site call is the
-   one-site case of the same kernel.
+3. **Batch sites in chunks.**  The NumPy kernel lays the sites out
+   level by level, sorted by that level's width, in chunks of about
+   ``_CHUNK_SLOTS`` zero-padded slots (``[sites, width]``): each
+   per-slot field is gathered once per level, and each chunk reads
+   views of it.  Padding has ``A = B = G = 0``, so it sorts below every
+   real cost and the strided sum needs no mask.  Per chunk, one
+   standard-caching row serves every caching mode, whose ``(A, B, G)``
+   rows are written straight into the ``[conditions, modes, delays,
+   slots]`` cost tensor; a first visit (or a no-cache mode), whose
+   coefficients depend on no mode or delay, is priced once as a
+   ``[conditions, slots]`` row.  A model keeps its last layout, so a
+   first-visit call and a revisit call over the same sites lay them
+   out once.  A one-site call is the one-site case of the same kernel.
 
 Backends: NumPy when importable (``pip install repro[fast]``), else a
 pure-Python path that walks the same compiled tensors with the same
@@ -52,9 +58,9 @@ hand-priced pages (``numpy`` stays an optional extra).  Pass
 ``backend="python"`` to force it.
 
 All costs are nonnegative by construction; :func:`compile_site` and the
-engine validate the inputs (sizes, config costs) that guarantee it,
-because the sorted-stride wave trick silently miscounts waves for
-negative costs.
+engine validate the inputs (sizes, change periods, config costs) that
+guarantee it, because the sorted-stride wave trick silently miscounts
+waves for negative costs.
 """
 
 from __future__ import annotations
@@ -216,7 +222,18 @@ def compile_site(site: SiteSpec,
     return compiled
 
 
+def _check_period(period_s: float, url: str) -> None:
+    """The DES's rule (:class:`~repro.workload.churn.ResourceChurn`): a
+    change period must be positive, NaN is not, infinity (content that
+    never changes) is.  A zero, negative or NaN period would price a
+    NaN or negative churn probability."""
+    if not period_s > 0:
+        raise ValueError(f"change period must be positive: {url} "
+                         f"has {period_s!r}")
+
+
 def _compile_page(origin: str, page_url: str, page: PageSpec) -> CompiledSite:
+    _check_period(page.html_change_period_s, page_url)
     specs = []
     level_counts = [0, 0, 0]
     script_sizes = []
@@ -224,6 +241,7 @@ def _compile_page(origin: str, page_url: str, page: PageSpec) -> CompiledSite:
     def add(spec, level: int) -> None:
         if spec.size_bytes < 0:
             raise ValueError(f"negative resource size: {spec.url}")
+        _check_period(spec.change_period_s, spec.url)
         specs.append((level, spec))
         level_counts[level] += 1
 
@@ -285,51 +303,126 @@ def _axes(modes: Sequence[CachingMode], delays_s: Sequence[float],
             [8.0 / cond.downlink_bps for cond in conditions_list])
 
 
-def _level_chunks(sites: Sequence[CompiledSite]):
-    """Pack ``sites`` into zero-padded per-level chunks for the kernel.
+#: the slot every chunk row is padded with: no bytes, no churn and no
+#: policy class, so a revisit prices it as a fresh hit whose lookup
+#: ``valid`` masks to 0: ``A = B = G = 0`` in every mode
+_PAD_SLOT = {"size": 0.0, "period": math.inf, "dynamic": False,
+             "via_js": False, "nostore": False, "reval": False,
+             "maxage": False, "ttl": math.inf}
 
-    Per fetch level, the sites whose level is nonempty are sorted by its
-    width and grouped while ``sites x widest`` stays within
+
+class _Layout:
+    """A list of compiled sites laid out for the NumPy kernel.
+
+    The sites' :meth:`CompiledSite.numpy_pack` arrays are concatenated,
+    with one padding slot (:data:`_PAD_SLOT`) at the end, and each field
+    that must read as zero on the padding is derived once on those flat
+    arrays: ``valid``, ``size_h = (size + headers) * valid`` and the
+    service-worker coverage masks ``sw_catalyst`` and ``sw_sessions``.
+    Per fetch level, the sites whose level is nonempty are sorted by
+    its width and grouped while ``sites x widest`` stays within
     :data:`_CHUNK_SLOTS` (a level wider than that is a chunk of its
-    own).  Yields ``(site indices, width W, pack)`` level by level, so
-    each site adds its levels in page order.  The pack holds the
-    :meth:`CompiledSite.numpy_pack` fields of ``sites x W`` slots, row
-    per site, and ``valid``, which is False on the padding.
+    own); every field is gathered once per level, with one index whose
+    padding points at the padding slot, and each chunk keeps views of
+    its ``sites x W`` rows, row per site.
+
+    ``chunks`` holds ``(site indices, sites, W, fields)`` level by
+    level, so each site adds its levels in page order.  A layout is a
+    pure function of its sites, so a model keeps its last one for the
+    next call over the same list (one pricing's first-visit and revisit
+    calls share it).
     """
-    np = _np
-    if not sites:
-        return
-    packs = [site.numpy_pack() for site in sites]
-    flat = {name: np.concatenate([pack[name] for pack in packs])
-            for name in packs[0]}
-    spans = []          # per site, per level: (first flat slot, width)
-    base = 0
-    for site in sites:
-        begins = (0,) + site.level_ends[:2]
-        spans.append([(base + lo, hi - lo)
-                      for lo, hi in zip(begins, site.level_ends)])
-        base += site.n_slots
-    for level in range(3):
-        groups, group = [], []
-        for width, si in sorted((span[level][1], si)
-                                for si, span in enumerate(spans)
-                                if span[level][1] > 0):
-            if group and (len(group) + 1) * width > _CHUNK_SLOTS:
+
+    __slots__ = ("sites", "chunks")
+
+    def __init__(self, sites: tuple):
+        np = _np
+        self.sites = sites
+        self.chunks = []
+        if not sites:
+            return
+        packs = [site.numpy_pack() for site in sites]
+        flat = {name: np.concatenate([pack[name] for pack in packs]
+                                     + [[value]])
+                for name, value in _PAD_SLOT.items()}
+        pad = len(flat["size"]) - 1
+        valid = np.ones(pad + 1, dtype=bool)
+        valid[pad] = False
+        # the SW never stores dynamic or no-store responses, and static
+        # stapling cannot see JS-discovered resources
+        sw_sessions = ~(flat["dynamic"] | flat["nostore"]) & valid
+        fields = {
+            "size": flat["size"], "period": flat["period"],
+            "ttl": flat["ttl"], "dynamic": flat["dynamic"],
+            "nostore": flat["nostore"], "reval": flat["reval"],
+            "maxage": flat["maxage"],
+            "valid": valid.astype(np.float64),
+            "size_h": (flat["size"] + _HEADER_BYTES) * valid,
+            "sw_sessions": sw_sessions,
+            "sw_catalyst": sw_sessions & ~flat["via_js"],
+        }
+        spans = []          # per site, per level: (first flat slot, width)
+        base = 0
+        for site in sites:
+            begins = (0,) + site.level_ends[:2]
+            spans.append([(base + lo, hi - lo)
+                          for lo, hi in zip(begins, site.level_ends)])
+            base += site.n_slots
+        for level in range(3):
+            groups, group = [], []
+            for width, si in sorted((span[level][1], si)
+                                    for si, span in enumerate(spans)
+                                    if span[level][1] > 0):
+                if group and (len(group) + 1) * width > _CHUNK_SLOTS:
+                    groups.append(group)
+                    group = []
+                group.append(si)
+            if group:
                 groups.append(group)
-                group = []
-            group.append(si)
-        if group:
-            groups.append(group)
-        for group in groups:
-            starts = np.asarray([spans[si][level][0] for si in group])
-            widths = np.asarray([spans[si][level][1] for si in group])
-            width = int(widths[-1])
-            cols = np.arange(width)
-            valid = cols < widths[:, None]                         # [n,W]
-            index = np.where(valid, starts[:, None] + cols, 0).ravel()
-            pack = {name: values[index] for name, values in flat.items()}
-            pack["valid"] = valid.ravel()
-            yield np.asarray(group), width, pack
+            if not groups:
+                continue
+            # one row per site, in chunk order, as wide as its chunk's
+            # widest site: the site's own slots, then the padding slot
+            starts, widths, padded = [], [], []
+            for group in groups:
+                for si in group:
+                    starts.append(spans[si][level][0])
+                    widths.append(spans[si][level][1])
+                    padded.append(spans[group[-1]][level][1])
+            cols = (np.arange(sum(padded))
+                    - np.repeat(np.cumsum(padded) - padded, padded))
+            index = np.where(cols < np.repeat(widths, padded),
+                             np.repeat(starts, padded) + cols, pad)
+            gathered = {name: values[index]
+                        for name, values in fields.items()}
+            lo = 0
+            for group in groups:
+                width = spans[group[-1]][level][1]
+                hi = lo + len(group) * width
+                self.chunks.append((
+                    np.asarray(group), len(group), width,
+                    {name: values[lo:hi]
+                     for name, values in gathered.items()}))
+                lo = hi
+
+
+def _wave_sum(cost, k: int):
+    """Per row of ``cost`` (last axis: one site's zero-padded level), the
+    level's time under the wave model: ``ceil(n/k)`` waves, each paying
+    its maximum.  Sorts ``cost`` in place.
+
+    With costs sorted descending, wave ``w``'s maximum is element
+    ``w*k``, so the level time is ``sorted[::k].sum()``: sort ascending,
+    then walk each row backwards with stride ``k``.  Padding costs 0, so
+    it sorts below every real cost and adds nothing to any wave.
+    """
+    if cost.shape[-1] <= k:
+        # single wave: the max IS the wave sum (costs are >= 0, so
+        # all-fresh levels contribute max(...) == 0 exactly like the
+        # Python path's positive-cost filter)
+        return cost.max(axis=-1)
+    cost.sort(axis=-1)
+    return cost[..., ::-1][..., ::k].sum(axis=-1)
 
 
 @dataclass
@@ -376,6 +469,8 @@ class VectorAnalyticModel:
                 "install the [fast] extra or use backend='python'")
         self.backend = ("python" if backend == "python"
                         else "numpy" if _np is not None else "python")
+        #: the NumPy kernel's layout of the sites it priced last
+        self._layout: Optional[_Layout] = None
         for name in ("server_think_s", "html_server_think_s",
                      "sw_lookup_s", "cache_lookup_s"):
             if getattr(self.config, name) < 0:
@@ -465,56 +560,114 @@ class VectorAnalyticModel:
             acquisitions=[est.acquisitions for est in per_site])
 
     # -- numpy fast path ----------------------------------------------------
+    def _layout_of(self, sites: Sequence[CompiledSite]) -> _Layout:
+        """The layout of ``sites``: the last call's when it priced the
+        same sites (by identity; the layout holds them, so their ids
+        cannot be reused), else a new one, kept for the next call."""
+        layout = self._layout
+        if layout is None or len(layout.sites) != len(sites) or any(
+                mine is not theirs
+                for mine, theirs in zip(layout.sites, sites)):
+            layout = self._layout = _Layout(tuple(sites))
+        return layout
+
     def _price_numpy(self, sites: Sequence[CompiledSite], mode_classes,
                      delays, rtts, invbws, cold):
         """The batched kernel: every cell of every site in one pass.
 
         Returns the PLT ``[C, M, D, S]`` and the expected origin
-        requests and bytes ``[M, D, S]`` for ``S = len(sites)``.  Each
-        level chunk (:func:`_level_chunks`) builds its ``(A, B, G)``
-        once for every ``(mode, delay)``, prices every condition with
-        two fused multiply-adds, and adds the per-(cell, site) wave
-        total of that level, ``wave_s``, to the sites it packs.
+        requests and bytes ``[M, D, S]`` for ``S = len(sites)``.  Per
+        level chunk of the sites' :class:`_Layout`, the modes that fetch
+        every slot in full (all of them on a first visit, no-cache on a
+        revisit) share one ``(think, 1, size + headers)`` cost row
+        ``[C, P]``, priced once for every such mode and delay.  Each
+        caching mode writes its ``(A, B, G)`` rows ``[D, P]`` straight
+        into the chunk's ``[C, modes, D, P]`` cost tensor ``A + B*rtt +
+        G*invbw``, built from one standard-caching row per chunk.  Both
+        add the per-(cell, site) wave total of that level, ``wave_s``,
+        to the sites the chunk packs.
         """
         np = _np
         cfg = self.config
         k = cfg.connections_per_origin
+        think = cfg.server_think_s
+        sw = cfg.sw_lookup_s
+        lookup = cfg.cache_lookup_s
         C, M, D, S = len(rtts), len(mode_classes), len(delays), len(sites)
+        layout = self._layout_of(sites)
 
         rtt = np.asarray(rtts, dtype=np.float64)
         invbw = np.asarray(invbws, dtype=np.float64)
         delay = np.asarray(delays, dtype=np.float64)
-        rtt_c = rtt[:, None, None, None]
+        full = [mi for mi, mc in enumerate(mode_classes)
+                if cold or mc == _MC_NO_CACHE]
+        cached = [mi for mi in range(M) if mi not in full]
+        full_plt = np.zeros((C, S))
+        full_demand = np.zeros((2, S))           # requests, bytes
+        cached_plt = np.zeros((C, len(cached), D, S))
+        cached_demand = np.zeros((2, len(cached), D, S))
+        rtt_cd = rtt[:, None, None]
+        invbw_cd = invbw[:, None, None]
+        for members, n, width, f in layout.chunks:
+            valid, size_h = f["valid"], f["size_h"]
+            if full:
+                cost = np.multiply(valid, rtt[:, None])            # [C,P]
+                cost += size_h * invbw[:, None]
+                cost += think * valid
+                wave_s = _wave_sum(cost.reshape(C, n, width), k)   # [C,n]
+                full_plt[:, members] += wave_s
+                full_demand[0, members] += valid.reshape(n, width).sum(-1)
+                full_demand[1, members] += size_h.reshape(n, width).sum(-1)
+            if not cached:
+                continue
+            # P(changed within delay): 1 - exp(-delay/tau); dynamic -> 1,
+            # immutable (tau = inf) -> exp(-0) -> 0.
+            p = 1.0 - np.exp(-delay[:, None] / f["period"])       # [D,P]
+            np.copyto(p, 1.0, where=f["dynamic"])
+            # Standard-HTTP-caching coefficients [D, P]: fresh until
+            # proven otherwise, expired -> conditional-revalidation mix,
+            # no-store -> always a full fetch.  The padding has no policy
+            # class, so it reads as a fresh hit whose lookup costs 0.
+            nostore = f["nostore"]
+            expired = f["maxage"] & (f["ttl"] <= delay[:, None])
+            expired |= f["reval"]
+            refetch = expired | nostore
+            sa = np.where(refetch, think, lookup * valid)
+            sb = refetch.astype(np.float64)
+            sg = np.where(nostore, size_h,
+                          np.where(expired, p * f["size"] + _HEADER_BYTES,
+                                   0.0))
+            cost = np.empty((C, len(cached), D, n * width))
+            sums = np.empty((2, len(cached), D, n))
+            for i, mi in enumerate(cached):
+                mc = mode_classes[mi]
+                if mc == _MC_STANDARD:
+                    a, b, g = sa, sb, sg
+                else:
+                    cov = f["sw_catalyst" if mc == _MC_CATALYST
+                            else "sw_sessions"]
+                    a = np.where(cov, sw + p * (think - sw), sa)
+                    b = np.where(cov, p, sb)
+                    g = np.where(cov, p * size_h, sg)
+                # cost = B*rtt + G*invbw + A, written in place: [C,D,P]
+                row = cost[:, i]
+                np.multiply(b, rtt_cd, out=row)
+                row += g * invbw_cd
+                row += a
+                b.reshape(D, n, width).sum(-1, out=sums[0, i])
+                g.reshape(D, n, width).sum(-1, out=sums[1, i])
+            wave_s = _wave_sum(cost.reshape(C, len(cached), D, n, width),
+                               k)                                  # [C,m,D,n]
+            cached_plt[..., members] += wave_s
+            cached_demand[..., members] += sums
 
-        plt = np.zeros((C, M, D, S))
-        requests = np.zeros((M, D, S))
-        bytes_down = np.zeros((M, D, S))
-        for members, width, pack in _level_chunks(sites):
-            coeff_a, coeff_b, coeff_g = self._coeff_numpy(
-                pack, mode_classes, delay, cold)                   # [M,D,P]
-            shape = (M, D, len(members), width)
-            requests[..., members] += coeff_b.reshape(shape).sum(axis=-1)
-            bytes_down[..., members] += coeff_g.reshape(shape).sum(axis=-1)
-
-            # cost[C,M,D,P] = A + B*rtt + G*invbw: two fused passes + add.
-            cost = np.multiply(coeff_b[None], rtt_c)
-            cost += coeff_g[None] * invbw[:, None, None, None]
-            cost += coeff_a[None]
-            cost = cost.reshape((C,) + shape)
-
-            # Wave model per (cell, site): descending sort, strided sum
-            # of wave maxima.  Sort ascending in place, then walk each
-            # row backwards with stride k.  Padding costs 0, so it sorts
-            # below every real cost and adds nothing to any wave.
-            if width <= k:
-                # single wave: the max IS the wave sum (costs are >= 0,
-                # so all-fresh levels contribute max(...) == 0 exactly
-                # like the Python path's positive-cost filter)
-                wave_s = cost.max(axis=-1)
-            else:
-                cost.sort(axis=-1)
-                wave_s = cost[..., ::-1][..., ::k].sum(axis=-1)
-            plt[..., members] += wave_s                            # [C,M,D,n]
+        plt = np.empty((C, M, D, S))
+        demand = np.empty((2, M, D, S))
+        plt[:, full] = full_plt[:, None, None, :]
+        demand[:, full] = full_demand[:, None, None, :]
+        plt[:, cached] = cached_plt
+        demand[:, cached] = cached_demand
+        requests, bytes_down = demand
 
         # Navigation terms: setup RTTs, base HTML, parse, script exec.
         html_bytes = np.asarray([comp.html_size for comp in sites],
@@ -533,78 +686,13 @@ class VectorAnalyticModel:
             else:
                 plt[:, mi] += html_warm
                 bytes_down[mi] += p_html * html_bytes
-        plt += cfg.connection_policy.setup_rtts * rtt_c
+        plt += cfg.connection_policy.setup_rtts * rtt[:, None, None, None]
         plt += np.asarray([cfg.parse_time(comp.html_size) for comp in sites])
         script_model = self.config.script_model
         plt += np.asarray([_exec_s(script_model, comp.script_sizes)
                            for comp in sites])
         requests += 1.0
         return plt, requests, bytes_down
-
-    def _coeff_numpy(self, pack: dict, mode_classes, delay, cold):
-        """Per-slot ``(A, B, G)`` coefficient stacks, each ``[M, D, P]``
-        over a chunk's ``P`` padded slots; padding gets 0 in all three."""
-        np = _np
-        shape = (len(delay), len(pack["size"]))
-        size_h = pack["size"] + _HEADER_BYTES                      # [P]
-        full = tuple(np.broadcast_to(value, shape)
-                     for value in (self.config.server_think_s, 1.0, size_h))
-        if cold:
-            rows = [full] * len(mode_classes)
-        else:
-            rows = self._revisit_rows(pack, size_h, mode_classes, delay,
-                                      full)
-        stacks = tuple(np.stack([row[i] for row in rows]) for i in range(3))
-        for stack in stacks:
-            # every coefficient is finite, so x * True == x exactly
-            stack *= pack["valid"]
-        return stacks
-
-    def _revisit_rows(self, pack: dict, size_h, mode_classes, delay, full):
-        """One ``(A, B, G)`` triple of ``[D, P]`` rows per mode, for a
-        revisit after each delay."""
-        np = _np
-        cfg = self.config
-        think = cfg.server_think_s
-        sw = cfg.sw_lookup_s
-        lookup = cfg.cache_lookup_s
-
-        # P(changed within delay): 1 - exp(-delay/tau); dynamic -> 1,
-        # immutable (tau = inf) -> exp(-0) -> 0.
-        p = 1.0 - np.exp(-delay[:, None] / pack["period"][None, :])  # [D,P]
-        p = np.where(pack["dynamic"][None, :], 1.0, p)
-
-        # Standard-HTTP-caching coefficients [D, P]: fresh until proven
-        # otherwise, expired -> conditional-revalidation mix, no-store
-        # -> always a full fetch.
-        expired = pack["reval"][None, :] | (
-            pack["maxage"][None, :]
-            & (pack["ttl"][None, :] <= delay[:, None]))            # [D,P]
-        nostore = pack["nostore"][None, :]
-        refetch = nostore | expired
-        sa = np.where(refetch, think, lookup)
-        sb = refetch.astype(np.float64)
-        sg = np.where(nostore, size_h,
-                      np.where(expired, p * pack["size"] + _HEADER_BYTES,
-                               0.0))
-
-        rows = []
-        for mc in mode_classes:
-            if mc == _MC_NO_CACHE:
-                rows.append(full)
-            elif mc in (_MC_CATALYST, _MC_SESSIONS):
-                # the SW never stores dynamic or no-store responses
-                covered = ~(pack["dynamic"] | pack["nostore"])
-                if mc == _MC_CATALYST:
-                    # static stapling cannot see JS-discovered resources
-                    covered = covered & ~pack["via_js"]
-                cov = covered[None, :]
-                rows.append((np.where(cov, sw + p * (think - sw), sa),
-                             np.where(cov, p, sb),
-                             np.where(cov, p * size_h, sg)))
-            else:
-                rows.append((sa, sb, sg))
-        return rows
 
     # -- pure-python reference path ---------------------------------------
     def _coeffs_python(self, comp: CompiledSite, mode_class: int,

@@ -250,18 +250,28 @@ def run_grid(sites: Corpus | Sequence[SiteSpec],
              audit_staleness: bool = False,
              progress: Optional[Callable[[str], None]] = None,
              max_workers: Optional[int] = 0) -> GridResult:
-    """Replay the full cross product in canonical order: conditions,
-    then mode, then delay, then site.
+    """Replay the full cross product; the rows in canonical order:
+    conditions, then mode, then delay, then site.
 
-    ``max_workers`` and ``progress`` are :func:`replay`'s; the default
-    runs in-process.  ``base_config=None`` means a fresh default per
-    call.
+    The cells are replayed site by site, so each site's cells follow
+    one another and share what the origin tables keep per spec
+    (documents, Catalyst memos; :mod:`repro.server.site`), which hold
+    fewer specs than a grid has sites.  ``max_workers`` and
+    ``progress`` are :func:`replay`'s; the default runs in-process.
+    ``base_config=None`` means a fresh default per call.
     """
     site_list, mode_list = list(sites), list(modes)
     delay_list = list(delays_s)
-    cells = [(site_spec, mode, conditions, delay_s)
-             for conditions in conditions_list for mode in mode_list
-             for delay_s in delay_list for site_spec in site_list]
-    return GridResult(measurements=replay(
-        cells, base_config=base_config, audit_staleness=audit_staleness,
-        max_workers=max_workers, progress=progress))
+    per_site = [(mode, conditions, delay_s)
+                for conditions in conditions_list for mode in mode_list
+                for delay_s in delay_list]
+    rows = replay(
+        [(site_spec, mode, conditions, delay_s)
+         for site_spec in site_list
+         for mode, conditions, delay_s in per_site],
+        base_config=base_config, audit_staleness=audit_staleness,
+        max_workers=max_workers, progress=progress)
+    # site-major [site][cell] -> canonical [cell][site]
+    return GridResult(measurements=[
+        rows[si * len(per_site) + cell]
+        for cell in range(len(per_site)) for si in range(len(site_list))])

@@ -96,7 +96,7 @@ class ResourceChurn:
 
     def __init__(self, period_s: float, seed: int,
                  change_times: list[float] | None = None):
-        if period_s <= 0:
+        if not period_s > 0:  # NaN too; an infinite period never changes
             raise ValueError("change period must be positive")
         self.period_s = period_s
         self._seed = seed

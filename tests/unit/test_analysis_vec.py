@@ -107,6 +107,28 @@ class TestCompileSite:
         with pytest.raises(ValueError, match="negative resource size"):
             compile_site(bad)
 
+    @pytest.mark.parametrize("period", [0.0, -60.0, math.nan],
+                             ids=["zero", "negative", "nan"])
+    @pytest.mark.parametrize("where", ["resource", "html"])
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_period_not_positive_rejected(self, backend, where, period):
+        """A change period that is not positive has no churn
+        probability: zero divides by zero, a negative one prices a
+        negative PLT, NaN prices NaN.  Both backends refuse the site and
+        name the URL, as the DES's ``ResourceChurn`` refuses the period."""
+        spec = resource("/r.png", period=HOUR)
+        if where == "resource":
+            spec = replace(spec, change_period_s=period)
+        site = single_page_site({"/r.png": spec}, ("/r.png",))
+        if where == "html":
+            page = replace(site.index, html_change_period_s=period)
+            site = replace(site, pages={"/index.html": page})
+        url = "/r.png" if where == "resource" else "/index.html"
+        model = VectorAnalyticModel(backend=backend)
+        with pytest.raises(ValueError, match=f"period must be positive: "
+                                             f"{url}"):
+            model.batch_plt(site, (CachingMode.STANDARD,), (HOUR,), [COND])
+
 
 @pytest.mark.parametrize("backend", BACKENDS)
 class TestEquivalence:
@@ -284,6 +306,31 @@ class TestBackendAgreement:
                 for di in range(len(DELAYS)):
                     assert float(fast[ci][mi][di]) == pytest.approx(
                         slow[ci][mi][di], rel=1e-12)
+
+
+@pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
+class TestLayoutReuse:
+    def test_reused_model_prices_like_a_fresh_one(self, site):
+        """A model keeps the layout of the sites it priced last; a list
+        of other sites, of the same length or in another order, must
+        not be priced on it."""
+        import numpy as np
+
+        others = [generate_site(f"https://reuse{i}.example", seed=80 + i)
+                  for i in range(2)]
+        lists = {"A": [site, others[0]], "B": others,
+                 "A reversed": [others[0], site]}
+        model = VectorAnalyticModel(backend="numpy")
+        for name in ("A", "B", "A", "A reversed", "A"):
+            for cold in (False, True):
+                got = model.batch_visit(lists[name], MODES, DELAYS,
+                                        CONDITIONS, cold=cold)
+                want = VectorAnalyticModel(backend="numpy").batch_visit(
+                    lists[name], MODES, DELAYS, CONDITIONS, cold=cold)
+                for field in ("plt", "requests", "bytes_down"):
+                    assert np.array_equal(getattr(got, field),
+                                          getattr(want, field)), \
+                        (name, cold, field)
 
 
 class TestValidation:

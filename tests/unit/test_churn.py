@@ -104,6 +104,12 @@ class TestResourceChurn:
         with pytest.raises(ValueError):
             ResourceChurn(period_s=0.0, seed=1)
 
+    @pytest.mark.parametrize("period", [-60.0, math.nan],
+                             ids=["negative", "nan"])
+    def test_period_not_positive_rejected(self, period):
+        with pytest.raises(ValueError, match="must be positive"):
+            ResourceChurn(period_s=period, seed=1)
+
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             ResourceChurn(period_s=1.0, seed=1).version_at(-1.0)

@@ -4,12 +4,13 @@ import pytest
 
 from repro.core.modes import CachingMode
 from repro.experiments.figure3 import Figure3Result, run_figure3
-from repro.experiments.harness import measure_pair, run_grid
+from repro.experiments import harness
+from repro.experiments.harness import PairMeasurement, measure_pair, run_grid
 from repro.experiments.motivation import measure_motivation
 from repro.netsim.clock import HOUR
 from repro.netsim.link import NetworkConditions
 from repro.workload.corpus import make_corpus
-from repro.workload.sitegen import generate_site
+from repro.workload.sitegen import SiteSpec, generate_site
 
 COND = NetworkConditions.of(60, 40, label="5g")
 
@@ -107,6 +108,37 @@ class TestRunGrid:
             Figure3Result(throughputs_mbps=(60.0,), latencies_ms=(40.0,),
                           delays_s=(HOUR,), sites=2,
                           plt_ms=[[[[0.0, 0.0]], [[1.0, 2.0]]]])
+
+    def test_replays_site_by_site_in_canonical_order(self, monkeypatch):
+        """The cells are replayed grouped by site, so a site's cells
+        share the origin's per-spec tables, and the rows come back in
+        canonical order: conditions, then mode, then delay, then site."""
+        replayed = []
+
+        def fake_replay(cells, **_kwargs):
+            replayed.extend(cells)
+            return [PairMeasurement(origin=site.origin, mode=mode.value,
+                                    conditions=cond.describe(),
+                                    delay_s=delay, cold_plt_ms=0.0,
+                                    cold_bytes=0, cold_requests=0)
+                    for site, mode, cond, delay in cells]
+
+        monkeypatch.setattr(harness, "replay", fake_replay)
+        sites = [SiteSpec(origin=f"https://s{i}.example", seed=i)
+                 for i in range(3)]
+        modes = (CachingMode.STANDARD, CachingMode.CATALYST)
+        conditions = [COND, NetworkConditions.of(8, 100)]
+        delays = (HOUR, 2 * HOUR)
+        grid = run_grid(sites=sites, modes=modes,
+                        conditions_list=conditions,
+                        delays_s=iter(delays))
+        origins = [site.origin for site, *_ in replayed]
+        assert origins == [site.origin for site in sites for _ in range(8)]
+        assert [(m.conditions, m.mode, m.delay_s, m.origin)
+                for m in grid.measurements] == [
+            (cond.describe(), mode.value, delay, site.origin)
+            for cond in conditions for mode in modes for delay in delays
+            for site in sites]
 
     def test_progress_callback(self, site_spec):
         messages = []
