@@ -13,7 +13,9 @@ that Figure 1 of the paper illustrates):
   dynamic fetches — the resources no static parse can see,
 - ``onLoad`` fires when the whole tree has completed.
 
-Every resource acquisition goes through a three-layer pipeline:
+Every resource acquisition goes through a three-layer pipeline, whose
+steps live on :class:`BrowserSession` (the wall-clock loader in
+:mod:`repro.browser.real_loader` runs them too):
 
 1. **Service Worker** (CacheCatalyst only): stapled-ETag match -> serve
    from SW cache with zero network,
@@ -48,7 +50,7 @@ from .js import ScriptModel, extract_js_fetches, kind_from_url
 from .metrics import FetchEvent, FetchSource, PageLoadResult
 from .sw_host import ServiceWorkerHost
 
-__all__ = ["BrowserConfig", "BrowserSession", "PageLoader"]
+__all__ = ["BrowserConfig", "BrowserSession", "PageLoader", "child_refs"]
 
 
 @dataclass(frozen=True)
@@ -102,6 +104,29 @@ class BrowserConfig:
             else self.server_think_s
 
 
+def child_refs(ref: ResourceRef, response: Response) -> list[ResourceRef]:
+    """What a fetched stylesheet (``url()``s; an ``@import`` in a
+    blocking sheet blocks) or script (dynamic fetches) reveals."""
+    if ref.kind is ResourceKind.STYLESHEET:
+        body = response.body.decode(errors="replace")
+        children = []
+        for css_ref in extract_css_refs_cached(body):
+            kind = (ResourceKind.STYLESHEET if css_ref.kind == "import"
+                    else ResourceKind.FONT if css_ref.kind == "font"
+                    else ResourceKind.IMAGE)
+            children.append(ResourceRef(
+                url=css_ref.url, kind=kind,
+                blocking=(css_ref.kind == "import" and ref.blocking),
+                discovered_by=ref.url))
+        return children
+    if ref.kind is ResourceKind.SCRIPT:
+        body = response.body.decode(errors="replace")
+        return [ResourceRef(url=url, kind=kind_from_url(url),
+                            blocking=False, discovered_by=ref.url)
+                for url in extract_js_fetches(body)]
+    return []
+
+
 class BrowserSession:
     """Per-origin client state that persists *across* visits.
 
@@ -137,6 +162,107 @@ class BrowserSession:
         self.visits += 1
         result = yield from loader.run(page_url)
         return result
+
+    # -- per-resource steps: PageLoader and real_loader run these ------
+    def observe_document(self, markup: str) -> None:
+        """The SW activates once a document carries its registration."""
+        if self.config.use_service_worker:
+            self.sw.observe_registration(has_sw_registration(markup))
+
+    def request_for(self, url: str, is_document: bool,
+                    session_id: Optional[str] = None) -> Request:
+        """The request one fetch of ``url`` starts from."""
+        request = Request(method="GET", url=url)
+        if session_id is not None:
+            request.headers.set("X-Client-Id", session_id)
+        if is_document and self.config.use_service_worker:
+            digest = self.sw.config_digest()
+            if digest is not None:
+                request.headers.set(ETAG_CONFIG_DIGEST_HEADER, digest)
+        return request
+
+    def lookup(self, request: Request, is_document: bool, now: float,
+               span=None) -> tuple[Optional[FetchSource],
+                                   Optional[Response], Optional[CachePlan]]:
+        """``(source, response, plan)``: a local answer, if any.
+
+        The SW's stapled-ETag match for a subresource is ``(SW_CACHE,
+        hit, None)``; a fresh HTTP-cache entry the SW does not veto is
+        ``(HTTP_CACHE, copy, plan)``.  Otherwise ``(None, None, plan)``:
+        ``plan.outgoing``, or ``request`` with the cache off, goes out.
+        """
+        config = self.config
+        if config.use_service_worker and not is_document:
+            # intercept() is synchronous; parenting() safely hands the
+            # fetch span to the SW host's verdict instants.
+            with self.sw.tracer.parenting(span):
+                hit = self.sw.intercept(request, now)
+            if hit is not None:
+                return FetchSource.SW_CACHE, hit, None
+        if not config.use_http_cache:
+            return None, None, None
+        plan = self.http_cache.plan(request, now)
+        if plan.local_response is not None and config.use_service_worker:
+            plan = self._sw_veto(request, plan)
+        if plan.local_response is not None:
+            return FetchSource.HTTP_CACHE, plan.local_response, plan
+        return None, None, plan
+
+    def learn(self, request: Request, plan: Optional[CachePlan],
+              response: Response, request_time: float, now: float,
+              is_document: bool, span=None) -> Response:
+        """Feed an answer to both caches; returns the usable response.
+
+        The HTTP cache absorbs it under ``plan`` (None when the cache is
+        off or the answer is its own hit); the SW then learns the map (a
+        document's replaces the held one) and stores the body.
+        """
+        usable = response
+        if plan is not None:
+            usable = self.http_cache.absorb(plan, request, response,
+                                            request_time, now)
+        if self.config.use_service_worker:
+            with self.sw.tracer.parenting(span):
+                self.sw.on_response(request, usable, now,
+                                    is_document=is_document)
+        return usable
+
+    def degrade(self, request: Request, is_document: bool, now: float
+                ) -> Optional[tuple[FetchSource, Response]]:
+        """After a network failure: the SW's offline copy (the paper's
+        §3), else a 504 for a subresource (onerror; the load goes on),
+        else None: a document failure stands."""
+        if self.config.use_service_worker:
+            fallback = self.sw.offline_fallback(request, now)
+            if fallback is not None:
+                return FetchSource.OFFLINE_CACHE, fallback
+        if is_document:
+            return None
+        return FetchSource.NETWORK, Response(status=504, body=b"")
+
+    def _sw_veto(self, request: Request, plan: CachePlan) -> CachePlan:
+        """Let stapled knowledge override a TTL-fresh-but-changed hit.
+
+        The HTTP cache may deem an entry fresh purely by its (guessed)
+        TTL; when the Service Worker's ``X-Etag-Config`` proves the
+        content changed on the origin, serving that entry would be a
+        *stale serve* — exactly the failure mode TTL-guessing causes.
+        The SW downgrades such hits to conditional requests.
+        """
+        sw = self.sw
+        if not sw.registered or sw.etag_config is None:
+            return plan
+        expected = sw.etag_config.etag_for(request.path)
+        if expected is None:
+            return plan
+        local_tag = plan.local_response.etag
+        if local_tag is not None and local_tag.weak_compare(expected):
+            return plan
+        demoted = self.http_cache.revalidation_plan(
+            request, plan.local_entry)
+        if demoted is not None:
+            return demoted
+        return CachePlan(outgoing=request.copy())
 
 
 class PageLoader:
@@ -197,8 +323,7 @@ class PageLoader:
             url=page_url, kind=ResourceKind.DOCUMENT, blocking=True,
             discovered_by=""), is_document=True)
         markup = html_response.body.decode(errors="replace")
-        if self.config.use_service_worker:
-            self.session.sw.observe_registration(has_sw_registration(markup))
+        self.session.observe_document(markup)
 
         if self.push_urls_fn is not None:
             self._start_pushes(markup)
@@ -254,10 +379,7 @@ class PageLoader:
             return
         if ref.blocking:
             self._blocking_done_s = max(self._blocking_done_s, self.sim.now)
-        children: list[ResourceRef] = []
-        if ref.kind is ResourceKind.STYLESHEET:
-            children = self._css_children(ref, response)
-        elif ref.kind is ResourceKind.SCRIPT:
+        if ref.kind is ResourceKind.SCRIPT:
             exec_s = self.config.script_model.execution_time(
                 response.transfer_size)
             espan = self.tracer.begin(
@@ -269,34 +391,13 @@ class PageLoader:
             if ref.blocking:
                 self._blocking_done_s = max(self._blocking_done_s,
                                             self.sim.now)
-            children = self._js_children(ref, response)
+        children = child_refs(ref, response)
         if children:
             child_events = [
                 self.sim.process(self._fetch_tree(child),
                                  name=f"fetch:{child.url}")
                 for child in children]
             yield self.sim.all_of(child_events)
-
-    def _css_children(self, ref: ResourceRef,
-                      response: Response) -> list[ResourceRef]:
-        body = response.body.decode(errors="replace")
-        children = []
-        for css_ref in extract_css_refs_cached(body):
-            kind = (ResourceKind.STYLESHEET if css_ref.kind == "import"
-                    else ResourceKind.FONT if css_ref.kind == "font"
-                    else ResourceKind.IMAGE)
-            children.append(ResourceRef(
-                url=css_ref.url, kind=kind,
-                blocking=(css_ref.kind == "import" and ref.blocking),
-                discovered_by=ref.url))
-        return children
-
-    def _js_children(self, ref: ResourceRef,
-                     response: Response) -> list[ResourceRef]:
-        body = response.body.decode(errors="replace")
-        return [ResourceRef(url=url, kind=kind_from_url(url),
-                            blocking=False, discovered_by=ref.url)
-                for url in extract_js_fetches(body)]
 
     # ------------------------------------------------------------- acquire
     def _acquire_dedup(self, ref: ResourceRef):
@@ -318,49 +419,28 @@ class PageLoader:
     def _acquire(self, ref: ResourceRef, is_document: bool = False):
         """Process: the three-layer pipeline for one resource."""
         start = self.sim.now
+        session = self.session
         tracer = self.tracer
         fspan = tracer.begin(
             "browser.fetch", "browser", parent=self._page_span,
             args={"url": ref.url, "kind": ref.kind.name.lower(),
                   "blocking": ref.blocking}) if tracer.enabled else None
-        request = Request(method="GET", url=ref.url)
-        if self.session_id is not None:
-            request.headers.set("X-Client-Id", self.session_id)
-        if is_document and self.config.use_service_worker:
-            digest = self.session.sw.config_digest()
-            if digest is not None:
-                request.headers.set(ETAG_CONFIG_DIGEST_HEADER, digest)
+        request = session.request_for(ref.url, is_document, self.session_id)
 
-        # Layer 1: Service Worker interception (CacheCatalyst).
-        if self.config.use_service_worker and not is_document:
-            # intercept() is synchronous; parenting() safely hands the
-            # fetch span to the SW host's verdict instants.
-            with tracer.parenting(fspan):
-                hit = self.session.sw.intercept(request, self.sim.now)
-            if hit is not None:
-                yield self.sim.timeout(self.config.sw_lookup_s)
-                self._record(ref, start, hit, FetchSource.SW_CACHE,
-                             bytes_down=0, rtts=0.0, span=fspan)
-                return hit
-
-        # Layer 2: the HTTP cache.
-        plan = None
-        outgoing = request
-        if self.config.use_http_cache:
-            plan = self.session.http_cache.plan(request, self.sim.now)
-            plan = self._sw_veto(request, plan)
-            if plan.is_local_hit:
-                yield self.sim.timeout(self.config.cache_lookup_s)
-                response = plan.local_response
-                self._record(ref, start, response, FetchSource.HTTP_CACHE,
-                             bytes_down=0, rtts=0.0, span=fspan)
-                if self.config.use_service_worker:
-                    with tracer.parenting(fspan):
-                        self.session.sw.on_response(request, response,
-                                                    self.sim.now,
-                                                    is_document=is_document)
-                return response
-            outgoing = plan.outgoing
+        # Layers 1 and 2: the Service Worker, then the HTTP cache.
+        source, local, plan = session.lookup(request, is_document, start,
+                                             fspan)
+        if local is not None:
+            yield self.sim.timeout(
+                self.config.sw_lookup_s if source is FetchSource.SW_CACHE
+                else self.config.cache_lookup_s)
+            self._record(ref, start, local, source, bytes_down=0,
+                         rtts=0.0, span=fspan)
+            if plan is not None:  # an HTTP-cache hit still feeds the SW
+                session.learn(request, None, local, start, self.sim.now,
+                              is_document, fspan)
+            return local
+        outgoing = request if plan is None else plan.outgoing
 
         # Layer 2.5: a push racing down the pipe for this URL.  Consulted
         # only when the local caches could not answer — a browser never
@@ -384,62 +464,25 @@ class PageLoader:
                 outgoing,
                 think_s=self.config.think_for(ref.url, is_document),
                 span=fspan)
-        except OriginUnreachable:
-            # Offline: the SW may still hold a usable (possibly stale)
-            # copy — the paper's §3 offline capability.
-            if self.config.use_service_worker:
-                fallback = self.session.sw.offline_fallback(
-                    request, self.sim.now)
-                if fallback is not None:
-                    self._record(ref, start, fallback,
-                                 FetchSource.OFFLINE_CACHE,
-                                 bytes_down=0, rtts=0.0, span=fspan)
-                    return fallback
-            if is_document:
+        except (OriginUnreachable, FetchFailed) as exc:
+            # Offline, or the retry budget ran dry (lossy link, resets,
+            # stalls); only the latter bills the retries it spent.
+            retries = (0 if isinstance(exc, OriginUnreachable)
+                       else self.client.retries - retries_before)
+            answer = session.degrade(request, is_document, self.sim.now)
+            if answer is None:
                 if fspan is not None:
-                    fspan.set("error", "OriginUnreachable").end()
+                    fspan.set("error", type(exc).__name__).end()
                 raise  # nothing to render at all
-            # a failed subresource fires onerror; the page load goes on
-            failed = Response(status=504, body=b"",
-                              reason="Origin Unreachable")
-            self._record(ref, start, failed, FetchSource.NETWORK,
-                         bytes_down=0, rtts=0.0, status=504, span=fspan)
-            return failed
-        except FetchFailed:
-            # The retry budget ran dry (lossy link, resets, stalls).
-            # Degrade exactly like an unreachable origin: a cached copy
-            # if the SW holds one, an onerror'd subresource otherwise.
-            retries = self.client.retries - retries_before
-            if self.config.use_service_worker:
-                fallback = self.session.sw.offline_fallback(
-                    request, self.sim.now)
-                if fallback is not None:
-                    self._record(ref, start, fallback,
-                                 FetchSource.OFFLINE_CACHE,
-                                 bytes_down=0, rtts=0.0, retries=retries,
-                                 span=fspan)
-                    return fallback
-            if is_document:
-                if fspan is not None:
-                    fspan.set("error", "FetchFailed").end()
-                raise  # nothing to render at all
-            failed = Response(status=504, body=b"",
-                              reason="Fetch Failed")
-            self._record(ref, start, failed, FetchSource.NETWORK,
-                         bytes_down=0, rtts=0.0, status=504,
-                         retries=retries, span=fspan)
-            return failed
+            source, fallback = answer
+            self._record(ref, start, fallback, source, bytes_down=0,
+                         rtts=0.0, status=fallback.status, retries=retries,
+                         span=fspan)
+            return fallback
         response_time = self.sim.now
         retries = self.client.retries - retries_before
-
-        usable = response
-        if plan is not None:
-            usable = self.session.http_cache.absorb(
-                plan, request, response, request_time, response_time)
-        if self.config.use_service_worker:
-            with tracer.parenting(fspan):
-                self.session.sw.on_response(request, usable, self.sim.now,
-                                            is_document=is_document)
+        usable = session.learn(request, plan, response, request_time,
+                               response_time, is_document, fspan)
 
         rtts = 1.0 + (self.config.connection_policy.setup_rtts
                       if new_connection else 0.0)
@@ -451,33 +494,6 @@ class PageLoader:
                      rtts=rtts, status=response.status, retries=retries,
                      span=fspan)
         return usable
-
-    def _sw_veto(self, request: Request, plan) -> "CachePlan":
-        """Let stapled knowledge override a TTL-fresh-but-changed hit.
-
-        The HTTP cache may deem an entry fresh purely by its (guessed)
-        TTL; when the Service Worker's ``X-Etag-Config`` proves the
-        content changed on the origin, serving that entry would be a
-        *stale serve* — exactly the failure mode TTL-guessing causes.
-        The SW downgrades such hits to conditional requests.
-        """
-        if not self.config.use_service_worker:
-            return plan
-        sw = self.session.sw
-        if not plan.is_local_hit or not sw.registered \
-                or sw.etag_config is None:
-            return plan
-        expected = sw.etag_config.etag_for(request.path)
-        if expected is None:
-            return plan
-        local_tag = plan.local_response.etag
-        if local_tag is not None and local_tag.weak_compare(expected):
-            return plan
-        demoted = self.session.http_cache.revalidation_plan(
-            request, plan.local_entry)
-        if demoted is not None:
-            return demoted
-        return CachePlan(outgoing=request.copy())
 
     # --------------------------------------------------------------- pushes
     def _start_pushes(self, markup: str) -> None:

@@ -1,186 +1,146 @@
 """A real (wall-clock) headless page loader over asyncio sockets.
 
-The discrete-event engine predicts PLT; this loader *measures* it: same
-parse/discovery/caching logic, but every fetch is a real HTTP/1.1
-exchange through :class:`~repro.http.aclient.AsyncHttpClient` against a
-live origin, and the clock is the operating system's.
+The discrete-event engine predicts PLT; this loader *measures* it.  It
+runs the engine's per-resource steps on a
+:class:`~repro.browser.engine.BrowserSession` and its child discovery;
+only the waiting differs: a fetch awaits a real HTTP/1.1 exchange
+through :class:`~repro.http.aclient.AsyncHttpClient` against a live
+origin, and the timeline is the OS clock.  Lookup costs, push, hints,
+preconnect and script execution stay DES-only.
 
-It exists for validation — the integration tests drive the identical
-CatalystServer through both paths and check that the real measurements
-reproduce the simulator's *orderings* (catalyst beats standard on warm
-visits, etc.) — and as the measurement tool for anyone pointing this
-package at their own localhost origin.
-
-Scope notes: same-origin only (like the paper's clones), Service-Worker
-behaviour host-emulated exactly as in the DES engine, JS execution
-modeled by directive scanning (no JS engine in the loop).
+It exists for validation — the integration tests load one origin
+through both paths and compare them URL for URL — and as the
+measurement tool for anyone pointing this package at their own
+localhost origin.  Same-origin only, like the paper's clones.
 """
 
 from __future__ import annotations
 
 import asyncio
+import math
 import time
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable
 
-from ..html.css import extract_css_refs
-from ..html.parser import (ResourceKind, ResourceRef, extract_resources,
-                           parse_html)
-from ..html.rewrite import has_sw_registration
+from ..html.parser import ResourceKind, ResourceRef, extract_resources_cached
 from ..http.aclient import AsyncHttpClient
-from ..http.messages import Request, Response
-from .cache_layer import BrowserCache
-from .js import extract_js_fetches, kind_from_url
+from ..http.errors import HttpError
+from ..http.messages import Response
+from .engine import BrowserSession, child_refs
+from .fetcher import DEFAULT_FAULT_GUARD_TIMEOUT_S
 from .metrics import FetchEvent, FetchSource, PageLoadResult
-from .sw_host import ServiceWorkerHost
 
-__all__ = ["RealBrowserSession", "RealLoaderConfig"]
-
-
-@dataclass(frozen=True)
-class RealLoaderConfig:
-    """Feature switches for the wall-clock loader."""
-
-    use_http_cache: bool = True
-    use_service_worker: bool = False
-    connections_per_origin: int = 6
-    request_timeout_s: float = 30.0
+__all__ = ["load_page"]
 
 
-@dataclass
-class RealBrowserSession:
-    """Client state persisting across real visits to one origin."""
+async def load_page(session: BrowserSession, base_url: str,
+                    page_path: str = "/index.html",
+                    clock: Callable[[], float] = time.monotonic
+                    ) -> PageLoadResult:
+    """Fetch and 'render' one page; returns a wall-clock timeline.
 
-    config: RealLoaderConfig = field(default_factory=RealLoaderConfig)
+    ``session.config`` sets the caches, the connections per origin and
+    the request timeout (an infinite one, the DES default, becomes
+    :data:`~repro.browser.fetcher.DEFAULT_FAULT_GUARD_TIMEOUT_S`).  The
+    caches read ``clock``; give the origin's ``as_async_handler`` the
+    same one, so both ends age content together.  Event times are
+    ``time.monotonic()`` seconds since navigation start.
+    """
+    config = session.config
+    timeout_s = config.request_timeout_s
+    if math.isinf(timeout_s):
+        timeout_s = DEFAULT_FAULT_GUARD_TIMEOUT_S
+    session.visits += 1
+    async with AsyncHttpClient(
+            connections_per_origin=config.connections_per_origin,
+            timeout_s=timeout_s) as client:
+        load = _PageLoad(session, client, base_url, clock)
+        return await load.run(page_path)
 
-    def __post_init__(self) -> None:
-        self.http_cache = BrowserCache()
-        self.sw = ServiceWorkerHost()
 
-    async def load(self, base_url: str, page_path: str = "/index.html",
-                   mode_label: str = "real") -> PageLoadResult:
-        """Fetch and 'render' one page; returns a wall-clock timeline."""
-        loader = _RealPageLoad(session=self, base_url=base_url,
-                               mode_label=mode_label)
-        async with AsyncHttpClient(
-                connections_per_origin=self.config.connections_per_origin,
-                timeout_s=self.config.request_timeout_s) as client:
-            return await loader.run(client, page_path)
+class _PageLoad:
+    """One visit: the fetch tree over one client."""
 
-
-class _RealPageLoad:
-    def __init__(self, session: RealBrowserSession, base_url: str,
-                 mode_label: str):
+    def __init__(self, session: BrowserSession, client: AsyncHttpClient,
+                 base_url: str, clock: Callable[[], float]):
         self.session = session
-        self.config = session.config
+        self.client = client
         self.base_url = base_url.rstrip("/")
-        self.mode_label = mode_label
+        self.clock = clock
         self.events: list[FetchEvent] = []
-        self._t0 = 0.0
+        self._t0 = time.monotonic()
         self._in_flight: dict[str, asyncio.Task] = {}
         self._blocking_done = 0.0
 
     def _now(self) -> float:
         return time.monotonic() - self._t0
 
-    async def run(self, client: AsyncHttpClient,
-                  page_path: str) -> PageLoadResult:
-        self._t0 = time.monotonic()
-        html = await self._acquire(client, ResourceRef(
+    async def run(self, page_path: str) -> PageLoadResult:
+        html = await self._acquire(ResourceRef(
             url=page_path, kind=ResourceKind.DOCUMENT, blocking=True,
             discovered_by=""), is_document=True)
         markup = html.body.decode(errors="replace")
-        if self.config.use_service_worker:
-            self.session.sw.observe_registration(
-                has_sw_registration(markup))
-        refs = extract_resources(parse_html(markup), base_url="")
-        await asyncio.gather(*[self._fetch_tree(client, ref)
-                               for ref in refs])
+        self.session.observe_document(markup)
+        refs = extract_resources_cached(markup, base_url="")
+        await asyncio.gather(*[self._fetch_tree(ref) for ref in refs])
         onload = self._now()
         return PageLoadResult(
-            url=page_path, mode=self.mode_label, start_s=0.0,
+            url=page_path, mode="real", start_s=0.0,
             onload_s=onload, events=self.events,
             first_render_s=self._blocking_done or onload)
 
-    async def _fetch_tree(self, client: AsyncHttpClient,
-                          ref: ResourceRef) -> None:
-        response = await self._acquire_dedup(client, ref)
-        if response is None or response.status != 200:
+    async def _fetch_tree(self, ref: ResourceRef) -> None:
+        response = await self._acquire_dedup(ref)
+        if response.status != 200:
             return
         if ref.blocking:
             self._blocking_done = max(self._blocking_done, self._now())
-        children: list[ResourceRef] = []
-        if ref.kind is ResourceKind.STYLESHEET:
-            body = response.body.decode(errors="replace")
-            for css_ref in extract_css_refs(body):
-                kind = (ResourceKind.STYLESHEET
-                        if css_ref.kind == "import"
-                        else ResourceKind.FONT if css_ref.kind == "font"
-                        else ResourceKind.IMAGE)
-                children.append(ResourceRef(url=css_ref.url, kind=kind,
-                                            blocking=False,
-                                            discovered_by=ref.url))
-        elif ref.kind is ResourceKind.SCRIPT:
-            body = response.body.decode(errors="replace")
-            children = [ResourceRef(url=url, kind=kind_from_url(url),
-                                    blocking=False, discovered_by=ref.url)
-                        for url in extract_js_fetches(body)]
+        children = child_refs(ref, response)
         if children:
-            await asyncio.gather(*[self._fetch_tree(client, child)
+            await asyncio.gather(*[self._fetch_tree(child)
                                    for child in children])
 
-    async def _acquire_dedup(self, client: AsyncHttpClient,
-                             ref: ResourceRef) -> Optional[Response]:
+    async def _acquire_dedup(self, ref: ResourceRef) -> Response:
         existing = self._in_flight.get(ref.url)
         if existing is not None:
             return await asyncio.shield(existing)
-        task = asyncio.ensure_future(self._acquire(client, ref))
+        task = asyncio.ensure_future(self._acquire(ref))
         self._in_flight[ref.url] = task
         return await task
 
-    async def _acquire(self, client: AsyncHttpClient, ref: ResourceRef,
+    async def _acquire(self, ref: ResourceRef,
                        is_document: bool = False) -> Response:
+        session = self.session
         start = self._now()
-        path_request = Request(method="GET", url=ref.url)
+        request = session.request_for(ref.url, is_document)
+        source, local, plan = session.lookup(request, is_document,
+                                             self.clock())
+        if local is not None:
+            self._record(ref, start, local, source, 0)
+            if plan is not None:  # an HTTP-cache hit still feeds the SW
+                now = self.clock()
+                session.learn(request, None, local, now, now, is_document)
+            return local
 
-        if self.config.use_service_worker and not is_document:
-            hit = self.session.sw.intercept(path_request, self._now())
-            if hit is not None:
-                self._record(ref, start, hit, FetchSource.SW_CACHE, 0)
-                return hit
-
-        plan = None
-        outgoing = path_request
-        if self.config.use_http_cache:
-            plan = self.session.http_cache.plan(path_request, self._now())
-            if plan.is_local_hit:
-                response = plan.local_response
-                self._record(ref, start, response,
-                             FetchSource.HTTP_CACHE, 0)
-                if self.config.use_service_worker:
-                    self.session.sw.on_response(path_request, response,
-                                                self._now())
-                return response
-            outgoing = plan.outgoing
-
-        wire_request = outgoing.copy()
+        wire_request = (request if plan is None else plan.outgoing).copy()
         wire_request.url = self.base_url + ref.url
-        request_time = self._now()
-        result = await client.request(wire_request)
+        request_time = self.clock()
+        try:
+            result = await self.client.request(wire_request)
+        except (HttpError, OSError):
+            answer = session.degrade(request, is_document, self.clock())
+            if answer is None:
+                raise  # nothing to render at all
+            source, fallback = answer
+            self._record(ref, start, fallback, source, 0, fallback.status)
+            return fallback
         response = result.response
-        response_time = self._now()
-
-        usable = response
-        if plan is not None:
-            usable = self.session.http_cache.absorb(
-                plan, path_request, response, request_time, response_time)
-        if self.config.use_service_worker:
-            self.session.sw.on_response(path_request, usable, self._now())
+        usable = session.learn(request, plan, response, request_time,
+                               self.clock(), is_document)
         source = (FetchSource.REVALIDATED if response.is_not_modified
                   else FetchSource.NETWORK)
         self._record(ref, start, usable, source,
                      len(response.body) + response.headers.wire_size(),
-                     status=response.status)
+                     response.status)
         return usable
 
     def _record(self, ref: ResourceRef, start: float, response: Response,

@@ -425,11 +425,11 @@ def _cmd_visit(args: argparse.Namespace) -> int:
     from .browser.trace import render_waterfall
     from .core.catalyst import run_visit_sequence
     from .core.modes import CachingMode, build_mode
+    from .experiments.tracing import visit_site
     from .netsim.clock import parse_duration
     from .netsim.link import NetworkConditions
-    from .workload.sitegen import generate_site
 
-    site = generate_site(f"https://cli{args.seed}.example", seed=args.seed)
+    site = visit_site(args.seed)
     conditions = NetworkConditions.of(args.mbps, args.rtt)
     delay_s = parse_duration(args.delay)
     print(f"site seed {args.seed}: {site.index.resource_count} resources; "
@@ -519,36 +519,30 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    from .http.fleet import FleetConfig
+
+    # One shard or many, each is built by http.fleet.build_server, so
+    # the shard count never changes what is served.
+    config = FleetConfig(
+        port=args.port, shards=args.shards, seed=args.seed,
+        app="catalyst", time_scale=args.time_scale,
+        max_inflight=args.max_inflight,
+        max_connections=args.max_connections)
     if args.shards > 1:
-        return _cmd_serve_fleet(args)
+        return _cmd_serve_fleet(args, config)
     import asyncio
     import signal
 
-    from .http.aserver import STATS_PATH, AsyncHttpServer
-    from .obs import MetricsRegistry, Tracer
-    from .server.adapter import as_async_handler
-    from .server.catalyst import CatalystServer
-    from .server.site import OriginSite
-    from .workload.sitegen import generate_site
-
-    site = OriginSite(generate_site(f"https://cli{args.seed}.example",
-                                    seed=args.seed),
-                      materialize_fully=True)
-    catalyst = CatalystServer(site)
-    handler = as_async_handler(catalyst, time_scale=args.time_scale)
+    from .http.aserver import STATS_PATH
+    from .http.fleet import build_server
+    from .obs import MetricsRegistry
 
     async def serve() -> None:
-        server = AsyncHttpServer(
-            handler, port=args.port, tracer=Tracer(),
-            metrics=MetricsRegistry(),
-            max_inflight=args.max_inflight,
-            max_connections=args.max_connections,
-            shed_seed=args.seed,
-            stats_source=catalyst.stats)
+        server = build_server(config, MetricsRegistry())
         await server.start()
         print(f"Catalyst origin on {server.base_url} "
               f"(x{args.time_scale:g} time; Ctrl-C to stop; "
-              f"stats at {STATS_PATH})")
+              f"stats at {STATS_PATH})", flush=True)
         loop = asyncio.get_running_loop()
         stopping = asyncio.Event()
         for sig in (signal.SIGTERM, signal.SIGINT):
@@ -562,18 +556,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_serve_fleet(args: argparse.Namespace) -> int:
+def _cmd_serve_fleet(args: argparse.Namespace, config) -> int:
     import signal
     import time
 
     from .http.aserver import STATS_PATH
-    from .http.fleet import FleetConfig, ServerFleet
+    from .http.fleet import ServerFleet
 
-    config = FleetConfig(
-        port=args.port, shards=args.shards, seed=args.seed,
-        app="catalyst", time_scale=args.time_scale,
-        max_inflight=args.max_inflight,
-        max_connections=args.max_connections)
     fleet = ServerFleet(config).start()
     print(f"Catalyst origin on {fleet.base_url} "
           f"({args.shards} SO_REUSEPORT shards; Ctrl-C to stop; "

@@ -45,9 +45,8 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 from ..http.aclient import AsyncHttpClient
-from ..http.aserver import AsyncHttpServer
 from ..http.errors import CircuitOpen, HttpError
-from ..http.fleet import FleetConfig, ServerFleet, build_app
+from ..http.fleet import FleetConfig, ServerFleet, build_server
 from ..http.messages import Request
 from ..netsim.faults import (FaultKind, FaultPlan, captive_portal,
                              flaky_5g, lossy_wifi)
@@ -513,18 +512,10 @@ async def _run_inprocess(config: FleetConfig, paths, result, plan,
                          interval_s, seed, drain_s,
                          registry: MetricsRegistry, tracer=None,
                          recorder=None, live=False) -> None:
-    handler, stats_source = build_app(config)
     server_metrics = MetricsRegistry()
     # one process, one tracer: client and server spans share an ID
     # space, so traceparent round-trips resolve to real local parents
-    server = AsyncHttpServer(
-        handler, latency_s=config.latency_s,
-        max_inflight=config.max_inflight,
-        max_connections=config.max_connections,
-        max_requests_per_connection=config.max_requests_per_connection,
-        retry_after_s=config.retry_after_s, shed_seed=config.seed,
-        metrics=server_metrics, stats_source=stats_source,
-        tracer=tracer)
+    server = build_server(config, server_metrics, tracer=tracer)
     await server.start()
     sampler = None
     if recorder is not None:

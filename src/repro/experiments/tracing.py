@@ -20,10 +20,16 @@ from ..netsim.faults import FaultPlan
 from ..netsim.link import NetworkConditions
 from ..obs import (Tracer, enrich_har, format_self_times, to_chrome_trace,
                    to_chrome_trace_json, to_collapsed, to_jsonl)
-from ..workload.sitegen import generate_site
+from ..workload.sitegen import SiteSpec, generate_site
 
 __all__ = ["TraceCapture", "capture_visit_trace", "fleet_chrome_trace",
-           "fleet_chrome_trace_json"]
+           "fleet_chrome_trace_json", "visit_site"]
+
+
+def visit_site(seed: int) -> SiteSpec:
+    """The synthetic site ``repro visit --seed N`` and ``repro trace
+    --seed N`` load (the origin name seeds the site too)."""
+    return generate_site(f"https://cli{seed}.example", seed=seed)
 
 
 def fleet_chrome_trace(spans: Sequence[dict]) -> dict:
@@ -103,16 +109,17 @@ def capture_visit_trace(page_url: str = "/index.html",
                         tracer: Optional[Tracer] = None) -> TraceCapture:
     """Run a traced visit sequence against a synthetic site.
 
-    Defaults mirror ``python -m repro visit``: a seed-7 site on
-    median-5G-ish conditions, cold visit plus a one-day-later revisit,
-    CacheCatalyst mode.  Every layer the sequence touches (netsim link,
-    browser engine, SW cache, origin server) lands in one trace.
+    Defaults mirror ``python -m repro visit``: the seed-7 site it loads
+    (:func:`visit_site`) on median-5G-ish conditions, cold visit plus a
+    one-day-later revisit, CacheCatalyst mode.  Every layer the
+    sequence touches (netsim link, browser engine, SW cache, origin
+    server) lands in one trace.
     """
     if conditions is None:
         conditions = NetworkConditions.of(60, 40)
     if tracer is None:
         tracer = Tracer()
-    site = generate_site(f"https://trace{seed}.example", seed=seed)
+    site = visit_site(seed)
     setup = build_mode(mode, site, browser_config) \
         if browser_config is not None else build_mode(mode, site)
     outcomes = run_visit_sequence(setup, conditions, list(visit_times_s),

@@ -44,8 +44,8 @@ from ..obs.log import get_logger
 from ..obs.metrics import MetricsRegistry
 from ..obs.timeseries import diff_dumps
 
-__all__ = ["FleetConfig", "ServerFleet", "build_app", "reuseport_socket",
-           "HAVE_REUSEPORT"]
+__all__ = ["FleetConfig", "ServerFleet", "build_app", "build_server",
+           "reuseport_socket", "HAVE_REUSEPORT"]
 
 logger = get_logger("http.fleet")
 
@@ -146,13 +146,20 @@ def build_app(config: FleetConfig):
     raise ValueError(f"unknown fleet app {config.app!r}")
 
 
-def _worker_server(config: FleetConfig, metrics: MetricsRegistry,
-                   tracer=None):
-    """The hardened per-shard server (not yet started)."""
+def build_server(config: FleetConfig, metrics: MetricsRegistry,
+                 tracer=None):
+    """One hardened shard of ``config.app`` (not yet started).
+
+    Every shard is built here: each fleet worker's, ``repro serve``'s
+    single in-process one and the in-process load test's, so the shard
+    count never changes what is served.  A worker starts it on its
+    reuseport socket; the others bind ``config.host``/``config.port``.
+    """
     from .aserver import AsyncHttpServer
     handler, stats_source = build_app(config)
     return AsyncHttpServer(
-        handler, host=config.host, latency_s=config.latency_s,
+        handler, host=config.host, port=config.port,
+        latency_s=config.latency_s,
         keepalive_timeout_s=config.keepalive_timeout_s,
         header_read_timeout_s=config.header_read_timeout_s,
         max_connections=config.max_connections,
@@ -210,7 +217,7 @@ async def _worker_serve(conn, config: FleetConfig) -> None:
     if config.trace:
         from ..obs.trace import Tracer
         tracer = Tracer()
-    server = _worker_server(config, metrics, tracer=tracer)
+    server = build_server(config, metrics, tracer=tracer)
     sock = reuseport_socket(config.host, config.port)
     await server.start(sock=sock)
 

@@ -22,21 +22,22 @@ import math
 from bisect import bisect_right
 from typing import Optional, Sequence, TYPE_CHECKING
 
-from .link import NetworkConditions, ProcessorSharingPipe
+from .link import Link, NetworkConditions, ProcessorSharingPipe
 from .sim import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - types only
-    from .faults import FaultDecision, FaultPlan
+    from .faults import FaultPlan
 
 __all__ = ["VariableLink"]
 
 
-class VariableLink:
+class VariableLink(Link):
     """An access link whose conditions follow a time schedule.
 
-    Duck-type compatible with :class:`~repro.netsim.link.Link` (the
-    browser stack only uses ``conditions``, ``send_upstream``,
-    ``send_downstream``, ``round_trip`` and the byte counters).
+    A :class:`~repro.netsim.link.Link` whose ``conditions`` are read
+    from the schedule: the inherited transfers look up the one-way delay
+    and RTT at send time, and the shared pipes are re-programmed at
+    each transition.
     """
 
     def __init__(self, sim: Simulator,
@@ -53,6 +54,8 @@ class VariableLink:
             if math.isinf(conditions.downlink_bps):
                 raise ValueError(
                     "VariableLink requires finite downlink rates")
+        # Link.__init__ would assign ``conditions``, which the schedule
+        # computes here, so the state it sets up is set up directly.
         self.sim = sim
         self.fault_plan = fault_plan
         self._times = [at for at, _ in entries]
@@ -84,37 +87,3 @@ class VariableLink:
         self._down.set_capacity(conditions.downlink_bps)
         if self._up is not None and not math.isinf(conditions.uplink_bps):
             self._up.set_capacity(conditions.uplink_bps)
-
-    # -- the Link surface -----------------------------------------------------
-    def send_upstream(self, nbytes: int, span=None):
-        self.bytes_up += nbytes
-        tracer = self.sim.tracer
-        tspan = tracer.begin("link.up", "netsim", parent=span,
-                             args={"bytes": nbytes}) if tracer.enabled \
-            else None
-        yield self.sim.timeout(self.conditions.one_way_s)
-        if self._up is not None:
-            yield self._up.transfer(nbytes)
-        if tspan is not None:
-            tspan.end()
-
-    def send_downstream(self, nbytes: int, span=None):
-        self.bytes_down += nbytes
-        tracer = self.sim.tracer
-        tspan = tracer.begin("link.down", "netsim", parent=span,
-                             args={"bytes": nbytes}) if tracer.enabled \
-            else None
-        yield self.sim.timeout(self.conditions.one_way_s)
-        yield self._down.transfer(nbytes)
-        if tspan is not None:
-            tspan.end()
-
-    def send_downstream_faulted(self, nbytes: int,
-                                decision: "Optional[FaultDecision]",
-                                span=None):
-        from .faults import faulted_downstream
-        yield from faulted_downstream(self.sim, self, nbytes, decision,
-                                      span=span)
-
-    def round_trip(self):
-        yield self.sim.timeout(self.conditions.rtt_s)

@@ -5,14 +5,19 @@ they skip wholesale on platforms without ``SO_REUSEPORT``.
 """
 
 import asyncio
+import os
+import signal
 import socket
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.http.aclient import AsyncHttpClient
 from repro.http.fleet import (HAVE_REUSEPORT, FleetConfig, ServerFleet,
                               build_app, reuseport_socket)
-from repro.http.messages import Response
+from repro.http.messages import Request, Response
 
 needs_reuseport = pytest.mark.skipif(
     not HAVE_REUSEPORT, reason="platform lacks SO_REUSEPORT")
@@ -63,6 +68,40 @@ class TestBuildApp:
     def test_unknown_app_rejected(self):
         with pytest.raises(ValueError):
             build_app(FleetConfig(app="nope"))
+
+
+async def _get(url: str):
+    async with AsyncHttpClient() as client:
+        return await client.get(url)
+
+
+class TestServeCommand:
+    def test_one_shard_serves_what_a_fleet_shard_serves(self):
+        """``repro serve`` with its one in-process shard answers the
+        page a fleet shard of the same seed serves: the shard count
+        does not change the content."""
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        # --time-scale 0 holds the site at t = 0 on both sides
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "--quiet", "serve",
+             "--port", "0", "--seed", "7", "--time-scale", "0"],
+            stdout=subprocess.PIPE, text=True, env=env)
+        try:
+            banner = proc.stdout.readline()
+            base_url = banner.split()[3]  # "Catalyst origin on <url> ..."
+            served = run(_get(base_url + "/index.html")).response
+        finally:
+            proc.send_signal(signal.SIGTERM)
+            returncode = proc.wait(timeout=30)
+            proc.stdout.close()
+        assert returncode == 0
+        handler, _ = build_app(FleetConfig(app="catalyst", seed=7,
+                                           time_scale=0.0))
+        expected = handler(Request(url="/index.html"))
+        assert served.status == expected.status == 200
+        assert served.body == expected.body
 
 
 @needs_reuseport

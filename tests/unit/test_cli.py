@@ -288,3 +288,17 @@ class TestOneReplay:
         assert len(set(measure_pair_calls)) == cells
         out = capsys.readouterr().out
         assert f"Spearman rank correlation (n={cells})" in out
+
+
+class TestTraceLoadsTheVisitSite:
+    def test_trace_cold_visit_fetches_the_visit_site(self):
+        """``repro trace --seed 7`` traces the site ``repro visit --seed
+        7`` loads: its cold visit fetches exactly that site's URLs."""
+        from repro.experiments.tracing import capture_visit_trace
+        from repro.workload.sitegen import generate_site
+
+        capture = capture_visit_trace(seed=7)
+        site = generate_site("https://cli7.example", seed=7)
+        cold = capture.outcomes[0].result
+        assert {event.url for event in cold.events} == {
+            "/index.html", *site.index.resources}

@@ -2,8 +2,10 @@
 
 Fast, deterministic exercises of the chaos-harness plumbing: overload
 accounting, fault presets, metrics emission, and the manifest-stamped
-payloads.  The real multi-process runs live in the ``loadtest`` lane
-(``benchmarks/test_bench_loadtest.py``).
+payloads.  The real multi-process runs live in
+``tests/integration/test_fleet.py``,
+``tests/integration/test_distributed_trace.py`` and CI's
+``loadtest --shards 2`` step.
 """
 
 import pytest
