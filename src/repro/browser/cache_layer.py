@@ -66,7 +66,9 @@ class BrowserCache:
             plan = self.revalidation_plan(request, decision.entry)
             if plan is not None:
                 return plan
-        return CachePlan(outgoing=request.copy())
+        # sent as it is: a caller that changes it (the wall-clock
+        # client, the real loader) works on its own copy
+        return CachePlan(outgoing=request)
 
     def revalidation_plan(self, request: Request,
                           entry: CacheEntry) -> Optional[CachePlan]:
@@ -74,15 +76,22 @@ class BrowserCache:
 
         Returns None when the entry carries no validators at all.
         """
-        conditional = request.copy()
-        etag = entry.response.headers.get("ETag")
-        if etag is not None:
-            conditional.headers.set("If-None-Match", etag)
-        last_modified = entry.response.headers.get("Last-Modified")
-        if last_modified is not None:
-            conditional.headers.set("If-Modified-Since", last_modified)
+        stored = entry.response.headers
+        etag = stored.get("ETag")
+        last_modified = stored.get("Last-Modified")
         if etag is None and last_modified is None:
             return None
+        conditional = request.copy()
+        headers = conditional.headers
+        # the stored values were validated when the entry was stored; a
+        # request without validators takes them appended, as ``set``
+        # would place them
+        add = headers.set if request.is_conditional \
+            else headers.add_validated
+        if etag is not None:
+            add("If-None-Match", etag)
+        if last_modified is not None:
+            add("If-Modified-Since", last_modified)
         self.revalidations += 1
         return CachePlan(outgoing=conditional, validating=entry)
 

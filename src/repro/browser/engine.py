@@ -458,17 +458,17 @@ class PageLoader:
 
         # Layer 3: the network.
         request_time = self.sim.now
-        retries_before = self.client.retries
         try:
-            response, new_connection = yield from self.client.exchange(
-                outgoing,
-                think_s=self.config.think_for(ref.url, is_document),
-                span=fspan)
+            response, new_connection, retries = \
+                yield from self.client.exchange(
+                    outgoing,
+                    think_s=self.config.think_for(ref.url, is_document),
+                    span=fspan)
         except (OriginUnreachable, FetchFailed) as exc:
             # Offline, or the retry budget ran dry (lossy link, resets,
             # stalls); only the latter bills the retries it spent.
             retries = (0 if isinstance(exc, OriginUnreachable)
-                       else self.client.retries - retries_before)
+                       else exc.retries)
             answer = session.degrade(request, is_document, self.sim.now)
             if answer is None:
                 if fspan is not None:
@@ -480,7 +480,6 @@ class PageLoader:
                          span=fspan)
             return fallback
         response_time = self.sim.now
-        retries = self.client.retries - retries_before
         usable = session.learn(request, plan, response, request_time,
                                response_time, is_document, fspan)
 

@@ -63,6 +63,11 @@ class FetchFailed(Exception):
         self.attempts = attempts
         self.cause = cause
 
+    @property
+    def retries(self) -> int:
+        """Attempts re-issued after a failure before the budget ran out."""
+        return self.attempts - 1
+
 
 OriginHandler = Callable[[Request, float], Response]
 
@@ -123,17 +128,20 @@ class NetworkClient:
                  think_s: Optional[float] = None, span=None):
         """DES process: perform one HTTP exchange.
 
-        Returns the Response and whether the attempt that delivered it
-        set up a new connection (and so paid its handshake).  Usage
-        inside another process::
+        Returns the Response, whether the attempt that delivered it set
+        up a new connection (and so paid its handshake) and how many
+        attempts this exchange re-issued before it.  Usage inside
+        another process::
 
-            response, new_connection = yield from client.exchange(request)
+            response, new_connection, retries = \
+                yield from client.exchange(request)
 
         Resilience: each wire attempt is raced against the per-request
         watchdog and subject to the link's :class:`FaultPlan` (if any).
         Failed attempts are retried with capped exponential backoff and
         deterministic jitter until the retry budget runs out, at which
-        point :class:`FetchFailed` is raised.  The fault-free,
+        point :class:`FetchFailed` is raised (its ``retries`` are this
+        exchange's too).  The fault-free,
         no-timeout configuration takes the exact code path (and timing)
         it always did.
 
@@ -197,7 +205,7 @@ class NetworkClient:
                 xspan.annotate(status=response.status,
                                attempts=attempt + 1,
                                new_connection=is_new).end()
-            return response, is_new
+            return response, is_new, attempt
         except BaseException as exc:
             if xspan is not None:
                 xspan.set("error", type(exc).__name__).end()

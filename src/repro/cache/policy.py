@@ -19,7 +19,6 @@ import enum
 from dataclasses import dataclass
 from typing import Optional
 
-from ..http.cache_control import parse_cache_control
 from ..http.dates import parse_http_date
 from ..http.messages import Request, Response
 from .entry import CacheEntry
@@ -62,6 +61,11 @@ class Decision:
         return self.disposition is not Disposition.FRESH
 
 
+#: the verdicts that carry nothing but their disposition, shared
+_MISS = Decision(Disposition.MISS)
+_UNCACHEABLE = Decision(Disposition.UNCACHEABLE)
+
+
 def may_store(request: Request, response: Response) -> bool:
     """Whether a private cache may store this exchange (RFC 9111 §3)."""
     if request.method != "GET":
@@ -69,8 +73,7 @@ def may_store(request: Request, response: Response) -> bool:
     cc = response.cache_control
     if cc.no_store:
         return False
-    req_cc = parse_cache_control(
-        request.headers.get_joined("Cache-Control") or "")
+    req_cc = request.cache_control
     if req_cc.no_store:
         return False
     if "*" in (response.headers.get("Vary") or ""):
@@ -134,16 +137,15 @@ def evaluate(request: Request, entry: Optional[CacheEntry],
     This is the status-quo browser behaviour that the paper's Figure 1b
     illustrates — the baseline CacheCatalyst is compared against.
     """
-    req_cc = parse_cache_control(
-        request.headers.get_joined("Cache-Control") or "")
+    req_cc = request.cache_control
     if req_cc.no_store or request.method in _UNSAFE_METHODS:
-        return Decision(Disposition.UNCACHEABLE)
+        return _UNCACHEABLE
     if entry is None:
-        return Decision(Disposition.MISS)
+        return _MISS
     resp_cc = entry.response.cache_control
     if resp_cc.no_store:
         # Shouldn't have been stored; treat as a miss.
-        return Decision(Disposition.MISS)
+        return _MISS
 
     lifetime = freshness_lifetime(entry.response, shared=shared)
     age = current_age(entry, now)

@@ -20,7 +20,6 @@ from ..http.etag import ETag
 from ..http.messages import Request, Response
 from ..obs.trace import NULL_TRACER
 from .entry import CacheEntry
-from .policy import may_store
 from .store import CacheStore
 
 __all__ = ["ServiceWorkerCache"]
@@ -47,12 +46,10 @@ class ServiceWorkerCache:
             return False
         if not response.ok:
             return False
-        # Strip freshness directives' influence by storing verbatim; the SW
-        # never consults them again.  The store keeps this one copy.
-        stored = _storable_copy(response)
-        if may_store(request, stored):
-            self._store.insert(request, stored, now, now)
-        return True
+        # Stored verbatim, in one copy-on-write copy: the SW never reads
+        # the freshness directives again.  ``store`` asks ``may_store``,
+        # which refuses a request's no-store and a Vary: *.
+        return self._store.store(request, response, now, now) is not None
 
     # -- read path -----------------------------------------------------------
     def match(self, request: Request, expected: Optional[ETag],
@@ -111,20 +108,3 @@ class ServiceWorkerCache:
     def __contains__(self, url: str) -> bool:
         return url in self._store
 
-
-def _storable_copy(response: Response) -> Response:
-    """Copy a response for SW storage.
-
-    The SW stores responses that the HTTP cache would refuse (``no-cache``,
-    short ``max-age``); storing verbatim keeps diagnostics honest, and
-    moving ``Cache-Control`` aside makes the copy acceptable to
-    ``may_store``.
-    """
-    copy = response.copy()
-    # Make the stored representation acceptable to may_store() while
-    # preserving the original directives for inspection.
-    cc = copy.headers.get("Cache-Control")
-    if cc is not None:
-        copy.headers.set("X-Original-Cache-Control", cc)
-        copy.headers.remove("Cache-Control")
-    return copy

@@ -61,28 +61,38 @@ def run_visit_sequence(setup: ModeSetup, conditions: NetworkConditions,
 
     ``tracer`` (a :class:`repro.obs.Tracer`) records spans from every
     layer of the sequence on the sim clock; its clock is rebound here
-    because the simulator does not exist before this call.
+    because the simulator does not exist before this call.  The server
+    and the Service Worker record into it only while the sequence runs:
+    their own tracers come back when it ends, also on an exception.
     """
     sim = Simulator(tracer=tracer)
+    server, sw = setup.server, setup.session.sw
+    server_tracer = getattr(server, "tracer", None)
+    sw_tracer = sw.tracer
     if tracer is not None and tracer.enabled:
         tracer.bind_clock(lambda: sim.now)
-        if hasattr(setup.server, "tracer"):
-            setup.server.tracer = tracer
+        if server_tracer is not None:
+            server.tracer = tracer
     outcomes: list[VisitOutcome] = []
-    for at_s in visit_times_s:
-        if at_s < sim.now:
-            raise ValueError("visit times must be non-decreasing")
-        sim.run(until=at_s)
-        # connections do not survive the gap between visits
-        link = Link(sim, conditions, fault_plan=fault_plan)
-        result = sim.run_process(
-            setup.session.load(sim, link, setup.handler, page_url,
-                               mode_label=setup.label,
-                               push_urls_fn=setup.push_urls_fn,
-                               hint_urls_fn=setup.hint_urls_fn,
-                               session_id=setup.session_id),
-            name=f"visit@{at_s}")
-        outcomes.append(VisitOutcome(at_s=at_s, result=result))
+    try:
+        for at_s in visit_times_s:
+            if at_s < sim.now:
+                raise ValueError("visit times must be non-decreasing")
+            sim.run(until=at_s)
+            # connections do not survive the gap between visits
+            link = Link(sim, conditions, fault_plan=fault_plan)
+            result = sim.run_process(
+                setup.session.load(sim, link, setup.handler, page_url,
+                                   mode_label=setup.label,
+                                   push_urls_fn=setup.push_urls_fn,
+                                   hint_urls_fn=setup.hint_urls_fn,
+                                   session_id=setup.session_id),
+                name=f"visit@{at_s}")
+            outcomes.append(VisitOutcome(at_s=at_s, result=result))
+    finally:
+        if server_tracer is not None:
+            server.tracer = server_tracer
+        sw.tracer = sw_tracer
     return outcomes
 
 

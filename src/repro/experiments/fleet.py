@@ -358,16 +358,17 @@ def _reduce_numpy(spec, mode_names, mixtures, warm, first, popularity,
     np = _np
     window_s = spec.measured_window_s
 
-    def stats(mode, values, weights, requests, bytes_down, acquisitions):
+    def stats(mode, values, weights, order, requests, bytes_down,
+              acquisitions):
         return _mode_stats(
             mode, float(values @ weights / weights.sum()),
-            _weighted_percentiles_np(values, weights, _PERCENTILES),
+            _weighted_percentiles_np(values, weights, _PERCENTILES, order),
             requests, bytes_down, acquisitions, window_s)
 
     popularity = np.asarray(popularity)
     cold = np.asarray(cold)
     slots = np.asarray(first.acquisitions, dtype=np.float64)
-    fleet_parts = {m: [] for m in mode_names}    # (values, weights) arrays
+    fleet_parts = {m: [] for m in mode_names}  # (values, weights, order)
     fleet_requests = {m: 0.0 for m in mode_names}
     fleet_bytes = {m: 0.0 for m in mode_names}
     fleet_acquisitions = 0.0
@@ -387,31 +388,63 @@ def _reduce_numpy(spec, mode_names, mixtures, warm, first, popularity,
                              + cold_visits @ first.requests[mi, 0])
             bytes_down = float((cells * estimates.bytes_down[mi]).sum()
                                + cold_visits @ first.bytes_down[mi, 0])
-            per_mode.append(stats(m, values, weights, requests, bytes_down,
-                                  acquisitions))
-            fleet_parts[m].append((values, weights))
+            order = np.lexsort((weights, values))
+            per_mode.append(stats(m, values, weights, order, requests,
+                                  bytes_down, acquisitions))
+            fleet_parts[m].append((values, weights, order))
             fleet_requests[m] += requests
             fleet_bytes[m] += bytes_down
         cohort_modes.append(tuple(per_mode))
         fleet_acquisitions += acquisitions
     fleet_modes = tuple(
-        stats(m, np.concatenate([values for values, _ in fleet_parts[m]]),
-              np.concatenate([weights for _, weights in fleet_parts[m]]),
-              fleet_requests[m], fleet_bytes[m], fleet_acquisitions)
+        stats(m, *_merged(fleet_parts[m]), fleet_requests[m],
+              fleet_bytes[m], fleet_acquisitions)
         for m in mode_names)
     return cohort_modes, fleet_modes
 
 
-def _weighted_percentiles_np(values, weights, qs) -> list[float]:
-    """:func:`~repro.experiments.stats.weighted_percentiles` on arrays.
+def _merged(parts):
+    """``(values, weights, order)`` of the concatenation of ``parts``,
+    each a ``(values, weights, order)`` triple ordered by its own
+    ``np.lexsort((weights, values))``, with the order that lexsort gives
+    the concatenation, built from the parts' orders.
 
-    The same nearest-rank rule: order by value (ties by weight), and
-    take the first value whose cumulative weight reaches ``q/100`` of
-    the total, less ``1e-9`` of the total for round-off at exact
-    boundaries.
+    A stable sort by value merges the sorted runs (and finds them, so
+    it costs far less than sorting afresh); a run of equal values then
+    comes out in part order, so each such run is re-ordered by weight,
+    stably, which leaves equal pairs in the order of their positions.
     """
     np = _np
-    order = np.lexsort((weights, values))
+    values = np.concatenate([part[0] for part in parts])
+    weights = np.concatenate([part[1] for part in parts])
+    offsets = np.cumsum([0] + [len(part[0]) for part in parts[:-1]])
+    runs = np.concatenate([part[2] + offset
+                           for part, offset in zip(parts, offsets)])
+    order = runs[np.argsort(values[runs], kind="stable")]
+    ordered = values[order]
+    tied = ordered[1:] == ordered[:-1]
+    if tied.any():
+        group = np.cumsum(np.concatenate(([True], ~tied)))
+        members = np.flatnonzero(np.concatenate((tied, [False]))
+                                 | np.concatenate(([False], tied)))
+        sub = order[members]
+        order[members] = sub[np.lexsort((weights[sub], group[members]))]
+    return values, weights, order
+
+
+def _weighted_percentiles_np(values, weights, qs,
+                             order=None) -> list[float]:
+    """:func:`~repro.experiments.stats.weighted_percentiles` on arrays.
+
+    The same nearest-rank rule: order by value (ties by weight, then
+    position: ``np.lexsort((weights, values))``, unless the caller
+    already has that ``order``), and take the first value whose
+    cumulative weight reaches ``q/100`` of the total, less ``1e-9`` of
+    the total for round-off at exact boundaries.
+    """
+    np = _np
+    if order is None:
+        order = np.lexsort((weights, values))
     cumulative = np.cumsum(weights[order])
     total = cumulative[-1]
     targets = total * np.asarray(qs, dtype=np.float64) / 100.0

@@ -82,7 +82,8 @@ from ..obs.tracecontext import extract_context
 from .errors import ConnectionClosed, ProtocolError
 from .headers import Headers
 from .messages import Request, Response, keeps_alive
-from .wire import MAX_HEADER_BLOCK, RequestParser, serialize_response
+from .wire import (MAX_HEADER_BLOCK, RequestParser, serialize_response,
+                   serialize_response_parts)
 
 __all__ = ["AsyncHttpServer", "Handler", "STATS_PATH", "METRICS_PATH"]
 
@@ -317,7 +318,10 @@ class _Connection(asyncio.Protocol):
                            < server.max_requests_per_connection))
         if not keep_alive and not handler_closes:
             response.headers.set("Connection", "close")
-        self.transport.write(serialize_response(response))
+        head, body = serialize_response_parts(response)
+        self.transport.write(head)
+        if body:
+            self.transport.write(body)
         if not shed:
             server.requests_served += 1
         if not keep_alive:

@@ -34,7 +34,7 @@ from .headers import Headers
 from .messages import Request, Response, status_reason
 
 __all__ = [
-    "serialize_request", "serialize_response",
+    "serialize_request", "serialize_response", "serialize_response_parts",
     "RequestParser", "read_response",
     "MAX_START_LINE", "MAX_HEADER_BLOCK", "MAX_BODY",
 ]
@@ -71,6 +71,14 @@ def serialize_request(request: Request) -> bytes:
 
 def serialize_response(response: Response) -> bytes:
     """Encode a response for the wire, adding Content-Length when needed."""
+    head, body = serialize_response_parts(response)
+    return head + body if body else head
+
+
+def serialize_response_parts(response: Response) -> tuple[bytes, bytes]:
+    """A response's head and the body that follows it (empty when the
+    status has none): :func:`serialize_response` without joining them,
+    so a writer sends the body without copying it once more."""
     headers = response.headers
     has_body = _response_may_have_body(response.status)
     length = len(response.body) if has_body \
@@ -79,7 +87,7 @@ def serialize_response(response: Response) -> bytes:
     reason = response.reason or status_reason(response.status)
     head = _head(f"{response.http_version} {response.status} {reason}",
                  headers, length)
-    return head + response.body if has_body else head
+    return head, response.body if has_body else b""
 
 
 def _response_may_have_body(status: int) -> bool:

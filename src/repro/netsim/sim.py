@@ -251,6 +251,9 @@ class Process(Event):
             else:
                 target = self._gen.throw(event._value)
         except StopIteration as stop:
+            # drop the spent generator: one less object the cyclic
+            # collector tracks while this event stays referenced
+            self._gen = None
             self.succeed(stop.value)
             return
         except Interrupt as exc:

@@ -27,6 +27,7 @@ Two §6 future-work items are implemented behind flags:
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass
 from functools import lru_cache
@@ -51,6 +52,10 @@ from .sessions import SessionRecorder
 __all__ = ["CatalystConfig", "CatalystServer", "SERVICE_WORKER_JS"]
 
 logger = logging.getLogger(__name__)
+
+#: map windows kept per scope: a Figure-3 pair asks for one document
+#: version at its cold and its warm time, and a grid at several delays
+_WINDOWS_PER_SCOPE = 8
 
 #: The client-side Service Worker source served at CACHE_SW_PATH.  The DES
 #: browser model implements the same logic natively
@@ -132,11 +137,12 @@ class _Page(NamedTuple):
 
 @lru_cache(maxsize=_SHARED_SPECS)
 def _shared_memos(site: _SpecKey, config: CatalystConfig
-                  ) -> tuple[dict, dict, dict]:
-    """The stylesheet, page and map memos every :class:`CatalystServer`
-    over one site spec and one config shares: what they hold is fixed
-    by the two (and the content versions in their keys)."""
-    return {}, {}, {}
+                  ) -> tuple[dict, dict, dict, dict]:
+    """The stylesheet, page, map and map-window memos every
+    :class:`CatalystServer` over one site spec and one config shares:
+    what they hold is fixed by the two (and the content versions in
+    their keys, or the churn timelines behind the windows)."""
+    return {}, {}, {}, {}
 
 
 class CatalystServer:
@@ -156,6 +162,10 @@ class CatalystServer:
       ``site.version_of`` for every candidate URL, so a churn bump on any
       stapled resource changes the key.  Per-client session entries are
       merged *on top* of the memoized map per request.
+    - **map windows** ``scope`` → for each of its last few maps, the
+      simulated window over which none of the map's candidate URLs
+      changes version, and the map's key: a request inside a window
+      reuses its map without reading the URLs (:meth:`_windowed_config`).
     - **stylesheet memo** ``(css_url, version)`` → child URLs.
 
     Each memo holds at most ``site._MAX_MEMO_ENTRIES`` entries, evicted
@@ -175,7 +185,7 @@ class CatalystServer:
                  third_party_oracle: Optional[
                      Callable[[str, float], Optional[str]]] = None):
         self.site = site
-        self.config = config
+        self.config = config  # also picks the memo set (the setter)
         self.static = StaticServer(site)
         self.sessions = SessionRecorder(max_sessions=config.max_sessions) \
             if config.use_sessions else None
@@ -190,17 +200,6 @@ class CatalystServer:
         #: HTML responses given a map: stapled, answered by its digest,
         #: or dropped over ``max_header_bytes``
         self.maps_stapled = 0
-        #: (css_url, version) -> child URLs; stylesheets are parsed once
-        #: per content version, not once per HTML request.  Negative
-        #: results (no stand-in body) memoize as [] under the same key.
-        self._css_children_memo: dict[tuple[str, int], list[str]]
-        #: (path, document_version) -> the page as served
-        self._render_cache: dict[tuple[str, int], _Page]
-        #: (scope, version-vector) -> session-independent EtagConfig
-        self._map_cache: dict[tuple, EtagConfig]
-        self._css_children_memo, self._render_cache, self._map_cache = (
-            ({}, {}, {}) if config.emit_cache_status
-            else _shared_memos(_SpecKey(site.spec), config))
         #: memo verdicts (page and ETag-map memos).  ``html_parses``
         #: counts the documents handed to the shared digest-keyed parse
         #: (``extract_resources_cached``, which the browser also uses),
@@ -213,6 +212,32 @@ class CatalystServer:
         self.css_parses = 0
         #: rebound by a traced run; NULL_TRACER keeps the hot path clean
         self.tracer = NULL_TRACER
+
+    @property
+    def config(self) -> CatalystConfig:
+        return self._config
+
+    @config.setter
+    def config(self, config: CatalystConfig) -> None:
+        """What the memos hold is fixed by the site spec and the config
+        (the candidate URLs of a map, its entry cap), so a server given
+        another config takes that config's memo set."""
+        self._config = config
+        #: (css_url, version) -> child URLs; stylesheets are parsed once
+        #: per content version, not once per HTML request.  Negative
+        #: results (no stand-in body) memoize as [] under the same key.
+        self._css_children_memo: dict[tuple[str, int], list[str]]
+        #: (path, document_version) -> the page as served
+        self._render_cache: dict[tuple[str, int], _Page]
+        #: (scope, version-vector) -> session-independent EtagConfig
+        self._map_cache: dict[tuple, EtagConfig]
+        #: scope -> [(since, until, map memo key)]: the simulated
+        #: windows over which those keys' version vectors hold
+        self._map_windows: dict[tuple, list[tuple[float, float, tuple]]]
+        (self._css_children_memo, self._render_cache, self._map_cache,
+         self._map_windows) = (
+            ({}, {}, {}, {}) if config.emit_cache_status
+            else _shared_memos(_SpecKey(self.site.spec), config))
 
     # -- request entry point ----------------------------------------------------
     def handle(self, request: Request, at_time: float) -> Response:
@@ -396,6 +421,10 @@ class CatalystServer:
         version vector of its candidate URLs is unchanged)."""
         if refs is None:
             raise ValueError("document references could not be read")
+        scope = ("doc",) + key
+        config = self._windowed_config(scope, at_time)
+        if config is not None:
+            return config
         urls: list[str] = []
         for ref in refs:
             if not is_same_origin(self.site.origin, ref.url):
@@ -409,7 +438,28 @@ class CatalystServer:
         # entries whose saved RTTs matter most for PLT.
         blocking_urls = {ref.url for ref in refs if ref.blocking}
         urls.sort(key=lambda u: (u not in blocking_urls))
-        return self._cached_config(("doc",) + key, urls, at_time)
+        return self._cached_config(scope, urls, at_time)
+
+    def _windowed_config(self, scope: tuple,
+                         at_time: float) -> Optional[EtagConfig]:
+        """The memoized map for ``scope`` if ``at_time`` lies in a
+        window its candidate URLs' versions hold over, else None.
+
+        Inside a window the version vector, and so the memo key, is the
+        one recorded with it; a key the map memo has since evicted
+        misses here as it would by version vector.  Never answers when a
+        third-party oracle is configured.
+        """
+        windows = self._map_windows.get(scope)
+        if windows is None or self.third_party_oracle is not None:
+            return None
+        for since, until, key in windows:
+            if since <= at_time < until:
+                config = self._map_cache.get(key)
+                if config is not None:
+                    self.map_hits += 1
+                return config
+        return None
 
     def _cached_config(self, scope: tuple, urls: list[str],
                        at_time: float) -> EtagConfig:
@@ -417,13 +467,23 @@ class CatalystServer:
 
         The key embeds ``site.version_of`` for every candidate URL, so
         any churn bump on a stapled resource changes the key and the
-        stale map is never served.  Bypassed when a third-party oracle is
-        configured (its answers may be time-dependent).
+        stale map is never served.  The window over which the key holds
+        is recorded for :meth:`_windowed_config`.  Bypassed when a
+        third-party oracle is configured (its answers may be
+        time-dependent).
         """
         if self.third_party_oracle is not None:
             self.map_builds += 1
             return self._config_for_urls(urls, at_time)
-        key = scope + (self._version_signature(urls, at_time),)
+        signature, since, until = self._version_signature(urls, at_time)
+        key = scope + (signature,)
+        windows = self._map_windows.get(scope)
+        if windows is None:
+            windows = self._map_windows[scope] = []
+            self._trim(self._map_windows)
+        elif len(windows) >= _WINDOWS_PER_SCOPE:
+            del windows[0]  # oldest first
+        windows.append((since, until, key))
         cached = self._map_cache.get(key)
         if cached is not None:
             self.map_hits += 1
@@ -433,23 +493,36 @@ class CatalystServer:
         self._trim(self._map_cache)
         return config
 
-    def _version_signature(self, urls: list[str],
-                           at_time: float) -> tuple[int, ...]:
-        """Current content-version vector of ``urls`` (the memo key).
+    def _version_signature(self, urls: list[str], at_time: float
+                           ) -> tuple[tuple[int, ...], float, float]:
+        """Current content-version vector of ``urls`` (the memo key) and
+        the window ``[since, until)`` over which it holds: from the
+        latest last change to the earliest next change among them.
 
         Dynamic resources version per *request* but never yield a stable
         tag (they are always excluded from the map), so they contribute a
-        constant instead of thrashing the key.
+        constant instead of thrashing the key, and bound no window;
+        neither do unknown URLs.
         """
         signature: list[int] = []
+        since, until = 0.0, math.inf
+        site = self.site
         for url in urls:
-            spec = self.site.resource_spec(url)
+            spec = site.resource_spec(url)
             if spec is not None and spec.dynamic:
                 signature.append(-2)
                 continue
-            version = self.site.version_of(url, at_time)
-            signature.append(-1 if version is None else version)
-        return tuple(signature)
+            span = site.version_span_of(url, at_time)
+            if span is None:
+                signature.append(-1)
+                continue
+            version, changed, changes = span
+            signature.append(version)
+            if changed > since:
+                since = changed
+            if changes < until:
+                until = changes
+        return tuple(signature), since, until
 
     def _css_children(self, css_url: str, at_time: float) -> list[str]:
         spec = self.site.resource_spec(css_url)
@@ -501,12 +574,13 @@ class CatalystServer:
         if not self.config.include_css_transitive:
             return
         try:
-            children = self._css_children(path, at_time)
-            if not children:
-                return
-            version = self.site.version_of(path, at_time)
-            config = self._cached_config(("css", path, version), children,
-                                         at_time)
+            scope = ("css", path, self.site.version_of(path, at_time))
+            config = self._windowed_config(scope, at_time)
+            if config is None:
+                children = self._css_children(path, at_time)
+                if not children:
+                    return
+                config = self._cached_config(scope, children, at_time)
         except Exception:
             self.map_build_failures += 1
             logger.warning("X-Etag-Config construction failed for "

@@ -8,6 +8,7 @@ but still costing the round trip that CacheCatalyst exists to eliminate.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from ..http.dates import parse_http_date
@@ -21,6 +22,10 @@ __all__ = ["StaticServer"]
 #: headers a 304 must repeat so caches can update stored metadata
 _304_HEADERS = ("Date", "ETag", "Cache-Control", "Expires", "Vary",
                 "Last-Modified")
+
+#: one entity tag that :func:`~repro.http.etag.parse_etag` accepts and
+#: ``If-None-Match`` parses to alone: no quote or backslash inside
+_ENTITY_TAG = re.compile(r'(?:[Ww]/)?"[^"\\]*"')
 
 
 @dataclass
@@ -71,6 +76,10 @@ class StaticServer:
         etag_raw = full.headers.get("ETag")
         inm = request.headers.get("If-None-Match")
         if inm is not None and etag_raw is not None:
+            if inm == etag_raw and _ENTITY_TAG.fullmatch(inm):
+                # the current tag sent back as it was served, as every
+                # cache here does: it weak-matches itself
+                return self._not_modified(full)
             try:
                 current = parse_etag(etag_raw)
                 if if_none_match_matches(inm, current):
@@ -91,9 +100,6 @@ class StaticServer:
 
     @staticmethod
     def _not_modified(full: Response) -> Response:
-        headers = Headers()
-        for name in _304_HEADERS:
-            for value in full.headers.get_all(name):
-                headers.add(name, value)
-        return Response(status=304, headers=headers, body=b"",
-                        declared_size=0)
+        return Response(status=304,
+                        headers=full.headers.selected(_304_HEADERS),
+                        body=b"", declared_size=0)

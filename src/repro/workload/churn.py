@@ -132,6 +132,25 @@ class ResourceChurn:
         self._extend_to(t)
         return bisect_right(self._change_times, t)
 
+    def version_span(self, t: float) -> tuple[int, float, float]:
+        """``(version, since, until)`` at ``t`` from one search.
+
+        ``version`` is :meth:`version_at`, ``since`` is
+        :meth:`last_change_at` and ``until`` the first change after
+        ``t`` (``inf`` when none follows): the content is ``version``
+        throughout ``[since, until)``.  After :meth:`_extend_to` the
+        next change is already drawn.
+        """
+        if t < 0:
+            raise ValueError("negative time")
+        if math.isinf(self.period_s) and not self._fixed:
+            return 0, 0.0, math.inf
+        self._extend_to(t)
+        times = self._change_times
+        index = bisect_right(times, t)
+        return (index, times[index - 1] if index else 0.0,
+                times[index] if index < len(times) else math.inf)
+
     def last_change_at(self, t: float) -> float:
         """Time of the most recent change at or before ``t`` (0.0 if none).
 

@@ -1,4 +1,4 @@
-"""Property: the Catalyst origin's memos never change a response.
+"""Properties: the Catalyst origin's memos never change a response.
 
 One warm :class:`CatalystServer` answers a random request sequence, and
 a second server over the same spec, which shares its memos, answers
@@ -10,11 +10,19 @@ and no condition, a matching ``If-None-Match`` or an old one, at
 non-decreasing times across two weeks of content churn.  Dynamic
 resources are left out: they version by request count and are never
 stapled.
+
+A map served from a time window (the memo reused without reading its
+candidate URLs) must likewise equal the fresh server's, for pages and
+stylesheets asked for in any time order, at random times and at the
+instants where a candidate's version changes, and just before them.
 """
 
-from hypothesis import given, settings, strategies as st
+import math
+
+from hypothesis import example, given, settings, strategies as st
 
 import repro.server.catalyst as catalyst_mod
+from repro.core.etag_config import EtagConfig
 import repro.server.site as site_module
 from repro.html.parser import ResourceKind
 from repro.http.headers import Headers
@@ -76,3 +84,49 @@ def test_warm_server_answers_like_a_fresh_one(draws):
         want = fresh_response(url, headers, method, at_time)
         assert _wire(got) == _wire(shared) == _wire(want), \
             (url, method, condition, at_time)
+
+
+def _change_instants(horizon_s: float) -> list[float]:
+    """Every instant in ``(0, horizon_s]`` where a page or a resource of
+    the site changes version."""
+    churns = [spec.make_churn() for spec in _RESOURCES] \
+        + [SPEC.pages[url].make_html_churn() for url in PAGES]
+    instants: set[float] = set()
+    for churn in churns:
+        t = 0.0
+        while True:
+            _, _, t = churn.version_span(t)
+            if t > horizon_s:
+                break
+            instants.add(t)
+    return sorted(instants)
+
+
+CHANGES = _change_instants(14 * DAY)
+visit_times = (st.floats(min_value=0.0, max_value=14 * DAY)
+               | st.sampled_from(CHANGES)
+               | st.sampled_from(CHANGES).map(
+                   lambda t: math.nextafter(t, -math.inf)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(PAGES + STYLESHEETS), visit_times),
+                min_size=2, max_size=24))
+@example([(PAGES[0], 0.0), (PAGES[0], 1.0), (PAGES[0], CHANGES[0]),
+          (PAGES[0], math.nextafter(CHANGES[0], -math.inf)),
+          (PAGES[0], 0.5), (PAGES[0], CHANGES[0])])
+def test_windowed_map_is_the_map_of_emptied_memos(draws):
+    warm = CatalystServer(OriginSite(SPEC))
+    for url, at_time in draws:  # any order: a grid asks cold, then warm
+        got = warm.handle(Request("GET", url), at_time)
+        assert _wire(got) == _wire(fresh_response(url, {}, "GET", at_time)), \
+            (url, at_time)
+        # and again at the instant its map's first stapled URL changes,
+        # the edge of the window this request may have recorded
+        config = EtagConfig.from_headers(got.headers)
+        edge = min((warm.site.version_span_of(stapled, at_time)[2]
+                    for stapled in config or ()), default=math.inf)
+        if edge <= 14 * DAY:
+            got = warm.handle(Request("GET", url), edge)
+            assert _wire(got) == _wire(fresh_response(url, {}, "GET", edge)), \
+                (url, edge)

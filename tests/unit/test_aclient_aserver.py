@@ -15,7 +15,7 @@ from repro.http.aclient import AsyncHttpClient
 from repro.http.aserver import AsyncHttpServer
 from repro.http.errors import HttpError, RequestTimeout
 from repro.http.messages import Request, Response
-from repro.http.wire import MAX_HEADER_BLOCK
+from repro.http.wire import MAX_HEADER_BLOCK, serialize_response
 
 
 def run(coro):
@@ -393,6 +393,57 @@ def _raw_exchange(port: int, payload: bytes) -> bytes:
                 break
             chunks.append(chunk)
     return b"".join(chunks)
+
+
+class TestResponseBytes:
+    """The server writes a response's head and its body apart; a raw
+    client reads exactly ``serialize_response``'s bytes."""
+
+    @pytest.mark.parametrize("method, condition, closes", [
+        ("GET", False, "request"),     # 200 with a body
+        ("GET", True, "request"),      # 304
+        ("HEAD", False, "request"),    # 200 head only
+        ("GET", False, "handler"),     # the handler's Connection: close
+    ])
+    def test_raw_client_reads_the_serialized_response(self, method,
+                                                      condition, closes):
+        from repro.server.site import OriginSite
+        from repro.server.static import StaticServer
+        from repro.workload.sitegen import generate_site
+
+        site = OriginSite(generate_site("https://bytes.example", seed=5),
+                          materialize_fully=True)
+        url = max((u for u in site.all_urls() if u not in site.spec.pages),
+                  key=lambda u: site.resource_spec(u).size_bytes)
+        origin = StaticServer(site)
+        answered = []
+
+        def handler(request):
+            response = origin.handle(request, 0.0)
+            if closes == "handler":
+                response.headers.set("Connection", "close")
+            answered.append(response)
+            return response
+
+        head = f"{method} {url} HTTP/1.1\r\nHost: h\r\n"
+        if condition:
+            etag = origin.handle(Request(url=url), 0.0).headers["ETag"]
+            head += f"If-None-Match: {etag}\r\n"
+        if closes == "request":
+            head += "Connection: close\r\n"
+
+        async def scenario():
+            async with AsyncHttpServer(handler) as server:
+                return await asyncio.get_running_loop().run_in_executor(
+                    None, _raw_exchange, server.port,
+                    (head + "\r\n").encode())
+
+        raw = run(scenario())
+        [response] = answered
+        assert response.status == (304 if condition else 200)
+        assert raw == serialize_response(response)
+        assert len(raw) > (100_000 if method == "GET" and not condition
+                           else 0)
 
 
 class TestRequestPath:

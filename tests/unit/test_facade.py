@@ -72,6 +72,36 @@ class TestRunVisitSequence:
         assert setup.session.visits == 2
         assert setup.session.http_cache.entry_count > 0
 
+    def test_a_traced_sequence_unbinds_its_tracer(self):
+        """A later untraced sequence on the same setup records nothing
+        into an earlier sequence's tracer."""
+        from repro.obs.trace import Tracer
+        from repro.workload.corpus import make_corpus
+
+        site = next(iter(make_corpus(size=3, seed=2024)))
+        setup = build_mode(CachingMode.CATALYST, site)
+        server_tracer, sw_tracer = setup.server.tracer, \
+            setup.session.sw.tracer
+        tracer = Tracer()
+        run_visit_sequence(setup, COND, [0.0], tracer=tracer)
+        spans = len(tracer.spans())
+        assert spans > 0
+        run_visit_sequence(setup, COND, [24 * HOUR])
+        assert len(tracer.spans()) == spans
+        assert setup.server.tracer is server_tracer
+        assert setup.session.sw.tracer is sw_tracer
+
+    def test_tracers_come_back_when_a_sequence_raises(self, site_spec):
+        from repro.obs.trace import Tracer
+
+        setup = build_mode(CachingMode.CATALYST, site_spec)
+        server_tracer = setup.server.tracer
+        with pytest.raises(ValueError, match="non-decreasing"):
+            run_visit_sequence(setup, COND, [HOUR, 0.0], tracer=Tracer())
+        assert setup.server.tracer is server_tracer
+        assert setup.session.sw.tracer is not None
+        assert not setup.session.sw.tracer.enabled
+
     def test_alternate_page_url(self, site_spec):
         from repro.workload.sitegen import generate_site as gen
         multi = gen("https://facade2.example", seed=48, extra_pages=1,

@@ -123,7 +123,7 @@ class TestClientResilience:
         client.link.fault_plan = _ScriptedPlan(decisions)
 
         def proc():
-            response, _ = yield from client.exchange(Request(url="/a"))
+            response, _, _ = yield from client.exchange(Request(url="/a"))
             return response
         response = sim.run_process(proc())
         assert response.body == b"k" * 1000
@@ -147,6 +147,7 @@ class TestClientResilience:
         with pytest.raises(FetchFailed) as info:
             sim.run_process(proc())
         assert info.value.attempts == 3
+        assert info.value.retries == 2
         assert isinstance(info.value.cause, InjectedReset)
 
     def test_truncation_is_retried(self):
@@ -159,7 +160,7 @@ class TestClientResilience:
             request_timeout_s=5.0, max_retries=2)
 
         def proc():
-            response, _ = yield from client.exchange(Request(url="/a"))
+            response, _, _ = yield from client.exchange(Request(url="/a"))
             return response
         response = sim.run_process(proc())
         assert response.body == b"k" * 1000
@@ -175,7 +176,7 @@ class TestClientResilience:
         assert math.isinf(client.request_timeout_s)
 
         def proc():
-            response, _ = yield from client.exchange(Request(url="/a"))
+            response, _, _ = yield from client.exchange(Request(url="/a"))
             return response
         response = sim.run_process(proc())
         assert response.status == 200
@@ -261,6 +262,33 @@ class TestEndToEndDeterminism:
         assert plts_a == plts_b
         assert sum(e[3] for visit in trace_a for e in visit) > 0, \
             "the 25% plan should have forced at least one retry"
+
+
+class TestRetryBilling:
+    @pytest.mark.faults
+    def test_each_fetch_is_billed_only_its_own_retries(self):
+        """A fetch in flight while another retries is not billed that
+        retry: the load's events sum to its ``net.retry`` instants."""
+        from repro.browser.engine import BrowserConfig
+        from repro.core.catalyst import run_visit_sequence
+        from repro.core.modes import CachingMode, build_mode
+        from repro.obs.trace import Tracer
+        from repro.workload.corpus import make_corpus
+
+        site = next(spec for spec in make_corpus(seed=2024)
+                    if spec.origin == "https://site000-media.example")
+        setup = build_mode(CachingMode.STANDARD, site,
+                           BrowserConfig(request_timeout_s=3.0,
+                                         max_retries=4))
+        tracer = Tracer()
+        [outcome] = run_visit_sequence(
+            setup, COND, [0.0], fault_plan=FaultPlan.request_loss(0.1),
+            tracer=tracer)
+        retries = [event.retries for event in outcome.result.events]
+        instants = len(tracer.spans_named("net.retry"))
+        assert instants > 0
+        assert sum(retries) == instants
+        assert outcome.result.retries_total == instants
 
 
 class TestFaultSweepCli:

@@ -24,7 +24,7 @@ class TestExchange:
         client = make_client(sim, simple_handler)
 
         def proc():
-            response, _ = yield from client.exchange(Request(url="/a"))
+            response, _, _ = yield from client.exchange(Request(url="/a"))
             return response
         response = sim.run_process(proc())
         assert response.body == b"k" * 1000
@@ -61,7 +61,8 @@ class TestExchange:
         flags = []
 
         def proc(url):
-            _, new_connection = yield from client.exchange(Request(url=url))
+            _, new_connection, _ = yield from client.exchange(
+                Request(url=url))
             flags.append(new_connection)
 
         for i in range(6):
@@ -95,10 +96,11 @@ class TestExchange:
     def test_exchange_records_accounting(self):
         sim = Simulator()
         client = make_client(sim, simple_handler)
-        response, new_connection = sim.run_process(
+        response, new_connection, retries = sim.run_process(
             client.exchange(Request(url="/a")))
         assert response.status == 200
         assert new_connection and client.connections_opened == 1
+        assert retries == 0
         # the downlink billed the response's headers (at least the
         # policy's floor) and its body
         header_bytes = max(client.policy.response_header_bytes,

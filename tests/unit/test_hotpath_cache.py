@@ -206,6 +206,23 @@ class TestCrossServerSharing:
         assert _answers(server, stream) == want
         assert server.stats() == cold.stats()
 
+    @pytest.mark.parametrize("config_b", [
+        CatalystConfig(include_css_transitive=False),
+        CatalystConfig(max_entries=3)], ids=["html-only", "capped"])
+    def test_a_server_given_another_config_reads_that_configs_memos(
+            self, spec, config_b):
+        """A config assigned after construction (as the ablations do)
+        takes its own memo set: neither a map memoized for the first
+        config nor its time window answers for the second."""
+        stream = _stream(spec)
+        empty_shared_memos()
+        want = _answers(CatalystServer(OriginSite(spec), config_b), stream)
+        empty_shared_memos()
+        server = CatalystServer(OriginSite(spec))
+        _answers(server, stream)
+        server.config = config_b
+        assert _answers(server, stream) == want
+
     def test_cache_status_server_keeps_its_own_memos(self, spec):
         config = CatalystConfig(emit_cache_status=True)
         stream = _stream(spec)

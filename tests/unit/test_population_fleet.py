@@ -167,6 +167,27 @@ def test_numpy_percentiles_match_reference_on_random_ties():
             == weighted_percentiles(values, weights, qs), (values, weights)
 
 
+@pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
+def test_fleet_order_merged_from_cohort_orders_is_the_lexsort():
+    """The fleet row's order, merged from each cohort's own lexsort,
+    equals ``np.lexsort`` of the concatenation: by value, then weight,
+    then position, with ties across and within parts common."""
+    np = pytest.importorskip("numpy")
+    from repro.experiments.fleet import _merged
+
+    rng = random.Random(11)
+    for _ in range(300):
+        parts = []
+        for _ in range(rng.randint(1, 4)):
+            n = rng.randint(1, 9)
+            values = np.asarray([float(rng.randint(0, 5)) for _ in range(n)])
+            weights = np.asarray([float(rng.randint(0, 3))
+                                  for _ in range(n)])
+            parts.append((values, weights, np.lexsort((weights, values))))
+        values, weights, order = _merged(parts)
+        assert list(order) == list(np.lexsort((weights, values))), parts
+
+
 def test_analytic_rejects_mismatched_corpus(spec):
     small = make_corpus(size=5)
     with pytest.raises(ValueError):

@@ -221,8 +221,7 @@ class TestSharedContent:
                 continue
             big, small = full.respond(url, 0.0), standin.respond(url, 0.0)
             assert big.headers["ETag"] == small.headers["ETag"]
-            template = full._template(
-                resource, full.version_of(url, 0.0), 0.0)
+            _, template = full._template(resource, 0.0)
             assert template.body == small.body != big.body
 
     def test_clearing_program_caches_empties_every_store(self):
