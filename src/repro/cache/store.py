@@ -69,19 +69,22 @@ class CacheStore:
         hands over a copy it owns and has checked (:meth:`store` is the
         usual entry point)."""
         vary = response.headers.get("Vary", "")
-        variant = _variant_key(vary, request)
+        variant = _variant_key(vary, request) if vary else ()
         key = (request.url, variant)
-        vary_values = dict(variant) if vary else {}
         entry = CacheEntry(url=request.url, response=response,
                            request_time=request_time,
                            response_time=response_time,
-                           vary_values=vary_values)
+                           vary_values=dict(variant) if vary else {})
         old = self._entries.pop(key, None)
         if old is not None:
             self._bytes -= old.size_bytes
             self._unindex(key)
         self._entries[key] = entry
-        self._by_url.setdefault(key[0], {})[key] = None
+        keys = self._by_url.get(request.url)
+        if keys is None:
+            self._by_url[request.url] = {key: None}
+        else:
+            keys[key] = None
         self._bytes += entry.size_bytes
         self.stores += 1
         self._evict_if_needed()

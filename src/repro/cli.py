@@ -200,8 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--time-scale", type=float, default=3600.0,
                        help="simulated seconds per wall second")
     serve.add_argument("--shards", type=int, default=1,
-                       help="SO_REUSEPORT worker processes (default 1: "
-                            "in-process, no fork)")
+                       help="SO_REUSEPORT worker processes (default 1)")
     serve.add_argument("--drain", type=float, default=5.0,
                        help="graceful-drain window on SIGTERM/SIGINT "
                             "seconds (default 5)")
@@ -215,7 +214,9 @@ def build_parser() -> argparse.ArgumentParser:
         "loadtest",
         help="sustained-load chaos harness against the serving tier")
     load.add_argument("--shards", type=int, default=1,
-                      help="SO_REUSEPORT worker processes (default 1)")
+                      help="origin shards (default 1, served in the "
+                           "driver's own loop; more are SO_REUSEPORT "
+                           "worker processes)")
     load.add_argument("--clients", type=int, default=32,
                       help="concurrent asyncio clients (default 32)")
     load.add_argument("--duration", type=float, default=5.0,
@@ -245,14 +246,16 @@ def build_parser() -> argparse.ArgumentParser:
                            "worker) and write one merged Perfetto "
                            "trace JSON here")
     load.add_argument("--live", action="store_true",
-                      help="print a per-interval rps/shed ticker to "
-                           "stderr while the swarm runs")
+                      help="print each interval's client rps/shed to "
+                           "stderr as it closes")
     load.add_argument("--timeseries-out", default=None,
                       help="stream per-interval registry deltas to "
                            "this JSONL file")
-    load.add_argument("--telemetry-interval", type=float, default=None,
-                      help="telemetry sampling interval seconds "
-                           "(default: the tally interval, 0.25)")
+    load.add_argument("--telemetry-interval", type=float, default=0.25,
+                      help="seconds per row of the run's one interval "
+                           "grid, from the swarm's start: series, "
+                           "timeseries, --live and SLO windows "
+                           "(default 0.25)")
     load.add_argument("--slo", action="store_true",
                       help="evaluate the stock SLO policy over the "
                            "run's time series; exit non-zero on breach")
@@ -519,60 +522,33 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from .http.fleet import FleetConfig
-
-    # One shard or many, each is built by http.fleet.build_server, so
-    # the shard count never changes what is served.
-    config = FleetConfig(
-        port=args.port, shards=args.shards, seed=args.seed,
-        app="catalyst", time_scale=args.time_scale,
-        max_inflight=args.max_inflight,
-        max_connections=args.max_connections)
-    if args.shards > 1:
-        return _cmd_serve_fleet(args, config)
-    import asyncio
-    import signal
-
-    from .http.aserver import STATS_PATH
-    from .http.fleet import build_server
-    from .obs import MetricsRegistry
-
-    async def serve() -> None:
-        server = build_server(config, MetricsRegistry())
-        await server.start()
-        print(f"Catalyst origin on {server.base_url} "
-              f"(x{args.time_scale:g} time; Ctrl-C to stop; "
-              f"stats at {STATS_PATH})", flush=True)
-        loop = asyncio.get_running_loop()
-        stopping = asyncio.Event()
-        for sig in (signal.SIGTERM, signal.SIGINT):
-            loop.add_signal_handler(sig, stopping.set)
-        await stopping.wait()
-        report = await server.stop(drain_s=args.drain)
-        log.info("drained", **report)
-
-    asyncio.run(serve())
-    print("\nbye")
-    return 0
-
-
-def _cmd_serve_fleet(args: argparse.Namespace, config) -> int:
     import signal
     import time
 
     from .http.aserver import STATS_PATH
-    from .http.fleet import ServerFleet
-
-    fleet = ServerFleet(config).start()
-    print(f"Catalyst origin on {fleet.base_url} "
-          f"({args.shards} SO_REUSEPORT shards; Ctrl-C to stop; "
-          f"per-shard stats at {STATS_PATH})")
+    from .http.fleet import FleetConfig, ServerFleet
 
     def _interrupt(signum, frame):
         raise KeyboardInterrupt
 
+    # Installed before the workers spawn, so a TERM during start-up
+    # reaps them too.
     signal.signal(signal.SIGTERM, _interrupt)
     try:
+        fleet = ServerFleet(FleetConfig(
+            port=args.port, shards=args.shards, seed=args.seed,
+            app="catalyst", time_scale=args.time_scale,
+            max_inflight=args.max_inflight,
+            max_connections=args.max_connections))
+    except (ValueError, RuntimeError) as exc:
+        log.error("serve-invalid", detail=str(exc))
+        return 2
+    try:
+        fleet.start()
+        print(f"Catalyst origin on {fleet.base_url} "
+              f"({args.shards} SO_REUSEPORT shard(s), "
+              f"x{args.time_scale:g} time; Ctrl-C to stop; "
+              f"per-shard stats at {STATS_PATH})", flush=True)
         while True:
             time.sleep(3600)
     except KeyboardInterrupt:
@@ -596,17 +572,21 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
         objectives = default_loadtest_policy(
             p99_ms=args.slo_p99_ms, max_shed_rate=args.slo_max_shed,
             max_error_ratio=args.slo_max_errors)
-    result = run_load_test(
-        shards=args.shards, clients=args.clients,
-        duration_s=args.duration, warmup_s=args.warmup, seed=args.seed,
-        app=args.app, latency_s=args.latency,
-        max_inflight=args.inflight_cap,
-        max_connections=args.max_connections,
-        preset=None if args.preset == "none" else args.preset,
-        trace=args.trace_out is not None,
-        telemetry_interval_s=args.telemetry_interval,
-        timeseries_path=args.timeseries_out,
-        slo=objectives, live=args.live)
+    try:
+        result = run_load_test(
+            shards=args.shards, clients=args.clients,
+            duration_s=args.duration, warmup_s=args.warmup,
+            seed=args.seed, app=args.app, latency_s=args.latency,
+            max_inflight=args.inflight_cap,
+            max_connections=args.max_connections,
+            preset=None if args.preset == "none" else args.preset,
+            trace=args.trace_out is not None,
+            interval_s=args.telemetry_interval,
+            timeseries_path=args.timeseries_out,
+            slo=objectives, live=args.live)
+    except ValueError as exc:
+        log.error("loadtest-invalid", detail=str(exc))
+        return 2
     print(format_load_test(result))
     if args.trace_out:
         from .experiments.tracing import fleet_chrome_trace_json

@@ -3,10 +3,12 @@
 Drives a swarm of concurrent asyncio clients — each its own
 :class:`~repro.http.aclient.AsyncHttpClient` with one keep-alive
 connection, a retry budget, ``Retry-After`` honouring, and a circuit
-breaker — against a sharded :class:`~repro.http.fleet.ServerFleet`
-origin (or, with one shard, an in-process
-:class:`~repro.http.aserver.AsyncHttpServer`), optionally misbehaving
-per a seeded :class:`~repro.netsim.faults.FaultPlan`.
+breaker — against a sharded origin, optionally misbehaving per a seeded
+:class:`~repro.netsim.faults.FaultPlan`.  The shard count decides only
+where the shards run: one is a :class:`~repro.http.fleet.LocalFleet` in
+the driver's own loop, more are a :class:`~repro.http.fleet.ServerFleet`
+of worker processes.  Both answer in one shape, so totals, the merged
+registry, spans, drain reports and telemetry are read one way.
 
 What it measures (the *serving-tier* questions, not the cache ones):
 
@@ -30,14 +32,20 @@ the send and burns a watchdog wait, ``STALL`` delays the send,
 exchange pays a reconnect.  All decisions come from the deterministic
 ``(seed, url, attempt)`` hash, so chaos runs replay exactly.
 
-Per-interval series (sent/ok/shed per ``interval_s`` bucket) land in the
-result *and* in the metrics registry, next to the fleet's merged
-``http.*`` instruments.
+Every per-interval row of a run comes from one grid: its origin is the
+swarm's start and its width ``interval_s``.  The swarm counts into its
+own registry as it goes (``load.*``; completions only inside the
+measured window) and every shard into its own; an
+:class:`~repro.obs.timeseries.IntervalSampler` diffs each at the end
+of every interval into one
+:class:`~repro.obs.timeseries.TimeSeriesRecorder`.  ``timeseries`` is
+its rows, ``series`` the swarm's counters read from them.
 """
 
 from __future__ import annotations
 
 import asyncio
+import math
 import os
 import sys
 import time
@@ -46,7 +54,7 @@ from typing import Optional, Sequence, Union
 
 from ..http.aclient import AsyncHttpClient
 from ..http.errors import CircuitOpen, HttpError
-from ..http.fleet import FleetConfig, ServerFleet, build_server
+from ..http.fleet import FleetConfig, LocalFleet, ServerFleet
 from ..http.messages import Request
 from ..netsim.faults import (FaultKind, FaultPlan, captive_portal,
                              flaky_5g, lossy_wifi)
@@ -55,7 +63,7 @@ from ..obs.manifest import build_manifest, stamp
 from ..obs.metrics import MetricsRegistry
 from ..obs.slo import Objective, SloReport
 from ..obs.slo import evaluate as evaluate_slo
-from ..obs.timeseries import TimeSeriesRecorder, diff_dumps
+from ..obs.timeseries import IntervalSampler, TimeSeriesRecorder
 from ..obs.trace import Tracer
 from .report import format_table
 
@@ -105,14 +113,16 @@ class LoadTestResult:
     # drain report from the final graceful stop
     drain_s: float = 0.0
     hard_cancelled: int = 0
-    #: per-interval {"t_s", "sent", "ok", "shed"} buckets
+    #: per-interval {"t_s", "sent", "ok", "shed"} client rows, on
+    #: ``timeseries``' grid (zero during warmup and after the window)
     series: list = field(default_factory=list)
     metrics_snapshot: dict = field(default_factory=dict)
     elapsed_s: float = 0.0
     #: pid-stamped span dicts (driver clients + fleet workers) when the
     #: run was traced; feed straight into ``obs.export.to_chrome_trace``
     spans: list = field(default_factory=list)
-    #: per-interval registry snapshots from the telemetry recorder
+    #: per-interval {"t_s", "metrics"} snapshots of the swarm's and
+    #: every shard's registry deltas, from the swarm's start
     timeseries: list = field(default_factory=list)
     #: :class:`~repro.obs.slo.SloReport` when objectives were evaluated
     slo_report: Optional[SloReport] = None
@@ -139,52 +149,21 @@ class LoadTestResult:
         return (self.shed_503 + self.shed_connections) / offered
 
 
-class _Tallies:
-    """Shared mutable counters for the client swarm (single loop — no
-    locking needed)."""
-
-    def __init__(self, interval_s: float):
-        self.interval_s = interval_s
-        self.sent = 0
-        self.ok = 0
-        self.shed = 0
-        self.errors = 0
-        self.circuit_open = 0
-        self.faults = 0
-        self.bins: dict[int, dict] = {}
-
-    def record(self, t_s: float, column: str) -> None:
-        bucket = self.bins.setdefault(
-            int(t_s / self.interval_s),
-            {"sent": 0, "ok": 0, "shed": 0})
-        bucket[column] += 1
-
-    def series(self) -> list[dict]:
-        """Zero-filled interval rows from 0 to the last active bucket.
-
-        A stalled interval (nothing completed — e.g. every client stuck
-        in a STALL fault) must appear as a row of zeros, not vanish:
-        downstream rate math (``ok / interval_s`` per row) and the
-        timeline plot both assume a gapless grid.
-        """
-        if not self.bins:
-            return []
-        empty = {"sent": 0, "ok": 0, "shed": 0}
-        return [{"t_s": round(index * self.interval_s, 3),
-                 **self.bins.get(index, empty)}
-                for index in range(max(self.bins) + 1)]
+#: the swarm's counters, as ``load.<name>``
+_CLIENT_COUNTERS = ("sent", "ok", "client_shed", "errors", "circuit_open",
+                    "faults_injected")
 
 
 async def _apply_fault(plan: Optional[FaultPlan], url: str, attempt: int,
                        client: AsyncHttpClient,
-                       tallies: _Tallies) -> bool:
+                       swarm: MetricsRegistry) -> bool:
     """Client-side chaos for one attempt; True = skip the request."""
     if plan is None:
         return False
     decision = plan.decide(url, attempt)
     if decision is None:
         return False
-    tallies.faults += 1
+    swarm.counter("load.faults_injected").inc()
     if decision.kind is FaultKind.LOSS:
         await asyncio.sleep(_LOSS_WAIT_S)
         return True
@@ -203,46 +182,48 @@ async def _apply_fault(plan: Optional[FaultPlan], url: str, attempt: int,
 async def _client_loop(index: int, base_url: str, paths: Sequence[str],
                        stop_at: float, measure_from: float,
                        plan: Optional[FaultPlan],
-                       client_kwargs: dict, latency_hist,
-                       tallies: _Tallies) -> AsyncHttpClient:
-    loop = asyncio.get_running_loop()
+                       client_kwargs: dict,
+                       swarm: MetricsRegistry) -> AsyncHttpClient:
+    sent = swarm.counter("load.sent")
+    ok = swarm.counter("load.ok")
+    shed = swarm.counter("load.client_shed")
+    errors = swarm.counter("load.errors")
+    circuit_open = swarm.counter("load.circuit_open")
+    latency_hist = swarm.histogram("load.latency_ms")
     client = AsyncHttpClient(**client_kwargs)
     attempt = 0
     rotation = 0
     try:
-        while loop.time() < stop_at:
+        while time.monotonic() < stop_at:
             path = paths[(index + rotation) % len(paths)]
             rotation += 1
             url = base_url + path
             skip = await _apply_fault(plan, f"client{index}{url}",
-                                      attempt, client, tallies)
+                                      attempt, client, swarm)
             attempt += 1
             if skip:
                 continue
-            started = loop.time()
+            started = time.monotonic()
             try:
                 result = await client.request(Request(url=url))
             except CircuitOpen:
-                tallies.circuit_open += 1
+                circuit_open.inc()
                 await asyncio.sleep(0.05)
                 continue
             except (HttpError, OSError, asyncio.TimeoutError):
-                tallies.errors += 1
+                errors.inc()
                 continue
-            now = loop.time()
-            if now < measure_from:
+            now = time.monotonic()
+            if not measure_from <= now < stop_at:
                 continue
-            tallies.sent += 1
-            tallies.record(now - measure_from, "sent")
+            sent.inc()
             if result.response.status == 200:
-                tallies.ok += 1
-                tallies.record(now - measure_from, "ok")
+                ok.inc()
                 latency_hist.observe((now - started) * 1e3)
             elif result.response.status == 503:
-                tallies.shed += 1
-                tallies.record(now - measure_from, "shed")
+                shed.inc()
             else:
-                tallies.errors += 1
+                errors.inc()
     finally:
         await client.close()
     return client
@@ -279,7 +260,6 @@ def run_load_test(*, shards: int = 1, clients: int = 32,
                   metrics: Optional[MetricsRegistry] = None,
                   time_scale: float = 1.0,
                   trace: bool = False,
-                  telemetry_interval_s: Optional[float] = None,
                   timeseries_path: Optional[str] = None,
                   slo: Optional[Sequence[Objective]] = None,
                   live: bool = False) -> LoadTestResult:
@@ -287,63 +267,100 @@ def run_load_test(*, shards: int = 1, clients: int = 32,
 
     One shard is served inside the driving event loop, with no worker
     processes; more shards spawn a :class:`ServerFleet` of ``shards``
-    worker processes.
+    worker processes.  Either way the swarm's and every shard's
+    registry deltas land in ``result.timeseries`` on one grid of
+    ``interval_s`` rows from the swarm's start (and, with
+    ``timeseries_path``, in a JSONL file), and ``result.series`` reads
+    the swarm's rows.  The swarm's registry and every shard's merge
+    into ``metrics`` at the end.
 
-    Observability knobs (all off by default, zero overhead when off):
     ``trace`` runs driver clients and origin under real tracers with
     W3C trace-context propagation, landing pid-stamped span dicts in
-    ``result.spans``; ``telemetry_interval_s``/``timeseries_path``
-    stream per-interval registry deltas into a
-    :class:`~repro.obs.timeseries.TimeSeriesRecorder` (and JSONL on
-    disk); ``slo`` evaluates objectives over that time series into
-    ``result.slo_report``; ``live`` prints a per-interval ticker to
-    stderr while the swarm runs.
+    ``result.spans``; ``slo`` evaluates objectives over the time series
+    into ``result.slo_report``; ``live`` prints each interval's client
+    counts to stderr as the interval closes.
     """
     plan, preset_name = _resolve_plan(preset, seed)
     registry = metrics if metrics is not None else MetricsRegistry()
-    sample_interval_s = telemetry_interval_s or interval_s
-    recorder = None
-    if slo or timeseries_path is not None \
-            or telemetry_interval_s is not None:
-        recorder = TimeSeriesRecorder(interval_s=sample_interval_s,
-                                      path=timeseries_path)
+    recorder = TimeSeriesRecorder(interval_s=interval_s,
+                                  path=timeseries_path)
     tracer = Tracer() if trace else None
     config = FleetConfig(
         shards=shards, seed=seed, app=app, latency_s=latency_s,
         time_scale=time_scale, max_inflight=max_inflight,
         max_connections=max_connections,
         max_requests_per_connection=max_requests_per_connection,
-        retry_after_s=retry_after_s, trace=trace,
-        telemetry_interval_s=(sample_interval_s
-                              if recorder is not None else None))
+        retry_after_s=retry_after_s, trace=trace)
     if paths is None:
         paths = ["/index.html"] if app == "catalyst" else ["/"]
     result = LoadTestResult(
         shards=shards, clients=clients, duration_s=duration_s,
         warmup_s=warmup_s, seed=seed, app=app, latency_s=latency_s,
         max_inflight=max_inflight, preset=preset_name)
+    swarm = MetricsRegistry()
+    client_kwargs = [_client_kwargs(honor_retry_after, max_retries,
+                                    timeout_s, seed, i, tracer=tracer)
+                     for i in range(clients)]
     started = time.perf_counter()
+    loop = asyncio.new_event_loop()
     try:
-        if shards == 1:
-            asyncio.run(_run_inprocess(
-                config, paths, result, plan, clients, duration_s,
-                warmup_s, honor_retry_after, max_retries, timeout_s,
-                interval_s, seed, drain_s, registry, tracer=tracer,
-                recorder=recorder, live=live))
-        else:
-            _run_against_fleet(
-                config, paths, result, plan, clients, duration_s,
-                warmup_s, honor_retry_after, max_retries, timeout_s,
-                interval_s, seed, drain_s, registry, tracer=tracer,
-                recorder=recorder, live=live)
+        fleet = (LocalFleet(config, loop, tracer=tracer) if shards == 1
+                 else ServerFleet(config)).start()
+
+        def record(delta: dict, index: int) -> None:
+            """The swarm's delta, and every shard delta sent so far."""
+            recorder.add(delta, index, source="client")
+            _record_telemetry(recorder, fleet.drain_telemetry())
+            if live:
+                _print_live(delta, index, interval_s)
+
+        try:
+            result.retries_after_hint = loop.run_until_complete(_swarm(
+                fleet, paths, plan, client_kwargs, warmup_s, duration_s,
+                interval_s, swarm, record))
+            stats = fleet.stats()
+            if tracer is not None:
+                # driver-side client spans + every worker's server
+                # spans, pid-stamped so IDs never alias across processes
+                result.spans = ([span_to_dict(span, pid=os.getpid())
+                                 for span in tracer.spans()]
+                                + fleet.collect_spans())
+        finally:
+            reports = fleet.stop(drain_s)
+            if reports:
+                result.drain_s = max(r.get("drain_s", 0.0)
+                                     for r in reports)
+                result.hard_cancelled = sum(r.get("hard_cancelled", 0)
+                                            for r in reports)
+            # a shard's final delta follows its drain
+            _record_telemetry(recorder, fleet.drain_telemetry())
     finally:
-        if recorder is not None:
-            recorder.close()
+        loop.close()
+        recorder.close()
     result.elapsed_s = time.perf_counter() - started
-    if recorder is not None:
-        result.timeseries = recorder.interval_snapshots()
+    totals = stats["totals"]
+    result.served_total = totals["requests_served"]
+    result.shed_503 = totals["shed_503"]
+    result.shed_connections = totals["shed_connections"]
+    result.timeouts_408 = totals["timeouts_408"]
+    (result.sent, result.ok, result.client_shed, result.errors,
+     result.circuit_open, result.faults_injected) = (
+        swarm.counter(f"load.{name}").value for name in _CLIENT_COUNTERS)
+    latency_hist = swarm.histogram("load.latency_ms")
+    result.latency_ms_p50 = latency_hist.percentile(50)
+    result.latency_ms_p90 = latency_hist.percentile(90)
+    result.latency_ms_p99 = latency_hist.percentile(99)
+    result.timeseries = recorder.interval_snapshots()
+    result.series = [{"t_s": row["t_s"],
+                      "sent": row["metrics"].get("load.sent", 0),
+                      "ok": row["metrics"].get("load.ok", 0),
+                      "shed": row["metrics"].get("load.client_shed", 0)}
+                     for row in result.timeseries]
     if slo:
         result.slo_report = evaluate_slo(list(slo), recorder)
+    registry.merge(swarm.dump())
+    for worker in stats["workers"]:
+        registry.merge(worker["metrics"])
     _emit_metrics(registry, result, interval_s)
     result.metrics_snapshot = registry.snapshot()
     return result
@@ -369,194 +386,53 @@ def _client_kwargs(honor_retry_after: bool, max_retries: int,
     }
 
 
-async def _live_ticker(tallies: _Tallies, interval_s: float,
-                       stop_at: float) -> None:
-    """Print one per-interval line to stderr while the swarm runs."""
-    loop = asyncio.get_running_loop()
-    last = {"sent": 0, "ok": 0, "shed": 0, "errors": 0}
-    tick = 0
-    while loop.time() < stop_at:
-        await asyncio.sleep(min(interval_s, stop_at - loop.time()))
-        tick += 1
-        current = {"sent": tallies.sent, "ok": tallies.ok,
-                   "shed": tallies.shed, "errors": tallies.errors}
-        delta = {key: current[key] - last[key] for key in current}
-        last = current
-        print(f"[live] t={tick * interval_s:7.2f}s  "
-              f"rps={delta['ok'] / interval_s:8.1f}  "
-              f"sent={delta['sent']:6d}  ok={delta['ok']:6d}  "
-              f"shed={delta['shed']:5d}  errors={delta['errors']:5d}",
-              file=sys.stderr, flush=True)
-
-
-async def _drive(base_url: str, paths: Sequence[str],
-                 result: LoadTestResult, plan: Optional[FaultPlan],
-                 clients: int, duration_s: float, warmup_s: float,
-                 honor_retry_after: bool, max_retries: int,
-                 timeout_s: float, interval_s: float, seed: int,
-                 registry: MetricsRegistry, tracer=None,
-                 live: bool = False) -> _Tallies:
-    loop = asyncio.get_running_loop()
-    tallies = _Tallies(interval_s)
-    latency_hist = registry.histogram("load.latency_ms")
-    t0 = loop.time()
-    stop_at = t0 + warmup_s + duration_s
-    ticker = None
-    if live:
-        ticker = asyncio.ensure_future(
-            _live_ticker(tallies, interval_s, stop_at))
-    swarm = [
-        _client_loop(i, base_url, paths, stop_at,
-                     t0 + warmup_s, plan,
-                     _client_kwargs(honor_retry_after, max_retries,
-                                    timeout_s, seed, i, tracer=tracer),
-                     latency_hist, tallies)
-        for i in range(clients)]
-    finished = await asyncio.gather(*swarm)
-    if ticker is not None:
-        ticker.cancel()
-        try:
-            await ticker
-        except asyncio.CancelledError:
-            pass
-    result.sent = tallies.sent
-    result.ok = tallies.ok
-    result.client_shed = tallies.shed
-    result.errors = tallies.errors
-    result.circuit_open = tallies.circuit_open
-    result.faults_injected = tallies.faults
-    result.retries_after_hint = sum(c.retries_after_hint
-                                    for c in finished)
-    result.series = tallies.series()
-    result.latency_ms_p50 = latency_hist.percentile(50)
-    result.latency_ms_p90 = latency_hist.percentile(90)
-    result.latency_ms_p99 = latency_hist.percentile(99)
-    return tallies
-
-
-def _run_against_fleet(config: FleetConfig, paths, result, plan, clients,
-                       duration_s, warmup_s, honor_retry_after,
-                       max_retries, timeout_s, interval_s, seed,
-                       drain_s, registry: MetricsRegistry, tracer=None,
-                       recorder=None, live=False) -> None:
-    fleet = ServerFleet(config).start()
+async def _swarm(fleet, paths: Sequence[str], plan: Optional[FaultPlan],
+                 client_kwargs: list[dict], warmup_s: float,
+                 duration_s: float, interval_s: float,
+                 swarm: MetricsRegistry, record) -> int:
+    """Run the clients from one origin, sampling every registry on its
+    grid; returns the Retry-After hints the clients honoured."""
+    origin = time.monotonic()
+    fleet.sample(origin, interval_s)
+    sampler = IntervalSampler(swarm, record, interval_s, origin)
+    sampler.start()
+    measure_from = origin + warmup_s
+    stop_at = measure_from + duration_s
     try:
-        asyncio.run(_drive(fleet.base_url, paths, result, plan, clients,
-                           duration_s, warmup_s, honor_retry_after,
-                           max_retries, timeout_s, interval_s, seed,
-                           registry, tracer=tracer, live=live))
-        stats = fleet.stats()
-        totals = stats["totals"]
-        result.served_total = totals["requests_served"]
-        result.shed_503 = totals["shed_503"]
-        result.shed_connections = totals["shed_connections"]
-        result.timeouts_408 = totals["timeouts_408"]
-        registry.merge(fleet.merged_metrics().dump())
-        if tracer is not None:
-            # driver-side client spans + every worker's server spans,
-            # all pid-stamped so export IDs never alias across processes
-            result.spans = (
-                [span_to_dict(span, pid=os.getpid())
-                 for span in tracer.spans()]
-                + fleet.collect_spans())
+        finished = await asyncio.gather(*(
+            _client_loop(i, fleet.base_url, paths, stop_at, measure_from,
+                         plan, kwargs, swarm)
+            for i, kwargs in enumerate(client_kwargs)))
     finally:
-        reports = fleet.stop(drain_s=drain_s)
-        if reports:
-            result.drain_s = max(r.get("drain_s", 0.0) for r in reports)
-            result.hard_cancelled = sum(r.get("hard_cancelled", 0)
-                                        for r in reports)
-        if recorder is not None:
-            # workers flush a final delta before their stopped reply,
-            # so draining *after* stop() captures the whole run
-            for message in fleet.drain_telemetry():
-                recorder.record(message["delta"], message["t_s"],
-                                source=message.get("pid"))
+        await sampler.stop()
+    return sum(client.retries_after_hint for client in finished)
 
 
-async def _sample_registry(metrics: MetricsRegistry, recorder,
-                           interval_s: float) -> None:
-    """In-process stand-in for the fleet telemetry loop.
-
-    Diffs the server registry on the same cadence a worker would and
-    feeds the recorder directly; flushes one final delta on cancel so
-    the last partial interval reconciles exactly.
-    """
-    loop = asyncio.get_running_loop()
-    t0 = loop.time()
-    previous: dict = {}
-
-    def flush() -> dict:
-        nonlocal previous
-        current = metrics.dump()
-        delta = diff_dumps(current, previous)
-        previous = current
-        return delta
-
-    try:
-        while True:
-            await asyncio.sleep(interval_s)
-            delta = flush()
-            if delta:
-                recorder.record(delta, loop.time() - t0,
-                                source="inprocess")
-    except asyncio.CancelledError:
-        delta = flush()
-        if delta:
-            recorder.record(delta, loop.time() - t0, source="inprocess")
-        raise
+def _record_telemetry(recorder: TimeSeriesRecorder,
+                      messages: list[dict]) -> None:
+    for message in messages:
+        recorder.add(message["delta"], message["interval"],
+                     source=message["pid"])
 
 
-async def _run_inprocess(config: FleetConfig, paths, result, plan,
-                         clients, duration_s, warmup_s,
-                         honor_retry_after, max_retries, timeout_s,
-                         interval_s, seed, drain_s,
-                         registry: MetricsRegistry, tracer=None,
-                         recorder=None, live=False) -> None:
-    server_metrics = MetricsRegistry()
-    # one process, one tracer: client and server spans share an ID
-    # space, so traceparent round-trips resolve to real local parents
-    server = build_server(config, server_metrics, tracer=tracer)
-    await server.start()
-    sampler = None
-    if recorder is not None:
-        sampler = asyncio.ensure_future(_sample_registry(
-            server_metrics, recorder,
-            config.telemetry_interval_s or interval_s))
-    try:
-        await _drive(server.base_url, paths, result, plan, clients,
-                     duration_s, warmup_s, honor_retry_after,
-                     max_retries, timeout_s, interval_s, seed, registry,
-                     tracer=tracer, live=live)
-        result.served_total = server.requests_served
-        result.shed_503 = server.shed_503
-        result.shed_connections = server.shed_connections
-        result.timeouts_408 = server.timeouts_408
-    finally:
-        report = await server.stop(drain_s=drain_s)
-        result.drain_s = report["drain_s"]
-        result.hard_cancelled = report["hard_cancelled"]
-        if sampler is not None:
-            sampler.cancel()
-            try:
-                await sampler
-            except asyncio.CancelledError:
-                pass
-        registry.merge(server_metrics.dump())
-        if tracer is not None:
-            result.spans = [span_to_dict(span, pid=os.getpid())
-                            for span in tracer.spans()]
+def _print_live(delta: dict, index: int, interval_s: float) -> None:
+    """One stderr line per closed interval of the swarm's counters."""
+    sent, ok, shed, errors = (
+        delta.get(f"load.{name}", {}).get("value", 0)
+        for name in ("sent", "ok", "client_shed", "errors"))
+    print(f"[live] t={index * interval_s:7.2f}s  "
+          f"rps={ok / interval_s:8.1f}  "
+          f"sent={sent:6d}  ok={ok:6d}  "
+          f"shed={shed:5d}  errors={errors:5d}",
+          file=sys.stderr, flush=True)
 
 
 def _emit_metrics(registry: MetricsRegistry, result: LoadTestResult,
                   interval_s: float) -> None:
-    """Fold the run's headline series into the registry."""
-    registry.counter("load.sent").inc(result.sent)
-    registry.counter("load.ok").inc(result.ok)
+    """Fold the run's server-side shed total and headline gauges into
+    the registry, and each measured-window row's rps."""
     registry.counter("load.shed").inc(result.shed_503
                                       + result.shed_connections)
-    registry.counter("load.errors").inc(result.errors)
-    registry.counter("load.circuit_open").inc(result.circuit_open)
-    registry.counter("load.faults_injected").inc(result.faults_injected)
     registry.gauge("load.clients").set(result.clients)
     registry.gauge("load.shards").set(result.shards)
     registry.gauge("load.sustained_rps").set(result.sustained_rps)
@@ -564,8 +440,12 @@ def _emit_metrics(registry: MetricsRegistry, result: LoadTestResult,
     registry.gauge("load.drain_s").set(result.drain_s)
     registry.gauge("load.hard_cancelled").set(result.hard_cancelled)
     interval_rps = registry.histogram("load.interval_rps")
-    for bucket in result.series:
-        interval_rps.observe(bucket["ok"] / interval_s)
+    # the rows that overlap [warmup, warmup + duration)
+    first = int(result.warmup_s / interval_s + 1e-9)
+    end = math.ceil((result.warmup_s + result.duration_s) / interval_s
+                    - 1e-9)
+    for row in result.series[first:end]:
+        interval_rps.observe(row["ok"] / interval_s)
 
 
 def format_load_test(result: LoadTestResult) -> str:
@@ -630,9 +510,8 @@ def load_test_payload(result: LoadTestResult) -> dict:
                    "retries_after_hint": result.retries_after_hint,
                    "faults_injected": result.faults_injected},
         "series": result.series,
+        "timeseries": result.timeseries,
     }
-    if result.timeseries:
-        payload["timeseries"] = result.timeseries
     if result.slo_report is not None:
         payload["slo"] = result.slo_report.payload()
     if result.spans:

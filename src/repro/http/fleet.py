@@ -19,12 +19,20 @@ them.  :class:`ServerFleet` is that front:
   :meth:`MetricsRegistry.merge` — the same mergeable wire format the
   process-pool experiment fan-out ships, so fleet-wide
   p50/p90/p99 and shed totals come out of one snapshot;
+- :meth:`ServerFleet.sample` hands every worker the parent's interval
+  grid; each then runs an :class:`~repro.obs.timeseries.IntervalSampler`
+  whose sink is its control pipe, and :meth:`ServerFleet.drain_telemetry`
+  collects the deltas;
 - :meth:`ServerFleet.stop` drains every worker gracefully
   (``stop(drain_s=...)`` inside the worker) and reaps the processes.
 
 Workers also install SIGTERM/SIGINT handlers that trigger the same
 graceful drain, so a Ctrl-C or a supervisor's TERM lands as a drain,
 not an abort.
+
+:class:`LocalFleet` runs one shard in the caller's own event loop
+behind the same interface and answers in the same shapes, so a caller
+that drives both never asks how many shards there are.
 """
 
 from __future__ import annotations
@@ -42,10 +50,10 @@ from typing import Optional
 from ..obs.export import span_to_dict
 from ..obs.log import get_logger
 from ..obs.metrics import MetricsRegistry
-from ..obs.timeseries import diff_dumps
+from ..obs.timeseries import IntervalSampler
 
-__all__ = ["FleetConfig", "ServerFleet", "build_app", "build_server",
-           "reuseport_socket", "HAVE_REUSEPORT"]
+__all__ = ["FleetConfig", "ServerFleet", "LocalFleet", "build_app",
+           "build_server", "reuseport_socket", "HAVE_REUSEPORT"]
 
 logger = get_logger("http.fleet")
 
@@ -61,9 +69,13 @@ def reuseport_socket(host: str, port: int) -> socket.socket:
 
     Every member of a reuseport group must set the flag before
     ``bind()``; the parent uses one of these to reserve the port and
-    each worker uses one to join the group.
+    each worker uses one to join the group.  The protocol is named, not
+    left 0: accepted connections inherit it, and asyncio turns Nagle
+    off (``TCP_NODELAY``) only on sockets whose protocol says TCP, so
+    without it every response waited about 40 ms on a delayed ACK.
     """
-    sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM,
+                         socket.IPPROTO_TCP)
     try:
         sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         if HAVE_REUSEPORT:
@@ -102,10 +114,6 @@ class FleetConfig:
     #: give each worker a wall-clock Tracer; spans are collected over
     #: the control pipe ("spans" command) as portable pid-stamped dicts
     trace: bool = False
-    #: stream periodic MetricsRegistry *delta* dumps over the control
-    #: pipe every this many seconds (None = off).  The parent's
-    #: TimeSeriesRecorder buckets them into the live time series.
-    telemetry_interval_s: Optional[float] = None
 
 
 def build_app(config: FleetConfig):
@@ -150,10 +158,10 @@ def build_server(config: FleetConfig, metrics: MetricsRegistry,
                  tracer=None):
     """One hardened shard of ``config.app`` (not yet started).
 
-    Every shard is built here: each fleet worker's, ``repro serve``'s
-    single in-process one and the in-process load test's, so the shard
-    count never changes what is served.  A worker starts it on its
-    reuseport socket; the others bind ``config.host``/``config.port``.
+    Every shard is built here: each fleet worker's and
+    :class:`LocalFleet`'s, so the shard count never changes what is
+    served.  A worker starts it on its reuseport socket; a
+    :class:`LocalFleet` binds ``config.host``/``config.port``.
     """
     from .aserver import AsyncHttpServer
     handler, stats_source = build_app(config)
@@ -170,56 +178,93 @@ def build_server(config: FleetConfig, metrics: MetricsRegistry,
         tracer=tracer, metrics=metrics, stats_source=stats_source)
 
 
-def _worker_stats(server, metrics: MetricsRegistry) -> dict:
-    """One worker's snapshot in the mergeable wire format."""
-    return {
-        "pid": os.getpid(),
-        "requests_served": server.requests_served,
-        "admission": server.admission_stats(),
-        "metrics": metrics.dump(),
-    }
+#: admission counters summed across workers into the fleet's totals
+_ADMISSION_TOTALS = ("shed_503", "shed_connections", "timeouts_408",
+                     "inflight", "connections")
 
 
-def _send_telemetry_delta(conn, metrics: MetricsRegistry,
-                          started: float, state: dict) -> None:
-    """Diff the registry against the last shipped dump and send it."""
-    current = metrics.dump()
-    delta = diff_dumps(current, state["previous"])
-    state["previous"] = current
-    if delta:
-        _try_send(conn, {"telemetry": True, "pid": os.getpid(),
-                         "t_s": time.monotonic() - started,
-                         "delta": delta})
+class _Shard:
+    """One shard and everything its host is asked about it.
 
-
-async def _telemetry_loop(conn, metrics: MetricsRegistry,
-                          interval_s: float, started: float,
-                          state: dict) -> None:
-    """Periodically ship this worker's registry *delta* to the parent.
-
-    Messages are tagged ``telemetry: True`` so the parent can divert
-    them out of the request/response command protocol.  ``t_s`` is
-    seconds since the worker became ready — all workers start together,
-    so the parent's interval bucketing lines worker streams up.
-    ``state["previous"]`` is shared with the stop path, which flushes
-    one final delta after the drain so the last partial interval (and
-    anything served during the drain itself) still reconciles.
+    A fleet worker answers its control pipe's commands with these
+    methods, :class:`LocalFleet` calls them in the caller's loop: the
+    ``stats`` snapshot, the ``spans`` records, the sampler's telemetry
+    messages (handed to ``send``) and the ``stopped`` drain report have
+    one shape however many shards there are.
     """
-    while True:
-        await asyncio.sleep(interval_s)
-        _send_telemetry_delta(conn, metrics, started, state)
+
+    def __init__(self, config: FleetConfig, send, tracer=None):
+        self.metrics = MetricsRegistry()
+        self.tracer = tracer
+        self.server = build_server(config, self.metrics, tracer=tracer)
+        self.send = send
+        self.sampler: Optional[IntervalSampler] = None
+
+    def stats(self) -> dict:
+        """This shard's counters and registry in the mergeable wire
+        format."""
+        return {
+            "pid": os.getpid(),
+            "requests_served": self.server.requests_served,
+            "admission": self.server.admission_stats(),
+            "metrics": self.metrics.dump(),
+        }
+
+    def spans(self, clear: bool = False) -> dict:
+        records = [] if self.tracer is None else \
+            [span_to_dict(span, pid=os.getpid())
+             for span in self.tracer.spans()]
+        if self.tracer is not None and clear:
+            self.tracer.clear()
+        return {"pid": os.getpid(), "spans": records}
+
+    def sample(self, origin: float, interval_s: float) -> None:
+        """Send a registry delta at the end of each interval of the
+        grid that ``origin`` fixes (call inside the running loop)."""
+        pid = os.getpid()
+
+        def emit(delta: dict, index: int) -> None:
+            self.send({"telemetry": True, "pid": pid, "interval": index,
+                       "delta": delta})
+
+        self.sampler = IntervalSampler(self.metrics, emit, interval_s,
+                                       origin)
+        self.sampler.start()
+
+    async def stop(self, drain_s: float) -> dict:
+        """Drain, then flush the final delta, so what was served during
+        the drain still reconciles; returns the drain report."""
+        report = await self.server.stop(drain_s=drain_s)
+        if self.sampler is not None:
+            await self.sampler.stop()
+            self.sampler = None
+        return {"stopped": True, "pid": os.getpid(), **report}
+
+
+def _fold_stats(workers: list[dict]) -> dict:
+    """Per-shard stats as one fleet snapshot: summed totals, merged
+    metrics."""
+    merged = MetricsRegistry()
+    totals = dict.fromkeys(("requests_served",) + _ADMISSION_TOTALS, 0)
+    for stats in workers:
+        totals["requests_served"] += stats["requests_served"]
+        for key in _ADMISSION_TOTALS:
+            totals[key] += stats["admission"][key]
+        merged.merge(stats["metrics"])
+    return {"shards": len(workers), "totals": totals, "workers": workers,
+            "metrics": merged.snapshot()}
 
 
 async def _worker_serve(conn, config: FleetConfig) -> None:
     loop = asyncio.get_running_loop()
-    metrics = MetricsRegistry()
     tracer = None
     if config.trace:
         from ..obs.trace import Tracer
         tracer = Tracer()
-    server = build_server(config, metrics, tracer=tracer)
-    sock = reuseport_socket(config.host, config.port)
-    await server.start(sock=sock)
+    shard = _Shard(config, lambda message: _try_send(conn, message),
+                   tracer=tracer)
+    await shard.server.start(sock=reuseport_socket(config.host,
+                                                   config.port))
 
     stop_requested = asyncio.Event()
     for sig in (signal.SIGTERM, signal.SIGINT):
@@ -229,29 +274,8 @@ async def _worker_serve(conn, config: FleetConfig) -> None:
             pass
     readable = asyncio.Event()
     loop.add_reader(conn.fileno(), readable.set)
-    conn.send({"ready": True, "pid": os.getpid(), "port": server.port})
-    telemetry_task = None
-    telemetry_state = {"previous": {}}
-    telemetry_started = time.monotonic()
-
-    async def _finish_telemetry() -> None:
-        """Stop the ticker and ship the final (post-drain) delta."""
-        nonlocal telemetry_task
-        if telemetry_task is None:
-            return
-        telemetry_task.cancel()
-        try:
-            await telemetry_task
-        except asyncio.CancelledError:
-            pass
-        telemetry_task = None
-        _send_telemetry_delta(conn, metrics, telemetry_started,
-                              telemetry_state)
-
-    if config.telemetry_interval_s is not None:
-        telemetry_task = asyncio.ensure_future(_telemetry_loop(
-            conn, metrics, config.telemetry_interval_s,
-            telemetry_started, telemetry_state))
+    conn.send({"ready": True, "pid": os.getpid(),
+               "port": shard.server.port})
     try:
         while True:
             read_wait = asyncio.ensure_future(readable.wait())
@@ -262,44 +286,28 @@ async def _worker_serve(conn, config: FleetConfig) -> None:
                 waiter.cancel()
             if stop_requested.is_set():
                 # Signal-initiated drain (Ctrl-C / supervisor TERM).
-                report = await server.stop(drain_s=_SIGNAL_DRAIN_S)
-                await _finish_telemetry()
-                _try_send(conn, {"stopped": True, "pid": os.getpid(),
-                                 **report})
+                _try_send(conn, await shard.stop(_SIGNAL_DRAIN_S))
                 return
             readable.clear()
             while conn.poll():
                 message = conn.recv()
                 command = message.get("cmd")
                 if command == "stats":
-                    _try_send(conn, _worker_stats(server, metrics))
+                    _try_send(conn, shard.stats())
                 elif command == "spans":
-                    records = [] if tracer is None else \
-                        [span_to_dict(span, pid=os.getpid())
-                         for span in tracer.spans()]
-                    if tracer is not None and message.get("clear"):
-                        tracer.clear()
-                    _try_send(conn, {"pid": os.getpid(),
-                                     "spans": records})
+                    _try_send(conn, shard.spans(message.get("clear")))
+                elif command == "sample":
+                    shard.sample(message["origin"], message["interval_s"])
                 elif command == "stop":
-                    report = await server.stop(
-                        drain_s=message.get("drain_s", 0.0))
-                    await _finish_telemetry()
-                    _try_send(conn, {"stopped": True, "pid": os.getpid(),
-                                     **report})
+                    _try_send(conn, await shard.stop(
+                        message.get("drain_s", 0.0)))
                     return
                 else:
                     _try_send(conn, {"error": f"unknown cmd {command!r}"})
     finally:
-        if telemetry_task is not None:
-            telemetry_task.cancel()
-            try:
-                await telemetry_task
-            except asyncio.CancelledError:
-                pass
         loop.remove_reader(conn.fileno())
-        if server._server is not None:
-            await server.stop()
+        if shard.server._server is not None:
+            await shard.server.stop()
 
 
 def _try_send(conn, payload: dict) -> None:
@@ -416,35 +424,27 @@ class ServerFleet:
     def stats(self, timeout_s: float = 10.0) -> dict:
         """Merged fleet snapshot: per-worker counters + one registry.
 
-        Worker metric dumps fold through
+        Each worker is polled once.  Worker metric dumps fold through
         :meth:`MetricsRegistry.merge`, so histograms (request latency)
-        aggregate exactly like the experiment fan-out's fleet metrics.
+        aggregate exactly like the experiment fan-out's fleet metrics;
+        ``workers`` keeps each worker's own answer, dump included.
         """
-        merged = self.merged_metrics(timeout_s=timeout_s)
-        per_worker = self._last_worker_stats
-        totals = {"requests_served": 0, "shed_503": 0,
-                  "shed_connections": 0, "timeouts_408": 0,
-                  "inflight": 0, "connections": 0}
-        for stats in per_worker:
-            totals["requests_served"] += stats["requests_served"]
-            admission = stats["admission"]
-            for key in ("shed_503", "shed_connections", "timeouts_408",
-                        "inflight", "connections"):
-                totals[key] += admission[key]
-        return {"shards": len(per_worker), "totals": totals,
-                "workers": per_worker, "metrics": merged.snapshot()}
+        return _fold_stats(self._ask({"cmd": "stats"}, timeout_s))
 
-    def merged_metrics(self, timeout_s: float = 10.0) -> MetricsRegistry:
-        """One registry holding every worker's dump, merged."""
-        merged = MetricsRegistry()
-        self._last_worker_stats: list[dict] = []
+    def sample(self, origin: float, interval_s: float) -> None:
+        """Have every worker send a registry delta at the end of each
+        interval of the grid ``origin`` fixes (``time.monotonic``
+        seconds, one clock across processes)."""
         for worker in self._workers:
-            worker.conn.send({"cmd": "stats"})
+            worker.conn.send({"cmd": "sample", "origin": origin,
+                              "interval_s": interval_s})
+
+    def _ask(self, message: dict, timeout_s: float) -> list[dict]:
+        """Send ``message`` to every worker; each worker's answer."""
         for worker in self._workers:
-            stats = self._recv_response(worker, timeout_s, "stats")
-            self._last_worker_stats.append(stats)
-            merged.merge(stats["metrics"])
-        return merged
+            worker.conn.send(message)
+        return [self._recv_response(worker, timeout_s, message["cmd"])
+                for worker in self._workers]
 
     def _recv_response(self, worker: _Worker, timeout_s: float,
                        what: str) -> dict:
@@ -475,9 +475,11 @@ class ServerFleet:
 
         Sweeps every worker pipe without blocking, then empties the
         diverted-message buffer.  Each message is
-        ``{"telemetry": True, "pid", "t_s", "delta"}`` — feed
-        ``(delta, t_s, pid)`` straight into a
-        :class:`~repro.obs.timeseries.TimeSeriesRecorder`.
+        ``{"telemetry": True, "pid", "interval", "delta"}`` — feed
+        ``(delta, interval, pid)`` straight into
+        :meth:`~repro.obs.timeseries.TimeSeriesRecorder.add`.  Call it
+        while the workers sample, too: a pipe nobody reads fills up and
+        blocks the worker's event loop on its next send.
         """
         for worker in self._workers:
             try:
@@ -501,13 +503,10 @@ class ServerFleet:
         namespacing keeps worker span IDs from aliasing.  Workers not
         started with ``trace=True`` contribute nothing.
         """
-        spans: list[dict] = []
-        for worker in self._workers:
-            worker.conn.send({"cmd": "spans", "clear": clear})
-        for worker in self._workers:
-            answer = self._recv_response(worker, timeout_s, "spans")
-            spans.extend(answer.get("spans", []))
-        return spans
+        return [span
+                for answer in self._ask({"cmd": "spans", "clear": clear},
+                                        timeout_s)
+                for span in answer["spans"]]
 
     def stop(self, drain_s: Optional[float] = None,
              reap_timeout_s: float = 10.0) -> list[dict]:
@@ -548,3 +547,50 @@ class ServerFleet:
 
     def __exit__(self, *exc) -> None:
         self.stop()
+
+
+class LocalFleet:
+    """One shard in the caller's event loop, behind :class:`ServerFleet`'s
+    interface.
+
+    Nothing is spawned: the shard serves whenever the caller runs
+    ``loop`` (``start`` and ``stop`` run it until the server is up or
+    drained), so its clients and the shard share one loop and, with
+    ``tracer``, one span ID space.  ``stats``, ``stop`` and
+    ``drain_telemetry`` answer in a one-worker fleet's shapes;
+    ``collect_spans`` returns nothing, since the spans are in the
+    caller's ``tracer``.
+    """
+
+    def __init__(self, config: FleetConfig,
+                 loop: asyncio.AbstractEventLoop, tracer=None):
+        self._loop = loop
+        self._telemetry: list[dict] = []
+        self._shard = _Shard(config, self._telemetry.append,
+                             tracer=tracer)
+
+    @property
+    def base_url(self) -> str:
+        return self._shard.server.base_url
+
+    def start(self) -> "LocalFleet":
+        self._loop.run_until_complete(self._shard.server.start())
+        return self
+
+    def stats(self) -> dict:
+        return _fold_stats([self._shard.stats()])
+
+    def sample(self, origin: float, interval_s: float) -> None:
+        """As :meth:`ServerFleet.sample`; call inside ``loop``."""
+        self._shard.sample(origin, interval_s)
+
+    def collect_spans(self) -> list[dict]:
+        return []
+
+    def stop(self, drain_s: float) -> list[dict]:
+        return [self._loop.run_until_complete(self._shard.stop(drain_s))]
+
+    def drain_telemetry(self) -> list[dict]:
+        drained = list(self._telemetry)
+        self._telemetry.clear()
+        return drained

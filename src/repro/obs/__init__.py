@@ -34,9 +34,10 @@ Cross-process telemetry (the distributed-tracing PR):
   ``traceparent``/``tracestate`` encode/parse, carrying (pid, span-id)
   identities across the asyncio client/fleet boundary so one Perfetto
   trace shows a client retry parenting the worker that served it.
-- **Time series** (:mod:`repro.obs.timeseries`): interval-bucketed
-  recorder fed by periodic registry *delta* dumps streamed off fleet
-  workers — JSONL on disk, sketch-backed per-interval percentiles.
+- **Time series** (:mod:`repro.obs.timeseries`): one interval sampler
+  diffing each registry on a grid fixed by one origin (fleet workers
+  stream its deltas up their control pipes), and an interval-bucketed
+  recorder — JSONL on disk, sketch-backed per-interval percentiles.
 - **Exposition** (:mod:`repro.obs.promtext`): Prometheus text-format
   rendering of any registry (``/__repro/metrics``), plus the minimal
   parser CI uses to validate it.

@@ -20,7 +20,7 @@ portable (pickle- and JSON-safe) state and
 :meth:`MetricsRegistry.merge` folds such a dump — or another live
 registry — back in.  That is what lets the serving fleet ship each
 worker's registry back to the parent and report fleet-wide aggregates
-(see :meth:`repro.http.fleet.ServerFleet.merged_metrics`).
+(see :meth:`repro.http.fleet.ServerFleet.stats`).
 
 A process-wide default registry is available through :func:`registry`
 for code with no natural injection point; experiments that need

@@ -1,21 +1,21 @@
 """Interval-bucketed telemetry: registry deltas over time.
 
-The fleet's metrics story before this module was post-hoc: each worker's
-:class:`MetricsRegistry` merged into one aggregate *after* the run, so a
-load test could tell you its overall p99 but not that the p99 was fine
-for 28 seconds and catastrophic for 2.  This module adds the time axis.
+A merged :class:`MetricsRegistry` tells you a run's overall p99, not
+that the p99 was fine for 28 seconds and catastrophic for 2.  This
+module adds the time axis.
 
-Workers periodically :func:`diff_dumps` their registry against the
-previous dump and ship only the **delta** — counter increments,
-histogram increments (count/sum plus a bucket-wise sketch difference so
-per-interval percentiles stay sketch-accurate), gauge spot values —
-over the existing fleet control pipe.  The parent feeds deltas into a
-:class:`TimeSeriesRecorder`, which buckets them onto a fixed interval
-grid (merging same-interval deltas from different workers through the
-ordinary ``MetricsRegistry.merge`` path: counters add, gauges sum
-across workers — per-worker inflight sums to fleet inflight), streams
-every record to JSONL on disk, and serves zero-filled interval series
-to the SLO evaluator and the ``--live`` ticker.
+One :class:`IntervalSampler` per registry diffs it (:func:`diff_dumps`)
+at the end of each interval of a grid fixed by one origin, and hands
+the **delta** — counter increments, histogram increments (count/sum
+plus a bucket-wise sketch difference so per-interval percentiles stay
+sketch-accurate), gauge spot values — to a sink under the index of
+the interval it covers.  A fleet worker's sink is its control pipe; the
+load-test driver's is a :class:`TimeSeriesRecorder`, which merges
+same-interval deltas from every source through the ordinary
+``MetricsRegistry.merge`` path (counters add, gauges sum across workers
+— per-worker inflight sums to fleet inflight), streams every record to
+JSONL on disk, and serves zero-filled interval rows to the SLO
+evaluator and the load test's ``series``.
 
 Because deltas merge through the same machinery as full dumps, the sum
 of all interval buckets reconciles with the final merged registry:
@@ -27,13 +27,16 @@ vanishingly rare for latency-scale data).
 
 from __future__ import annotations
 
+import asyncio
+import contextlib
 import json
-from typing import IO, Iterable, Mapping, Optional, Sequence
+import time
+from typing import IO, Callable, Mapping, Optional
 
 from .metrics import MetricsRegistry
 
-__all__ = ["diff_dumps", "diff_sketch_states", "TimeSeriesRecorder",
-           "read_timeseries_jsonl"]
+__all__ = ["diff_dumps", "diff_sketch_states", "IntervalSampler",
+           "TimeSeriesRecorder", "read_timeseries_jsonl"]
 
 
 def diff_sketch_states(current: Mapping, previous: Optional[Mapping]
@@ -116,14 +119,76 @@ def diff_dumps(current: Mapping[str, Mapping],
     return delta
 
 
+class IntervalSampler:
+    """Diffs one registry at the end of each interval of a fixed grid.
+
+    Interval ``k`` covers ``[origin + k * interval_s, origin + (k + 1) *
+    interval_s)`` on ``clock``.  ``time.monotonic`` is one clock across
+    processes, so fleet workers handed the parent's origin share its
+    grid.  Every delta goes to ``sink(delta, k)`` under the first
+    interval it covers: a sample taken late, by less than one interval,
+    still lands in the interval it closes, and the final delta, emitted
+    when :meth:`stop` cancels the loop, lands in the interval still
+    open.  The first delta diffs against nothing, so the rows add up to
+    everything the registry counted.
+    """
+
+    def __init__(self, registry: MetricsRegistry,
+                 sink: Callable[[dict, int], None], interval_s: float,
+                 origin: float,
+                 clock: Callable[[], float] = time.monotonic):
+        if interval_s <= 0:
+            raise ValueError(f"interval_s must be > 0, got {interval_s}")
+        self.registry = registry
+        self.sink = sink
+        self.interval_s = interval_s
+        self.origin = origin
+        self.clock = clock
+        self._previous: dict = {}
+        #: the first interval no emitted delta covers yet
+        self._next = 0
+        self._task: Optional[asyncio.Task] = None
+
+    def sample(self) -> int:
+        """Emit the delta since the last sample; returns its interval."""
+        index = self._next
+        current = self.registry.dump()
+        self.sink(diff_dumps(current, self._previous), index)
+        self._previous = current
+        self._next = max(index + 1, int((self.clock() - self.origin)
+                                        / self.interval_s))
+        return index
+
+    async def _run(self) -> None:
+        try:
+            while True:
+                end = self.origin + (self._next + 1) * self.interval_s
+                await asyncio.sleep(end - self.clock())
+                self.sample()
+        finally:
+            self.sample()
+
+    def start(self) -> None:
+        """Sample at every interval's end, in the running event loop."""
+        self._task = asyncio.ensure_future(self._run())
+
+    async def stop(self) -> None:
+        """Stop sampling; the final delta is emitted before this
+        returns."""
+        self._task.cancel()
+        with contextlib.suppress(asyncio.CancelledError):
+            await self._task
+
+
 class TimeSeriesRecorder:
     """Interval-bucketed sink for telemetry deltas.
 
-    ``record(delta, t_s, source)`` merges the delta into the bucket for
-    ``int(t_s / interval_s)`` and appends one JSONL line to ``path``
-    (when given) so the raw stream survives the process.  Buckets are
-    plain :class:`MetricsRegistry` instances — every question you can
-    ask the final registry you can ask per interval.
+    ``add(delta, index, source)`` merges the delta into interval
+    ``index``'s bucket and appends one JSONL line to ``path`` (when
+    given) so the raw stream survives the process; ``record`` does the
+    same for a delta stamped with seconds from the grid's origin.
+    Buckets are plain :class:`MetricsRegistry` instances — every
+    question you can ask the final registry you can ask per interval.
     """
 
     def __init__(self, interval_s: float = 1.0,
@@ -141,19 +206,25 @@ class TimeSeriesRecorder:
     # -- recording -----------------------------------------------------------
     def record(self, delta: Mapping[str, Mapping], t_s: float,
                source: Optional[object] = None) -> int:
-        """Merge one delta; returns the interval index it landed in."""
+        """Merge one delta taken ``t_s`` seconds from the origin;
+        returns the interval index it landed in."""
         index = max(0, int(t_s / self.interval_s))
-        bucket = self._buckets.setdefault(index, MetricsRegistry())
-        bucket.merge(delta)
+        self.add(delta, index, source)
+        return index
+
+    def add(self, delta: Mapping[str, Mapping], index: int,
+            source: Optional[object] = None) -> None:
+        """Merge one delta into interval ``index``."""
+        self._buckets.setdefault(index, MetricsRegistry()).merge(delta)
         if source is not None:
             self._sources.add(source)
         if self._file is not None:
-            json.dump({"interval": index, "t_s": round(t_s, 6),
+            json.dump({"interval": index,
+                       "t_s": round(index * self.interval_s, 6),
                        "source": source, "delta": delta}, self._file,
                       separators=(",", ":"))
             self._file.write("\n")
             self._file.flush()
-        return index
 
     def close(self) -> None:
         if self._file is not None:
@@ -176,7 +247,8 @@ class TimeSeriesRecorder:
         """Zero-filled ``(index, bucket)`` pairs from 0 to the last index.
 
         Empty intervals appear as empty registries — a stall gap is a
-        row of zeros, not a hole (the same fix `_Tallies.series()` got).
+        row of zeros, not a hole: rate math and timeline plots assume a
+        gapless grid.
         """
         if not self._buckets:
             return []
@@ -235,7 +307,11 @@ class TimeSeriesRecorder:
 
 def read_timeseries_jsonl(path: str, interval_s: float = 1.0
                           ) -> TimeSeriesRecorder:
-    """Rebuild a recorder from its on-disk JSONL stream."""
+    """Rebuild a recorder from its on-disk JSONL stream.
+
+    Each line names its interval, so ``interval_s`` must be the
+    writer's: the rows come back as they were recorded.
+    """
     recorder = TimeSeriesRecorder(interval_s=interval_s)
     with open(path, encoding="utf-8") as handle:
         for line in handle:
@@ -243,6 +319,6 @@ def read_timeseries_jsonl(path: str, interval_s: float = 1.0
             if not line:
                 continue
             record = json.loads(line)
-            recorder.record(record["delta"], record["t_s"],
-                            source=record.get("source"))
+            recorder.add(record["delta"], record["interval"],
+                         source=record.get("source"))
     return recorder

@@ -2,8 +2,9 @@
 
 Fast, deterministic exercises of the chaos-harness plumbing: overload
 accounting, fault presets, metrics emission, and the manifest-stamped
-payloads.  The real multi-process runs live in
-``tests/integration/test_fleet.py``,
+payloads.  ``TestOnePathAnyShardCount`` also runs two worker processes,
+to hold both shard counts to one grid; the other multi-process runs
+live in ``tests/integration/test_fleet.py``,
 ``tests/integration/test_distributed_trace.py`` and CI's
 ``loadtest --shards 2`` step.
 """
@@ -12,6 +13,7 @@ import pytest
 
 from repro.experiments.load_test import (FAULT_PRESETS, format_load_test,
                                          load_test_payload, run_load_test)
+from repro.http.fleet import HAVE_REUSEPORT, LocalFleet, ServerFleet
 from repro.obs.manifest import validate_manifest
 from repro.obs.metrics import MetricsRegistry
 
@@ -103,21 +105,6 @@ class TestSeriesZeroFill:
     """Regression: a stalled interval must be a row of zeros, not a
     hole — downstream rate math assumes a gapless grid."""
 
-    def test_gap_bins_zero_filled(self):
-        from repro.experiments.load_test import _Tallies
-        tallies = _Tallies(interval_s=0.25)
-        tallies.record(0.1, "ok")     # bucket 0
-        tallies.record(0.9, "sent")   # bucket 3; 1 and 2 stay empty
-        series = tallies.series()
-        assert [row["t_s"] for row in series] == [0.0, 0.25, 0.5, 0.75]
-        assert series[1] == {"t_s": 0.25, "sent": 0, "ok": 0, "shed": 0}
-        assert series[2]["ok"] == 0
-        assert series[3]["sent"] == 1
-
-    def test_empty_tallies_yield_empty_series(self):
-        from repro.experiments.load_test import _Tallies
-        assert _Tallies(interval_s=0.25).series() == []
-
     def test_stalled_preset_run_has_gapless_series(self):
         from repro.netsim.faults import FaultPlan
         # every attempt stalls: completions bunch up late, early
@@ -134,7 +121,6 @@ class TestObservabilityPlumbing:
     def test_untraced_run_collects_nothing(self):
         result = quick_run()
         assert result.spans == []
-        assert result.timeseries == []
         assert result.slo_report is None
 
     def test_traced_inprocess_run_links_client_and_server_spans(self):
@@ -160,7 +146,7 @@ class TestObservabilityPlumbing:
 
     def test_timeseries_reconciles_with_registry(self):
         registry = MetricsRegistry()
-        result = quick_run(metrics=registry, telemetry_interval_s=0.2)
+        result = quick_run(metrics=registry, interval_s=0.2)
         assert result.timeseries
         total_requests = sum(
             row["metrics"].get("http.requests", 0)
@@ -197,3 +183,59 @@ class TestObservabilityPlumbing:
         import json
         lines = [json.loads(line) for line in open(path)]
         assert lines and all("delta" in line for line in lines)
+
+
+def _counting_stats(stats, polls):
+    def counted(self, *args, **kwargs):
+        answer = stats(self, *args, **kwargs)
+        polls.append(len(answer["workers"]))
+        return answer
+    return counted
+
+
+@pytest.fixture(scope="class", ids=["1shard", "2shards"], params=[
+    1, pytest.param(2, marks=pytest.mark.skipif(
+        not HAVE_REUSEPORT, reason="platform lacks SO_REUSEPORT"))])
+def one_path_run(request):
+    """12 clients against 4 slots a shard always shed; the 1-2 s
+    Retry-After sleeps outlast the 0.6 s window, so the retries land
+    after it closes."""
+    polls: list = []
+    with pytest.MonkeyPatch.context() as patch:
+        for host in (LocalFleet, ServerFleet):
+            patch.setattr(host, "stats", _counting_stats(host.stats, polls))
+        result = quick_run(shards=request.param, clients=12,
+                           retry_after_s=1.0, max_retries=1)
+    return result, polls
+
+
+class TestOnePathAnyShardCount:
+    """The shard count decides only where the shards run: client and
+    server rows share one grid from the swarm's start either way."""
+
+    def test_client_and_server_rows_share_one_grid(self, one_path_run):
+        result, _ = one_path_run
+        assert [row["t_s"] for row in result.series] \
+            == [row["t_s"] for row in result.timeseries]
+        assert result.timeseries[0]["metrics"].get("http.requests", 0) > 0
+        assert sum(row["ok"] for row in result.series) == result.ok
+        assert sum(row["metrics"].get("http.requests", 0)
+                   for row in result.timeseries) \
+            == result.metrics_snapshot["http.requests"]
+
+    def test_no_client_counts_past_the_window(self, one_path_run):
+        result, _ = one_path_run
+        end = result.warmup_s + result.duration_s
+        late = [index for index, row in enumerate(result.timeseries)
+                if row["t_s"] >= end]
+        # the servers answered the retries after the window closed...
+        assert sum(result.timeseries[index]["metrics"]
+                   .get("http.requests", 0) for index in late) > 0
+        # ...and the swarm counted none of them
+        for index in late:
+            row = result.series[index]
+            assert row["sent"] == row["ok"] == row["shed"] == 0
+
+    def test_each_worker_polled_for_stats_once(self, one_path_run):
+        result, polls = one_path_run
+        assert polls == [result.shards]

@@ -1,12 +1,13 @@
-"""Registry delta streams and the interval-bucketed recorder."""
+"""Registry delta streams, the interval sampler and the recorder."""
 
+import asyncio
 import json
 
 import pytest
 
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.timeseries import (TimeSeriesRecorder, diff_dumps,
-                                  diff_sketch_states,
+from repro.obs.timeseries import (IntervalSampler, TimeSeriesRecorder,
+                                  diff_dumps, diff_sketch_states,
                                   read_timeseries_jsonl)
 
 
@@ -159,3 +160,63 @@ class TestRecorder:
         recorder = TimeSeriesRecorder(interval_s=1.0)
         assert recorder.record({"n": {"kind": "counter", "value": 1}},
                                -0.3) == 0
+
+    def test_empty_recorder_has_no_rows(self):
+        recorder = TimeSeriesRecorder(interval_s=0.25)
+        assert recorder.intervals() == []
+        assert recorder.interval_snapshots() == []
+
+
+class TestIntervalSampler:
+    """One grid: each delta lands in the interval it covers."""
+
+    def test_late_samples_and_final_flush_keep_their_rows(self, tmp_path):
+        # 0.1 s rows from origin 5.0: k * 0.1 is not exact in binary, so
+        # rows rebuilt from their times would slip; from their index
+        # they cannot
+        now = [5.0]
+        registry = MetricsRegistry()
+        requests = registry.counter("http.requests")
+        path = str(tmp_path / "ts.jsonl")
+        with TimeSeriesRecorder(interval_s=0.1, path=path) as recorder:
+            sampler = IntervalSampler(registry, recorder.add, 0.1,
+                                      origin=5.0, clock=lambda: now[0])
+            requests.inc(3)
+            now[0] = 5.1999       # closes interval 0, 0.0999 s late
+            assert sampler.sample() == 0
+            requests.inc(2)
+            now[0] = 5.25         # closes interval 1, 0.05 s late
+            assert sampler.sample() == 1
+            requests.inc(4)
+            now[0] = 5.3001       # closes interval 2 on time
+            assert sampler.sample() == 2
+            requests.inc(1)
+            now[0] = 5.35         # stopped inside interval 3
+            assert sampler.sample() == 3  # the final flush: its own row
+        assert recorder.series("http.requests") == [3.0, 2.0, 4.0, 1.0]
+        rebuilt = read_timeseries_jsonl(path, interval_s=0.1)
+        assert rebuilt.interval_snapshots() \
+            == recorder.interval_snapshots()
+
+    def test_stop_flushes_what_the_last_interval_counted(self):
+        registry = MetricsRegistry()
+        recorder = TimeSeriesRecorder(interval_s=0.05)
+
+        async def scenario():
+            sampler = IntervalSampler(registry, recorder.add, 0.05,
+                                      origin=asyncio.get_running_loop()
+                                      .time())
+            sampler.start()
+            registry.counter("n").inc(2)
+            await asyncio.sleep(0.12)
+            registry.counter("n").inc(5)
+            await sampler.stop()
+
+        asyncio.run(scenario())
+        assert recorder.totals().counter("n").value == 7
+        assert len(recorder.intervals()) >= 3
+
+    def test_rejects_nonpositive_interval(self):
+        with pytest.raises(ValueError):
+            IntervalSampler(MetricsRegistry(), lambda delta, index: None,
+                            0.0, origin=0.0)
